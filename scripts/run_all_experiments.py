@@ -51,7 +51,8 @@ def main(argv=None) -> int:
         report = run(spec)
         name = f"{index:02d}_{spec.kind}.{extension}"
         (out_dir / name).write_text(render_report(report, args.format))
-        status = "ok" if report["passed"] else "CHECK FAILED"
+        failed = [check["name"] for check in report["checks"] if not check["passed"]]
+        status = f"CHECK FAILED: {', '.join(failed)}" if failed else "ok"
         print(f"{name:40s} {status}")
         failures += 0 if report["passed"] else 1
     return 1 if failures else 0

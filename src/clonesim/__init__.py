@@ -1,11 +1,12 @@
 """State-dependent quantum copying and its stimulated-emission realization."""
 
-from .angular import CGTable, IrrepLabel, PHOTON_IRREP, clebsch_gordan, contains, decompose_product
+from .angular import IrrepLabel, PHOTON_IRREP, clebsch_gordan, contains, decompose_product
 from .copying import (
     CloneReport,
     CopyBasis,
     OverlapWitness,
     ancilla_prep_map,
+    apply_copy_map,
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
 from numbers import Real
-from typing import Mapping
 
 #: Parity of the dipole photon irrep (j=1, odd under inversion).
 PHOTON_PARITY = -1
@@ -157,39 +156,3 @@ def clebsch_gordan(j1, m1, j2, m2, big_j, big_m) -> float:
     if total == 0:
         return 0.0
     return float(total) * sqrt(float(radicand))
-
-
-@dataclass(frozen=True, eq=False)
-class CGTable:
-    """All nonzero <j1 m1; j2 m2 | J M> for one (j1, j2) pair.
-
-    Keys are twice-value tuples (2m1, 2m2, 2J, 2M); use
-    :meth:`coefficient` for half-integer lookup, which returns 0.0 off the
-    support.
-    """
-
-    j1: IrrepLabel
-    j2: IrrepLabel
-    entries: Mapping[tuple[int, int, int, int], float]
-
-    @classmethod
-    def build(cls, j1: IrrepLabel, j2: IrrepLabel) -> "CGTable":
-        entries: dict[tuple[int, int, int, int], float] = {}
-        for tm1 in range(-j1.twice_j, j1.twice_j + 1, 2):
-            for tm2 in range(-j2.twice_j, j2.twice_j + 1, 2):
-                tbm = tm1 + tm2
-                for label in decompose_product(j1, j2):
-                    if abs(tbm) > label.twice_j:
-                        continue
-                    value = clebsch_gordan(
-                        Fraction(j1.twice_j, 2), Fraction(tm1, 2),
-                        Fraction(j2.twice_j, 2), Fraction(tm2, 2),
-                        Fraction(label.twice_j, 2), Fraction(tbm, 2),
-                    )
-                    if value != 0.0:
-                        entries[(tm1, tm2, label.twice_j, tbm)] = value
-        return cls(j1=j1, j2=j2, entries=entries)
-
-    def coefficient(self, m1, m2, big_j, big_m) -> float:
-        key = (twice(m1), twice(m2), twice(big_j), twice(big_m))
-        return self.entries.get(key, 0.0)

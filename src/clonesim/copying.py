@@ -9,9 +9,10 @@ copy unitary U acts on the n^2-dimensional product space by
 and the ancilla preparation map V sends |s_i> to |a_i>.  Preparing the
 ancilla as V|psi> and applying U copies *every* state |psi> perfectly,
 because all copying content lives in the state-dependent preparation:
-structurally U = I (x) V^dagger.  Feeding the same U a fixed ancilla
-instead copies only the matching basis ray, which is the content of the
-no-cloning restriction this module also witnesses.
+structurally U = I (x) V^dagger, which is the form every copying path
+applies; the dense matrix is built only on request.  Feeding the same U
+a fixed ancilla instead copies only the matching basis ray, which is the
+content of the no-cloning restriction this module also witnesses.
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
     Columns of kron(S, A) are the input product basis kets |s_i>(x)|a_j>
     and columns of kron(S, S) the corresponding outputs, so
     U = kron(S, S) kron(S, A)^dagger realizes all n^2 relations at once.
+    This is the explicit dense materialization of U = I (x) V^dagger for
+    callers that ask for the matrix; every copying path applies U in that
+    factored form through :func:`apply_copy_map` and never builds it.
     """
     s = basis.system_matrix()
     a = basis.ancilla_matrix()
@@ -140,18 +144,15 @@ def _prepare_input(state: Ket) -> Ket:
     return state.normalize()
 
 
-def clone(input: Ket, basis: CopyBasis) -> CloneReport:
-    """Copy ``input`` with the matched, state-prepared ancilla.
+def apply_copy_map(psi: Ket, ancilla: Ket, v: OperatorMatrix, matched: bool) -> CloneReport:
+    """Apply U = I (x) V^dagger to psi (x) ancilla and report against psi (x) psi.
 
-    The ancilla is V|input|, the copy unitary acts on input (x) ancilla,
-    and the report compares the output against input (x) input.  Fidelity
-    is 1 for every input state.
+    ``v`` is the ancilla map V, a unitary or, for a copy restricted to a
+    subspace, a partial isometry from the system space into the ancilla
+    space.  Forming psi (x) V^dagger|ancilla> costs O(n^2) for an n x n V;
+    building the dense U costs O(n^6).
     """
-    psi = _prepare_input(input)
-    v = ancilla_prep_map(basis)
-    ancilla = apply(v, psi)
-    u = build_copy_unitary(basis)
-    output = apply(u, tensor_product(psi, ancilla))
+    output = tensor_product(psi, Ket(v.entries.conj().T @ ancilla.amplitudes, psi.space_label))
     target = tensor_product(psi, psi)
     return CloneReport(
         input=psi,
@@ -159,12 +160,24 @@ def clone(input: Ket, basis: CopyBasis) -> CloneReport:
         output=output,
         target=target,
         fidelity=fidelity(target, output),
-        matched=True,
+        matched=matched,
     )
 
 
+def clone(input: Ket, basis: CopyBasis) -> CloneReport:
+    """Copy ``input`` with the matched, state-prepared ancilla.
+
+    The ancilla is V|input>, the copy map acts on input (x) ancilla, and
+    the report compares the output against input (x) input.  Fidelity is
+    1 for every input state.
+    """
+    psi = _prepare_input(input)
+    v = ancilla_prep_map(basis)
+    return apply_copy_map(psi, apply(v, psi), v, matched=True)
+
+
 def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBasis) -> CloneReport:
-    """Run the same copy unitary with a fixed basis ancilla |a_k|.
+    """Run the same copy map with a fixed basis ancilla |a_k>.
 
     The output is input (x) |s_k>, so the reported fidelity equals
     |<input|s_k>|^2: strictly below 1 unless the input is the k-th basis
@@ -175,17 +188,7 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
         raise IndexError(f"ancilla index {fixed_ancilla_index} out of range for n={basis.n}")
     psi = _prepare_input(input)
     ancilla = basis.ancilla_basis[fixed_ancilla_index]
-    u = build_copy_unitary(basis)
-    output = apply(u, tensor_product(psi, ancilla))
-    target = tensor_product(psi, psi)
-    return CloneReport(
-        input=psi,
-        ancilla=ancilla,
-        output=output,
-        target=target,
-        fidelity=fidelity(target, output),
-        matched=False,
-    )
+    return apply_copy_map(psi, ancilla, ancilla_prep_map(basis), matched=False)
 
 
 @dataclass(frozen=True)

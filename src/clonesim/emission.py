@@ -9,17 +9,18 @@ Delta l = +-1, Delta m = q fail.
 
 The clonable domain of a system is the span of the polarization
 components with at least one allowed transition.  Photons inside it are
-copied perfectly by the adaptive-ancilla mechanism: the incoming photon's
-amplitudes are transplanted onto the dipole-coupled excited levels, and
-that excited superposition plays the ancilla role in the abstract copying
-pipeline.  Photons outside the domain raise
+copied perfectly by the adaptive-ancilla mechanism: the mode map pairing
+photon components with dipole-coupled excited levels is the copy's
+ancilla map V, the incoming photon's amplitudes are transplanted onto
+those levels as V|photon>, and that excited superposition is the ancilla
+of the copy map U = I (x) V^dagger.  Photons outside the domain raise
 :class:`~clonesim.errors.DomainViolationError`; the restriction comes from
 the atomic symmetries, not from the copying construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import sqrt
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -27,9 +28,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .angular import IrrepLabel, clebsch_gordan
-from .copying import CloneReport, CopyBasis, clone
+from .copying import CloneReport, apply_copy_map
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DEFAULT_ATOL, DensityMatrix, Ket, OperatorMatrix, max_abs
+from .hilbert import DEFAULT_ATOL, DensityMatrix, Ket, OperatorMatrix, fidelity, max_abs, tensor_product
 
 #: Amplitudes below this are treated as symmetry-forbidden (they are exact
 #: zeros from the CG machinery; the threshold only guards radial rounding).
@@ -354,39 +355,52 @@ def _validate_mode_map(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> 
     return pairs
 
 
+def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> OperatorMatrix:
+    """The mode map as the copy's ancilla map V, a manifold x photon matrix.
+
+    V has a 1 at (level of ``mode_map[j]``, j) for each dipole-allowed
+    pair and a zero column for every other component, so it is a partial
+    isometry.  Photon support on a zero column is a domain violation.
+    """
+    v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
+    for j, (mode, label) in enumerate(pairs):
+        weight = abs(psi.amplitudes[j])
+        if label is not None and transition_allowed(system, system.excited_level(label), mode):
+            v[system.excited_index(label), j] = 1.0
+        elif weight > DOMAIN_MEMBERSHIP_TOLERANCE:
+            raise DomainViolationError(
+                f"photon component {j} ({mode.label}) has amplitude {weight:.3e} "
+                "on a symmetry-forbidden transition"
+            )
+    return OperatorMatrix(v)
+
+
 def adaptive_ancilla(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Ket:
     """Excited-manifold state with the photon's amplitudes transplanted.
 
     Component j of the photon is carried by the excited level
-    ``mode_map[j]``; the result is the superposition of those levels with
-    the photon's coefficients.  The ancilla is selected by the coupling
-    itself, so any photon support on a component whose mapped transition
-    is forbidden (or absent) is a domain violation.
+    ``mode_map[j]``; the result is the normalized V|photon>, the
+    superposition of those levels with the photon's coefficients.  The
+    ancilla is selected by the coupling itself, so any photon support on a
+    component whose mapped transition is forbidden (or absent) is a domain
+    violation.
     """
     psi = photon.normalize()
-    pairs = _validate_mode_map(psi, system, mode_map)
-    amplitudes = np.zeros(system.manifold_dim, dtype=complex)
-    for j, (mode, label) in enumerate(pairs):
-        weight = abs(psi.amplitudes[j])
-        if label is None or not transition_allowed(system, system.excited_level(label), mode):
-            if weight > DOMAIN_MEMBERSHIP_TOLERANCE:
-                raise DomainViolationError(
-                    f"photon component {j} ({mode.label}) has amplitude {weight:.3e} "
-                    "on a symmetry-forbidden transition"
-                )
-            continue
-        amplitudes[system.excited_index(label)] = psi.amplitudes[j]
-    return Ket(amplitudes, "excited-manifold").normalize()
+    v = _ancilla_map(psi, system, _validate_mode_map(psi, system, mode_map))
+    return Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
 
 
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state via the adaptive atomic ancilla.
 
-    The photon must lie in the span of the clonable domain; its amplitudes
-    are transplanted onto the mapped excited levels, and the abstract copy
-    pipeline runs with the polarization basis as system basis and the
-    mapped manifold levels as ancilla basis.  The reported output lives in
-    the photon (x) photon space and has fidelity 1.
+    The photon must lie in the span of the clonable domain.  The mode map
+    is the ancilla map V: the adaptive ancilla is the normalized V|photon>,
+    and the copy map U = I (x) V^dagger is applied in factored form, never
+    as a dense matrix.  The copy acts on the photon's dipole-coupled part
+    V^dagger|ancilla>, which drops only components the domain checks bound
+    by ``DOMAIN_MEMBERSHIP_TOLERANCE``.  The report keeps the full photon
+    as input, its output lives in the photon (x) photon space, and the
+    fidelity against photon (x) photon is 1.
     """
     psi = photon.normalize()
     pairs = _validate_mode_map(psi, system, mode_map)
@@ -402,55 +416,12 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
             f"(allowed modes: {list(domain.mode_labels)})"
         )
 
-    manifold_ancilla = adaptive_ancilla(psi, system, pairs)
-
-    # Copy in the subspace of dipole-coupled components; unmapped
-    # components carry no support past the checks above.
-    coupled = [
-        j
-        for j, (mode, label) in enumerate(pairs)
-        if label is not None and transition_allowed(system, system.excited_level(label), mode)
-    ]
-    k = len(coupled)
-    if k == 0:
-        raise DomainViolationError("no photon component couples to the excited manifold")
-    compressed = Ket(psi.amplitudes[coupled], psi.space_label).normalize()
-
-    # Ancilla basis: the mapped levels ordered as they appear in the
-    # manifold, giving a (generally non-identity) preparation permutation.
-    sublevel_order = sorted(coupled, key=lambda j: system.excited_index(pairs[j][1]))
-    ancilla_basis = tuple(
-        Ket.basis_state(k, sublevel_order.index(j), "mapped-manifold") for j in coupled
-    )
-    system_basis = tuple(Ket.basis_state(k, i, psi.space_label) for i in range(k))
-    report = clone(compressed, CopyBasis(system_basis, ancilla_basis))
-
-    if k == psi.dim:
-        return CloneReport(
-            input=psi,
-            ancilla=manifold_ancilla,
-            output=report.output,
-            target=report.target,
-            fidelity=report.fidelity,
-            matched=True,
-        )
-
-    # Re-embed the copied pair state into the full photon (x) photon space.
-    n = psi.dim
-    output = np.zeros(n * n, dtype=complex)
-    for ci, i in enumerate(coupled):
-        for cj, j in enumerate(coupled):
-            output[i * n + j] = report.output.amplitudes[ci * k + cj]
-    output_ket = Ket(output, f"{psi.space_label}*{psi.space_label}")
-    target = Ket(np.kron(psi.amplitudes, psi.amplitudes), f"{psi.space_label}*{psi.space_label}")
-    return CloneReport(
-        input=psi,
-        ancilla=manifold_ancilla,
-        output=output_ket,
-        target=target,
-        fidelity=abs(np.vdot(target.amplitudes, output_ket.amplitudes)) ** 2,
-        matched=True,
-    )
+    v = _ancilla_map(psi, system, pairs)
+    ancilla = Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
+    coupled = Ket(v.entries.conj().T @ ancilla.amplitudes, psi.space_label)
+    report = apply_copy_map(coupled, ancilla, v, matched=True)
+    target = tensor_product(psi, psi)
+    return replace(report, input=psi, target=target, fidelity=fidelity(target, report.output))
 
 
 def spontaneous_emission_output(

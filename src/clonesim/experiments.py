@@ -221,7 +221,7 @@ def _run_fixed_ancilla(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     state = resolve_state(spec.state, spec.dim, spec.seed)
     basis = CopyBasis.computational(state.dim)
     report = clone_with_fixed_ancilla(state, spec.ancilla_index, basis)
-    expected = abs(state.normalize().amplitudes[spec.ancilla_index]) ** 2
+    expected = float(abs(state.normalize().amplitudes[spec.ancilla_index]) ** 2)
     results = {
         "input": _ket_json(report.input),
         "ancilla_index": spec.ancilla_index,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from clonesim.angular import (
-    CGTable,
     IrrepLabel,
     PHOTON_IRREP,
     clebsch_gordan,
@@ -22,6 +21,20 @@ HALF_STEPS_TO_3 = [Fraction(t, 2) for t in range(0, 7)]  # 0, 1/2, ..., 3
 
 def j(value, parity=None) -> IrrepLabel:
     return IrrepLabel.from_j(value, parity)
+
+
+def coefficient_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float]:
+    """Every <j1 m1; j2 m2 | J M> with M = m1 + m2, keyed by twice-values (2m1, 2m2, 2J, 2M)."""
+    return {
+        (tm1, tm2, t_big_j, tm1 + tm2): clebsch_gordan(
+            Fraction(tj1, 2), Fraction(tm1, 2),
+            Fraction(tj2, 2), Fraction(tm2, 2),
+            Fraction(t_big_j, 2), Fraction(tm1 + tm2, 2),
+        )
+        for tm1 in range(-tj1, tj1 + 1, 2)
+        for tm2 in range(-tj2, tj2 + 1, 2)
+        for t_big_j in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+    }
 
 
 class TestIrrepLabel:
@@ -115,6 +128,11 @@ class TestClebschGordan:
         assert oracle == pytest.approx(-1 / np.sqrt(3), abs=1e-12)
         assert clebsch_gordan(1, 0, 1, 0, 0, 0) == pytest.approx(oracle, abs=1e-12)
 
+    def test_literal_values(self):
+        assert clebsch_gordan(1, 0, 1, 0, 0, 0) == pytest.approx(-1 / np.sqrt(3), abs=1e-12)
+        assert clebsch_gordan(1, 1, 1, -1, 1, 0) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert clebsch_gordan(1, 0.5, 1, -0.5, 0, 0) == 0.0  # off-support projections
+
     def test_highest_weight_state(self):
         assert clebsch_gordan(1, 1, 1, 1, 2, 2) == pytest.approx(1.0, abs=1e-15)
 
@@ -157,11 +175,13 @@ class TestClebschGordan:
 
 
 class TestCGTable:
+    """Orthonormality of the full coefficient table of one (j1, j2) pair."""
+
     @pytest.mark.parametrize("tj1", range(0, 7))
     @pytest.mark.parametrize("tj2", range(0, 7))
     def test_column_orthonormality(self, tj1, tj2):
         # sum over (m1, m2) of products for two coupled labels
-        table = CGTable.build(IrrepLabel(tj1), IrrepLabel(tj2))
+        table = coefficient_table(tj1, tj2)
         labels = decompose_product(IrrepLabel(tj1), IrrepLabel(tj2))
         pairs = [
             (lab.twice_j, t_big_m)
@@ -171,8 +191,8 @@ class TestCGTable:
         for a, (tj_a, tm_a) in enumerate(pairs):
             for tj_b, tm_b in pairs[a:]:
                 overlap = sum(
-                    table.entries.get((tm1, tm2, tj_a, tm_a), 0.0)
-                    * table.entries.get((tm1, tm2, tj_b, tm_b), 0.0)
+                    table.get((tm1, tm2, tj_a, tm_a), 0.0)
+                    * table.get((tm1, tm2, tj_b, tm_b), 0.0)
                     for tm1 in range(-tj1, tj1 + 1, 2)
                     for tm2 in range(-tj2, tj2 + 1, 2)
                 )
@@ -183,7 +203,7 @@ class TestCGTable:
     @pytest.mark.parametrize("tj2", range(0, 7))
     def test_row_orthonormality(self, tj1, tj2):
         # sum over (J, M) of products for two uncoupled projections
-        table = CGTable.build(IrrepLabel(tj1), IrrepLabel(tj2))
+        table = coefficient_table(tj1, tj2)
         labels = decompose_product(IrrepLabel(tj1), IrrepLabel(tj2))
         coupled = [
             (lab.twice_j, t_big_m)
@@ -198,22 +218,9 @@ class TestCGTable:
         for a, (tm1_a, tm2_a) in enumerate(projections):
             for tm1_b, tm2_b in projections[a:]:
                 overlap = sum(
-                    table.entries.get((tm1_a, tm2_a, tj, tm), 0.0)
-                    * table.entries.get((tm1_b, tm2_b, tj, tm), 0.0)
+                    table.get((tm1_a, tm2_a, tj, tm), 0.0)
+                    * table.get((tm1_b, tm2_b, tj, tm), 0.0)
                     for tj, tm in coupled
                 )
                 expected = 1.0 if (tm1_a, tm2_a) == (tm1_b, tm2_b) else 0.0
                 assert overlap == pytest.approx(expected, abs=1e-10)
-
-    def test_entries_only_on_support(self):
-        table = CGTable.build(IrrepLabel(2), IrrepLabel(2))
-        for (tm1, tm2, t_big_j, t_big_m), value in table.entries.items():
-            assert value != 0.0
-            assert t_big_m == tm1 + tm2
-            assert 0 <= t_big_j <= 4
-
-    def test_coefficient_lookup(self):
-        table = CGTable.build(IrrepLabel(2), IrrepLabel(2))
-        assert table.coefficient(0, 0, 0, 0) == pytest.approx(-1 / np.sqrt(3), abs=1e-12)
-        assert table.coefficient(1, -1, 1, 0) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert table.coefficient(0.5, -0.5, 0, 0) == 0.0  # off-support projections

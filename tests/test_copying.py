@@ -191,6 +191,20 @@ class TestCloneWithFixedAncilla:
             clone_with_fixed_ancilla(Ket.basis_state(2, 0), 2, CopyBasis.computational(2))
 
 
+class TestFactoredCopyMap:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_outputs_match_dense_copy_unitary(self, n, rng):
+        # The copying paths apply U = I (x) V^dagger in factored form; the
+        # dense U from the defining relations is the reference.
+        basis = random_copy_basis(n, rng)
+        u = build_copy_unitary(basis).entries
+        psi = random_ket(n, rng)
+        reports = [clone(psi, basis)] + [clone_with_fixed_ancilla(psi, k, basis) for k in range(n)]
+        for report in reports:
+            dense = u @ np.kron(psi.amplitudes, report.ancilla.amplitudes)
+            assert max_abs(report.output.amplitudes - dense) < 1e-12
+
+
 class TestOverlapWitness:
     def test_orthogonal_states_consistent(self):
         assert no_cloning_overlap_witness(0.0).verdict == "CONSISTENT"

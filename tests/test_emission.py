@@ -351,6 +351,23 @@ class TestStimulatedClone:
             direct = np.kron(report.input.amplitudes, report.input.amplitudes)
             assert max_abs(report.output.amplitudes - direct) < 1e-12
 
+    @pytest.mark.parametrize(
+        "mode_map",
+        [((SIGMA_MINUS, "e+"), (SIGMA_PLUS, "e-")), FULL_MODE_MAP],
+        ids=["two-modes", "three-modes"],
+    )
+    def test_level_permuting_mode_map_gives_product(self, mode_map, rng):
+        # Photon component j is carried by a level whose manifold index is not j.
+        system = p_manifold_system()
+        levels = [system.excited_index(label) for _, label in mode_map]
+        assert levels != sorted(levels)
+        for _ in range(25):
+            photon = random_ket(len(mode_map), rng)
+            report = stimulated_clone(photon, system, mode_map)
+            psi = photon.normalize().amplitudes
+            assert max_abs(report.output.amplitudes - np.kron(psi, psi)) < 1e-12
+            assert max_abs(report.ancilla.amplitudes[levels] - psi) < 1e-12
+
     def test_matches_abstract_pipeline_entrywise(self, rng):
         system = p_manifold_system()
         for _ in range(25):

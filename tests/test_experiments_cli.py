@@ -198,6 +198,13 @@ class TestRendering:
             second = render_report(run(spec_for(kind, config_dir)), "json")
             assert strip_timestamp(first) == strip_timestamp(second)
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_json_has_no_numpy_reprs(self, kind, config_dir):
+        # pi_only.json leaves a photon component uncoupled.
+        overrides = {"config_path": str(config_dir / "pi_only.json")} if kind == "stimulated-clone" else {}
+        text = render_report(run(spec_for(kind, config_dir, **overrides)), "json")
+        assert "np." not in text
+
     def test_json_excludes_private_keys(self, config_dir):
         text = render_report(run(spec_for("domain", config_dir)), "json")
         assert "_rows" not in json.loads(text)

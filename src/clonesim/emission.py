@@ -7,6 +7,11 @@ the Wigner-Eckart factorization of the spherical dipole components
 C^(1)_q, so an amplitude is exactly zero whenever the selection rules
 Delta l = +-1, Delta m = q fail.
 
+Each system builds these amplitudes once, as its dipole table D
+(``AtomicSystem.amplitudes``).  D is the one source of truth for the
+couplings: the clonable domain, the ancilla map, spontaneous-emission
+weights and the interaction Hamiltonian all read it.
+
 The clonable domain of a system is the span of the polarization
 components with at least one allowed transition.  Photons inside it are
 copied perfectly by the adaptive-ancilla mechanism: the mode map pairing
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import sqrt
+from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -39,10 +45,6 @@ AMPLITUDE_TOLERANCE = 1e-12
 #: A photon is inside the clonable domain iff the norm of its projection
 #: outside the domain span is below this.
 DOMAIN_MEMBERSHIP_TOLERANCE = 1e-9
-
-#: Default Fock truncation: the smallest space where stimulated and
-#: single-photon couplings differ by the sqrt(2) ladder factor.
-DEFAULT_N_MAX = 2
 
 _CANONICAL_MODE_LABELS = {-1: "sigma-", 0: "pi", +1: "sigma+"}
 
@@ -112,6 +114,8 @@ class AtomicLevel:
     energy: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (self.l, self.m)):
+            raise ValueError(f"l and m must be integers for level {self.label!r}, got {self.l!r} and {self.m!r}")
         if self.l < 0:
             raise ValueError("orbital quantum number l must be non-negative")
         if abs(self.m) > self.l:
@@ -132,11 +136,17 @@ class AtomicSystem:
 
     Radial factors default to 1 for every excited level; they are
     dimensionless positive constants multiplying the angular factor.
+
+    ``amplitudes`` is the read-only dipole table D: the
+    :func:`transition_amplitude` of excited level i and component q sits
+    at [i, q + 1].  ``allowed`` is its mask ``|D| > AMPLITUDE_TOLERANCE``.
     """
 
     ground: AtomicLevel
     excited: tuple[AtomicLevel, ...]
     radial_factors: Mapping[str, float] = field(default_factory=dict)
+    amplitudes: np.ndarray = field(init=False, repr=False)
+    allowed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "excited", tuple(self.excited))
@@ -155,15 +165,22 @@ class AtomicSystem:
             raise ValueError("radial factors must be positive")
         object.__setattr__(self, "radial_factors", MappingProxyType(factors))
 
+        g = self.ground
+        table = np.zeros((len(self.excited), 3), dtype=complex)
+        for i, e in enumerate(self.excited):
+            reduced = clebsch_gordan(e.l, 0, 1, 0, g.l, 0)
+            for q in (-1, 0, 1):
+                angular = clebsch_gordan(e.l, e.m, 1, q, g.l, g.m) * sqrt((2 * e.l + 1) / (2 * g.l + 1)) * reduced
+                table[i, q + 1] = factors[e.label] * angular
+        allowed = np.abs(table) > AMPLITUDE_TOLERANCE
+        table.setflags(write=False)
+        allowed.setflags(write=False)
+        object.__setattr__(self, "amplitudes", table)
+        object.__setattr__(self, "allowed", allowed)
+
     @property
     def manifold_dim(self) -> int:
         return len(self.excited)
-
-    def excited_level(self, label: str) -> AtomicLevel:
-        for level in self.excited:
-            if level.label == label:
-                return level
-        raise KeyError(f"no excited level labeled {label!r}")
 
     def excited_index(self, label: str) -> int:
         for i, level in enumerate(self.excited):
@@ -210,29 +227,21 @@ def transition_amplitude(system: AtomicSystem, e: AtomicLevel, pol: Polarization
         <l_e m_e; 1 q | l_g m_g> * sqrt((2 l_e + 1)/(2 l_g + 1))
                                  * <l_e 0; 1 0 | l_g 0>.
 
-    Exactly zero unless l_g = l_e +- 1 and m_g = m_e + q.
+    Exactly zero unless l_g = l_e +- 1 and m_g = m_e + q.  This is the
+    entry of the system's dipole table ``amplitudes``.
     """
-    radial = system.radial_factors.get(e.label)
-    if radial is None:
-        raise KeyError(f"level {e.label!r} is not in the excited manifold")
-    g = system.ground
-    angular = (
-        clebsch_gordan(e.l, e.m, 1, pol.q, g.l, g.m)
-        * sqrt((2 * e.l + 1) / (2 * g.l + 1))
-        * clebsch_gordan(e.l, 0, 1, 0, g.l, 0)
-    )
-    return complex(radial * angular)
+    try:
+        row = system.excited.index(e)
+    except ValueError:
+        raise KeyError(f"level {e.label!r} is not in the excited manifold") from None
+    return complex(system.amplitudes[row, pol.q + 1])
 
 
-def transition_allowed(system: AtomicSystem, e: AtomicLevel, pol: PolarizationMode) -> bool:
-    return abs(transition_amplitude(system, e, pol)) > AMPLITUDE_TOLERANCE
-
-
-def _annihilation(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = sqrt(n)
-    return a
+def _mode_columns(modes: Sequence[PolarizationMode]) -> np.ndarray:
+    """Dipole-table columns of ``modes``, in order; their labels must be unique."""
+    if len({mode.label for mode in modes}) != len(modes):
+        raise ValueError("mode labels must be unique")
+    return np.array([mode.q + 1 for mode in modes], dtype=int)
 
 
 def hamiltonian_basis(
@@ -261,40 +270,35 @@ def build_interaction_hamiltonian(
     The excitation-conserving part couples |e, n> to |ground, n+1> with
     weight -(amplitude) * sqrt(n+1) for each allowed transition and mode;
     ``include_counter_rotating`` adds the |e, n> <-> |ground, n-1> pairs
-    as well.  Hermitian by construction.
+    with weight -(amplitude) * sqrt(n).  Entries are written only for the
+    dipole table's nonzeros.  Hermitian by construction.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     modes = list(modes)
     if not modes:
         raise ValueError("at least one field mode is required")
-    if len({mode.label for mode in modes}) != len(modes):
-        raise ValueError("mode labels must be unique")
+    columns = _mode_columns(modes)
 
-    atom_dim = 1 + system.manifold_dim
-    fock_dim = (n_max + 1) ** len(modes)
-    a_single = _annihilation(n_max)
-    eye_fock = np.eye(n_max + 1, dtype=complex)
+    # One row per nonzero (excited level, mode) coupling, one column per Fock state.
+    levels = n_max + 1
+    fock_dim = levels ** len(modes)
+    fock = np.arange(fock_dim)
+    level_index, mode_index = np.nonzero(system.allowed[:, columns])
+    amplitude = system.amplitudes[level_index, columns[mode_index]][:, None]
+    stride = levels ** (len(modes) - 1 - mode_index)[:, None]
+    occupation = fock // stride % levels
+    excited = (1 + level_index)[:, None] * fock_dim + fock  # index of |e, n>
 
-    h = np.zeros((atom_dim * fock_dim, atom_dim * fock_dim), dtype=complex)
-    for mode_index, mode in enumerate(modes):
-        factors = [a_single if k == mode_index else eye_fock for k in range(len(modes))]
-        a_mode = factors[0]
-        for factor in factors[1:]:
-            a_mode = np.kron(a_mode, factor)
-        for level_index, level in enumerate(system.excited):
-            amplitude = transition_amplitude(system, level, mode)
-            if abs(amplitude) <= AMPLITUDE_TOLERANCE:
-                continue
-            lower = np.zeros((atom_dim, atom_dim), dtype=complex)
-            lower[0, 1 + level_index] = 1.0  # |ground><e|
-            emission_term = np.kron(lower, a_mode.conj().T)
-            h -= amplitude * emission_term
-            h -= np.conj(amplitude) * emission_term.conj().T
-            if include_counter_rotating:
-                counter_term = np.kron(lower, a_mode)
-                h -= amplitude * counter_term
-                h -= np.conj(amplitude) * counter_term.conj().T
+    # |e, n> couples to |ground, n + 1_k>, and counter-rotating to |ground, n - 1_k>.
+    terms = [(occupation < n_max, fock + stride, np.sqrt(occupation + 1.0))]
+    if include_counter_rotating:
+        terms.append((occupation > 0, fock - stride, np.sqrt(occupation.astype(float))))
+    h = np.zeros(((1 + system.manifold_dim) * fock_dim,) * 2, dtype=complex)
+    for mask, ground, ladder in terms:
+        values = (-amplitude * ladder)[mask]
+        h[ground[mask], excited[mask]] = values
+        h[excited[mask], ground[mask]] = values.conj()
     return OperatorMatrix(h, hermitian=True)
 
 
@@ -324,13 +328,11 @@ def clonable_domain(system: AtomicSystem) -> ClonableDomain:
     Returns the allowed modes plus an orthonormal basis of their span;
     empty when every transition is symmetry-forbidden.
     """
-    allowed: list[PolarizationMode] = []
-    basis: list[Ket] = []
-    for position, mode in enumerate(SPHERICAL_MODES):
-        if any(transition_allowed(system, level, mode) for level in system.excited):
-            allowed.append(mode)
-            basis.append(Ket.basis_state(len(SPHERICAL_MODES), position, "polarization"))
-    return ClonableDomain(modes=tuple(allowed), basis=tuple(basis))
+    coupled = np.flatnonzero(system.allowed.any(axis=0)).tolist()  # SPHERICAL_MODES is ordered by q
+    return ClonableDomain(
+        modes=tuple(SPHERICAL_MODES[column] for column in coupled),
+        basis=tuple(Ket.basis_state(len(SPHERICAL_MODES), column, "polarization") for column in coupled),
+    )
 
 
 #: Photon basis description: one (mode, excited-level label) pair per
@@ -339,20 +341,26 @@ def clonable_domain(system: AtomicSystem) -> ClonableDomain:
 ModeMap = Sequence[tuple[PolarizationMode, str | None]]
 
 
-def _validate_mode_map(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> list[tuple[PolarizationMode, str | None]]:
+def validate_mode_map(system: AtomicSystem, mode_map: ModeMap) -> list[tuple[PolarizationMode, str | None]]:
+    """The mode map as a list, once its modes are distinct and its levels
+    distinct excited levels of ``system``; raises ``ValueError`` otherwise."""
     pairs = list(mode_map)
-    if len(pairs) != photon.dim:
-        raise DimensionMismatchError(
-            f"mode map has {len(pairs)} entries for a photon of dim {photon.dim}"
-        )
-    if len({mode.label for mode, _ in pairs}) != len(pairs):
-        raise ValueError("mode map polarization modes must be distinct")
+    _mode_columns([mode for mode, _ in pairs])
     mapped = [label for _, label in pairs if label is not None]
     if len(set(mapped)) != len(mapped):
         raise ValueError("mode map must be injective on excited levels")
-    for label in mapped:
-        system.excited_level(label)  # raises KeyError for unknown labels
+    known = {level.label for level in system.excited}
+    unknown = [label for label in mapped if label not in known]
+    if unknown:
+        raise ValueError(f"mode map points at unknown excited levels {unknown}")
     return pairs
+
+
+def _photon_pairs(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> list[tuple[PolarizationMode, str | None]]:
+    pairs = list(mode_map)
+    if len(pairs) != psi.dim:
+        raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
+    return validate_mode_map(system, pairs)
 
 
 def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> OperatorMatrix:
@@ -365,7 +373,7 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> OperatorMatr
     v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
     for j, (mode, label) in enumerate(pairs):
         weight = abs(psi.amplitudes[j])
-        if label is not None and transition_allowed(system, system.excited_level(label), mode):
+        if label is not None and system.allowed[system.excited_index(label), mode.q + 1]:
             v[system.excited_index(label), j] = 1.0
         elif weight > DOMAIN_MEMBERSHIP_TOLERANCE:
             raise DomainViolationError(
@@ -386,7 +394,7 @@ def adaptive_ancilla(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Ke
     violation.
     """
     psi = photon.normalize()
-    v = _ancilla_map(psi, system, _validate_mode_map(psi, system, mode_map))
+    v = _ancilla_map(psi, system, _photon_pairs(psi, system, mode_map))
     return Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
 
 
@@ -403,7 +411,7 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     fidelity against photon (x) photon is 1.
     """
     psi = photon.normalize()
-    pairs = _validate_mode_map(psi, system, mode_map)
+    pairs = _photon_pairs(psi, system, mode_map)
 
     domain = clonable_domain(system)
     allowed_q = {mode.q for mode in domain.modes}
@@ -444,6 +452,7 @@ def spontaneous_emission_output(
     modes = list(modes)
     if not modes:
         raise ValueError("at least one polarization mode is required")
+    columns = _mode_columns(modes)
     if isotropic:
         populations = np.full(system.manifold_dim, 1.0 / system.manifold_dim)
     else:
@@ -455,11 +464,7 @@ def spontaneous_emission_output(
             )
         populations = np.abs(excited_state.normalize().amplitudes) ** 2
 
-    weights = np.zeros(len(modes))
-    for mode_index, mode in enumerate(modes):
-        for level_index, level in enumerate(system.excited):
-            amplitude = transition_amplitude(system, level, mode)
-            weights[mode_index] += populations[level_index] * abs(amplitude) ** 2
+    weights = populations @ np.abs(system.amplitudes[:, columns]) ** 2
     total = weights.sum()
     if total <= AMPLITUDE_TOLERANCE:
         raise DomainViolationError("no allowed decay channel into the given modes")

@@ -33,7 +33,7 @@ from .emission import (
     mode_for_label,
     spontaneous_emission_output,
     stimulated_clone,
-    transition_amplitude,
+    validate_mode_map,
 )
 from .errors import ConfigError, DimensionMismatchError
 from .hilbert import Ket, fidelity, max_abs, random_ket
@@ -83,8 +83,8 @@ def _parse_level(raw: dict, context: str) -> AtomicLevel:
     try:
         return AtomicLevel(
             label=str(raw["label"]),
-            l=int(raw["l"]),
-            m=int(raw["m"]),
+            l=raw["l"],
+            m=raw["m"],
             energy=float(raw.get("energy", 0.0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -127,17 +127,11 @@ def load_atomic_system(
         return system, None
     if not isinstance(mode_map_raw, dict):
         raise ConfigError("'mode_map' must map polarization labels to excited labels or null")
-    mode_map: list[tuple[PolarizationMode, str | None]] = []
-    excited_labels = {level.label for level in excited}
-    for mode_label, level_label in mode_map_raw.items():
-        try:
-            mode = mode_for_label(str(mode_label))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if level_label is not None and level_label not in excited_labels:
-            raise ConfigError(f"mode_map points at unknown excited level {level_label!r}")
-        mode_map.append((mode, level_label))
-    return system, mode_map
+    try:
+        mode_map = [(mode_for_label(str(mode)), level) for mode, level in mode_map_raw.items()]
+        return system, validate_mode_map(system, mode_map)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid mode_map in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +276,10 @@ def _run_selection_rules(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     system, _ = _require_config(spec)
     rows = []
     mismatches = 0
-    for level in system.excited:
+    for level, amplitudes, allowed_row in zip(system.excited, system.amplitudes, system.allowed):
         for mode in SPHERICAL_MODES:
-            amplitude = transition_amplitude(system, level, mode)
-            allowed = abs(amplitude) > 1e-12
+            amplitude = amplitudes[mode.q + 1]
+            allowed = bool(allowed_row[mode.q + 1])
             irrep_ok = contains(system.ground.irrep, (level.irrep, PHOTON_IRREP))
             weight_ok = system.ground.m == level.m + mode.q
             if allowed != (irrep_ok and weight_ok):

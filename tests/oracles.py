@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the production code path it checks:
 coupling coefficients come from explicit ladder-operator construction,
-angular factors from numerical quadrature of spherical harmonics, copy
+angular factors from numerical quadrature of spherical harmonics, the
+interaction Hamiltonian from dense per-term Kronecker products, copy
 unitaries from column-by-column assembly, reduced density matrices from
 hand-written index contraction.
 """
@@ -147,6 +148,44 @@ def angular_factor_by_quadrature(
     )
     phi_integral = integrand.sum(axis=1) * (2.0 * np.pi / n_phi)
     return complex(np.dot(w, phi_integral))
+
+
+# ---------------------------------------------------------------------------
+# Interaction Hamiltonian by per-term Kronecker products
+
+
+def hamiltonian_by_kron(
+    amplitudes: np.ndarray, n_max: int, include_counter_rotating: bool = False
+) -> np.ndarray:
+    """Dipole Hamiltonian summed term by term from dense Kronecker products.
+
+    ``amplitudes[i, k]`` couples excited level i to field mode k.  The basis
+    is (ground, excited levels in order) (x) mode 0 (x) mode 1 ..., with
+    occupations 0..n_max per mode.  Each nonzero amplitude d adds
+    -d |g><e_i| (x) a_k^dagger plus its conjugate, and with counter-rotating
+    terms also -d |g><e_i| (x) a_k plus its conjugate.
+    """
+    n_levels, n_modes = amplitudes.shape
+    atom_dim = 1 + n_levels
+    lower_single = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1).astype(complex)
+    eye = np.eye(n_max + 1, dtype=complex)
+    fock_dim = (n_max + 1) ** n_modes
+    h = np.zeros((atom_dim * fock_dim, atom_dim * fock_dim), dtype=complex)
+    for k in range(n_modes):
+        a_k = np.ones((1, 1), dtype=complex)
+        for slot in range(n_modes):
+            a_k = np.kron(a_k, lower_single if slot == k else eye)
+        field_ops = [a_k.conj().T, a_k] if include_counter_rotating else [a_k.conj().T]
+        for i in range(n_levels):
+            d = amplitudes[i, k]
+            if d == 0:
+                continue
+            sigma = np.zeros((atom_dim, atom_dim), dtype=complex)
+            sigma[0, 1 + i] = 1.0
+            for field_op in field_ops:
+                term = np.kron(sigma, field_op)
+                h -= d * term + np.conj(d) * term.conj().T
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for dipole amplitudes, the interaction Hamiltonian, clonable
 domains, and the adaptive-ancilla stimulated cloning pipeline."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from clonesim.emission import (
 from clonesim.errors import DimensionMismatchError, DomainViolationError
 from clonesim.hilbert import Ket, max_abs, random_ket
 
-from oracles import angular_factor_by_quadrature
+from oracles import angular_factor_by_quadrature, hamiltonian_by_kron
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -49,6 +51,39 @@ def s_to_s_system() -> AtomicSystem:
         ground=AtomicLevel("g", l=0, m=0),
         excited=(AtomicLevel("s2", l=0, m=0, energy=1.0),),
     )
+
+
+def seeded_radial_system(kind: str, seed: int = 7) -> AtomicSystem:
+    """A test atom with random radial factors in [0.3, 3)."""
+    rng = np.random.default_rng(seed)
+    if kind == "p-manifold":
+        ground = AtomicLevel("g", l=0, m=0)
+        excited = p_manifold_system().excited
+    elif kind == "s-and-p":
+        ground = AtomicLevel("1s", l=0, m=0)
+        excited = (AtomicLevel("2s", l=0, m=0),) + tuple(AtomicLevel(f"2p{m}", l=1, m=m) for m in (-1, 0, 1))
+    else:  # "d-ground": p and f levels coupled to an l=2, m=1 ground level
+        ground = AtomicLevel("g", l=2, m=1)
+        excited = tuple(AtomicLevel(f"p{m}", l=1, m=m) for m in (-1, 0, 1)) + tuple(
+            AtomicLevel(f"f{m}", l=3, m=m) for m in (0, 1, 2)
+        )
+    radial = {level.label: float(rng.uniform(0.3, 3.0)) for level in excited}
+    return AtomicSystem(ground=ground, excited=excited, radial_factors=radial)
+
+
+def quadrature_table(system: AtomicSystem) -> np.ndarray:
+    """Radial factor times the quadrature angular factor, levels x (q + 1)."""
+    g = system.ground
+    return np.array([
+        [
+            system.radial_factors[e.label] * angular_factor_by_quadrature(g.l, g.m, e.l, e.m, q)
+            for q in (-1, 0, 1)
+        ]
+        for e in system.excited
+    ])
+
+
+RADIAL_SYSTEMS = ("p-manifold", "s-and-p", "d-ground")
 
 
 class TestPolarizationMode:
@@ -79,6 +114,14 @@ class TestAtomicLevel:
     def test_rejects_m_beyond_l(self):
         with pytest.raises(ValueError):
             AtomicLevel("bad", l=1, m=2)
+
+    @pytest.mark.parametrize("l,m", [(1.5, 0), (1.0, 0), (True, 0), (1, 0.0), (1, "0")])
+    def test_rejects_non_integer_quantum_numbers(self, l, m):
+        with pytest.raises(ValueError, match="must be integers"):
+            AtomicLevel("bad", l=l, m=m)
+
+    def test_accepts_numpy_integers(self):
+        assert AtomicLevel("p", l=np.int64(1), m=np.int32(-1)).parity == -1
 
     def test_irrep_carries_parity(self):
         irrep = AtomicLevel("p", l=1, m=0).irrep
@@ -191,6 +234,68 @@ class TestTransitionAmplitude:
                         assert (amp != 0.0) == (irrep_ok and weight_ok)
 
 
+class TestDipoleTable:
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    def test_equals_radial_times_quadrature(self, kind):
+        system = seeded_radial_system(kind)
+        oracle = quadrature_table(system)
+        assert system.amplitudes.shape == (system.manifold_dim, 3)
+        assert max_abs(system.amplitudes - oracle) < 1e-12
+        assert np.array_equal(system.allowed, np.abs(oracle) > 1e-9)
+
+    def test_read_only(self):
+        system = p_manifold_system()
+        with pytest.raises(ValueError):
+            system.amplitudes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            system.allowed[0, 0] = True
+        with pytest.raises(FrozenInstanceError):
+            system.amplitudes = np.zeros((3, 3))
+
+    def test_replace_rebuilds_table(self):
+        system = p_manifold_system()
+        before = system.amplitudes.copy()
+        stronger = replace(system, radial_factors={"e-": 2.0, "e0": 0.5, "e+": 1.0})
+        assert max_abs(system.amplitudes - before) == 0.0
+        assert max_abs(stronger.amplitudes - before * np.array([[2.0], [0.5], [1.0]])) < 1e-15
+        assert max_abs(stronger.amplitudes - quadrature_table(stronger)) < 1e-12
+        assert transition_amplitude(stronger, stronger.excited[0], SIGMA_PLUS) == stronger.amplitudes[0, 2]
+
+    def test_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            AtomicSystem(
+                ground=AtomicLevel("g", l=0, m=0),
+                excited=(AtomicLevel("e0", l=1, m=0),),
+                amplitudes=np.zeros((1, 3)),
+            )
+
+
+class TestHamiltonianAgainstKronOracle:
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            (PI,),
+            (SIGMA_MINUS, SIGMA_PLUS),
+            (SIGMA_PLUS, SIGMA_MINUS),
+            (SIGMA_MINUS, PI, SIGMA_PLUS),
+            (SIGMA_PLUS, PI, SIGMA_MINUS),
+        ],
+        ids=lambda modes: "+".join(mode.label for mode in modes),
+    )
+    def test_matches_per_term_kron_sum(self, kind, modes):
+        system = seeded_radial_system(kind)
+        table = quadrature_table(system)
+        table[np.abs(table) < 1e-9] = 0.0
+        couplings = table[:, [mode.q + 1 for mode in modes]]
+        for n_max in (1, 2, 3, 4):
+            for counter in (False, True):
+                h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
+                oracle = hamiltonian_by_kron(couplings, n_max, include_counter_rotating=counter)
+                assert np.array_equal(h != 0, oracle != 0), (n_max, counter)
+                assert max_abs(h - oracle) < 1e-12, (n_max, counter)
+
+
 class TestInteractionHamiltonian:
     def test_single_excitation_structure_at_n_max_one(self):
         # radial sqrt(3) sets the pi amplitude to exactly 1
@@ -272,7 +377,7 @@ class TestInteractionHamiltonian:
             build_interaction_hamiltonian(system, [], n_max=2)
         with pytest.raises(ValueError):
             build_interaction_hamiltonian(system, [PI], n_max=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode labels must be unique"):
             build_interaction_hamiltonian(system, [PI, PI], n_max=1)
 
 
@@ -338,6 +443,17 @@ class TestAdaptiveAncilla:
         photon = Ket(np.array([INV_SQRT2, INV_SQRT2]), "photon")
         with pytest.raises(ValueError):
             adaptive_ancilla(photon, system, ((SIGMA_MINUS, "e0"), (PI, "e0")))
+
+    def test_mode_map_modes_must_be_distinct(self):
+        system = p_manifold_system()
+        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]), "photon")
+        with pytest.raises(ValueError, match="mode labels must be unique"):
+            adaptive_ancilla(photon, system, ((PI, "e0"), (PI, "e+")))
+
+    def test_mode_map_levels_must_exist(self):
+        system = p_manifold_system()
+        with pytest.raises(ValueError, match="unknown excited levels"):
+            adaptive_ancilla(Ket.basis_state(1, 0), system, ((PI, "nope"),))
 
 
 class TestStimulatedClone:
@@ -460,6 +576,24 @@ class TestSpontaneousEmission:
     def test_requires_state_or_isotropic_flag(self):
         with pytest.raises(ValueError):
             spontaneous_emission_output(p_manifold_system())
+
+    def test_rejects_repeated_modes(self):
+        with pytest.raises(ValueError, match="mode labels must be unique"):
+            spontaneous_emission_output(p_manifold_system(), isotropic=True, modes=(PI, PI))
+
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    def test_weights_match_quadrature_sum(self, kind, rng):
+        system = seeded_radial_system(kind)
+        populations = np.abs(random_ket(system.manifold_dim, rng).amplitudes) ** 2
+        excited = Ket(np.sqrt(populations))
+        modes = (SIGMA_PLUS, SIGMA_MINUS)
+        table = quadrature_table(system)
+        expected = np.array([
+            sum(p * abs(table[i, mode.q + 1]) ** 2 for i, p in enumerate(populations)) for mode in modes
+        ])
+        rho = spontaneous_emission_output(system, excited_state=excited, modes=modes)
+        assert max_abs(np.diag(rho.entries).real - expected / expected.sum()) < 1e-12
+        assert max_abs(rho.entries - np.diag(np.diag(rho.entries))) == 0.0
 
     def test_manifold_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):

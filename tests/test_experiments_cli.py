@@ -132,6 +132,32 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_atomic_system(bad)
 
+    @pytest.mark.parametrize(
+        "mode_map",
+        [{"pi": "e0", "sigma+": "e0"}, {"pi": ["e0"]}, {"circular": "e0"}],
+        ids=["repeated-level", "unhashable-level", "unknown-mode"],
+    )
+    def test_invalid_mode_map_is_config_error(self, tmp_path, mode_map):
+        bad = tmp_path / "bad_map.json"
+        bad.write_text(json.dumps({
+            "ground": {"label": "g", "l": 0, "m": 0},
+            "excited": [{"label": "e0", "l": 1, "m": 0}, {"label": "e+", "l": 1, "m": 1}],
+            "mode_map": mode_map,
+        }))
+        with pytest.raises(ConfigError, match="mode_map"):
+            load_atomic_system(bad)
+
+    @pytest.mark.parametrize(
+        "field,value", [("l", 1.7), ("l", True), ("l", "1"), ("l", 1.0), ("m", 0.5), ("m", False)]
+    )
+    def test_non_integer_quantum_number_is_config_error(self, tmp_path, field, value):
+        excited = {"label": "e0", "l": 1, "m": 0}
+        excited[field] = value
+        bad = tmp_path / "bad_level.json"
+        bad.write_text(json.dumps({"ground": {"label": "g", "l": 0, "m": 0}, "excited": [excited]}))
+        with pytest.raises(ConfigError, match="must be integers"):
+            load_atomic_system(bad)
+
 
 class TestRunners:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
@@ -247,6 +273,32 @@ class TestCli:
         assert main(["domain", "--config", str(bad)]) == 2
         assert main(["domain"]) == 2  # missing --config
         assert "config error" in capsys.readouterr().err
+
+    def test_repeated_mode_map_level_exit_2(self, capsys, tmp_path):
+        # docs/atomic_system_config.md: mode map values must be distinct.
+        config = tmp_path / "repeated.json"
+        config.write_text(json.dumps({
+            "ground": {"label": "g", "l": 0, "m": 0},
+            "excited": [{"label": "e0", "l": 1, "m": 0}],
+            "mode_map": {"pi": "e0", "sigma+": "e0"},
+        }))
+        assert main(["stimulated-clone", "--config", str(config), "--state", "1,0"]) == 2
+        assert main(["domain", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_fractional_l_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "fractional.json"
+        config.write_text(json.dumps({
+            "ground": {"label": "g", "l": 0, "m": 0},
+            "excited": [{"label": "e0", "l": 1.7, "m": 0}],
+        }))
+        assert main(["selection-rules", "--config", str(config)]) == 2
+        assert "must be integers" in capsys.readouterr().err
+
+    def test_spontaneous_repeated_modes_exit_4(self, capsys, config_dir):
+        code = main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), "--modes", "pi,pi"])
+        assert code == 4
+        assert "mode labels must be unique" in capsys.readouterr().err
 
     def test_domain_violation_exit_3(self, capsys, config_dir):
         code = main([

@@ -46,6 +46,13 @@ CASES = {
         "stimulated-clone", "--config", "configs/pi_only.json", "--state", "0.7,0.7",
     ],
     "spontaneous": ["spontaneous", "--config", "configs/full_p_manifold.json"],
+    "spontaneous-excited-state": [
+        "spontaneous", "--config", "configs/full_p_manifold.json", "--excited-state", "0.6,0.48i,0.64",
+    ],
+    "spontaneous-mode-subset": [
+        "spontaneous", "--config", "configs/full_p_manifold.json",
+        "--modes", "sigma-,pi", "--excited-state", "0.6,0.48i,0.64",
+    ],
 }
 
 

@@ -20,7 +20,6 @@ from .emission import (
     AtomicLevel,
     AtomicSystem,
     ClonableDomain,
-    FockLabel,
     PolarizationMode,
     adaptive_ancilla,
     build_interaction_hamiltonian,

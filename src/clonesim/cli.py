@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 One subcommand per experiment kind; reports go to stdout or ``--out``.
-Exit codes: 0 success, 2 unparseable config, 3 domain violation,
-4 dimension or validation failure.
+Exit codes: 0 success, 1 report written but a check failed, 2 unparseable
+config, 3 domain violation, 4 dimension or validation failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .experiments import (
 )
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_DOMAIN_VIOLATION = 3
 EXIT_VALIDATION_ERROR = 4
@@ -106,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.out).write_text(rendered)
     else:
         sys.stdout.write(rendered)
-    return EXIT_OK
+    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -40,6 +40,10 @@ VERDICT_CONTRADICTION = "CONTRADICTION"
 #: Inputs are renormalized before cloning; deviations beyond this warn.
 NORM_WARNING_THRESHOLD = 1e-6
 
+#: An overlap is CONSISTENT when |s - s^2| is at most this, and |s| may
+#: exceed 1 by this much.
+WITNESS_ATOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class CopyBasis:
@@ -52,7 +56,6 @@ class CopyBasis:
 
     system_basis: tuple[Ket, ...]
     ancilla_basis: tuple[Ket, ...]
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "system_basis", tuple(self.system_basis))
@@ -64,7 +67,7 @@ class CopyBasis:
             if any(k.dim != n for k in basis):
                 raise BasisError(f"{name} basis kets must have dim {n}")
             deviation = max_abs(gram_matrix(basis) - np.eye(n))
-            if deviation >= self.atol:
+            if deviation >= DEFAULT_ATOL:
                 raise BasisError(f"{name} basis is not orthonormal (deviation {deviation:.3e})")
 
     @property
@@ -84,12 +87,6 @@ class CopyBasis:
         """Both bases equal to the canonical basis of C^n."""
         basis = tuple(Ket.basis_state(n, i) for i in range(n))
         return cls(basis, basis)
-
-    @classmethod
-    def from_matrices(cls, system_columns: np.ndarray, ancilla_columns: np.ndarray) -> "CopyBasis":
-        sys_kets = tuple(Ket(col) for col in np.asarray(system_columns, dtype=complex).T)
-        anc_kets = tuple(Ket(col) for col in np.asarray(ancilla_columns, dtype=complex).T)
-        return cls(sys_kets, anc_kets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +112,7 @@ class CloneReport:
 def ancilla_prep_map(basis: CopyBasis) -> OperatorMatrix:
     """Unitary V with V|s_i> = |a_i> for every basis pair; linear by construction."""
     v = basis.ancilla_matrix() @ basis.system_matrix().conj().T
-    return OperatorMatrix(v, unitary=True, atol=basis.atol)
+    return OperatorMatrix(v, unitary=True)
 
 
 def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
@@ -131,7 +128,7 @@ def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
     s = basis.system_matrix()
     a = basis.ancilla_matrix()
     u = np.kron(s, s) @ np.kron(s, a).conj().T
-    return OperatorMatrix(u, unitary=True, atol=basis.atol)
+    return OperatorMatrix(u, unitary=True)
 
 
 def _prepare_input(state: Ket) -> Ket:
@@ -204,7 +201,7 @@ class OverlapWitness:
         return self.verdict == VERDICT_CONSISTENT
 
 
-def no_cloning_overlap_witness(s: complex, atol: float = 1e-12) -> OverlapWitness:
+def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     """Check the consistency condition a single unitary would impose when
     cloning two states of overlap ``s`` with one fixed ancilla.
 
@@ -214,8 +211,8 @@ def no_cloning_overlap_witness(s: complex, atol: float = 1e-12) -> OverlapWitnes
     obstruction behind the no-cloning theorem.
     """
     s = complex(s)
-    if abs(s) > 1 + atol:
-        raise ValueError(f"|s| = {abs(s):.6g} exceeds 1; not a valid state overlap")
+    if not abs(s) <= 1 + WITNESS_ATOL:  # false for NaN too
+        raise ValueError(f"|s| = {abs(s):.6g} is not a valid state overlap: it must be finite and at most 1")
     residual = abs(s - s * s)
-    verdict = VERDICT_CONSISTENT if residual <= atol else VERDICT_CONTRADICTION
+    verdict = VERDICT_CONSISTENT if residual <= WITNESS_ATOL else VERDICT_CONTRADICTION
     return OverlapWitness(overlap=s, residual=residual, verdict=verdict)

@@ -13,21 +13,24 @@ couplings: the clonable domain, the ancilla map, spontaneous-emission
 weights and the interaction Hamiltonian all read it.
 
 The clonable domain of a system is the span of the polarization
-components with at least one allowed transition.  Photons inside it are
-copied perfectly by the adaptive-ancilla mechanism: the mode map pairing
-photon components with dipole-coupled excited levels is the copy's
-ancilla map V, the incoming photon's amplitudes are transplanted onto
-those levels as V|photon>, and that excited superposition is the ancilla
-of the copy map U = I (x) V^dagger.  Photons outside the domain raise
-:class:`~clonesim.errors.DomainViolationError`; the restriction comes from
-the atomic symmetries, not from the copying construction.
+components with at least one allowed transition.  A mode map pairs each
+photon component with an excited level that emits it, or with ``None``;
+:func:`validate_mode_map` rejects a level that cannot emit its component,
+so a mapped component is always a coupled one.  The mode map is the
+copy's ancilla map V: the incoming photon's amplitudes are transplanted
+onto the mapped levels as V|photon>, and that excited superposition is
+the ancilla of the copy map U = I (x) V^dagger, which copies the photon
+perfectly.  A photon with support on the ``None`` components raises
+:class:`~clonesim.errors.DomainViolationError`, from the one domain test
+in the ancilla map; the restriction comes from the atomic symmetries, not
+from the copying construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import sqrt
-from numbers import Integral
+from math import isfinite, sqrt
+from numbers import Integral, Real
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -42,8 +45,8 @@ from .hilbert import DEFAULT_ATOL, DensityMatrix, Ket, OperatorMatrix, fidelity,
 #: zeros from the CG machinery; the threshold only guards radial rounding).
 AMPLITUDE_TOLERANCE = 1e-12
 
-#: A photon is inside the clonable domain iff the norm of its projection
-#: outside the domain span is below this.
+#: A photon is copied iff its norm on the components its mode map leaves
+#: uncoupled (``None``) is at most this.
 DOMAIN_MEMBERSHIP_TOLERANCE = 1e-9
 
 _CANONICAL_MODE_LABELS = {-1: "sigma-", 0: "pi", +1: "sigma+"}
@@ -135,7 +138,8 @@ class AtomicSystem:
     """Ground state plus excited-state manifold with radial dipole factors.
 
     Radial factors default to 1 for every excited level; they are
-    dimensionless positive constants multiplying the angular factor.
+    dimensionless finite positive real constants multiplying the angular
+    factor (bools and strings are rejected, not coerced).
 
     ``amplitudes`` is the read-only dipole table D: the
     :func:`transition_amplitude` of excited level i and component q sits
@@ -160,9 +164,10 @@ class AtomicSystem:
         if unknown:
             raise ValueError(f"radial factors for unknown levels: {sorted(unknown)}")
         for label in labels:
-            factors.setdefault(label, 1.0)
-        if any(value <= 0 for value in factors.values()):
-            raise ValueError("radial factors must be positive")
+            value = factors.setdefault(label, 1.0)
+            if isinstance(value, bool) or not isinstance(value, Real) or not (isfinite(value) and value > 0):
+                raise ValueError(f"radial factor for {label!r} must be a finite positive number, got {value!r}")
+            factors[label] = float(value)
         object.__setattr__(self, "radial_factors", MappingProxyType(factors))
 
         g = self.ground
@@ -200,23 +205,6 @@ def p_manifold_system(radial: float = 1.0, ground_label: str = "g") -> AtomicSys
         ),
         radial_factors={"e-": radial, "e0": radial, "e+": radial},
     )
-
-
-@dataclass(frozen=True, eq=False)
-class FockLabel:
-    """Per-mode photon occupation numbers on a truncated Fock space."""
-
-    occupations: Mapping[str, int]
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if self.n_max < 2:
-            raise ValueError("FockLabel requires n_max >= 2")
-        occ = dict(self.occupations)
-        for label, n in occ.items():
-            if not 0 <= n <= self.n_max:
-                raise ValueError(f"occupation {n} for mode {label!r} outside [0, {self.n_max}]")
-        object.__setattr__(self, "occupations", MappingProxyType(occ))
 
 
 def transition_amplitude(system: AtomicSystem, e: AtomicLevel, pol: PolarizationMode) -> complex:
@@ -342,8 +330,13 @@ ModeMap = Sequence[tuple[PolarizationMode, str | None]]
 
 
 def validate_mode_map(system: AtomicSystem, mode_map: ModeMap) -> list[tuple[PolarizationMode, str | None]]:
-    """The mode map as a list, once its modes are distinct and its levels
-    distinct excited levels of ``system``; raises ``ValueError`` otherwise."""
+    """The mode map as a list, once its modes are distinct, its levels
+    distinct excited levels of ``system``, and each mapped level emits its
+    mode (a dipole-allowed transition); raises ``ValueError`` otherwise.
+
+    After validation a non-null entry means a coupled component and
+    ``None`` an uncoupled one.
+    """
     pairs = list(mode_map)
     _mode_columns([mode for mode, _ in pairs])
     mapped = [label for _, label in pairs if label is not None]
@@ -353,33 +346,41 @@ def validate_mode_map(system: AtomicSystem, mode_map: ModeMap) -> list[tuple[Pol
     unknown = [label for label in mapped if label not in known]
     if unknown:
         raise ValueError(f"mode map points at unknown excited levels {unknown}")
+    forbidden = [
+        f"{mode.label}->{label}"
+        for mode, label in pairs
+        if label is not None and not system.allowed[system.excited_index(label), mode.q + 1]
+    ]
+    if forbidden:
+        raise ValueError(f"mode map pairs modes with levels that cannot emit them: {forbidden}")
     return pairs
 
 
-def _photon_pairs(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> list[tuple[PolarizationMode, str | None]]:
-    pairs = list(mode_map)
-    if len(pairs) != psi.dim:
-        raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
-    return validate_mode_map(system, pairs)
-
-
-def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> OperatorMatrix:
+def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> OperatorMatrix:
     """The mode map as the copy's ancilla map V, a manifold x photon matrix.
 
-    V has a 1 at (level of ``mode_map[j]``, j) for each dipole-allowed
-    pair and a zero column for every other component, so it is a partial
-    isometry.  Photon support on a zero column is a domain violation.
+    This is the one place that decides which photon components the atom
+    copies.  V has a 1 at (level of ``mode_map[j]``, j) for each mapped
+    component and a zero column for each ``None``, so it is a partial
+    isometry.  A photon whose norm on the ``None`` components exceeds
+    ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside the clonable domain.
     """
+    pairs = validate_mode_map(system, mode_map)
+    if len(pairs) != psi.dim:
+        raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
     v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
-    for j, (mode, label) in enumerate(pairs):
-        weight = abs(psi.amplitudes[j])
-        if label is not None and system.allowed[system.excited_index(label), mode.q + 1]:
+    uncoupled = []
+    for j, (_, label) in enumerate(pairs):
+        if label is None:
+            uncoupled.append(j)
+        else:
             v[system.excited_index(label), j] = 1.0
-        elif weight > DOMAIN_MEMBERSHIP_TOLERANCE:
-            raise DomainViolationError(
-                f"photon component {j} ({mode.label}) has amplitude {weight:.3e} "
-                "on a symmetry-forbidden transition"
-            )
+    outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
+    if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
+        raise DomainViolationError(
+            f"photon has norm {outside:.3e} on modes {[pairs[j][0].label for j in uncoupled]}, "
+            "which no mapped level emits"
+        )
     return OperatorMatrix(v)
 
 
@@ -388,43 +389,29 @@ def adaptive_ancilla(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Ke
 
     Component j of the photon is carried by the excited level
     ``mode_map[j]``; the result is the normalized V|photon>, the
-    superposition of those levels with the photon's coefficients.  The
-    ancilla is selected by the coupling itself, so any photon support on a
-    component whose mapped transition is forbidden (or absent) is a domain
-    violation.
+    superposition of those levels with the photon's coefficients.  Photon
+    support on a component mapped to ``None`` is a domain violation.
     """
     psi = photon.normalize()
-    v = _ancilla_map(psi, system, _photon_pairs(psi, system, mode_map))
+    v = _ancilla_map(psi, system, mode_map)
     return Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
 
 
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state via the adaptive atomic ancilla.
 
-    The photon must lie in the span of the clonable domain.  The mode map
-    is the ancilla map V: the adaptive ancilla is the normalized V|photon>,
-    and the copy map U = I (x) V^dagger is applied in factored form, never
-    as a dense matrix.  The copy acts on the photon's dipole-coupled part
-    V^dagger|ancilla>, which drops only components the domain checks bound
-    by ``DOMAIN_MEMBERSHIP_TOLERANCE``.  The report keeps the full photon
-    as input, its output lives in the photon (x) photon space, and the
+    The mode map is the ancilla map V, and the photon must lie on its
+    mapped components (see :func:`adaptive_ancilla`): the adaptive
+    ancilla is the normalized V|photon>, and the copy map
+    U = I (x) V^dagger is applied in factored form, never as a dense
+    matrix.  The copy acts on the photon's coupled part V^dagger|ancilla>,
+    which drops only components the domain test bounds by
+    ``DOMAIN_MEMBERSHIP_TOLERANCE``.  The report keeps the full photon as
+    input, its output lives in the photon (x) photon space, and the
     fidelity against photon (x) photon is 1.
     """
     psi = photon.normalize()
-    pairs = _photon_pairs(psi, system, mode_map)
-
-    domain = clonable_domain(system)
-    allowed_q = {mode.q for mode in domain.modes}
-    outside = sqrt(
-        sum(abs(psi.amplitudes[j]) ** 2 for j, (mode, _) in enumerate(pairs) if mode.q not in allowed_q)
-    )
-    if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
-        raise DomainViolationError(
-            f"photon projection outside the clonable domain has norm {outside:.3e} "
-            f"(allowed modes: {list(domain.mode_labels)})"
-        )
-
-    v = _ancilla_map(psi, system, pairs)
+    v = _ancilla_map(psi, system, mode_map)
     ancilla = Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
     coupled = Ket(v.entries.conj().T @ ancilla.amplitudes, psi.space_label)
     report = apply_copy_map(coupled, ancilla, v, matched=True)

@@ -117,7 +117,7 @@ def load_atomic_system(
         system = AtomicSystem(
             ground=ground,
             excited=excited,
-            radial_factors={str(k): float(v) for k, v in radial.items()},
+            radial_factors={str(k): v for k, v in radial.items()},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid atomic system in {path}: {exc}") from exc

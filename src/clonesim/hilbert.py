@@ -9,7 +9,7 @@ everywhere in the package.  Global phase is never canonicalized; use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -39,8 +39,8 @@ def _frozen_complex_array(values, ndim: int) -> np.ndarray:
 class Ket:
     """Normalized-or-near state vector in a labeled Hilbert space.
 
-    Amplitudes are dimensionless; the constructor does not normalize,
-    call :meth:`normalize` to enforce unit norm.
+    Amplitudes are dimensionless and must be finite; the constructor does
+    not normalize, call :meth:`normalize` to enforce unit norm.
     """
 
     amplitudes: np.ndarray
@@ -50,6 +50,8 @@ class Ket:
         object.__setattr__(self, "amplitudes", _frozen_complex_array(self.amplitudes, 1))
         if self.dim < 1:
             raise ValueError("a Ket needs at least one amplitude")
+        if not np.isfinite(self.amplitudes).all():
+            raise ValueError("Ket amplitudes must be finite")
 
     @property
     def dim(self) -> int:
@@ -59,18 +61,18 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalize(self, atol: float = DEFAULT_ATOL) -> "Ket":
+    def normalize(self) -> "Ket":
         """Return a unit-norm copy; error on (near-)zero vectors."""
         n = self.norm
-        if n < atol:
+        if n < DEFAULT_ATOL:
             raise ValueError("cannot normalize a zero vector")
         return Ket(self.amplitudes / n, self.space_label)
 
-    def isclose(self, other: "Ket", atol: float = DEFAULT_ATOL) -> bool:
-        """Entrywise comparison, phase-sensitive."""
+    def isclose(self, other: "Ket") -> bool:
+        """Entrywise comparison within ``DEFAULT_ATOL``, phase-sensitive."""
         if self.dim != other.dim:
             return False
-        return max_abs(self.amplitudes - other.amplitudes) <= atol
+        return max_abs(self.amplitudes - other.amplitudes) <= DEFAULT_ATOL
 
     @classmethod
     def basis_state(cls, dim: int, index: int, space_label: str = "H") -> "Ket":
@@ -88,21 +90,20 @@ class Ket:
 class OperatorMatrix:
     """Dense complex matrix with optional unitarity/hermiticity guarantees.
 
-    Flagged properties are verified at construction within ``atol``.
+    Flagged properties are verified at construction within ``DEFAULT_ATOL``.
     """
 
     entries: np.ndarray
     unitary: bool = False
     hermitian: bool = False
-    atol: float = field(default=DEFAULT_ATOL, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
-        if self.unitary and self.deviation_from_unitarity() >= self.atol:
+        if self.unitary and self.deviation_from_unitarity() >= DEFAULT_ATOL:
             raise ValueError(
                 f"matrix flagged unitary but ||M^dag M - I||_max = {self.deviation_from_unitarity():.3e}"
             )
-        if self.hermitian and self.deviation_from_hermiticity() >= self.atol:
+        if self.hermitian and self.deviation_from_hermiticity() >= DEFAULT_ATOL:
             raise ValueError(
                 f"matrix flagged hermitian but ||M - M^dag||_max = {self.deviation_from_hermiticity():.3e}"
             )
@@ -136,21 +137,20 @@ class OperatorMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix (all within atol)."""
+    """Hermitian, unit-trace, positive-semidefinite matrix (all within ``DEFAULT_ATOL``)."""
 
     entries: np.ndarray
-    atol: float = field(default=DEFAULT_ATOL, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
         if self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("density matrix must be square")
-        if max_abs(self.entries - self.entries.conj().T) >= self.atol:
+        if max_abs(self.entries - self.entries.conj().T) >= DEFAULT_ATOL:
             raise ValueError("density matrix is not hermitian within tolerance")
-        if abs(np.trace(self.entries) - 1.0) >= self.atol:
+        if abs(np.trace(self.entries) - 1.0) >= DEFAULT_ATOL:
             raise ValueError(f"density matrix trace {np.trace(self.entries):.6g} != 1")
         eigenvalues = np.linalg.eigvalsh(self.entries)
-        if eigenvalues.min() < -self.atol:
+        if eigenvalues.min() < -DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
 
     @property
@@ -158,9 +158,9 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def from_ket(cls, ket: Ket, atol: float = DEFAULT_ATOL) -> "DensityMatrix":
-        v = ket.normalize(atol).amplitudes
-        return cls(np.outer(v, v.conj()), atol=atol)
+    def from_ket(cls, ket: Ket) -> "DensityMatrix":
+        v = ket.normalize().amplitudes
+        return cls(np.outer(v, v.conj()))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -191,9 +191,7 @@ def apply(m: OperatorMatrix, k: Ket) -> Ket:
     return Ket(m.entries @ k.amplitudes, k.space_label)
 
 
-def partial_trace(
-    rho: DensityMatrix, dims: tuple[int, int], keep: str, atol: float = DEFAULT_ATOL
-) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
     """Reduced density matrix over subsystem ``keep`` ("A" or "B").
 
     ``dims = (d_A, d_B)`` must factor ``rho.dim`` with A the major
@@ -209,7 +207,7 @@ def partial_trace(
         reduced = np.einsum("ijkj->ik", blocks)
     else:
         reduced = np.einsum("ijil->jl", blocks)
-    return DensityMatrix(reduced, atol=atol)
+    return DensityMatrix(reduced)
 
 
 def random_ket(dim: int, rng: np.random.Generator, space_label: str = "H") -> Ket:

@@ -232,3 +232,8 @@ class TestOverlapWitness:
     def test_rejects_overlap_above_one(self):
         with pytest.raises(ValueError):
             no_cloning_overlap_witness(1.5)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(np.nan, 0.0), complex(0.5, np.nan)])
+    def test_rejects_non_finite_overlap(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            no_cloning_overlap_witness(s)

@@ -15,7 +15,6 @@ from clonesim.emission import (
     SPHERICAL_MODES,
     AtomicLevel,
     AtomicSystem,
-    FockLabel,
     PolarizationMode,
     adaptive_ancilla,
     build_interaction_hamiltonian,
@@ -26,6 +25,7 @@ from clonesim.emission import (
     spontaneous_emission_output,
     stimulated_clone,
     transition_amplitude,
+    validate_mode_map,
 )
 from clonesim.errors import DimensionMismatchError, DomainViolationError
 from clonesim.hilbert import Ket, max_abs, random_ket
@@ -150,23 +150,19 @@ class TestAtomicSystem:
         with pytest.raises(ValueError):
             two_level_pi_system(radial=0.0)
 
+    @pytest.mark.parametrize("radial", [np.nan, np.inf, True, "1", None])
+    def test_rejects_non_finite_or_non_numeric_radial(self, radial):
+        with pytest.raises(ValueError, match="finite positive number"):
+            two_level_pi_system(radial=radial)
+
+    @pytest.mark.parametrize("radial", [2, np.float64(2.0), np.float32(2.0)])
+    def test_accepts_real_radial_as_float(self, radial):
+        factor = two_level_pi_system(radial=radial).radial_factors["e0"]
+        assert type(factor) is float and factor == 2.0
+
     def test_rejects_empty_manifold(self):
         with pytest.raises(ValueError):
             AtomicSystem(ground=AtomicLevel("g", l=0, m=0), excited=())
-
-
-class TestFockLabel:
-    def test_valid(self):
-        label = FockLabel({"pi": 2, "sigma+": 0}, n_max=2)
-        assert label.occupations["pi"] == 2
-
-    def test_rejects_small_n_max(self):
-        with pytest.raises(ValueError):
-            FockLabel({"pi": 1}, n_max=1)
-
-    def test_rejects_occupation_beyond_n_max(self):
-        with pytest.raises(ValueError):
-            FockLabel({"pi": 3}, n_max=2)
 
 
 class TestTransitionAmplitude:
@@ -407,6 +403,60 @@ class TestClonableDomain:
         domain = clonable_domain(s_to_s_system())
         assert domain.mode_labels == ()
         assert domain.dimension == 0
+
+
+class TestValidateModeMap:
+    @pytest.mark.parametrize(
+        "make_system,mode_map",
+        [
+            (p_manifold_system, ((PI, "e+"),)),
+            (p_manifold_system, ((SIGMA_MINUS, "e-"), (PI, "e0"))),
+            (p_manifold_system, ((SIGMA_PLUS, "e+"), (SIGMA_MINUS, None))),
+            (s_to_s_system, ((PI, "s2"),)),
+        ],
+        ids=["pi-to-e+", "sigma-minus-to-e-", "sigma-plus-to-e+", "s-to-s"],
+    )
+    def test_rejects_dipole_forbidden_pair(self, make_system, mode_map):
+        with pytest.raises(ValueError, match="cannot emit"):
+            validate_mode_map(make_system(), mode_map)
+
+
+# Each case: (system, mode map, photon amplitudes); every one is refused.
+REFUSED_PHOTONS = {
+    "support-on-null-mode": (two_level_pi_system, ((PI, "e0"), (SIGMA_PLUS, None)), [INV_SQRT2, INV_SQRT2]),
+    # Each null component is below tolerance, their norm (1.13e-9) is not.
+    "null-norm-above-tolerance": (
+        two_level_pi_system, ((PI, "e0"), (SIGMA_PLUS, None), (SIGMA_MINUS, None)), [1.0, 8e-10, 8e-10],
+    ),
+    "forbidden-pair": (p_manifold_system, ((PI, "e0"), (SIGMA_PLUS, "e+")), [1.0, 0.0]),
+    "short-mode-map": (p_manifold_system, FULL_MODE_MAP[:2], [1.0, 0.0, 0.0]),
+}
+
+
+class TestOneDomainTest:
+    @pytest.mark.parametrize("case", sorted(REFUSED_PHOTONS))
+    def test_ancilla_and_clone_refuse_alike(self, case):
+        make_system, mode_map, amplitudes = REFUSED_PHOTONS[case]
+        system, photon = make_system(), Ket(np.array(amplitudes), "photon")
+        with pytest.raises(ValueError) as from_ancilla:
+            adaptive_ancilla(photon, system, mode_map)
+        with pytest.raises(ValueError) as from_clone:
+            stimulated_clone(photon, system, mode_map)
+        assert type(from_ancilla.value) is type(from_clone.value)
+        assert str(from_ancilla.value) == str(from_clone.value)
+
+    def test_domain_violation_names_the_null_modes(self):
+        make_system, mode_map, amplitudes = REFUSED_PHOTONS["null-norm-above-tolerance"]
+        photon = Ket(np.array(amplitudes), "photon")
+        with pytest.raises(DomainViolationError, match=r"\['sigma\+', 'sigma-'\]"):
+            stimulated_clone(photon, make_system(), mode_map)
+
+    def test_null_norm_below_tolerance_is_copied(self):
+        photon = Ket(np.array([1.0, 5e-10, 5e-10]), "photon")  # null norm 7.1e-10
+        mode_map = ((PI, "e0"), (SIGMA_PLUS, None), (SIGMA_MINUS, None))
+        report = stimulated_clone(photon, two_level_pi_system(), mode_map)
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert adaptive_ancilla(photon, two_level_pi_system(), mode_map).isclose(Ket(np.array([1.0])))
 
 
 class TestAdaptiveAncilla:

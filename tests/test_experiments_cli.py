@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from clonesim import experiments
 from clonesim.cli import main
 from clonesim.errors import ConfigError
 from clonesim.experiments import (
@@ -52,6 +53,13 @@ REPORT_JSON_SCHEMA = {
         },
         "passed": {"type": "boolean"},
     },
+}
+
+
+# configs/full_p_manifold.json without its radial factors and mode map
+FULL_P_CONFIG = {
+    "ground": {"label": "g", "l": 0, "m": 0},
+    "excited": [{"label": "e-", "l": 1, "m": -1}, {"label": "e0", "l": 1, "m": 0}, {"label": "e+", "l": 1, "m": 1}],
 }
 
 
@@ -156,6 +164,19 @@ class TestConfigLoading:
         bad = tmp_path / "bad_level.json"
         bad.write_text(json.dumps({"ground": {"label": "g", "l": 0, "m": 0}, "excited": [excited]}))
         with pytest.raises(ConfigError, match="must be integers"):
+            load_atomic_system(bad)
+
+    def test_forbidden_mode_map_pair_is_config_error(self, tmp_path):
+        bad = tmp_path / "forbidden_pair.json"
+        bad.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {"pi": "e0", "sigma+": "e+"}}))
+        with pytest.raises(ConfigError, match="cannot emit"):
+            load_atomic_system(bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1"], ids=["NaN", "Infinity", "true", "string"])
+    def test_non_finite_or_non_numeric_radial_is_config_error(self, tmp_path, value):
+        bad = tmp_path / "bad_radial.json"
+        bad.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e0": value}}))
+        with pytest.raises(ConfigError, match="finite positive number"):
             load_atomic_system(bad)
 
 
@@ -294,6 +315,45 @@ class TestCli:
         }))
         assert main(["selection-rules", "--config", str(config)]) == 2
         assert "must be integers" in capsys.readouterr().err
+
+    def test_forbidden_mode_map_pair_exit_2(self, capsys, tmp_path):
+        # docs/atomic_system_config.md: a mapped level must emit its polarization.
+        config = tmp_path / "forbidden_pair.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {"pi": "e0", "sigma+": "e+"}}))
+        assert main(["stimulated-clone", "--config", str(config), "--state", "1,0"]) == 2
+        assert main(["domain", "--config", str(config)]) == 2
+        assert "cannot emit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1"], ids=["NaN", "Infinity", "true", "string"])
+    def test_bad_radial_factor_exit_2(self, capsys, tmp_path, value):
+        config = tmp_path / "bad_radial.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e0": value}}))
+        for kind in ("domain", "spontaneous"):
+            assert main([kind, "--config", str(config)]) == 2
+            assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_state_exit_4(self, capsys):
+        assert main(["clone-demo", "--state", "nan,1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_non_finite_overlap_exit_4(self, capsys):
+        assert main(["no-cloning-witness", "--overlap", "nan"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_failed_check_exit_1_after_writing_report(self, capsys, tmp_path, monkeypatch):
+        def failing_runner(spec):
+            return {"results": {}, "checks": [{"name": "always-fails", "passed": False, "detail": "forced"}]}, []
+
+        monkeypatch.setitem(experiments._RUNNERS, "clone-demo", failing_runner)
+        assert main(["clone-demo"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        out = tmp_path / "report.json"
+        assert main(["clone-demo", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["checks"][0]["name"] == "always-fails"
 
     def test_spontaneous_repeated_modes_exit_4(self, capsys, config_dir):
         code = main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), "--modes", "pi,pi"])

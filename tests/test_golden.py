@@ -61,7 +61,8 @@ def run_case(argv: list[str]) -> dict:
     stdout = io.StringIO()
     with redirect_stdout(stdout):
         code = main(argv)
-    report = json.loads(stdout.getvalue()) if code == 0 else None
+    # Exit 1 (a failed check) still writes the report; refusals write none.
+    report = json.loads(stdout.getvalue()) if stdout.getvalue() else None
     if report is not None:
         report.pop("generated_at")
         for check in report["checks"]:

@@ -45,6 +45,11 @@ class TestKet:
         with pytest.raises(ValueError):
             Ket(np.array([], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Ket(np.array([1.0, bad]))
+
     def test_amplitudes_frozen(self):
         k = ket(1, 0)
         with pytest.raises(ValueError):

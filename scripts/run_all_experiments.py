@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Run every canned experiment and write the reports into an output directory.
 
+Prints one line per experiment: the report file, its wall time (run, render
+and write) and ``ok`` or the failed checks.
+
 Usage:
     python scripts/run_all_experiments.py [--out-dir out] [--seed 7] [--format json]
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -48,12 +52,14 @@ def main(argv=None) -> int:
     for index, spec in enumerate(EXPERIMENTS):
         spec.seed = args.seed
         spec.output_format = args.format
+        start = time.perf_counter()
         report = run(spec)
         name = f"{index:02d}_{spec.kind}.{extension}"
         (out_dir / name).write_text(render_report(report, args.format))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
         failed = [check["name"] for check in report["checks"] if not check["passed"]]
         status = f"CHECK FAILED: {', '.join(failed)}" if failed else "ok"
-        print(f"{name:40s} {status}")
+        print(f"{name:40s} {elapsed_ms:8.1f} ms  {status}")
         failures += 0 if report["passed"] else 1
     return 1 if failures else 0
 

@@ -258,8 +258,9 @@ def build_interaction_hamiltonian(
     The excitation-conserving part couples |e, n> to |ground, n+1> with
     weight -(amplitude) * sqrt(n+1) for each allowed transition and mode;
     ``include_counter_rotating`` adds the |e, n> <-> |ground, n-1> pairs
-    with weight -(amplitude) * sqrt(n).  Entries are written only for the
-    dipole table's nonzeros.  Hermitian by construction.
+    with weight -(amplitude) * sqrt(n).  Only the dipole table's nonzeros
+    are computed, and the build, including the hermiticity check, costs
+    O(nnz) apart from the zero-filled dense result.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -282,12 +283,15 @@ def build_interaction_hamiltonian(
     terms = [(occupation < n_max, fock + stride, np.sqrt(occupation + 1.0))]
     if include_counter_rotating:
         terms.append((occupation > 0, fock - stride, np.sqrt(occupation.astype(float))))
-    h = np.zeros(((1 + system.manifold_dim) * fock_dim,) * 2, dtype=complex)
+    rows, cols, values = [], [], []
     for mask, ground, ladder in terms:
-        values = (-amplitude * ladder)[mask]
-        h[ground[mask], excited[mask]] = values
-        h[excited[mask], ground[mask]] = values.conj()
-    return OperatorMatrix(h, hermitian=True)
+        value = (-amplitude * ladder)[mask]
+        rows += [ground[mask], excited[mask]]
+        cols += [excited[mask], ground[mask]]
+        values += [value, value.conj()]
+    return OperatorMatrix.hermitian_from_nonzeros(
+        (1 + system.manifold_dim) * fock_dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .angular import PHOTON_IRREP, contains
 from .copying import (
+    WITNESS_ATOL,
     CopyBasis,
     clone,
     clone_with_fixed_ancilla,
@@ -51,6 +52,10 @@ EXPERIMENT_KINDS = (
 )
 
 OUTPUT_FORMATS = ("json", "csv", "table")
+
+#: Largest ``dim`` that ``clone-demo`` and ``fixed-ancilla`` accept; the
+#: copy writes dim^2 output amplitudes (65,536 at the bound).
+MAX_COPY_DIM = 256
 
 
 @dataclass
@@ -192,8 +197,15 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 # Experiment implementations
 
 
+def _copy_state(spec: ExperimentSpec) -> Ket:
+    """The input state of a copy experiment, once ``dim`` is within 1..MAX_COPY_DIM."""
+    if not 1 <= spec.dim <= MAX_COPY_DIM:
+        raise ValueError(f"dim must be between 1 and {MAX_COPY_DIM}, got {spec.dim}")
+    return resolve_state(spec.state, spec.dim, spec.seed)
+
+
 def _run_clone_demo(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    state = resolve_state(spec.state, spec.dim, spec.seed)
+    state = _copy_state(spec)
     basis = CopyBasis.computational(state.dim)
     report = clone(state, basis)
     results = {
@@ -212,7 +224,7 @@ def _run_clone_demo(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
 
 
 def _run_fixed_ancilla(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    state = resolve_state(spec.state, spec.dim, spec.seed)
+    state = _copy_state(spec)
     basis = CopyBasis.computational(state.dim)
     report = clone_with_fixed_ancilla(state, spec.ancilla_index, basis)
     expected = float(abs(state.normalize().amplitudes[spec.ancilla_index]) ** 2)
@@ -249,8 +261,9 @@ def _run_witness(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         for w in witnesses
     ]
     results = {"witnesses": rows}
-    interior = [w for w in witnesses if 0.0 < abs(w.overlap) < 1.0]
-    endpoints = [w for w in witnesses if abs(w.overlap) in (0.0, 1.0)]
+    # Endpoints are the overlaps the witness itself calls 0 or 1, within WITNESS_ATOL.
+    endpoints = [w for w in witnesses if min(abs(w.overlap), abs(abs(w.overlap) - 1.0)) <= WITNESS_ATOL]
+    interior = [w for w in witnesses if w not in endpoints]
     checks = [
         _check(
             "interior-overlaps-contradict",

@@ -5,6 +5,12 @@ Tensor products use Kronecker ordering with the first factor major
 (``tensor_product(a, b)`` indexes ``i_a * b.dim + i_b``), consistently
 everywhere in the package.  Global phase is never canonicalized; use
 :func:`fidelity` for phase-insensitive comparison.
+
+Flagged properties (unitary, hermitian, density matrix) are checked at
+construction, and a NaN deviation fails every check.
+:meth:`OperatorMatrix.hermitian_from_nonzeros` builds a hermitian matrix
+from its nonzeros and checks it in O(nnz); only allocating the
+zero-filled array scales with dim^2.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ def max_abs(values: np.ndarray) -> float:
     """Max-norm of an array, 0.0 for empty input."""
     arr = np.asarray(values)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def _require_hermitian(deviation: float) -> None:
+    if not deviation < DEFAULT_ATOL:
+        raise ValueError(f"matrix flagged hermitian but ||M - M^dag||_max = {deviation:.3e}")
 
 
 def _frozen_complex_array(values, ndim: int) -> np.ndarray:
@@ -99,14 +110,40 @@ class OperatorMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
-        if self.unitary and self.deviation_from_unitarity() >= DEFAULT_ATOL:
-            raise ValueError(
-                f"matrix flagged unitary but ||M^dag M - I||_max = {self.deviation_from_unitarity():.3e}"
-            )
-        if self.hermitian and self.deviation_from_hermiticity() >= DEFAULT_ATOL:
-            raise ValueError(
-                f"matrix flagged hermitian but ||M - M^dag||_max = {self.deviation_from_hermiticity():.3e}"
-            )
+        if self.unitary:
+            deviation = self.deviation_from_unitarity()
+            if not deviation < DEFAULT_ATOL:
+                raise ValueError(f"matrix flagged unitary but ||M^dag M - I||_max = {deviation:.3e}")
+        if self.hermitian:
+            _require_hermitian(self.deviation_from_hermiticity())
+
+    @classmethod
+    def hermitian_from_nonzeros(
+        cls, dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> "OperatorMatrix":
+        """The dim x dim hermitian matrix with ``values`` at (``rows``, ``cols``)
+        and zeros elsewhere, both triangles listed.
+
+        A repeated position keeps its last value.  Every unwritten entry is
+        zero, so ``max |M[r, c] - conj(M[c, r])|`` over the written
+        positions, read back from the final array, equals
+        ``deviation_from_hermiticity()``: the check costs O(nnz) and the
+        array is frozen without a copy.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        values = np.asarray(values, dtype=complex)
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise ValueError("rows, cols and values must be 1-dimensional and of equal length")
+        if rows.size and not (0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < dim):
+            raise ValueError(f"nonzero positions must lie in [0, {dim})")
+        entries = np.zeros((dim, dim), dtype=complex)
+        entries[rows, cols] = values
+        _require_hermitian(max_abs(entries[rows, cols] - entries[cols, rows].conj()))
+        entries.setflags(write=False)
+        matrix = object.__new__(cls)
+        for name, value in (("entries", entries), ("unitary", False), ("hermitian", True)):
+            object.__setattr__(matrix, name, value)
+        return matrix
 
     @property
     def dim_out(self) -> int:
@@ -145,12 +182,12 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
         if self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("density matrix must be square")
-        if max_abs(self.entries - self.entries.conj().T) >= DEFAULT_ATOL:
+        if not max_abs(self.entries - self.entries.conj().T) < DEFAULT_ATOL:
             raise ValueError("density matrix is not hermitian within tolerance")
-        if abs(np.trace(self.entries) - 1.0) >= DEFAULT_ATOL:
+        if not abs(np.trace(self.entries) - 1.0) < DEFAULT_ATOL:
             raise ValueError(f"density matrix trace {np.trace(self.entries):.6g} != 1")
         eigenvalues = np.linalg.eigvalsh(self.entries)
-        if eigenvalues.min() < -DEFAULT_ATOL:
+        if not eigenvalues.min() >= -DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
 
     @property

@@ -1,6 +1,7 @@
 """Tests for dipole amplitudes, the interaction Hamiltonian, clonable
 domains, and the adaptive-ancilla stimulated cloning pipeline."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from clonesim.emission import (
     validate_mode_map,
 )
 from clonesim.errors import DimensionMismatchError, DomainViolationError
+from clonesim.experiments import load_atomic_system
 from clonesim.hilbert import Ket, max_abs, random_ket
 
 from oracles import angular_factor_by_quadrature, hamiltonian_by_kron
@@ -366,6 +368,19 @@ class TestInteractionHamiltonian:
         # and not in the sigma- slot
         wrong_row = labels.index(("g", (1, 0)))
         assert h.entries[wrong_row, col] == 0.0
+
+    def test_build_holds_one_dense_array(self, config_dir):
+        # The nonzeros are scattered into one zero-filled array and checked in
+        # O(nnz): no dense copy, conjugate transpose or difference.
+        system, _ = load_atomic_system(config_dir / "hydrogen_n2.json")
+        tracemalloc.start()
+        try:
+            h = build_interaction_hamiltonian(system, list(SPHERICAL_MODES), n_max=6, include_counter_rotating=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.entries.shape == (1715, 1715)
+        assert peak <= 1.5 * h.entries.nbytes
 
     def test_rejects_bad_arguments(self):
         system = two_level_pi_system()

@@ -344,6 +344,34 @@ class TestCli:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "overlap, verdict",
+        [("1e-13", "CONSISTENT"), (repr(1 - 1e-13), "CONSISTENT"), ("2e-12", "CONTRADICTION"), ("0.5", "CONTRADICTION")],
+    )
+    def test_witness_endpoints_within_witness_tolerance(self, capsys, overlap, verdict):
+        # An overlap the witness calls CONSISTENT (within WITNESS_ATOL of 0 or 1) is an endpoint.
+        assert main(["no-cloning-witness", "--overlap", overlap]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["witnesses"][0]["verdict"] == verdict
+        interior = int(verdict == "CONTRADICTION")
+        details = {check["name"]: check["detail"] for check in report["checks"]}
+        assert details["interior-overlaps-contradict"] == f"{interior} interior overlaps checked"
+        assert details["endpoint-overlaps-consistent"] == f"{1 - interior} endpoint overlaps checked"
+
+    @pytest.mark.parametrize("kind", ["clone-demo", "fixed-ancilla"])
+    @pytest.mark.parametrize("dim", ["257", "0"])
+    def test_dim_out_of_bounds_exit_4(self, capsys, monkeypatch, kind, dim):
+        # refused before any state is resolved or allocated
+        monkeypatch.setattr(experiments, "resolve_state", lambda *args: pytest.fail("state resolved"))
+        assert main([kind, "--dim", dim]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dim must be between 1 and 256, got {dim}" in captured.err
+
+    def test_dim_bound_is_inclusive(self, tmp_path):
+        assert experiments.MAX_COPY_DIM == 256
+        assert main(["clone-demo", "--dim", "256", "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+
     def test_failed_check_exit_1_after_writing_report(self, capsys, tmp_path, monkeypatch):
         def failing_runner(spec):
             return {"results": {}, "checks": [{"name": "always-fails", "passed": False, "detail": "forced"}]}, []

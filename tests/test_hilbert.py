@@ -181,6 +181,79 @@ class TestOperatorMatrix:
         assert max_abs(m.dagger().entries - m.entries.conj().T) == 0
         assert m.dagger().dim_out == 3
 
+    @pytest.mark.parametrize("flag", ["unitary", "hermitian"])
+    def test_nan_fails_flag_checks(self, flag):
+        with pytest.raises(ValueError, match=f"flagged {flag}.*nan"):
+            OperatorMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex), **{flag: True})
+
+
+def sparse_hermitian(dim: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """Dense hermitian matrix with a random sparse pattern (diagonal real)."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a[rng.random((dim, dim)) > density] = 0.0
+    return np.triu(a, 1) + np.triu(a, 1).conj().T + np.diag(a.diagonal().real)
+
+
+class TestHermitianFromNonzeros:
+    @pytest.mark.parametrize("dim, density", [(1, 1.0), (5, 0.3), (12, 0.1), (30, 0.02)])
+    def test_equals_dense_construction(self, rng, dim, density):
+        for _ in range(5):
+            h = sparse_hermitian(dim, density, rng)
+            rows, cols = np.nonzero(h)
+            order = rng.permutation(rows.size)
+            rows, cols = rows[order], cols[order]
+            m = OperatorMatrix.hermitian_from_nonzeros(dim, rows, cols, h[rows, cols])
+            dense = OperatorMatrix(h, hermitian=True)
+            assert np.array_equal(m.entries, dense.entries)
+            assert (m.unitary, m.hermitian) == (dense.unitary, dense.hermitian) == (False, True)
+            assert m.deviation_from_hermiticity() == 0.0
+
+    def test_empty_is_zero_matrix(self):
+        none = np.zeros(0, dtype=int)
+        m = OperatorMatrix.hermitian_from_nonzeros(3, none, none, none)
+        assert np.array_equal(m.entries, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "rows, cols, values",
+        [
+            ([0], [1], [1.0]),  # the transposed entry is never written
+            ([0, 1], [1, 0], [1.0, 1.0 + 1e-9j]),  # off by more than DEFAULT_ATOL
+            ([1], [1], [2j]),  # imaginary diagonal
+        ],
+        ids=["one-triangle", "not-conjugate", "imaginary-diagonal"],
+    )
+    def test_rejects_non_hermitian_values(self, rows, cols, values):
+        with pytest.raises(ValueError, match="flagged hermitian"):
+            OperatorMatrix.hermitian_from_nonzeros(2, rows, cols, values)
+
+    @pytest.mark.parametrize("position", [(0, 0), (0, 1)])
+    def test_rejects_nan(self, position):
+        r, c = position
+        with pytest.raises(ValueError, match="flagged hermitian.*nan"):
+            OperatorMatrix.hermitian_from_nonzeros(2, [r, c], [c, r], [np.nan, np.nan])
+
+    def test_duplicate_positions_checked_on_final_entries(self):
+        # the last write to (0, 1) wins; only the final array is checked
+        m = OperatorMatrix.hermitian_from_nonzeros(2, [0, 1, 0], [1, 0, 1], [5.0, 1j, -1j])
+        assert np.array_equal(m.entries, np.array([[0, -1j], [1j, 0]]))
+        with pytest.raises(ValueError, match="flagged hermitian"):
+            OperatorMatrix.hermitian_from_nonzeros(2, [0, 1, 0], [1, 0, 1], [-1j, 1j, 5.0])
+
+    def test_entries_read_only(self):
+        m = OperatorMatrix.hermitian_from_nonzeros(2, [0, 1], [1, 0], [1j, -1j])
+        assert not m.entries.flags.writeable
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "rows, cols, values",
+        [([0, 2], [2, 0], [1.0, 1.0]), ([-1], [-1], [1.0]), ([0, 1], [1], [1.0, 1.0]), ([[0]], [[0]], [[1.0]])],
+        ids=["out-of-range", "negative", "unequal-lengths", "two-dimensional"],
+    )
+    def test_rejects_bad_positions(self, rows, cols, values):
+        with pytest.raises(ValueError):
+            OperatorMatrix.hermitian_from_nonzeros(2, rows, cols, values)
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
@@ -194,6 +267,10 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not hermitian"):
+            DensityMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
     def test_from_ket(self):
         rho = DensityMatrix.from_ket(ket(INV_SQRT2, INV_SQRT2))

@@ -1,13 +1,16 @@
 """Command-line experiment runner.
 
 One subcommand per experiment kind; reports go to stdout or ``--out``.
-Exit codes: 0 success, 1 report written but a check failed, 2 unparseable
+The parser is built once per process and reused by every :func:`main`
+call; parsing reads only its ``argv``, so no call carries options into the
+next.  Exit codes: 0 success, 1 report written but a check failed, 2 unparseable
 config, 3 domain violation, 4 dimension or validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,6 +30,7 @@ EXIT_DOMAIN_VIOLATION = 3
 EXIT_VALIDATION_ERROR = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clonesim",
@@ -64,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     modes = None
-    if getattr(args, "modes", None):
+    if getattr(args, "modes", None) is not None:
         modes = tuple(label.strip() for label in args.modes.split(","))
     return ExperimentSpec(
         kind=args.kind,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -105,13 +106,17 @@ def load_atomic_system(
     object in the file.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "ground" not in raw or "excited" not in raw:
         raise ConfigError(f"config {path} must define 'ground' and 'excited'")
+    if not isinstance(raw["excited"], list):
+        raise ConfigError(f"'excited' in {path} must be a list of levels")
 
     ground = _parse_level(raw["ground"], "ground")
     excited = tuple(_parse_level(entry, "excited") for entry in raw["excited"])
@@ -177,16 +182,13 @@ def resolve_state(spec: str | None, dim: int, seed: int) -> Ket:
     return Ket(amplitudes).normalize()
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _ket_json(k: Ket) -> list[list[float]]:
-    return [_pair(z) for z in k.amplitudes]
+    return _matrix_json(k.amplitudes)
 
 
-def _matrix_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(z) for z in row] for row in np.asarray(m)]
+def _matrix_json(m: np.ndarray) -> list:
+    """``m`` as nested lists of ``[re, im]`` pairs of Python floats, in ``m``'s shape."""
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -462,7 +464,7 @@ def render_report(report: dict, output_format: str) -> str:
     rows = report.get("_rows", [])
     if output_format == "json":
         payload = {key: value for key, value in report.items() if not key.startswith("_")}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload, "") + "\n"
     if output_format == "csv":
         buffer = io.StringIO()
         if rows:
@@ -473,6 +475,37 @@ def render_report(report: dict, output_format: str) -> str:
     if output_format == "table":
         return render_table(rows, title=f"{report['kind']} (passed={report['passed']})")
     raise ConfigError(f"unknown output format {output_format!r}")
+
+
+def _holds_pair_lists(value) -> bool:
+    """Whether ``value`` is a list of lists, or holds one through dicts with string keys."""
+    if isinstance(value, dict):
+        return all(type(key) is str for key in value) and any(_holds_pair_lists(item) for item in value.values())
+    return isinstance(value, (list, tuple)) and bool(value) and all(isinstance(item, (list, tuple)) for item in value)
+
+
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written ``indent`` deep.
+
+    Only the layout around lists of ``[re, im]`` pairs is written here: such
+    a list, when its pairs are finite Python floats, by one ``%``-format
+    call (``%r`` is ``float.__repr__``, as in ``json``), and the dicts and
+    lists that hold it by recursion.  Every other value is written by
+    ``json.dumps`` itself and shifted right (its strings never hold a raw
+    newline).
+    """
+    if not _holds_pair_lists(value):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f"{inner}{json.dumps(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if all(type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float for p in value):
+        flat = [x for p in value for x in p]
+        if math.isfinite(sum(flat)):
+            pair = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+            return "[\n" + ",\n".join([pair] * len(value)) % tuple(flat) + "\n" + indent + "]"
+    return "[\n" + ",\n".join(inner + _json_text(item, inner) for item in value) + "\n" + indent + "]"
 
 
 def render_table(rows: list[dict], title: str = "") -> str:

@@ -1,12 +1,16 @@
 """Tests for the experiment runner, report formats, and the CLI surface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from clonesim import experiments
+from clonesim import cli, experiments
 from clonesim.cli import main
 from clonesim.errors import ConfigError
 from clonesim.experiments import (
@@ -18,6 +22,10 @@ from clonesim.experiments import (
     resolve_state,
     run,
 )
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import REPO_ROOT
+
+CONFIG_DIR = REPO_ROOT / "configs"
 
 REPORT_KEYS = {"schema_version", "kind", "generated_at", "parameters", "results", "checks", "passed"}
 
@@ -67,6 +75,23 @@ def strip_timestamp(text: str) -> str:
     report = json.loads(text)
     report.pop("generated_at")
     return json.dumps(report, indent=2, sort_keys=True)
+
+
+def stdlib_json(report: dict) -> str:
+    """The JSON rendering that docs/report_schema.md specifies, from the standard library."""
+    payload = {key: value for key, value in report.items() if not key.startswith("_")}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def run_cli(argv: list[str]) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call; argparse exits give their code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def spec_for(kind: str, config_dir, **overrides) -> ExperimentSpec:
@@ -179,6 +204,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="finite positive number"):
             load_atomic_system(bad)
 
+    @pytest.mark.parametrize("excited", [5, None, "e0", {"label": "e0", "l": 1, "m": 0}],
+                             ids=["int", "null", "string", "object"])
+    def test_non_list_excited_is_config_error(self, tmp_path, excited):
+        bad = tmp_path / "bad_excited.json"
+        bad.write_text(json.dumps({"ground": FULL_P_CONFIG["ground"], "excited": excited}))
+        with pytest.raises(ConfigError, match="'excited' .* must be a list"):
+            load_atomic_system(bad)
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(json.dumps(FULL_P_CONFIG).replace('"g"', '"\u00e9"').encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_atomic_system(bad)
+
 
 class TestRunners:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
@@ -238,6 +277,31 @@ class TestRunners:
         assert report["results"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-10)
 
 
+# Report-shaped values for the JSON writer: every leaf type json writes, and
+# [re, im] pair lists both of the bulk kind and of kinds that must not be bulk.
+json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e22, float("nan"), float("inf"), float("-inf")])
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | json_floats
+    | st.text() | st.sampled_from(["é", "\u2192\u03c8", '"quoted"', "back\\slash", "line\nbreak\t\x00"])
+)
+pair_lists = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2), max_size=5)
+odd_pair_lists = st.one_of(
+    st.lists(st.lists(json_floats, min_size=2, max_size=2), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(), st.floats()).map(list), min_size=1, max_size=3),
+    st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3), min_size=1, max_size=3),
+    st.lists(st.lists(st.floats(allow_nan=False).map(np.float64), min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3),
+    st.just([]),
+)
+json_values = st.recursive(
+    json_leaves | pair_lists | odd_pair_lists,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
 class TestRendering:
     def test_json_determinism_modulo_timestamp(self, config_dir):
         for kind in EXPERIMENT_KINDS:
@@ -251,6 +315,36 @@ class TestRendering:
         overrides = {"config_path": str(config_dir / "pi_only.json")} if kind == "stimulated-clone" else {}
         text = render_report(run(spec_for(kind, config_dir, **overrides)), "json")
         assert "np." not in text
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(report=st.dictionaries(st.text(max_size=6), json_values, max_size=6))
+    def test_json_writer_equals_stdlib_oracle(self, report):
+        assert render_report(report, "json") == stdlib_json(report)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[[1, 2.0]], [[True, 2.0]], [[1.0, 2.0, 3.0]], [[np.float64(0.5), 2.0]], [(1.0, 2.0)], [],
+         [[float("nan"), 1.0]], [[1e308, 1e308], [-1e308, 1.0]], [[-0.0, 5e-324], [1e16, 1e22]]],
+        ids=["int", "bool", "three-items", "numpy-float", "tuple", "empty", "nan", "sum-overflows", "finite"],
+    )
+    def test_json_writer_pair_lists(self, value):
+        report = {"results": {"pairs": value, "nested": [value, {"x": value}]}}
+        assert render_report(report, "json") == stdlib_json(report)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_golden_reports_render_as_stdlib(self, case, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        rendered = []
+
+        def render_and_compare(report, output_format):
+            text = render_report(report, output_format)
+            assert text == stdlib_json(report)
+            rendered.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "render_report", render_and_compare)
+        code, out, _ = run_cli(GOLDEN_CASES[case])
+        assert rendered == ([out] if code in (0, 1) else [])
 
     def test_json_excludes_private_keys(self, config_dir):
         text = render_report(run(spec_for("domain", config_dir)), "json")
@@ -388,6 +482,28 @@ class TestCli:
         assert code == 4
         assert "mode labels must be unique" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("excited", [5, None], ids=["int", "null"])
+    def test_non_list_excited_exit_2(self, capsys, tmp_path, excited):
+        # docs/report_schema.md: a malformed config exits 2, never 1 with a traceback.
+        config = tmp_path / "bad_excited.json"
+        config.write_text(json.dumps({"ground": FULL_P_CONFIG["ground"], "excited": excited}))
+        assert main(["selection-rules", "--config", str(config)]) == 2
+        assert "must be a list of levels" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(json.dumps(FULL_P_CONFIG).replace('"g"', '"\u00e9"').encode("latin-1"))
+        assert main(["domain", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", [["--modes", ""], ["--modes="], ["--modes", " , "]])
+    def test_spontaneous_empty_modes_exit_4(self, capsys, config_dir, modes):
+        code = main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), *modes])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown polarization mode label ''" in captured.err
+
     def test_domain_violation_exit_3(self, capsys, config_dir):
         code = main([
             "stimulated-clone",
@@ -424,3 +540,99 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+
+def without_timestamp(result: tuple[object, str, str]) -> tuple[object, str, str]:
+    code, out, err = result
+    if out.startswith("{"):
+        report = json.loads(out)
+        report.pop("generated_at")
+        out = json.dumps(report, sort_keys=True)
+    return code, out, err
+
+
+FULL_P = str(CONFIG_DIR / "full_p_manifold.json")
+HYDROGEN = str(CONFIG_DIR / "hydrogen_n2.json")
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["spontaneous", "--config", FULL_P, "--modes", "sigma-,pi", "--excited-state", "0.6,0.48i,0.64"],
+             ["spontaneous", "--config", FULL_P]),
+            (["fixed-ancilla", "--ancilla-index", "3", "--dim", "4"], ["fixed-ancilla", "--dim", "4"]),
+            (["selection-rules", "--config", HYDROGEN, "--format", "csv"], ["selection-rules", "--config", HYDROGEN]),
+            (["clone-demo", "--dim", "x"], ["clone-demo"]),
+            (["clone-demo", "--dim", "3", "--seed", "7", "--state", "plus"], ["fixed-ancilla", "--bogus"]),
+        ],
+        ids=["spontaneous-options", "ancilla-index", "format", "argparse-error", "error-after-options"],
+    )
+    def test_no_option_carries_into_the_next_call(self, first, second):
+        cli.build_parser.cache_clear()
+        fresh = without_timestamp(run_cli(second))
+        run_cli(first)
+        assert without_timestamp(run_cli(second)) == fresh
+        run_cli(first)
+        run_cli(["clone-demo", "--format", "xml"])  # an argparse error in between
+        assert without_timestamp(run_cli(second)) == fresh
+
+
+# Edge values for every subcommand flag but --out (the fuzz writes no files),
+# and for two flags that no subcommand has.
+FUZZ_VALUES = {
+    "--config": st.sampled_from([FULL_P, HYDROGEN, str(CONFIG_DIR / "pi_only.json"),
+                                 str(CONFIG_DIR / "s_to_s_forbidden.json"), "missing.json", "", str(CONFIG_DIR)]),
+    "--state": st.sampled_from(["plus", "basis0", "basis3", "basis-1", "basisx", "1,0", "0.6,0.8i", "1,0,0", "0,0",
+                                "nan,1", "1,inf", "1,banana", "", ",", "1e308,1e308", "1e-320,0"]) | st.text(max_size=6),
+    "--seed": st.sampled_from(["0", "3", "-1", "18446744073709551616", "1.5", "x", ""]),
+    "--format": st.sampled_from(["json", "csv", "table", "xml", ""]),
+    "--dim": st.sampled_from(["1", "2", "3", "7", "32", "256", "257", "0", "-1", "x", "1e3"]),
+    "--ancilla-index": st.sampled_from(["0", "1", "-1", "-5", "3", "99", "x"]),
+    "--overlap": st.sampled_from(["0", "1", "0.5", "1e-13", "-0.5", "2", "nan", "inf", "-inf", "1e400", "x"]),
+    "--excited-state": st.sampled_from(["1,0,0", "0.6,0.48i,0.64", "0,0,0", "1,2", "1", "nan,0,0", "", "a"]),
+    "--modes": st.sampled_from(["", " , ", "pi", "pi,pi", "sigma-,pi,sigma+", "sigma+,sigma-", "x", "pi,"]),
+    "--bogus": st.sampled_from(["1", ""]),
+    "-x": st.just("1"),
+}
+KIND_FLAGS = {
+    "clone-demo": ["--dim"],
+    "fixed-ancilla": ["--dim", "--ancilla-index"],
+    "no-cloning-witness": ["--overlap"],
+    "spontaneous": ["--excited-state", "--modes"],
+}
+
+
+def fuzz_option(flags: list[str]):
+    """One ``--flag value`` or ``--flag=value`` option, as an argv fragment."""
+    return st.tuples(st.sampled_from(flags), st.booleans()).flatmap(
+        lambda pair: FUZZ_VALUES[pair[0]].map(lambda value: [f"{pair[0]}={value}"] if pair[1] else [pair[0], value])
+    )
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A subcommand (or an unknown one) with mostly its own options and at most one foreign flag."""
+    kind = draw(st.sampled_from(EXPERIMENT_KINDS + ("nope",)))
+    own = ["--state", "--seed", "--format"] + KIND_FLAGS.get(kind, [])
+    options = draw(st.lists(fuzz_option(own), max_size=4))
+    if kind in ("selection-rules", "domain", "stimulated-clone", "spontaneous"):
+        options.insert(0, draw(fuzz_option(["--config"])))
+    if draw(st.sampled_from([False, False, False, True])):
+        options.insert(draw(st.integers(0, len(options))), draw(fuzz_option(sorted(FUZZ_VALUES))))
+    return [kind] + [token for option in options for token in option]
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=fuzz_argv())
+    def test_exit_code_is_documented_and_no_traceback(self, argv):
+        code, out, err = run_cli(argv)
+        assert code in {0, 1, 2, 3, 4}, (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code in (2, 3, 4):
+            assert out == "", argv

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics of one or more checkouts.
 
-For each workload and seed it runs the command that ``BENCHMARK.json``
-declares (``python3 perfbench/run.py``) in each checkout's directory, as
+For every workload in ``BENCHMARK.json`` and each seed it runs the command
+that ``BENCHMARK.json`` declares (``python3 perfbench/run.py``), at its
+``run_seconds``, in each checkout's directory, as
 
     python3 perfbench/run.py --workload W --seed S --seconds N
 
@@ -15,7 +16,7 @@ beat the first one over the seeds, and the first one's quartile spread.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
-        --seeds 1 2 3 --seconds 35 [--workload copy-sweep ...] [--out-dir .]
+        [--seeds 1 2 ... 10] [--out-dir .]
 
 A checkout given without ``=DIR`` is this repository.
 """
@@ -34,9 +35,15 @@ BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 METRICS = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_argv(workload: str, seed) -> list[str]:
+    """The benchmark command for one workload and seed, at ``BENCHMARK.json``'s run length."""
+    return [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(BENCHMARK["run_seconds"])]
+
+
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One benchmark run: its exit code, provenance and end-to-end metric values."""
-    argv = [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    argv = run_argv(workload, seed)
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     record = {"workload": workload, "seed": seed, "exit_code": done.returncode}
     lines = done.stdout.strip().splitlines()
@@ -88,11 +95,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL[=DIR]",
                         help="a labelled source checkout to run (repeatable; the first is the baseline)")
-    parser.add_argument("--workload", action="append", choices=[w["name"] for w in BENCHMARK["workloads"]],
-                        help="workload to run (repeatable; default: every workload in BENCHMARK.json)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1], help="seeds to run (default 1)")
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"],
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)),
+                        help="seeds to run, one pair of runs each (default 1 to 10)")
     parser.add_argument("--out-dir", type=Path, default=REPO_ROOT, help="where BENCH_<label>.json files go")
     args = parser.parse_args(argv)
 
@@ -102,14 +106,14 @@ def main(argv=None) -> int:
         checkouts[label] = Path(directory).resolve() if directory else REPO_ROOT
     if len(checkouts) != len(args.checkout):
         parser.error("checkout labels must be distinct")
-    workloads = args.workload or [w["name"] for w in BENCHMARK["workloads"]]
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
 
     runs: dict[str, list[dict]] = {label: [] for label in checkouts}
     for workload in workloads:
         for index, seed in enumerate(args.seeds):
             order = list(checkouts.items())
             for label, root in order if index % 2 == 0 else reversed(order):
-                record = run_once(root, workload, seed, args.seconds)
+                record = run_once(root, workload, seed)
                 runs[label].append(record)
                 shown = {name: round(value, 4) for name, value in record.get("metrics", {}).items()}
                 print(f"{label} {workload} seed={seed} exit={record['exit_code']} {shown}", flush=True)
@@ -118,7 +122,7 @@ def main(argv=None) -> int:
     for label in checkouts:
         document = {
             "label": label,
-            "command": [*BENCHMARK["command"], "--workload", "W", "--seed", "S", "--seconds", str(args.seconds)],
+            "command": run_argv("W", "S"),
             "seeds": args.seeds,
             "summary": table[label],
             "runs": runs[label],

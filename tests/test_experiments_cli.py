@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clonesim import cli, experiments
@@ -300,6 +300,18 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=20,
 )
+# Pair lists that pin the edges of the bulk path: all but the last two must not
+# be bulk-written (the int one may be, as %r of an int is what json writes).
+fixed_pair_lists = [
+    [[1, 2.0]], [[True, 2.0]], [[1.0, 2.0, 3.0]], [[np.float64(0.5), 2.0]], [(1.0, 2.0)], [],
+    [[float("nan"), 1.0]], [[1e308, 1e308], [-1e308, 1.0]], [[-0.0, 5e-324], [1e16, 1e22]],
+]
+
+
+def with_fixed_pair_lists(test):
+    for value in fixed_pair_lists:
+        test = example(report={"results": {"pairs": value, "nested": [value, {"x": value}]}})(test)
+    return test
 
 
 class TestRendering:
@@ -317,18 +329,9 @@ class TestRendering:
         assert "np." not in text
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @with_fixed_pair_lists
     @given(report=st.dictionaries(st.text(max_size=6), json_values, max_size=6))
     def test_json_writer_equals_stdlib_oracle(self, report):
-        assert render_report(report, "json") == stdlib_json(report)
-
-    @pytest.mark.parametrize(
-        "value",
-        [[[1, 2.0]], [[True, 2.0]], [[1.0, 2.0, 3.0]], [[np.float64(0.5), 2.0]], [(1.0, 2.0)], [],
-         [[float("nan"), 1.0]], [[1e308, 1e308], [-1e308, 1.0]], [[-0.0, 5e-324], [1e16, 1e22]]],
-        ids=["int", "bool", "three-items", "numpy-float", "tuple", "empty", "nan", "sum-overflows", "finite"],
-    )
-    def test_json_writer_pair_lists(self, value):
-        report = {"results": {"pairs": value, "nested": [value, {"x": value}]}}
         assert render_report(report, "json") == stdlib_json(report)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))

@@ -53,9 +53,9 @@ def main(argv=None) -> int:
         spec.seed = args.seed
         spec.output_format = args.format
         start = time.perf_counter()
-        report = run(spec)
+        report, rows = run(spec)
         name = f"{index:02d}_{spec.kind}.{extension}"
-        (out_dir / name).write_text(render_report(report, args.format))
+        (out_dir / name).write_text(render_report(report, rows, args.format))
         elapsed_ms = (time.perf_counter() - start) * 1e3
         failed = [check["name"] for check in report["checks"] if not check["passed"]]
         status = f"CHECK FAILED: {', '.join(failed)}" if failed else "ok"

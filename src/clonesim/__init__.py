@@ -1,11 +1,10 @@
 """State-dependent quantum copying and its stimulated-emission realization."""
 
-from .angular import IrrepLabel, PHOTON_IRREP, clebsch_gordan, contains, decompose_product
+from .angular import IrrepLabel, PHOTON_IRREP, clebsch_gordan, contains
 from .copying import (
     CloneReport,
     CopyBasis,
     OverlapWitness,
-    ancilla_prep_map,
     apply_copy_map,
     build_copy_unitary,
     clone,

@@ -48,10 +48,6 @@ class IrrepLabel:
     def j(self) -> float:
         return self.twice_j / 2
 
-    @classmethod
-    def from_j(cls, j, parity: int | None = None) -> "IrrepLabel":
-        return cls(twice(j), parity)
-
     def __repr__(self) -> str:
         j_str = str(self.twice_j // 2) if self.twice_j % 2 == 0 else f"{self.twice_j}/2"
         if self.parity is None:
@@ -60,18 +56,6 @@ class IrrepLabel:
 
 
 PHOTON_IRREP = IrrepLabel(twice_j=2, parity=PHOTON_PARITY)
-
-
-def decompose_product(j1: IrrepLabel, j2: IrrepLabel) -> list[IrrepLabel]:
-    """Total-J content of j1 (x) j2: |j1-j2| .. j1+j2 in unit steps.
-
-    Parities multiply when both factors carry one; otherwise the result
-    parity is unspecified.
-    """
-    parity = j1.parity * j2.parity if j1.parity is not None and j2.parity is not None else None
-    low = abs(j1.twice_j - j2.twice_j)
-    high = j1.twice_j + j2.twice_j
-    return [IrrepLabel(tj, parity) for tj in range(low, high + 1, 2)]
 
 
 def contains(target: IrrepLabel, product: tuple[IrrepLabel, IrrepLabel]) -> bool:

@@ -4,7 +4,8 @@ One subcommand per experiment kind; reports go to stdout or ``--out``.
 The parser is built once per process and reused by every :func:`main`
 call; parsing reads only its ``argv``, so no call carries options into the
 next.  Exit codes: 0 success, 1 report written but a check failed, 2 unparseable
-config, 3 domain violation, 4 dimension or validation failure.
+config, 3 domain violation, 4 dimension or validation failure, or an
+``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
-        report = run(spec)
-        rendered = render_report(report, spec.output_format)
+        report, rows = run(spec)
+        rendered = render_report(report, rows, spec.output_format)
     except ConfigError as exc:
         _emit_error("config error", exc)
         return EXIT_CONFIG_ERROR
@@ -107,10 +108,14 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("invalid input", exc)
         return EXIT_VALIDATION_ERROR
 
-    if args.out is not None:
-        Path(args.out).write_text(rendered)
-    else:
+    if args.out is None:
         sys.stdout.write(rendered)
+    else:
+        try:
+            Path(args.out).write_text(rendered)
+        except OSError as exc:
+            _emit_error("cannot write report", exc)
+            return EXIT_VALIDATION_ERROR
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

@@ -1,24 +1,26 @@
 """State-dependent quantum copying.
 
-A copy machine is defined by a pair of orthonormal bases: a system basis
-``{|s_i>}`` and an ancilla basis ``{|a_i>}`` of the same dimension n.  The
-copy unitary U acts on the n^2-dimensional product space by
+A copy machine is defined by a pair of orthonormal bases of C^n, held as
+the columns of two n x n matrices: the system basis S = (|s_1> .. |s_n>)
+and the ancilla basis A = (|a_1> .. |a_n>).  The copy unitary U acts on
+the n^2-dimensional product space by
 
     U (|s_i> (x) |a_j>) = |s_i> (x) |s_j>   for all i, j,
 
-and the ancilla preparation map V sends |s_i> to |a_i>.  Preparing the
+and the ancilla map V = A S^dagger sends |s_i> to |a_i>.  Preparing the
 ancilla as V|psi> and applying U copies *every* state |psi> perfectly,
-because all copying content lives in the state-dependent preparation:
-structurally U = I (x) V^dagger, which is the form every copying path
-applies; the dense matrix is built only on request.  Feeding the same U
-a fixed ancilla instead copies only the matching basis ray, which is the
-content of the no-cloning restriction this module also witnesses.
+because all copying content lives in V: structurally U = I (x) V^dagger.
+:class:`CopyBasis` checks S, A and V once and holds V, and every copying
+path applies U in that factored form; the dense matrix is built only on
+request.  Feeding the same U a fixed ancilla instead copies only the
+matching basis ray, which is the content of the no-cloning restriction
+this module also witnesses.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .hilbert import (
     OperatorMatrix,
     apply,
     fidelity,
-    gram_matrix,
     max_abs,
     tensor_product,
 )
@@ -45,57 +46,65 @@ NORM_WARNING_THRESHOLD = 1e-6
 WITNESS_ATOL = 1e-12
 
 
+def _frozen_basis(name: str, columns) -> np.ndarray:
+    """``columns`` as a read-only complex matrix, once it is a finite, square,
+    non-empty matrix with orthonormal columns."""
+    matrix = np.array(columns, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise BasisError(f"{name} basis must be a non-empty square matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise BasisError(f"{name} basis entries must be finite")
+    deviation = max_abs(matrix.conj().T @ matrix - np.eye(len(matrix)))
+    if not deviation < DEFAULT_ATOL:
+        raise BasisError(f"{name} basis is not orthonormal (deviation {deviation:.3e})")
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class CopyBasis:
     """Orthonormal system and ancilla bases of equal dimension n.
 
-    The ancilla space is taken to have the same dimension as the system
-    space, so the n^2 defining relations determine the copy unitary on the
-    whole product space.
+    ``system`` (S) and ``ancilla`` (A) are n x n matrices whose columns are
+    the basis kets; ``v`` is the ancilla map V = A S^dagger.  All three are
+    checked once, at construction, and frozen.  The ancilla space is taken
+    to have the same dimension as the system space, so the n^2 defining
+    relations determine the copy unitary on the whole product space.
     """
 
-    system_basis: tuple[Ket, ...]
-    ancilla_basis: tuple[Ket, ...]
+    system: np.ndarray
+    ancilla: np.ndarray
+    v: OperatorMatrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "system_basis", tuple(self.system_basis))
-        object.__setattr__(self, "ancilla_basis", tuple(self.ancilla_basis))
-        n = len(self.system_basis)
-        if n == 0 or len(self.ancilla_basis) != n:
-            raise BasisError("system and ancilla bases must be non-empty and equally sized")
-        for name, basis in (("system", self.system_basis), ("ancilla", self.ancilla_basis)):
-            if any(k.dim != n for k in basis):
-                raise BasisError(f"{name} basis kets must have dim {n}")
-            deviation = max_abs(gram_matrix(basis) - np.eye(n))
-            if deviation >= DEFAULT_ATOL:
-                raise BasisError(f"{name} basis is not orthonormal (deviation {deviation:.3e})")
+        system = _frozen_basis("system", self.system)
+        ancilla = _frozen_basis("ancilla", self.ancilla)
+        if system.shape != ancilla.shape:
+            raise BasisError(f"system and ancilla bases differ in shape: {system.shape} and {ancilla.shape}")
+        try:
+            v = OperatorMatrix(ancilla @ system.conj().T, unitary=True)
+        except ValueError as exc:
+            raise BasisError(f"ancilla map V = A S^dagger: {exc}") from exc
+        for name, value in (("system", system), ("ancilla", ancilla), ("v", v)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.system_basis)
-
-    def system_matrix(self) -> np.ndarray:
-        """n x n matrix with system basis kets as columns."""
-        return np.column_stack([k.amplitudes for k in self.system_basis])
-
-    def ancilla_matrix(self) -> np.ndarray:
-        """n x n matrix with ancilla basis kets as columns."""
-        return np.column_stack([k.amplitudes for k in self.ancilla_basis])
+        return self.system.shape[0]
 
     @classmethod
     def computational(cls, n: int) -> "CopyBasis":
         """Both bases equal to the canonical basis of C^n."""
-        basis = tuple(Ket.basis_state(n, i) for i in range(n))
-        return cls(basis, basis)
+        return cls(np.eye(n), np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)
 class CloneReport:
     """Result of one copying run.
 
-    ``fidelity`` is |<target|output>|^2 and can be recomputed from the
-    stored kets; ``matched`` records whether the ancilla was prepared from
-    the input (True) or held fixed (False).
+    ``fidelity`` is |<target|output>|^2 of the stored kets; ``matched``
+    records whether the ancilla was prepared from the input (True) or held
+    fixed (False).
     """
 
     input: Ket
@@ -104,15 +113,6 @@ class CloneReport:
     target: Ket
     fidelity: float
     matched: bool
-
-    def recomputed_fidelity(self) -> float:
-        return fidelity(self.target, self.output)
-
-
-def ancilla_prep_map(basis: CopyBasis) -> OperatorMatrix:
-    """Unitary V with V|s_i> = |a_i> for every basis pair; linear by construction."""
-    v = basis.ancilla_matrix() @ basis.system_matrix().conj().T
-    return OperatorMatrix(v, unitary=True)
 
 
 def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
@@ -125,8 +125,7 @@ def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
     callers that ask for the matrix; every copying path applies U in that
     factored form through :func:`apply_copy_map` and never builds it.
     """
-    s = basis.system_matrix()
-    a = basis.ancilla_matrix()
+    s, a = basis.system, basis.ancilla
     u = np.kron(s, s) @ np.kron(s, a).conj().T
     return OperatorMatrix(u, unitary=True)
 
@@ -169,8 +168,7 @@ def clone(input: Ket, basis: CopyBasis) -> CloneReport:
     1 for every input state.
     """
     psi = _prepare_input(input)
-    v = ancilla_prep_map(basis)
-    return apply_copy_map(psi, apply(v, psi), v, matched=True)
+    return apply_copy_map(psi, apply(basis.v, psi), basis.v, matched=True)
 
 
 def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBasis) -> CloneReport:
@@ -184,8 +182,8 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
     if not 0 <= fixed_ancilla_index < basis.n:
         raise IndexError(f"ancilla index {fixed_ancilla_index} out of range for n={basis.n}")
     psi = _prepare_input(input)
-    ancilla = basis.ancilla_basis[fixed_ancilla_index]
-    return apply_copy_map(psi, ancilla, ancilla_prep_map(basis), matched=False)
+    ancilla = Ket(basis.ancilla[:, fixed_ancilla_index])
+    return apply_copy_map(psi, ancilla, basis.v, matched=False)
 
 
 @dataclass(frozen=True)

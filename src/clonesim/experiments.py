@@ -434,8 +434,9 @@ _RUNNERS = {
 }
 
 
-def run(spec: ExperimentSpec) -> dict:
-    """Execute one experiment and return its report document."""
+def run(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
+    """Execute one experiment; return its report document and the rows that
+    the csv and table formats render."""
     body, rows = _RUNNERS[spec.kind](spec)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -455,16 +456,13 @@ def run(spec: ExperimentSpec) -> dict:
         "checks": body["checks"],
         "passed": all(check["passed"] for check in body["checks"]),
     }
-    report["_rows"] = rows  # consumed by the csv/table renderers, stripped from JSON
-    return report
+    return report, rows
 
 
-def render_report(report: dict, output_format: str) -> str:
-    """Serialize a report as json, csv, or an aligned text table."""
-    rows = report.get("_rows", [])
+def render_report(report: dict, rows: list[dict], output_format: str) -> str:
+    """Serialize a report as json, or its ``rows`` as csv or an aligned text table."""
     if output_format == "json":
-        payload = {key: value for key, value in report.items() if not key.startswith("_")}
-        return _json_text(payload, "") + "\n"
+        return _json_text(report, "") + "\n"
     if output_format == "csv":
         buffer = io.StringIO()
         if rows:

@@ -16,7 +16,6 @@ zero-filled array scales with dim^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -153,9 +152,6 @@ class OperatorMatrix:
     def dim_in(self) -> int:
         return self.entries.shape[1]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, unitary=self.unitary, hermitian=self.hermitian)
-
     def deviation_from_unitarity(self) -> float:
         if self.dim_out != self.dim_in:
             return float("inf")
@@ -166,10 +162,6 @@ class OperatorMatrix:
         if self.dim_out != self.dim_in:
             return float("inf")
         return max_abs(self.entries - self.entries.conj().T)
-
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.eye(dim, dtype=complex), unitary=True, hermitian=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +248,3 @@ def random_ket(dim: int, rng: np.random.Generator, space_label: str = "H") -> Ke
     real = rng.standard_normal(dim)
     imag = rng.standard_normal(dim)
     return Ket(real + 1j * imag, space_label).normalize()
-
-
-def gram_matrix(kets: Iterable[Ket]) -> np.ndarray:
-    """Matrix of pairwise inner products <k_i|k_j>."""
-    vectors = [k.amplitudes for k in kets]
-    stacked = np.array(vectors)
-    return stacked.conj() @ stacked.T

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import sph_harm_y
 
 from clonesim.copying import CopyBasis
-from clonesim.hilbert import Ket
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +198,8 @@ def copy_unitary_by_columns(basis: CopyBasis) -> np.ndarray:
     u = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            input_vec = np.kron(basis.system_basis[i].amplitudes, basis.ancilla_basis[j].amplitudes)
-            output_vec = np.kron(basis.system_basis[i].amplitudes, basis.system_basis[j].amplitudes)
+            input_vec = np.kron(basis.system[:, i], basis.ancilla[:, j])
+            output_vec = np.kron(basis.system[:, i], basis.system[:, j])
             u += np.outer(output_vec, input_vec.conj())
     return u
 
@@ -236,8 +235,4 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_copy_basis(n: int, rng: np.random.Generator) -> CopyBasis:
     """Random orthonormal system and ancilla bases of dimension n."""
     system = random_unitary(n, rng)
-    ancilla = random_unitary(n, rng)
-    return CopyBasis(
-        tuple(Ket(col) for col in system.T),
-        tuple(Ket(col) for col in ancilla.T),
-    )
+    return CopyBasis(system, random_unitary(n, rng))

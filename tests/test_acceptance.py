@@ -16,7 +16,6 @@ from clonesim.angular import PHOTON_IRREP, clebsch_gordan, contains
 from clonesim.cli import main
 from clonesim.copying import (
     CopyBasis,
-    ancilla_prep_map,
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,
@@ -86,7 +85,7 @@ def test_03_oracle_equivalence_of_copy_unitary():
                 basis = random_copy_basis(n, rng)
                 u = build_copy_unitary(basis).entries
                 assert max_abs(u - copy_unitary_by_columns(basis)) < 1e-12
-                v = ancilla_prep_map(basis).entries
+                v = basis.v.entries
                 assert max_abs(u - np.kron(np.eye(n), v.conj().T)) < 1e-12
 
 

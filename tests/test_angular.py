@@ -10,7 +10,6 @@ from clonesim.angular import (
     PHOTON_IRREP,
     clebsch_gordan,
     contains,
-    decompose_product,
     twice,
 )
 
@@ -20,7 +19,7 @@ HALF_STEPS_TO_3 = [Fraction(t, 2) for t in range(0, 7)]  # 0, 1/2, ..., 3
 
 
 def j(value, parity=None) -> IrrepLabel:
-    return IrrepLabel.from_j(value, parity)
+    return IrrepLabel(twice(value), parity)
 
 
 def coefficient_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float]:
@@ -44,7 +43,7 @@ class TestIrrepLabel:
 
     def test_rejects_non_half_integer(self):
         with pytest.raises(ValueError):
-            IrrepLabel.from_j(0.3)
+            twice(0.3)
 
     def test_rejects_bad_parity(self):
         with pytest.raises(ValueError):
@@ -60,30 +59,38 @@ class TestIrrepLabel:
         assert PHOTON_IRREP.parity == -1
 
 
+def admitted(j1: IrrepLabel, j2: IrrepLabel, parity=None) -> list[float]:
+    """Every j, in half steps up to one past j1 + j2, that ``contains`` places in j1 (x) j2."""
+    candidates = range(0, j1.twice_j + j2.twice_j + 3)
+    return [tj / 2 for tj in candidates if contains(IrrepLabel(tj, parity), (j1, j2))]
+
+
 class TestDecomposeProduct:
+    """The content of j1 (x) j2 as ``contains`` reads it: |j1-j2| .. j1+j2 in unit steps."""
+
     def test_one_times_one(self):
-        assert [lab.j for lab in decompose_product(j(1), j(1))] == [0, 1, 2]
+        assert admitted(j(1), j(1)) == [0, 1, 2]
 
     def test_zero_times_one(self):
-        assert [lab.j for lab in decompose_product(j(0), j(1))] == [1]
+        assert admitted(j(0), j(1)) == [1]
 
     def test_three_halves_times_one(self):
-        assert [lab.j for lab in decompose_product(j(1.5), j(1))] == [0.5, 1.5, 2.5]
+        assert admitted(j(1.5), j(1)) == [0.5, 1.5, 2.5]
 
     def test_parity_multiplies(self):
-        labels = decompose_product(j(1, -1), j(1, -1))
-        assert all(lab.parity == +1 for lab in labels)
-        labels = decompose_product(j(1, +1), j(1, -1))
-        assert all(lab.parity == -1 for lab in labels)
+        assert admitted(j(1, -1), j(1, -1), parity=+1) == [0, 1, 2]
+        assert admitted(j(1, -1), j(1, -1), parity=-1) == []
+        assert admitted(j(1, +1), j(1, -1), parity=-1) == [0, 1, 2]
+        assert admitted(j(1, +1), j(1, -1), parity=+1) == []
 
     def test_parity_unspecified_when_either_missing(self):
-        assert all(lab.parity is None for lab in decompose_product(j(1), j(1, -1)))
+        for parity in (+1, -1):
+            assert admitted(j(1), j(1, -1), parity) == [0, 1, 2]
 
     @pytest.mark.parametrize("j1", HALF_STEPS_TO_3 + [4, 5])
     @pytest.mark.parametrize("j2", HALF_STEPS_TO_3 + [4, 5])
     def test_dimension_count(self, j1, j2):
-        labels = decompose_product(j(j1), j(j2))
-        total = sum(lab.twice_j + 1 for lab in labels)
+        total = sum(int(2 * big_j) + 1 for big_j in admitted(j(j1), j(j2)))
         assert total == (twice(j1) + 1) * (twice(j2) + 1)
 
 
@@ -182,11 +189,10 @@ class TestCGTable:
     def test_column_orthonormality(self, tj1, tj2):
         # sum over (m1, m2) of products for two coupled labels
         table = coefficient_table(tj1, tj2)
-        labels = decompose_product(IrrepLabel(tj1), IrrepLabel(tj2))
         pairs = [
-            (lab.twice_j, t_big_m)
-            for lab in labels
-            for t_big_m in range(-lab.twice_j, lab.twice_j + 1, 2)
+            (t_big_j, t_big_m)
+            for t_big_j in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            for t_big_m in range(-t_big_j, t_big_j + 1, 2)
         ]
         for a, (tj_a, tm_a) in enumerate(pairs):
             for tj_b, tm_b in pairs[a:]:
@@ -204,11 +210,10 @@ class TestCGTable:
     def test_row_orthonormality(self, tj1, tj2):
         # sum over (J, M) of products for two uncoupled projections
         table = coefficient_table(tj1, tj2)
-        labels = decompose_product(IrrepLabel(tj1), IrrepLabel(tj2))
         coupled = [
-            (lab.twice_j, t_big_m)
-            for lab in labels
-            for t_big_m in range(-lab.twice_j, lab.twice_j + 1, 2)
+            (t_big_j, t_big_m)
+            for t_big_j in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            for t_big_m in range(-t_big_j, t_big_j + 1, 2)
         ]
         projections = [
             (tm1, tm2)

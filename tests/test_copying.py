@@ -1,4 +1,6 @@
-"""Tests for the copy unitary, ancilla preparation, and no-cloning witnesses."""
+"""Tests for copy bases, the ancilla map, the copy unitary, and no-cloning witnesses."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,14 +9,13 @@ from hypothesis import strategies as st
 
 from clonesim.copying import (
     CopyBasis,
-    ancilla_prep_map,
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,
     no_cloning_overlap_witness,
 )
 from clonesim.errors import BasisError
-from clonesim.hilbert import Ket, apply, fidelity, max_abs, random_ket, tensor_product
+from clonesim.hilbert import Ket, OperatorMatrix, apply, fidelity, max_abs, random_ket
 
 from oracles import copy_unitary_by_columns, random_copy_basis, random_unitary
 
@@ -23,55 +24,111 @@ X_SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def swapped_basis(n: int = 2) -> CopyBasis:
-    system = tuple(Ket.basis_state(n, i) for i in range(n))
-    ancilla = (system[1], system[0]) + system[2:]
-    return CopyBasis(system, ancilla)
+    system = np.eye(n)
+    return CopyBasis(system, system[:, [1, 0, *range(2, n)]])
 
 
 class TestCopyBasis:
     def test_rejects_non_orthonormal(self):
-        k = Ket(np.array([1, 0], dtype=complex))
-        with pytest.raises(BasisError):
-            CopyBasis((k, k), (k, k))
+        repeated = np.array([[1, 1], [0, 0]], dtype=complex)  # columns (|0>, |0>)
+        with pytest.raises(BasisError, match="not orthonormal"):
+            CopyBasis(repeated, repeated)
 
     def test_rejects_size_mismatch(self):
-        basis = tuple(Ket.basis_state(2, i) for i in range(2))
-        with pytest.raises(BasisError):
-            CopyBasis(basis, basis[:1])
+        with pytest.raises(BasisError, match="differ in shape"):
+            CopyBasis(np.eye(2), np.eye(3))
 
     def test_rejects_wrong_dims(self):
-        system = tuple(Ket.basis_state(3, i) for i in range(3))
-        bad = (Ket.basis_state(2, 0), Ket.basis_state(2, 1), Ket.basis_state(2, 0))
-        with pytest.raises(BasisError):
-            CopyBasis(system, bad)
+        # three ancilla kets of dim 2 for a system of dim 3
+        with pytest.raises(BasisError, match="square"):
+            CopyBasis(np.eye(3), np.eye(3)[:2])
+
+    @pytest.mark.parametrize("side", ["system", "ancilla"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((0, 0)), np.zeros((2, 0)), np.eye(3)[:, :2], np.ones(2), np.ones((2, 2, 2)), 1.0],
+        ids=["empty", "no-columns", "3x2", "vector", "3-dim", "scalar"],
+    )
+    def test_rejects_non_square_or_empty(self, side, matrix):
+        good = np.eye(3)
+        with pytest.raises(BasisError, match=f"{side} basis must be a non-empty square matrix"):
+            CopyBasis(**{"system": good, "ancilla": good, side: matrix})
+
+    @pytest.mark.parametrize("side", ["system", "ancilla"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag([1.0, 2.0]), np.array([[1, 1], [0, 1]]), np.zeros((2, 2)), 2j * np.eye(2)],
+        ids=["stretch", "shear", "zero", "scaled"],
+    )
+    def test_rejects_non_unitary(self, side, matrix):
+        with pytest.raises(BasisError, match=f"{side} basis is not orthonormal"):
+            CopyBasis(**{"system": np.eye(2), "ancilla": np.eye(2), side: matrix})
+
+    @pytest.mark.parametrize("side", ["system", "ancilla"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)])
+    def test_rejects_non_finite(self, side, value):
+        matrix = np.eye(2, dtype=complex)
+        matrix[1, 0] = value
+        with pytest.raises(BasisError, match=f"{side} basis entries must be finite"):
+            CopyBasis(**{"system": np.eye(2), "ancilla": np.eye(2), side: matrix})
+
+    def test_rejects_ancilla_map_outside_unitarity_tolerance(self):
+        # S and A each deviate from orthonormality by 0.9e-10, inside the
+        # tolerance; V = A S^dagger compounds the stretch to 1.8e-10.
+        stretched = np.diag([np.sqrt(1 + 0.9e-10), 1.0])
+        with pytest.raises(BasisError, match="ancilla map"):
+            CopyBasis(stretched, stretched)
+
+    def test_bases_and_v_are_read_only(self, rng):
+        system, ancilla = random_unitary(3, rng), random_unitary(3, rng)
+        basis = CopyBasis(system, ancilla)
+        system[0, 0] = ancilla[0, 0] = 7.0  # the basis holds its own copies
+        for matrix in (basis.system, basis.ancilla, basis.v.entries):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+        for name in ("system", "ancilla", "v"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(basis, name, np.eye(3))
+        assert basis.system[0, 0] != 7.0 and basis.ancilla[0, 0] != 7.0
+
+    def test_v_equals_a_s_dagger(self, rng):
+        for n in (1, 2, 5):
+            system, ancilla = random_unitary(n, rng), random_unitary(n, rng)
+            basis = CopyBasis(system, ancilla)
+            assert basis.n == n
+            assert basis.v.unitary
+            assert max_abs(basis.v.entries - ancilla @ system.conj().T) < 1e-12
+
+    def test_only_the_bases_are_init_fields(self):
+        assert [f.name for f in dataclasses.fields(CopyBasis) if f.init] == ["system", "ancilla"]
 
 
 class TestAncillaPrepMap:
     def test_identity_when_bases_coincide(self):
-        v = ancilla_prep_map(CopyBasis.computational(3))
+        v = CopyBasis.computational(3).v
         assert max_abs(v.entries - np.eye(3)) < 1e-12
 
     def test_swapped_pair_gives_basis_swap(self):
-        v = ancilla_prep_map(swapped_basis())
+        v = swapped_basis().v
         assert max_abs(v.entries - X_SWAP) < 1e-12
 
     def test_reads_back_the_generating_unitary(self, rng):
         # Apply a random unitary W to the system basis to make the ancilla
-        # basis; the prep map must reproduce W columnwise.
+        # basis; V must reproduce W columnwise.
         for n in (2, 4, 6):
             w = random_unitary(n, rng)
-            system = tuple(Ket.basis_state(n, i) for i in range(n))
-            ancilla = tuple(Ket(w @ k.amplitudes) for k in system)
-            v = ancilla_prep_map(CopyBasis(system, ancilla))
+            system = np.eye(n)
+            ancilla = np.column_stack([w @ column for column in system.T])
+            v = CopyBasis(system, ancilla).v
             assert max_abs(v.entries - w) < 1e-12
 
     def test_linearity_on_superpositions(self, rng):
         basis = random_copy_basis(4, rng)
-        v = ancilla_prep_map(basis)
+        v = basis.v
         for _ in range(20):
             alpha = complex(rng.standard_normal(), rng.standard_normal())
             beta = complex(rng.standard_normal(), rng.standard_normal())
-            a, b = basis.system_basis[0], basis.system_basis[2]
+            a, b = Ket(basis.system[:, 0]), Ket(basis.system[:, 2])
             combined = alpha * a.amplitudes + beta * b.amplitudes
             lhs = v.entries @ combined
             rhs = alpha * (v.entries @ a.amplitudes) + beta * (v.entries @ b.amplitudes)
@@ -99,7 +156,7 @@ class TestBuildCopyUnitary:
         basis = random_copy_basis(n, rng)
         u = build_copy_unitary(basis).entries
         assert max_abs(u - copy_unitary_by_columns(basis)) < 1e-12
-        v = ancilla_prep_map(basis).entries
+        v = basis.v.entries
         assert max_abs(u - np.kron(np.eye(n), v.conj().T)) < 1e-12
 
     def test_defining_relations_on_mismatched_pairs(self, rng):
@@ -108,9 +165,9 @@ class TestBuildCopyUnitary:
         u = build_copy_unitary(basis)
         for i in range(3):
             for j in range(3):
-                joint = tensor_product(basis.system_basis[i], basis.ancilla_basis[j])
-                expected = tensor_product(basis.system_basis[i], basis.system_basis[j])
-                assert max_abs(apply(u, joint).amplitudes - expected.amplitudes) < 1e-12
+                joint = Ket(np.kron(basis.system[:, i], basis.ancilla[:, j]))
+                expected = np.kron(basis.system[:, i], basis.system[:, j])
+                assert max_abs(apply(u, joint).amplitudes - expected) < 1e-12
 
 
 class TestClone:
@@ -137,15 +194,14 @@ class TestClone:
 
     def test_report_fidelity_recomputable(self, rng):
         report = clone(random_ket(3, rng), random_copy_basis(3, rng))
-        assert report.recomputed_fidelity() == pytest.approx(report.fidelity, abs=1e-14)
+        assert fidelity(report.target, report.output) == pytest.approx(report.fidelity, abs=1e-14)
         assert report.matched
 
     def test_ancilla_is_prepared_from_input(self, rng):
         basis = random_copy_basis(4, rng)
         psi = random_ket(4, rng)
         report = clone(psi, basis)
-        v = ancilla_prep_map(basis)
-        assert max_abs(report.ancilla.amplitudes - v.entries @ psi.amplitudes) < 1e-12
+        assert max_abs(report.ancilla.amplitudes - basis.v.entries @ psi.amplitudes) < 1e-12
 
     def test_warns_on_denormalized_input(self):
         with pytest.warns(UserWarning, match="renormalizing"):
@@ -159,7 +215,7 @@ class TestClone:
 class TestCloneWithFixedAncilla:
     def test_matched_basis_input_still_copies(self, rng):
         basis = random_copy_basis(3, rng)
-        report = clone_with_fixed_ancilla(basis.system_basis[1], 1, basis)
+        report = clone_with_fixed_ancilla(Ket(basis.system[:, 1]), 1, basis)
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
         assert not report.matched
 
@@ -182,7 +238,7 @@ class TestCloneWithFixedAncilla:
         for k in range(4):
             psi = random_ket(4, rng)
             report = clone_with_fixed_ancilla(psi, k, basis)
-            expected = fidelity(psi, basis.system_basis[k])
+            expected = fidelity(psi, Ket(basis.system[:, k]))
             assert report.fidelity == pytest.approx(expected, abs=1e-10)
             assert report.fidelity < 1.0
 
@@ -192,6 +248,21 @@ class TestCloneWithFixedAncilla:
 
 
 class TestFactoredCopyMap:
+    def test_copies_build_no_operator(self, rng, monkeypatch):
+        # V is formed and checked once, when the basis is built; a copy only applies it.
+        basis = random_copy_basis(4, rng)
+        built = []
+        original = OperatorMatrix.__post_init__
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", lambda self: built.append(self) or original(self))
+        for _ in range(3):
+            psi = random_ket(4, rng)
+            clone(psi, basis)
+            for k in range(4):
+                clone_with_fixed_ancilla(psi, k, basis)
+        assert built == []
+        CopyBasis.computational(2)
+        assert len(built) == 1  # the patch sees a construction
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_outputs_match_dense_copy_unitary(self, n, rng):
         # The copying paths apply U = I (x) V^dagger in factored form; the

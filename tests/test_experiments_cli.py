@@ -2,6 +2,7 @@
 
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -79,8 +80,7 @@ def strip_timestamp(text: str) -> str:
 
 def stdlib_json(report: dict) -> str:
     """The JSON rendering that docs/report_schema.md specifies, from the standard library."""
-    payload = {key: value for key, value in report.items() if not key.startswith("_")}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def run_cli(argv: list[str]) -> tuple[object, str, str]:
@@ -222,34 +222,34 @@ class TestConfigLoading:
 class TestRunners:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_kind_runs_and_passes(self, kind, config_dir):
-        report = run(spec_for(kind, config_dir))
+        report, _ = run(spec_for(kind, config_dir))
         assert report["kind"] == kind
         assert report["passed"] is True
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_rendered_report_is_schema_valid(self, kind, config_dir):
-        rendered = render_report(run(spec_for(kind, config_dir)), "json")
+        rendered = render_report(*run(spec_for(kind, config_dir)), "json")
         jsonschema.validate(json.loads(rendered), REPORT_JSON_SCHEMA)
 
     def test_clone_demo_equal_superposition(self, config_dir):
-        report = run(spec_for("clone-demo", config_dir))
+        report, _ = run(spec_for("clone-demo", config_dir))
         output = [re for re, _ in report["results"]["output"]]
         assert output == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-12)
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_ancilla_half_fidelity(self, config_dir):
-        report = run(spec_for("fixed-ancilla", config_dir))
+        report, _ = run(spec_for("fixed-ancilla", config_dir))
         assert report["results"]["fidelity"] == pytest.approx(0.5, abs=1e-10)
 
     def test_witness_sweep_counts(self, config_dir):
-        report = run(spec_for("no-cloning-witness", config_dir))
+        report, _ = run(spec_for("no-cloning-witness", config_dir))
         witnesses = report["results"]["witnesses"]
         assert len(witnesses) == 101
         contradictions = [w for w in witnesses if w["verdict"] == "CONTRADICTION"]
         assert len(contradictions) == 99
 
     def test_selection_rules_hydrogen_table(self, config_dir):
-        report = run(spec_for("selection-rules", config_dir))
+        report, _ = run(spec_for("selection-rules", config_dir))
         rows = report["results"]["transitions"]
         by_level = {}
         for row in rows:
@@ -259,21 +259,21 @@ class TestRunners:
         assert sorted(row["q"] for row in allowed_2p) == [-1, 0, 1]
 
     def test_domain_report(self, config_dir):
-        report = run(spec_for("domain", config_dir))
+        report, _ = run(spec_for("domain", config_dir))
         assert report["results"]["allowed_modes"] == ["sigma-", "pi", "sigma+"]
         assert report["results"]["dimension"] == 3
 
     def test_stimulated_clone_report(self, config_dir):
-        report = run(spec_for("stimulated-clone", config_dir))
+        report, _ = run(spec_for("stimulated-clone", config_dir))
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
         assert report["results"]["abstract_path_max_difference"] <= 1e-12
 
     def test_spontaneous_reports_isotropic_mixture(self, config_dir):
-        report = run(spec_for("spontaneous", config_dir))
+        report, _ = run(spec_for("spontaneous", config_dir))
         assert report["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-10)
 
     def test_spontaneous_two_mode_restriction(self, config_dir):
-        report = run(spec_for("spontaneous", config_dir, modes=("sigma-", "sigma+")))
+        report, _ = run(spec_for("spontaneous", config_dir, modes=("sigma-", "sigma+")))
         assert report["results"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-10)
 
 
@@ -317,30 +317,30 @@ def with_fixed_pair_lists(test):
 class TestRendering:
     def test_json_determinism_modulo_timestamp(self, config_dir):
         for kind in EXPERIMENT_KINDS:
-            first = render_report(run(spec_for(kind, config_dir)), "json")
-            second = render_report(run(spec_for(kind, config_dir)), "json")
+            first = render_report(*run(spec_for(kind, config_dir)), "json")
+            second = render_report(*run(spec_for(kind, config_dir)), "json")
             assert strip_timestamp(first) == strip_timestamp(second)
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_json_has_no_numpy_reprs(self, kind, config_dir):
         # pi_only.json leaves a photon component uncoupled.
         overrides = {"config_path": str(config_dir / "pi_only.json")} if kind == "stimulated-clone" else {}
-        text = render_report(run(spec_for(kind, config_dir, **overrides)), "json")
+        text = render_report(*run(spec_for(kind, config_dir, **overrides)), "json")
         assert "np." not in text
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @with_fixed_pair_lists
     @given(report=st.dictionaries(st.text(max_size=6), json_values, max_size=6))
     def test_json_writer_equals_stdlib_oracle(self, report):
-        assert render_report(report, "json") == stdlib_json(report)
+        assert render_report(report, [], "json") == stdlib_json(report)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_golden_reports_render_as_stdlib(self, case, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         rendered = []
 
-        def render_and_compare(report, output_format):
-            text = render_report(report, output_format)
+        def render_and_compare(report, rows, output_format):
+            text = render_report(report, rows, output_format)
             assert text == stdlib_json(report)
             rendered.append(text)
             return text
@@ -350,17 +350,18 @@ class TestRendering:
         assert rendered == ([out] if code in (0, 1) else [])
 
     def test_json_excludes_private_keys(self, config_dir):
-        text = render_report(run(spec_for("domain", config_dir)), "json")
-        assert "_rows" not in json.loads(text)
+        # the csv/table rows are passed beside the report, never written into it
+        text = render_report(*run(spec_for("domain", config_dir)), "json")
+        assert set(json.loads(text)) == REPORT_KEYS
 
     def test_csv_has_header_and_rows(self, config_dir):
-        text = render_report(run(spec_for("selection-rules", config_dir)), "csv")
+        text = render_report(*run(spec_for("selection-rules", config_dir)), "csv")
         lines = text.strip().splitlines()
         assert lines[0].startswith("excited,")
         assert len(lines) == 1 + 4 * 3
 
     def test_table_is_aligned_text(self, config_dir):
-        text = render_report(run(spec_for("domain", config_dir)), "table")
+        text = render_report(*run(spec_for("domain", config_dir)), "table")
         assert "mode" in text and "sigma-" in text
 
 
@@ -480,6 +481,16 @@ class TestCli:
         assert main(["clone-demo", "--out", str(out)]) == 1
         assert json.loads(out.read_text())["checks"][0]["name"] == "always-fails"
 
+    @pytest.mark.parametrize("target", [".", "missing/report.json"], ids=["directory", "missing-parent"])
+    def test_unwritable_out_exit_4(self, capsys, tmp_path, target):
+        # docs/report_schema.md: an --out path that cannot be written exits 4, without a traceback.
+        assert main(["clone-demo", "--out", str(tmp_path / target)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("clonesim: cannot write report: ")
+        assert captured.err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == []
+
     def test_spontaneous_repeated_modes_exit_4(self, capsys, config_dir):
         code = main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), "--modes", "pi,pi"])
         assert code == 4
@@ -584,9 +595,11 @@ class TestSharedParser:
         assert without_timestamp(run_cli(second)) == fresh
 
 
-# Edge values for every subcommand flag but --out (the fuzz writes no files),
-# and for two flags that no subcommand has.
+# Edge values for every subcommand flag, and for two flags that no subcommand
+# has.  FUZZ_DIR in an --out value stands for a fresh temporary directory.
+FUZZ_DIR = "<fuzz-dir>"
 FUZZ_VALUES = {
+    "--out": st.sampled_from([f"{FUZZ_DIR}/report.out", FUZZ_DIR, f"{FUZZ_DIR}/missing/report.out"]),
     "--config": st.sampled_from([FULL_P, HYDROGEN, str(CONFIG_DIR / "pi_only.json"),
                                  str(CONFIG_DIR / "s_to_s_forbidden.json"), "missing.json", "", str(CONFIG_DIR)]),
     "--state": st.sampled_from(["plus", "basis0", "basis3", "basis-1", "basisx", "1,0", "0.6,0.8i", "1,0,0", "0,0",
@@ -620,7 +633,7 @@ def fuzz_option(flags: list[str]):
 def fuzz_argv(draw) -> list[str]:
     """A subcommand (or an unknown one) with mostly its own options and at most one foreign flag."""
     kind = draw(st.sampled_from(EXPERIMENT_KINDS + ("nope",)))
-    own = ["--state", "--seed", "--format"] + KIND_FLAGS.get(kind, [])
+    own = ["--state", "--seed", "--format", "--out"] + KIND_FLAGS.get(kind, [])
     options = draw(st.lists(fuzz_option(own), max_size=4))
     if kind in ("selection-rules", "domain", "stimulated-clone", "spontaneous"):
         options.insert(0, draw(fuzz_option(["--config"])))
@@ -634,7 +647,8 @@ class TestCliFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(argv=fuzz_argv())
     def test_exit_code_is_documented_and_no_traceback(self, argv):
-        code, out, err = run_cli(argv)
+        with tempfile.TemporaryDirectory() as fuzz_dir:
+            code, out, err = run_cli([token.replace(FUZZ_DIR, fuzz_dir) for token in argv])
         assert code in {0, 1, 2, 3, 4}, (argv, code, err)
         assert "Traceback" not in err, (argv, err)
         if code in (2, 3, 4):

@@ -143,7 +143,7 @@ class TestInnerProductAndFidelity:
 class TestApply:
     def test_identity(self):
         k = ket(0.6, 0.8j)
-        assert apply(OperatorMatrix.identity(2), k).isclose(k)
+        assert apply(OperatorMatrix(np.eye(2), unitary=True), k).isclose(k)
 
     def test_basis_swap(self):
         swap = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex), unitary=True)
@@ -157,7 +157,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply(OperatorMatrix.identity(2), ket(1, 0, 0))
+            apply(OperatorMatrix(np.eye(2), unitary=True), ket(1, 0, 0))
 
 
 class TestOperatorMatrix:
@@ -175,11 +175,6 @@ class TestOperatorMatrix:
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = h + h.conj().T
         assert OperatorMatrix(h, hermitian=True).deviation_from_hermiticity() < 1e-12
-
-    def test_dagger(self, rng):
-        m = OperatorMatrix(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
-        assert max_abs(m.dagger().entries - m.entries.conj().T) == 0
-        assert m.dagger().dim_out == 3
 
     @pytest.mark.parametrize("flag", ["unitary", "hermitian"])
     def test_nan_fails_flag_checks(self, flag):

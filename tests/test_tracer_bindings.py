@@ -1,0 +1,40 @@
+"""The benchmark tracer's bindings resolve against the library.
+
+``perfbench/tracer.py`` names the functions and classes it traces as
+strings; a renamed or deleted name would otherwise surface only when a
+traced benchmark run starts.  The tracer is loaded from its file path
+and used as it is.
+"""
+
+import importlib
+import importlib.util
+import sys
+
+import pytest
+
+from test_golden import REPO_ROOT
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up while they are built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+TRACER = load_tracer()
+
+
+@pytest.mark.parametrize("module_name, attr", TRACER.FUNCTIONS, ids=lambda value: value)
+def test_traced_function_resolves(module_name, attr):
+    assert callable(getattr(importlib.import_module(f"clonesim.{module_name}"), attr))
+
+
+@pytest.mark.parametrize("module_name, attr", TRACER.CLASSES, ids=lambda value: value)
+def test_traced_class_defines_post_init(module_name, attr):
+    cls = getattr(importlib.import_module(f"clonesim.{module_name}"), attr)
+    assert "__post_init__" in vars(cls)

@@ -51,7 +51,6 @@ def main(argv=None) -> int:
     failures = 0
     for index, spec in enumerate(EXPERIMENTS):
         spec.seed = args.seed
-        spec.output_format = args.format
         start = time.perf_counter()
         report, rows = run(spec)
         name = f"{index:02d}_{spec.kind}.{extension}"

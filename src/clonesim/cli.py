@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
-One subcommand per experiment kind; reports go to stdout or ``--out``.
-The parser is built once per process and reused by every :func:`main`
-call; parsing reads only its ``argv``, so no call carries options into the
-next.  Exit codes: 0 success, 1 report written but a check failed, 2 unparseable
-config, 3 domain violation, 4 dimension or validation failure, or an
+One subcommand per experiment kind, taking only the options its
+experiment reads; reports go to stdout or ``--out``.  The parser is built
+once per process and reused by every :func:`main` call; parsing reads only
+its ``argv``, so no call carries options into the next.  Exit codes: 0
+success, 1 report written but a check failed, 2 unparseable command line
+or config, 3 domain violation, 4 dimension or validation failure, or an
 ``--out`` path that cannot be written.
 """
 
@@ -30,6 +31,31 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DOMAIN_VIOLATION = 3
 EXIT_VALIDATION_ERROR = 4
 
+#: The options each subcommand reads besides ``--format`` and ``--out``.  An
+#: option a subcommand does not take is an argparse error (exit 2); one it
+#: takes but is not given is left out, so ``ExperimentSpec`` holds the defaults.
+_KIND_FLAGS = {
+    "clone-demo": ("--state", "--seed", "--dim"),
+    "fixed-ancilla": ("--state", "--seed", "--dim", "--ancilla-index"),
+    "no-cloning-witness": ("--overlap",),
+    "selection-rules": ("--config",),
+    "domain": ("--config",),
+    "stimulated-clone": ("--config", "--state", "--seed"),
+    "spontaneous": ("--config", "--excited-state", "--modes"),
+}
+
+_FLAG_ARGUMENTS = {
+    "--config": {"dest": "config_path", "metavar": "PATH", "help": "atomic-system config file (JSON)"},
+    "--state": {"help": "input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK)"},
+    "--seed": {"type": int, "help": "seed for random-state generation (default 0)"},
+    "--dim": {"type": int, "help": "dimension for random input states (default 2)"},
+    "--ancilla-index": {"type": int, "help": "which basis ancilla to hold fixed (default 0)"},
+    "--overlap": {"type": float, "help": "single overlap to test; default sweeps 0.00..1.00"},
+    "--excited-state": {"help": "amplitudes over the excited manifold; default isotropic ensemble"},
+    "--modes": {"type": lambda text: tuple(label.strip() for label in text.split(",")),
+                "help": "comma-separated polarization labels restricting the output space"},
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -39,50 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="kind", required=True)
     for kind in EXPERIMENT_KINDS:
-        sub = subparsers.add_parser(kind, help=f"run the {kind} experiment")
-        sub.add_argument("--config", type=str, default=None, metavar="PATH",
-                         help="atomic-system config file (JSON)")
-        sub.add_argument("--state", type=str, default=None,
-                         help="input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK)")
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for random-state generation (default 0)")
+        sub = subparsers.add_parser(kind, help=f"run the {kind} experiment", argument_default=argparse.SUPPRESS)
+        for flag in _KIND_FLAGS[kind]:
+            sub.add_argument(flag, **_FLAG_ARGUMENTS[flag])
         sub.add_argument("--format", type=str, default="json", choices=OUTPUT_FORMATS,
                          help="report format (default json)")
         sub.add_argument("--out", type=str, default=None, metavar="PATH",
                          help="write the report here instead of stdout")
-        if kind in ("clone-demo", "fixed-ancilla"):
-            sub.add_argument("--dim", type=int, default=2,
-                             help="dimension for random input states (default 2)")
-        if kind == "fixed-ancilla":
-            sub.add_argument("--ancilla-index", type=int, default=0,
-                             help="which basis ancilla to hold fixed (default 0)")
-        if kind == "no-cloning-witness":
-            sub.add_argument("--overlap", type=float, default=None,
-                             help="single overlap to test; default sweeps 0.00..1.00")
-        if kind == "spontaneous":
-            sub.add_argument("--excited-state", type=str, default=None,
-                             help="amplitudes over the excited manifold; default isotropic ensemble")
-            sub.add_argument("--modes", type=str, default=None,
-                             help="comma-separated polarization labels restricting the output space")
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    modes = None
-    if getattr(args, "modes", None) is not None:
-        modes = tuple(label.strip() for label in args.modes.split(","))
-    return ExperimentSpec(
-        kind=args.kind,
-        config_path=args.config,
-        state=args.state,
-        seed=args.seed,
-        output_format=args.format,
-        dim=getattr(args, "dim", 2),
-        ancilla_index=getattr(args, "ancilla_index", 0),
-        overlap=getattr(args, "overlap", None),
-        excited_state=getattr(args, "excited_state", None),
-        modes=modes,
-    )
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -90,11 +80,11 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    fields = vars(build_parser().parse_args(argv))
+    output_format, out = fields.pop("format"), fields.pop("out")
     try:
-        spec = spec_from_args(args)
-        report, rows = run(spec)
-        rendered = render_report(report, rows, spec.output_format)
+        report, rows = run(ExperimentSpec(**fields))
+        rendered = render_report(report, rows, output_format)
     except ConfigError as exc:
         _emit_error("config error", exc)
         return EXIT_CONFIG_ERROR
@@ -108,11 +98,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("invalid input", exc)
         return EXIT_VALIDATION_ERROR
 
-    if args.out is None:
+    if out is None:
         sys.stdout.write(rendered)
     else:
         try:
-            Path(args.out).write_text(rendered)
+            Path(out).write_text(rendered)
         except OSError as exc:
             _emit_error("cannot write report", exc)
             return EXIT_VALIDATION_ERROR

@@ -102,17 +102,23 @@ class CopyBasis:
 class CloneReport:
     """Result of one copying run.
 
-    ``fidelity`` is |<target|output>|^2 of the stored kets; ``matched``
-    records whether the ancilla was prepared from the input (True) or held
-    fixed (False).
+    ``target`` (input (x) input) and ``fidelity`` (|<target|output>|^2) are
+    derived from the other fields at construction; ``matched`` records
+    whether the ancilla was prepared from the input (True) or held fixed
+    (False).
     """
 
     input: Ket
     ancilla: Ket
     output: Ket
-    target: Ket
-    fidelity: float
+    target: Ket = field(init=False)
+    fidelity: float = field(init=False)
     matched: bool
+
+    def __post_init__(self) -> None:
+        target = tensor_product(self.input, self.input)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "fidelity", fidelity(target, self.output))
 
 
 def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
@@ -148,16 +154,8 @@ def apply_copy_map(psi: Ket, ancilla: Ket, v: OperatorMatrix, matched: bool) -> 
     space.  Forming psi (x) V^dagger|ancilla> costs O(n^2) for an n x n V;
     building the dense U costs O(n^6).
     """
-    output = tensor_product(psi, Ket(v.entries.conj().T @ ancilla.amplitudes, psi.space_label))
-    target = tensor_product(psi, psi)
-    return CloneReport(
-        input=psi,
-        ancilla=ancilla,
-        output=output,
-        target=target,
-        fidelity=fidelity(target, output),
-        matched=matched,
-    )
+    output = tensor_product(psi, Ket(v.entries.conj().T @ ancilla.amplitudes))
+    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=matched)
 
 
 def clone(input: Ket, basis: CopyBasis) -> CloneReport:

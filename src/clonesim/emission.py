@@ -29,6 +29,7 @@ from the copying construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import isfinite, sqrt
 from numbers import Integral, Real
 from types import MappingProxyType
@@ -39,7 +40,7 @@ import numpy as np
 from .angular import IrrepLabel, clebsch_gordan
 from .copying import CloneReport, apply_copy_map
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DEFAULT_ATOL, DensityMatrix, Ket, OperatorMatrix, fidelity, max_abs, tensor_product
+from .hilbert import DensityMatrix, Ket, OperatorMatrix
 
 #: Amplitudes below this are treated as symmetry-forbidden (they are exact
 #: zeros from the CG machinery; the threshold only guards radial rounding).
@@ -51,45 +52,28 @@ DOMAIN_MEMBERSHIP_TOLERANCE = 1e-9
 
 _CANONICAL_MODE_LABELS = {-1: "sigma-", 0: "pi", +1: "sigma+"}
 
-_SPHERICAL_VECTORS = {
-    -1: np.array([1.0, -1.0j, 0.0]) / sqrt(2.0),
-    0: np.array([0.0, 0.0, 1.0], dtype=complex),
-    +1: np.array([-1.0, -1.0j, 0.0]) / sqrt(2.0),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class PolarizationMode:
     """Photon polarization basis label tied to a spherical dipole component.
 
-    q = -1, 0, +1 correspond to sigma-, pi, sigma+; the cartesian vector
-    must match the spherical unit vector convention e_0 = z,
-    e_{+-1} = -+(x +- iy)/sqrt(2).
+    q = -1, 0, +1 correspond to sigma-, pi, sigma+, with the spherical unit
+    vectors e_0 = z and e_{+-1} = -+(x +- iy)/sqrt(2).
     """
 
     label: str
     q: int
-    cartesian_vector: np.ndarray
 
     def __post_init__(self) -> None:
         if self.q not in (-1, 0, +1):
             raise ValueError(f"spherical component q={self.q} must be -1, 0, or +1")
-        vec = np.array(self.cartesian_vector, dtype=complex)
-        if vec.shape != (3,):
-            raise ValueError("cartesian_vector must have exactly 3 components")
-        if abs(np.linalg.norm(vec) - 1.0) >= DEFAULT_ATOL:
-            raise ValueError("cartesian_vector must have unit norm")
-        if max_abs(vec - _SPHERICAL_VECTORS[self.q]) >= DEFAULT_ATOL:
-            raise ValueError(f"cartesian_vector inconsistent with spherical component q={self.q}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "cartesian_vector", vec)
 
 
 def spherical_mode(q: int) -> PolarizationMode:
     """Canonical polarization mode for spherical component q."""
     if q not in _CANONICAL_MODE_LABELS:
         raise ValueError(f"q={q} must be -1, 0, or +1")
-    return PolarizationMode(_CANONICAL_MODE_LABELS[q], q, _SPHERICAL_VECTORS[q].copy())
+    return PolarizationMode(_CANONICAL_MODE_LABELS[q], q)
 
 
 SIGMA_MINUS = spherical_mode(-1)
@@ -109,7 +93,11 @@ def mode_for_label(label: str) -> PolarizationMode:
 
 @dataclass(frozen=True)
 class AtomicLevel:
-    """One atomic level with orbital quantum numbers; parity is (-1)^l."""
+    """One atomic level with orbital quantum numbers; parity is (-1)^l.
+
+    The label is a non-empty string and the energy a finite real number;
+    neither is coerced (bools are rejected).
+    """
 
     label: str
     l: int
@@ -117,6 +105,10 @@ class AtomicLevel:
     energy: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError(f"level label must be a non-empty string, got {self.label!r}")
+        if isinstance(self.energy, bool) or not isinstance(self.energy, Real) or not isfinite(self.energy):
+            raise ValueError(f"energy of level {self.label!r} must be a finite real number, got {self.energy!r}")
         if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (self.l, self.m)):
             raise ValueError(f"l and m must be integers for level {self.label!r}, got {self.l!r} and {self.m!r}")
         if self.l < 0:
@@ -194,10 +186,10 @@ class AtomicSystem:
         raise KeyError(f"no excited level labeled {label!r}")
 
 
-def p_manifold_system(radial: float = 1.0, ground_label: str = "g") -> AtomicSystem:
+def p_manifold_system(radial: float = 1.0) -> AtomicSystem:
     """The workhorse test atom: s ground state below a full l=1 manifold."""
     return AtomicSystem(
-        ground=AtomicLevel(ground_label, l=0, m=0, energy=0.0),
+        ground=AtomicLevel("g", l=0, m=0, energy=0.0),
         excited=(
             AtomicLevel("e-", l=1, m=-1, energy=1.0),
             AtomicLevel("e0", l=1, m=0, energy=1.0),
@@ -296,14 +288,15 @@ def build_interaction_hamiltonian(
 
 @dataclass(frozen=True, eq=False)
 class ClonableDomain:
-    """Polarization components with at least one allowed transition.
-
-    ``basis`` is an orthonormal basis of the spanned subspace, expressed in
-    the full polarization space ordered (sigma-, pi, sigma+).
-    """
+    """Polarization components with at least one allowed transition."""
 
     modes: tuple[PolarizationMode, ...]
-    basis: tuple[Ket, ...]
+
+    @cached_property
+    def basis(self) -> tuple[Ket, ...]:
+        """An orthonormal basis of the spanned subspace, expressed in the full
+        polarization space ordered (sigma-, pi, sigma+)."""
+        return tuple(Ket.basis_state(len(SPHERICAL_MODES), mode.q + 1) for mode in self.modes)
 
     @property
     def dimension(self) -> int:
@@ -320,11 +313,8 @@ def clonable_domain(system: AtomicSystem) -> ClonableDomain:
     Returns the allowed modes plus an orthonormal basis of their span;
     empty when every transition is symmetry-forbidden.
     """
-    coupled = np.flatnonzero(system.allowed.any(axis=0)).tolist()  # SPHERICAL_MODES is ordered by q
-    return ClonableDomain(
-        modes=tuple(SPHERICAL_MODES[column] for column in coupled),
-        basis=tuple(Ket.basis_state(len(SPHERICAL_MODES), column, "polarization") for column in coupled),
-    )
+    coupled = np.flatnonzero(system.allowed.any(axis=0))  # SPHERICAL_MODES is ordered by q
+    return ClonableDomain(modes=tuple(SPHERICAL_MODES[column] for column in coupled))
 
 
 #: Photon basis description: one (mode, excited-level label) pair per
@@ -398,7 +388,7 @@ def adaptive_ancilla(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Ke
     """
     psi = photon.normalize()
     v = _ancilla_map(psi, system, mode_map)
-    return Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
+    return Ket(v.entries @ psi.amplitudes).normalize()
 
 
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
@@ -416,17 +406,14 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     """
     psi = photon.normalize()
     v = _ancilla_map(psi, system, mode_map)
-    ancilla = Ket(v.entries @ psi.amplitudes, "excited-manifold").normalize()
-    coupled = Ket(v.entries.conj().T @ ancilla.amplitudes, psi.space_label)
-    report = apply_copy_map(coupled, ancilla, v, matched=True)
-    target = tensor_product(psi, psi)
-    return replace(report, input=psi, target=target, fidelity=fidelity(target, report.output))
+    ancilla = Ket(v.entries @ psi.amplitudes).normalize()
+    coupled = Ket(v.entries.conj().T @ ancilla.amplitudes)
+    return replace(apply_copy_map(coupled, ancilla, v, matched=True), input=psi)
 
 
 def spontaneous_emission_output(
     system: AtomicSystem,
     excited_state: Ket | None = None,
-    isotropic: bool = False,
     modes: Sequence[PolarizationMode] = SPHERICAL_MODES,
 ) -> DensityMatrix:
     """Polarization statistics of vacuum-driven decay, in the ensemble picture.
@@ -434,9 +421,10 @@ def spontaneous_emission_output(
     Every mode is weighted equally by the vacuum, so each decay channel
     contributes its squared amplitude: the output density matrix is
     diagonal with weights sum_j p_j |amplitude(e_j, q)|^2, normalized over
-    ``modes``.  ``isotropic=True`` requests the unpolarized ensemble
-    (uniform populations over the manifold); otherwise populations come
-    from ``excited_state``.  Coherences between manifold levels are
+    ``modes``.  Populations come from ``excited_state``; ``None`` is the
+    unpolarized ensemble (uniform populations over the manifold).  There
+    is no decay channel when no populated level has an ``allowed``
+    transition into ``modes``.  Coherences between manifold levels are
     deliberately discarded: the statement under test is about statistics,
     not a single pure outcome.
     """
@@ -444,19 +432,16 @@ def spontaneous_emission_output(
     if not modes:
         raise ValueError("at least one polarization mode is required")
     columns = _mode_columns(modes)
-    if isotropic:
+    if excited_state is None:
         populations = np.full(system.manifold_dim, 1.0 / system.manifold_dim)
+    elif excited_state.dim != system.manifold_dim:
+        raise DimensionMismatchError(f"excited state dim {excited_state.dim} != manifold dim {system.manifold_dim}")
     else:
-        if excited_state is None:
-            raise ValueError("provide excited_state or set isotropic=True")
-        if excited_state.dim != system.manifold_dim:
-            raise DimensionMismatchError(
-                f"excited state dim {excited_state.dim} != manifold dim {system.manifold_dim}"
-            )
         populations = np.abs(excited_state.normalize().amplitudes) ** 2
 
-    weights = populations @ np.abs(system.amplitudes[:, columns]) ** 2
-    total = weights.sum()
-    if total <= AMPLITUDE_TOLERANCE:
+    if not system.allowed[populations > 0][:, columns].any():
         raise DomainViolationError("no allowed decay channel into the given modes")
-    return DensityMatrix(np.diag(weights / total).astype(complex))
+    weights = populations @ np.abs(system.amplitudes[:, columns]) ** 2
+    if not weights.sum() > 0:
+        raise ValueError("every allowed decay weight underflows to zero")
+    return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))

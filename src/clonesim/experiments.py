@@ -37,7 +37,7 @@ from .emission import (
     stimulated_clone,
     validate_mode_map,
 )
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, DomainViolationError
 from .hilbert import Ket, fidelity, max_abs, random_ket
 
 REPORT_SCHEMA_VERSION = 1
@@ -67,7 +67,6 @@ class ExperimentSpec:
     config_path: str | None = None
     state: str | None = None
     seed: int = 0
-    output_format: str = "json"
     dim: int = 2
     ancilla_index: int = 0
     overlap: float | None = None
@@ -77,22 +76,24 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output format {self.output_format!r}")
 
 
 # ---------------------------------------------------------------------------
 # Atomic-system config files (see docs/atomic_system_config.md)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, once no key repeats (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"duplicate key {next(key for key in keys if keys.count(key) > 1)!r} in a config object")
+    return obj
+
+
 def _parse_level(raw: dict, context: str) -> AtomicLevel:
     try:
-        return AtomicLevel(
-            label=str(raw["label"]),
-            l=raw["l"],
-            m=raw["m"],
-            energy=float(raw.get("energy", 0.0)),
-        )
+        return AtomicLevel(label=raw["label"], l=raw["l"], m=raw["m"], energy=raw.get("energy", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {context} level {raw!r}: {exc}") from exc
 
@@ -103,10 +104,10 @@ def load_atomic_system(
     """Load an AtomicSystem plus optional mode map from a JSON config file.
 
     The mode map's photon basis order is the key order of the ``mode_map``
-    object in the file.
+    object in the file; a key repeated in any object is a ``ConfigError``.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -350,11 +351,13 @@ def _stimulated_photon(spec: ExperimentSpec, mode_map) -> Ket:
     # Random photons are drawn inside the clonable components so the canned
     # experiment exercises the success path; use --state to probe violations.
     coupled = [j for j, (_, label) in enumerate(mode_map) if label is not None]
+    if not coupled:
+        raise DomainViolationError("the mode map couples no photon component")
     inner = random_ket(len(coupled), np.random.default_rng(spec.seed))
     amplitudes = np.zeros(dim, dtype=complex)
     for c, j in enumerate(coupled):
         amplitudes[j] = inner.amplitudes[c]
-    return Ket(amplitudes, "photon")
+    return Ket(amplitudes)
 
 
 def _run_stimulated_clone(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
@@ -395,13 +398,9 @@ def _run_spontaneous(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         if spec.modes is not None
         else SPHERICAL_MODES
     )
-    if spec.excited_state is not None:
-        excited = Ket(parse_amplitudes(spec.excited_state)).normalize()
-        rho = spontaneous_emission_output(system, excited_state=excited, modes=modes)
-        source = "excited-state"
-    else:
-        rho = spontaneous_emission_output(system, isotropic=True, modes=modes)
-        source = "isotropic-ensemble"
+    excited = None if spec.excited_state is None else Ket(parse_amplitudes(spec.excited_state)).normalize()
+    rho = spontaneous_emission_output(system, excited, modes)
+    source = "isotropic-ensemble" if excited is None else "excited-state"
     weights = [float(np.real(rho.entries[i, i])) for i in range(rho.dim)]
     results = {
         "source": source,

@@ -47,14 +47,13 @@ def _frozen_complex_array(values, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Normalized-or-near state vector in a labeled Hilbert space.
+    """Normalized-or-near state vector.
 
     Amplitudes are dimensionless and must be finite; the constructor does
     not normalize, call :meth:`normalize` to enforce unit norm.
     """
 
     amplitudes: np.ndarray
-    space_label: str = "H"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _frozen_complex_array(self.amplitudes, 1))
@@ -76,7 +75,7 @@ class Ket:
         n = self.norm
         if n < DEFAULT_ATOL:
             raise ValueError("cannot normalize a zero vector")
-        return Ket(self.amplitudes / n, self.space_label)
+        return Ket(self.amplitudes / n)
 
     def isclose(self, other: "Ket") -> bool:
         """Entrywise comparison within ``DEFAULT_ATOL``, phase-sensitive."""
@@ -85,15 +84,15 @@ class Ket:
         return max_abs(self.amplitudes - other.amplitudes) <= DEFAULT_ATOL
 
     @classmethod
-    def basis_state(cls, dim: int, index: int, space_label: str = "H") -> "Ket":
+    def basis_state(cls, dim: int, index: int) -> "Ket":
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dim {dim}")
         amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
-        return cls(amps, space_label)
+        return cls(amps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Ket({self.space_label!r}, dim={self.dim}, {np.array2string(self.amplitudes, precision=4)})"
+        return f"Ket(dim={self.dim}, {np.array2string(self.amplitudes, precision=4)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +197,7 @@ class DensityMatrix:
 
 def tensor_product(a: Ket, b: Ket) -> Ket:
     """Kronecker product of two kets, first factor major; norm multiplies."""
-    return Ket(np.kron(a.amplitudes, b.amplitudes), f"{a.space_label}*{b.space_label}")
+    return Ket(np.kron(a.amplitudes, b.amplitudes))
 
 
 def inner_product(a: Ket, b: Ket) -> complex:
@@ -217,7 +216,7 @@ def apply(m: OperatorMatrix, k: Ket) -> Ket:
     """Matrix-vector product; unitary operators preserve the norm."""
     if m.dim_in != k.dim:
         raise DimensionMismatchError(f"operator expects dim {m.dim_in}, ket has dim {k.dim}")
-    return Ket(m.entries @ k.amplitudes, k.space_label)
+    return Ket(m.entries @ k.amplitudes)
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
@@ -239,7 +238,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     return DensityMatrix(reduced)
 
 
-def random_ket(dim: int, rng: np.random.Generator, space_label: str = "H") -> Ket:
+def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     """Seeded random state: draw a real Gaussian vector, then an imaginary
     Gaussian vector (two consecutive ``standard_normal(dim)`` calls), then
     normalize.  This exact draw order is the reproducibility contract for
@@ -247,4 +246,4 @@ def random_ket(dim: int, rng: np.random.Generator, space_label: str = "H") -> Ke
     """
     real = rng.standard_normal(dim)
     imag = rng.standard_normal(dim)
-    return Ket(real + 1j * imag, space_label).normalize()
+    return Ket(real + 1j * imag).normalize()

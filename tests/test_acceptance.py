@@ -178,9 +178,9 @@ def test_07_stimulated_equals_abstract():
 def test_08_spontaneous_emission_contrast():
     with criterion(8, "isotropic spontaneous output is I/3 (and I/2 on 2 modes)"):
         system = p_manifold_system()
-        rho3 = spontaneous_emission_output(system, isotropic=True)
+        rho3 = spontaneous_emission_output(system)
         assert max_abs(rho3.entries - np.eye(3) / 3.0) < 1e-10
-        rho2 = spontaneous_emission_output(system, isotropic=True, modes=(SIGMA_MINUS, SIGMA_PLUS))
+        rho2 = spontaneous_emission_output(system, modes=(SIGMA_MINUS, SIGMA_PLUS))
         assert max_abs(rho2.entries - np.eye(2) / 2.0) < 1e-10
 
 

@@ -89,22 +89,11 @@ RADIAL_SYSTEMS = ("p-manifold", "s-and-p", "d-ground")
 
 
 class TestPolarizationMode:
-    def test_canonical_vectors(self):
-        assert max_abs(PI.cartesian_vector - np.array([0, 0, 1])) < 1e-15
-        assert max_abs(SIGMA_PLUS.cartesian_vector - np.array([-1, -1j, 0]) / np.sqrt(2)) < 1e-15
-        assert max_abs(SIGMA_MINUS.cartesian_vector - np.array([1, -1j, 0]) / np.sqrt(2)) < 1e-15
-
-    def test_rejects_inconsistent_vector(self):
-        with pytest.raises(ValueError):
-            PolarizationMode("bad", 0, np.array([1.0, 0.0, 0.0]))
-
-    def test_rejects_non_unit_vector(self):
-        with pytest.raises(ValueError):
-            PolarizationMode("bad", 0, np.array([0.0, 0.0, 2.0]))
-
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             spherical_mode(2)
+        with pytest.raises(ValueError, match="q=2"):
+            PolarizationMode("bad", 2)
 
 
 class TestAtomicLevel:
@@ -404,7 +393,7 @@ class TestClonableDomain:
         domain = clonable_domain(two_level_pi_system())
         assert domain.mode_labels == ("pi",)
         assert domain.dimension == 1
-        assert domain.basis[0].isclose(Ket.basis_state(3, 1, "polarization"))
+        assert domain.basis[0].isclose(Ket.basis_state(3, 1))
 
     @pytest.mark.parametrize("m,expected", [(-1, "sigma+"), (0, "pi"), (1, "sigma-")])
     def test_m_level_selects_opposite_component(self, m, expected):
@@ -452,7 +441,7 @@ class TestOneDomainTest:
     @pytest.mark.parametrize("case", sorted(REFUSED_PHOTONS))
     def test_ancilla_and_clone_refuse_alike(self, case):
         make_system, mode_map, amplitudes = REFUSED_PHOTONS[case]
-        system, photon = make_system(), Ket(np.array(amplitudes), "photon")
+        system, photon = make_system(), Ket(np.array(amplitudes))
         with pytest.raises(ValueError) as from_ancilla:
             adaptive_ancilla(photon, system, mode_map)
         with pytest.raises(ValueError) as from_clone:
@@ -462,12 +451,12 @@ class TestOneDomainTest:
 
     def test_domain_violation_names_the_null_modes(self):
         make_system, mode_map, amplitudes = REFUSED_PHOTONS["null-norm-above-tolerance"]
-        photon = Ket(np.array(amplitudes), "photon")
+        photon = Ket(np.array(amplitudes))
         with pytest.raises(DomainViolationError, match=r"\['sigma\+', 'sigma-'\]"):
             stimulated_clone(photon, make_system(), mode_map)
 
     def test_null_norm_below_tolerance_is_copied(self):
-        photon = Ket(np.array([1.0, 5e-10, 5e-10]), "photon")  # null norm 7.1e-10
+        photon = Ket(np.array([1.0, 5e-10, 5e-10]))  # null norm 7.1e-10
         mode_map = ((PI, "e0"), (SIGMA_PLUS, None), (SIGMA_MINUS, None))
         report = stimulated_clone(photon, two_level_pi_system(), mode_map)
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -477,13 +466,13 @@ class TestOneDomainTest:
 class TestAdaptiveAncilla:
     def test_basis_photon_maps_to_its_level(self):
         system = p_manifold_system()
-        photon = Ket.basis_state(3, 2, "photon")  # sigma+ component
+        photon = Ket.basis_state(3, 2)  # sigma+ component
         ancilla = adaptive_ancilla(photon, system, FULL_MODE_MAP)
-        assert ancilla.isclose(Ket.basis_state(3, system.excited_index("e-"), "excited-manifold"))
+        assert ancilla.isclose(Ket.basis_state(3, system.excited_index("e-")))
 
     def test_superposition_amplitudes_transplanted(self):
         system = p_manifold_system()
-        photon = Ket(np.array([INV_SQRT2, 0.0, INV_SQRT2]), "photon")  # sigma- + sigma+
+        photon = Ket(np.array([INV_SQRT2, 0.0, INV_SQRT2]))  # sigma- + sigma+
         ancilla = adaptive_ancilla(photon, system, FULL_MODE_MAP)
         expected = np.zeros(3, dtype=complex)
         expected[system.excited_index("e+")] = INV_SQRT2
@@ -493,7 +482,7 @@ class TestAdaptiveAncilla:
 
     def test_support_on_forbidden_component_raises(self):
         system = two_level_pi_system()
-        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]), "photon")
+        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         mode_map = ((PI, "e0"), (SIGMA_PLUS, None))
         with pytest.raises(DomainViolationError, match="sigma\\+"):
             adaptive_ancilla(photon, system, mode_map)
@@ -505,13 +494,13 @@ class TestAdaptiveAncilla:
 
     def test_mode_map_must_be_injective(self):
         system = p_manifold_system()
-        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]), "photon")
+        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         with pytest.raises(ValueError):
             adaptive_ancilla(photon, system, ((SIGMA_MINUS, "e0"), (PI, "e0")))
 
     def test_mode_map_modes_must_be_distinct(self):
         system = p_manifold_system()
-        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]), "photon")
+        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         with pytest.raises(ValueError, match="mode labels must be unique"):
             adaptive_ancilla(photon, system, ((PI, "e0"), (PI, "e+")))
 
@@ -559,18 +548,18 @@ class TestStimulatedClone:
 
     def test_single_ray_domain_still_copies(self):
         system = two_level_pi_system()
-        report = stimulated_clone(Ket(np.array([1.0]), "photon"), system, ((PI, "e0"),))
+        report = stimulated_clone(Ket(np.array([1.0])), system, ((PI, "e0"),))
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_photon_outside_domain_raises(self):
         system = two_level_pi_system()
-        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]), "photon")
+        photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         with pytest.raises(DomainViolationError):
             stimulated_clone(photon, system, ((PI, "e0"), (SIGMA_PLUS, None)))
 
     def test_zero_amplitude_on_uncoupled_component_is_fine(self):
         system = two_level_pi_system()
-        photon = Ket(np.array([1.0, 0.0]), "photon")
+        photon = Ket(np.array([1.0, 0.0]))
         report = stimulated_clone(photon, system, ((PI, "e0"), (SIGMA_PLUS, None)))
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         expected = np.zeros(4, dtype=complex)
@@ -579,20 +568,20 @@ class TestStimulatedClone:
 
     def test_ancilla_reported_over_manifold(self):
         system = p_manifold_system()
-        photon = Ket(np.array([0.0, 1.0, 0.0]), "photon")  # pi component
+        photon = Ket(np.array([0.0, 1.0, 0.0]))  # pi component
         report = stimulated_clone(photon, system, FULL_MODE_MAP)
         assert report.ancilla.dim == system.manifold_dim
-        assert report.ancilla.isclose(Ket.basis_state(3, system.excited_index("e0"), "excited-manifold"))
+        assert report.ancilla.isclose(Ket.basis_state(3, system.excited_index("e0")))
 
 
 class TestSpontaneousEmission:
     def test_isotropic_manifold_is_maximally_mixed(self):
-        rho = spontaneous_emission_output(p_manifold_system(), isotropic=True)
+        rho = spontaneous_emission_output(p_manifold_system())
         assert max_abs(rho.entries - np.eye(3) / 3) < 1e-10
 
     def test_two_mode_restriction_is_maximally_mixed(self):
         rho = spontaneous_emission_output(
-            p_manifold_system(), isotropic=True, modes=(SIGMA_MINUS, SIGMA_PLUS)
+            p_manifold_system(), modes=(SIGMA_MINUS, SIGMA_PLUS)
         )
         assert max_abs(rho.entries - np.eye(2) / 2) < 1e-10
 
@@ -623,13 +612,20 @@ class TestSpontaneousEmission:
             excited=(AtomicLevel("e-", l=1, m=-1), AtomicLevel("e+", l=1, m=1)),
             radial_factors={"e-": 1.0, "e+": 2.0},
         )
-        rho = spontaneous_emission_output(system, isotropic=True, modes=(SIGMA_MINUS, SIGMA_PLUS))
+        rho = spontaneous_emission_output(system, modes=(SIGMA_MINUS, SIGMA_PLUS))
         assert rho.entries[0, 0].real == pytest.approx(4.0 / 5.0, abs=1e-10)
         assert rho.entries[1, 1].real == pytest.approx(1.0 / 5.0, abs=1e-10)
 
     def test_no_channel_raises(self):
         with pytest.raises(DomainViolationError):
-            spontaneous_emission_output(s_to_s_system(), isotropic=True)
+            spontaneous_emission_output(s_to_s_system())
+
+    def test_underflowing_weights_are_refused(self):
+        # e0's only channel is allowed, but 1e-320 * |D|^2 ~ 3e-335 underflows to 0.
+        system = p_manifold_system()
+        weak = replace(system, radial_factors={**system.radial_factors, "e0": 1e-7})
+        with pytest.raises(ValueError, match="underflows"):
+            spontaneous_emission_output(weak, Ket(np.array([1.0, 1e-160, 0.0])), modes=(PI,))
 
     def test_trace_and_hermiticity(self, rng):
         system = p_manifold_system()
@@ -638,13 +634,9 @@ class TestSpontaneousEmission:
         assert abs(np.trace(rho.entries) - 1.0) < 1e-10
         assert max_abs(rho.entries - rho.entries.conj().T) < 1e-12
 
-    def test_requires_state_or_isotropic_flag(self):
-        with pytest.raises(ValueError):
-            spontaneous_emission_output(p_manifold_system())
-
     def test_rejects_repeated_modes(self):
         with pytest.raises(ValueError, match="mode labels must be unique"):
-            spontaneous_emission_output(p_manifold_system(), isotropic=True, modes=(PI, PI))
+            spontaneous_emission_output(p_manifold_system(), modes=(PI, PI))
 
     @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
     def test_weights_match_quadrature_sum(self, kind, rng):

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, report formats, and the CLI surface."""
 
+import importlib.util
 import io
 import json
 import tempfile
@@ -430,6 +431,52 @@ class TestCli:
             assert main([kind, "--config", str(config)]) == 2
             assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [('"mode_map": {"pi": "e+", "pi": "e0"}', "pi"), ('"radial_factors": {"e0": -1, "e0": 2.0}', "e0")],
+        ids=["mode-map", "radial-factors"],
+    )
+    def test_duplicate_key_exit_2(self, capsys, tmp_path, entry, key):
+        # json keeps the last duplicate, which would hide the first value (here an invalid one).
+        config = tmp_path / "duplicate.json"
+        config.write_text(json.dumps(FULL_P_CONFIG)[:-1] + ", " + entry + "}")
+        assert main(["domain", "--config", str(config)]) == 2
+        assert f"duplicate key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("label", None), ("label", 5), ("label", ""),
+         ("energy", "0"), ("energy", True), ("energy", float("nan")), ("energy", float("inf"))],
+        ids=["label-null", "label-int", "label-empty", "energy-string", "energy-true", "energy-NaN", "energy-Infinity"],
+    )
+    def test_level_fields_are_not_coerced_exit_2(self, capsys, tmp_path, field, value):
+        config = tmp_path / "bad_level.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "excited": [{"label": "e0", "l": 1, "m": 0, field: value}]}))
+        assert main(["selection-rules", "--config", str(config)]) == 2
+        message = "must be a non-empty string" if field == "label" else "must be a finite real number"
+        assert message in capsys.readouterr().err
+
+    def test_spontaneous_channels_follow_the_allowed_mask(self, capsys, tmp_path, config_dir):
+        # Radial factors of 1e-7 leave every sigma/pi amplitude allowed (|D| ~ 5.8e-8)
+        # while the squared, population-weighted weights are ~1e-15.
+        config = tmp_path / "weak.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e-": 1e-7, "e0": 1e-7, "e+": 1e-7}}))
+        assert main(["selection-rules", "--config", str(config)]) == 0
+        assert sum(row["allowed"] for row in json.loads(capsys.readouterr().out)["results"]["transitions"]) == 3
+        assert main(["spontaneous", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-12)
+        assert main(["spontaneous", "--config", str(config_dir / "s_to_s_forbidden.json")]) == 3
+        assert "no allowed decay channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [[], ["--state", "1"]], ids=["seeded", "state"])
+    def test_uncoupled_mode_map_exit_3(self, capsys, tmp_path, options):
+        config = tmp_path / "uncoupled.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {"pi": None}}))
+        assert main(["stimulated-clone", "--config", str(config), *options]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain violation" in captured.err
+
     def test_non_finite_state_exit_4(self, capsys):
         assert main(["clone-demo", "--state", "nan,1"]) == 4
         captured = capsys.readouterr()
@@ -556,6 +603,15 @@ class TestCli:
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_run_all_experiments_script_writes_every_report(capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location("run_all_experiments", REPO_ROOT / "scripts" / "run_all_experiments.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out-dir", str(tmp_path)]) == 0
+    assert len(list(tmp_path.iterdir())) == 11
+    assert capsys.readouterr().out.count(" ok\n") == 11
+
+
 def without_timestamp(result: tuple[object, str, str]) -> tuple[object, str, str]:
     code, out, err = result
     if out.startswith("{"):
@@ -614,12 +670,31 @@ FUZZ_VALUES = {
     "--bogus": st.sampled_from(["1", ""]),
     "-x": st.just("1"),
 }
+# The options each subcommand reads besides --format and --out.
 KIND_FLAGS = {
-    "clone-demo": ["--dim"],
-    "fixed-ancilla": ["--dim", "--ancilla-index"],
+    "clone-demo": ["--state", "--seed", "--dim"],
+    "fixed-ancilla": ["--state", "--seed", "--dim", "--ancilla-index"],
     "no-cloning-witness": ["--overlap"],
-    "spontaneous": ["--excited-state", "--modes"],
+    "selection-rules": ["--config"],
+    "domain": ["--config"],
+    "stimulated-clone": ["--config", "--state", "--seed"],
+    "spontaneous": ["--config", "--excited-state", "--modes"],
 }
+# A value of each such option that every subcommand taking it runs with.
+FLAG_VALUES = {"--config": FULL_P, "--state": "plus", "--seed": "1", "--dim": "3", "--ancilla-index": "1",
+               "--overlap": "0.5", "--excited-state": "1,0,0", "--modes": "pi"}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_subcommand_takes_exactly_the_flags_it_reads(kind, flag):
+    config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] else []
+    code, out, err = run_cli([kind, *config, flag, FLAG_VALUES[flag]])
+    if flag in KIND_FLAGS[kind]:
+        assert code == 0, err
+    else:
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} " in err
 
 
 def fuzz_option(flags: list[str]):
@@ -633,9 +708,9 @@ def fuzz_option(flags: list[str]):
 def fuzz_argv(draw) -> list[str]:
     """A subcommand (or an unknown one) with mostly its own options and at most one foreign flag."""
     kind = draw(st.sampled_from(EXPERIMENT_KINDS + ("nope",)))
-    own = ["--state", "--seed", "--format", "--out"] + KIND_FLAGS.get(kind, [])
+    own = ["--format", "--out"] + KIND_FLAGS.get(kind, [])
     options = draw(st.lists(fuzz_option(own), max_size=4))
-    if kind in ("selection-rules", "domain", "stimulated-clone", "spontaneous"):
+    if "--config" in KIND_FLAGS.get(kind, []):
         options.insert(0, draw(fuzz_option(["--config"])))
     if draw(st.sampled_from([False, False, False, True])):
         options.insert(draw(st.integers(0, len(options))), draw(fuzz_option(sorted(FUZZ_VALUES))))

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Run every canned experiment and write the reports into an output directory.
+"""Run every canned experiment through the CLI and write the reports into a directory.
 
-Prints one line per experiment: the report file, its wall time (run, render
-and write) and ``ok`` or the failed checks.
+Each experiment is a ``clonesim`` command line, run as
+``cli.main(argv + ["--format", FORMAT, "--out", PATH])``.  Prints one line
+per experiment: the report file, its wall time and ``ok``, ``CHECK FAILED``
+(exit 1), or the CLI's exit code.  Exits 1 unless every line is ``ok``.
 
 Usage:
-    python scripts/run_all_experiments.py [--out-dir out] [--seed 7] [--format json]
+    python scripts/run_all_experiments.py [--out-dir out] [--format json]
 """
 
 import argparse
@@ -13,34 +15,31 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-CONFIG_DIR = REPO_ROOT / "configs"
+from clonesim import cli
 
-from clonesim.experiments import ExperimentSpec, render_report, run
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+FULL_P = str(CONFIG_DIR / "full_p_manifold.json")
 
 EXPERIMENTS = [
-    ExperimentSpec(kind="clone-demo", state="plus"),
-    ExperimentSpec(kind="clone-demo", dim=5),
-    ExperimentSpec(kind="fixed-ancilla", state="plus", ancilla_index=0),
-    ExperimentSpec(kind="no-cloning-witness"),
-    ExperimentSpec(kind="selection-rules", config_path=str(CONFIG_DIR / "hydrogen_n2.json")),
-    ExperimentSpec(kind="domain", config_path=str(CONFIG_DIR / "full_p_manifold.json")),
-    ExperimentSpec(kind="domain", config_path=str(CONFIG_DIR / "s_to_s_forbidden.json")),
-    ExperimentSpec(kind="stimulated-clone", config_path=str(CONFIG_DIR / "full_p_manifold.json")),
-    ExperimentSpec(kind="stimulated-clone", config_path=str(CONFIG_DIR / "pi_only.json"), state="1,0"),
-    ExperimentSpec(kind="spontaneous", config_path=str(CONFIG_DIR / "full_p_manifold.json")),
-    ExperimentSpec(
-        kind="spontaneous",
-        config_path=str(CONFIG_DIR / "full_p_manifold.json"),
-        modes=("sigma-", "sigma+"),
-    ),
+    ["clone-demo", "--state", "plus"],
+    ["clone-demo", "--dim", "5", "--seed", "7"],
+    ["fixed-ancilla", "--state", "plus", "--ancilla-index", "0"],
+    ["no-cloning-witness"],
+    ["selection-rules", "--config", str(CONFIG_DIR / "hydrogen_n2.json")],
+    ["domain", "--config", FULL_P],
+    ["domain", "--config", str(CONFIG_DIR / "s_to_s_forbidden.json")],
+    ["stimulated-clone", "--config", FULL_P, "--seed", "7"],
+    ["stimulated-clone", "--config", str(CONFIG_DIR / "pi_only.json"), "--state", "1,0"],
+    ["spontaneous", "--config", FULL_P],
+    ["spontaneous", "--config", FULL_P, "--modes", "sigma-,sigma+"],
 ]
+
+STATUS = {cli.EXIT_OK: "ok", cli.EXIT_CHECK_FAILED: "CHECK FAILED"}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out", help="directory for report files")
-    parser.add_argument("--seed", type=int, default=7, help="seed applied to every experiment")
     parser.add_argument("--format", default="json", choices=("json", "csv", "table"))
     args = parser.parse_args(argv)
 
@@ -49,17 +48,13 @@ def main(argv=None) -> int:
     extension = {"json": "json", "csv": "csv", "table": "txt"}[args.format]
 
     failures = 0
-    for index, spec in enumerate(EXPERIMENTS):
-        spec.seed = args.seed
+    for index, experiment in enumerate(EXPERIMENTS):
+        name = f"{index:02d}_{experiment[0]}.{extension}"
         start = time.perf_counter()
-        report, rows = run(spec)
-        name = f"{index:02d}_{spec.kind}.{extension}"
-        (out_dir / name).write_text(render_report(report, rows, args.format))
+        code = cli.main(experiment + ["--format", args.format, "--out", str(out_dir / name)])
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        failed = [check["name"] for check in report["checks"] if not check["passed"]]
-        status = f"CHECK FAILED: {', '.join(failed)}" if failed else "ok"
-        print(f"{name:40s} {elapsed_ms:8.1f} ms  {status}")
-        failures += 0 if report["passed"] else 1
+        print(f"{name:40s} {elapsed_ms:8.1f} ms  {STATUS.get(code, f'exit {code}')}")
+        failures += code != cli.EXIT_OK
     return 1 if failures else 0
 
 

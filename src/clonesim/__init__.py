@@ -18,7 +18,6 @@ from .emission import (
     SPHERICAL_MODES,
     AtomicLevel,
     AtomicSystem,
-    ClonableDomain,
     PolarizationMode,
     adaptive_ancilla,
     build_interaction_hamiltonian,

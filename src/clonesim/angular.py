@@ -58,30 +58,24 @@ class IrrepLabel:
 PHOTON_IRREP = IrrepLabel(twice_j=2, parity=PHOTON_PARITY)
 
 
-def contains(target: IrrepLabel, product: tuple[IrrepLabel, IrrepLabel]) -> bool:
-    """True iff ``target`` appears in the decomposition of ``product``.
-
-    The j test is the triangle rule (including the integer-perimeter
-    constraint); the parity test applies only when both the target and the
-    product carry definite parity.
-    """
-    j_e, j_gamma = product
-    low = abs(j_e.twice_j - j_gamma.twice_j)
-    high = j_e.twice_j + j_gamma.twice_j
-    if not (low <= target.twice_j <= high):
-        return False
-    if (j_e.twice_j + j_gamma.twice_j + target.twice_j) % 2 != 0:
-        return False
-    if target.parity is not None and j_e.parity is not None and j_gamma.parity is not None:
-        if target.parity != j_e.parity * j_gamma.parity:
-            return False
-    return True
-
-
 def _couplable(tj1: int, tj2: int, t_big_j: int) -> bool:
+    """The triangle rule on twice-j values, with the integer-perimeter constraint."""
     return (
         abs(tj1 - tj2) <= t_big_j <= tj1 + tj2
         and (tj1 + tj2 + t_big_j) % 2 == 0
+    )
+
+
+def contains(target: IrrepLabel, product: tuple[IrrepLabel, IrrepLabel]) -> bool:
+    """True iff ``target`` appears in the decomposition of ``product``.
+
+    The j test is the triangle rule; the parity test applies only when both
+    the target and the product carry definite parity.
+    """
+    j_e, j_gamma = product
+    parities = (target.parity, j_e.parity, j_gamma.parity)
+    return _couplable(j_e.twice_j, j_gamma.twice_j, target.twice_j) and (
+        None in parities or target.parity == j_e.parity * j_gamma.parity
     )
 
 

@@ -192,10 +192,6 @@ class OverlapWitness:
     residual: float
     verdict: str
 
-    @property
-    def consistent(self) -> bool:
-        return self.verdict == VERDICT_CONSISTENT
-
 
 def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     """Check the consistency condition a single unitary would impose when

@@ -29,7 +29,6 @@ from the copying construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import isfinite, sqrt
 from numbers import Integral, Real
 from types import MappingProxyType
@@ -286,35 +285,14 @@ def build_interaction_hamiltonian(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ClonableDomain:
-    """Polarization components with at least one allowed transition."""
+def clonable_domain(system: AtomicSystem) -> tuple[PolarizationMode, ...]:
+    """The polarization modes with at least one allowed transition, ordered by q.
 
-    modes: tuple[PolarizationMode, ...]
-
-    @cached_property
-    def basis(self) -> tuple[Ket, ...]:
-        """An orthonormal basis of the spanned subspace, expressed in the full
-        polarization space ordered (sigma-, pi, sigma+)."""
-        return tuple(Ket.basis_state(len(SPHERICAL_MODES), mode.q + 1) for mode in self.modes)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.modes)
-
-    @property
-    def mode_labels(self) -> tuple[str, ...]:
-        return tuple(mode.label for mode in self.modes)
-
-
-def clonable_domain(system: AtomicSystem) -> ClonableDomain:
-    """Enumerate the spherical components q with any allowed transition.
-
-    Returns the allowed modes plus an orthonormal basis of their span;
-    empty when every transition is symmetry-forbidden.
+    Their span is the clonable domain; the tuple is empty when every
+    transition is symmetry-forbidden.
     """
     coupled = np.flatnonzero(system.allowed.any(axis=0))  # SPHERICAL_MODES is ordered by q
-    return ClonableDomain(modes=tuple(SPHERICAL_MODES[column] for column in coupled))
+    return tuple(SPHERICAL_MODES[column] for column in coupled)
 
 
 #: Photon basis description: one (mode, excited-level label) pair per
@@ -379,24 +357,18 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> OperatorM
 
 
 def adaptive_ancilla(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Ket:
-    """Excited-manifold state with the photon's amplitudes transplanted.
-
-    Component j of the photon is carried by the excited level
-    ``mode_map[j]``; the result is the normalized V|photon>, the
-    superposition of those levels with the photon's coefficients.  Photon
-    support on a component mapped to ``None`` is a domain violation.
-    """
-    psi = photon.normalize()
-    v = _ancilla_map(psi, system, mode_map)
-    return Ket(v.entries @ psi.amplitudes).normalize()
+    """The excited-manifold ancilla that :func:`stimulated_clone` prepares."""
+    return stimulated_clone(photon, system, mode_map).ancilla
 
 
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state via the adaptive atomic ancilla.
 
-    The mode map is the ancilla map V, and the photon must lie on its
-    mapped components (see :func:`adaptive_ancilla`): the adaptive
-    ancilla is the normalized V|photon>, and the copy map
+    The mode map is the ancilla map V.  The adaptive ancilla is the
+    normalized V|photon>: component j of the photon is carried by the
+    excited level ``mode_map[j]``, so the ancilla is the superposition of
+    those levels with the photon's coefficients.  Photon support on a
+    component mapped to ``None`` is a domain violation.  The copy map
     U = I (x) V^dagger is applied in factored form, never as a dense
     matrix.  The copy acts on the photon's coupled part V^dagger|ancilla>,
     which drops only components the domain test bounds by

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,16 +42,6 @@ from .hilbert import Ket, fidelity, max_abs, random_ket
 
 REPORT_SCHEMA_VERSION = 1
 
-EXPERIMENT_KINDS = (
-    "clone-demo",
-    "fixed-ancilla",
-    "no-cloning-witness",
-    "selection-rules",
-    "domain",
-    "stimulated-clone",
-    "spontaneous",
-)
-
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 #: Largest ``dim`` that ``clone-demo`` and ``fixed-ancilla`` accept; the
@@ -74,7 +64,7 @@ class ExperimentSpec:
     modes: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
 
 
@@ -91,7 +81,20 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+#: The keys a config may hold at its top level and in a level; any other key
+#: is refused rather than dropped, since a misspelt optional key is silent.
+_CONFIG_KEYS = ("ground", "excited", "radial_factors", "mode_map")
+_LEVEL_KEYS = ("label", "l", "m", "energy")
+
+
+def _known_keys(raw, allowed: tuple[str, ...], context: str) -> None:
+    unknown = sorted(set(raw) - set(allowed)) if isinstance(raw, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {context}; the keys are {list(allowed)}")
+
+
 def _parse_level(raw: dict, context: str) -> AtomicLevel:
+    _known_keys(raw, _LEVEL_KEYS, f"{context} level")
     try:
         return AtomicLevel(label=raw["label"], l=raw["l"], m=raw["m"], energy=raw.get("energy", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
@@ -116,6 +119,7 @@ def load_atomic_system(
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "ground" not in raw or "excited" not in raw:
         raise ConfigError(f"config {path} must define 'ground' and 'excited'")
+    _known_keys(raw, _CONFIG_KEYS, f"config {path}")
     if not isinstance(raw["excited"], list):
         raise ConfigError(f"'excited' in {path} must be a list of levels")
 
@@ -265,7 +269,7 @@ def _run_witness(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     ]
     results = {"witnesses": rows}
     # Endpoints are the overlaps the witness itself calls 0 or 1, within WITNESS_ATOL.
-    endpoints = [w for w in witnesses if min(abs(w.overlap), abs(abs(w.overlap) - 1.0)) <= WITNESS_ATOL]
+    endpoints = [w for w in witnesses if min(abs(w.overlap), abs(w.overlap - 1.0)) <= WITNESS_ATOL]
     interior = [w for w in witnesses if w not in endpoints]
     checks = [
         _check(
@@ -325,22 +329,24 @@ def _run_selection_rules(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
 
 def _run_domain(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     system, _ = _require_config(spec)
-    domain = clonable_domain(system)
+    modes = clonable_domain(system)
+    # The span's basis in the full polarization space ordered (sigma-, pi, sigma+).
+    basis = [Ket.basis_state(len(SPHERICAL_MODES), mode.q + 1) for mode in modes]
     rows = [
         {"mode": mode.label, "q": mode.q, "basis_vector": json.dumps(_ket_json(ket))}
-        for mode, ket in zip(domain.modes, domain.basis)
+        for mode, ket in zip(modes, basis)
     ]
     results = {
-        "allowed_modes": list(domain.mode_labels),
-        "dimension": domain.dimension,
-        "basis": [_ket_json(ket) for ket in domain.basis],
+        "allowed_modes": [mode.label for mode in modes],
+        "dimension": len(modes),
+        "basis": [_ket_json(ket) for ket in basis],
     }
     gram_ok = all(
         abs(fidelity(a, b) - (1.0 if i == j else 0.0)) <= 1e-12
-        for i, a in enumerate(domain.basis)
-        for j, b in enumerate(domain.basis)
+        for i, a in enumerate(basis)
+        for j, b in enumerate(basis)
     )
-    checks = [_check("domain-basis-orthonormal", gram_ok, f"dimension={domain.dimension}")]
+    checks = [_check("domain-basis-orthonormal", gram_ok, f"dimension={len(modes)}")]
     return {"results": results, "checks": checks}, rows
 
 
@@ -432,6 +438,8 @@ _RUNNERS = {
     "spontaneous": _run_spontaneous,
 }
 
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
 
 def run(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     """Execute one experiment; return its report document and the rows that
@@ -441,16 +449,7 @@ def run(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": spec.kind,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "parameters": {
-            "config_path": spec.config_path,
-            "state": spec.state,
-            "seed": spec.seed,
-            "dim": spec.dim,
-            "ancilla_index": spec.ancilla_index,
-            "overlap": spec.overlap,
-            "excited_state": spec.excited_state,
-            "modes": list(spec.modes) if spec.modes is not None else None,
-        },
+        "parameters": {field.name: getattr(spec, field.name) for field in fields(spec) if field.name != "kind"},
         "results": body["results"],
         "checks": body["checks"],
         "passed": all(check["passed"] for check in body["checks"]),

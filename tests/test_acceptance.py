@@ -137,13 +137,14 @@ def test_05_selection_rule_biconditional_and_cg_oracle():
                     assert abs(value - expected) < 1e-10
 
 
-def test_06_clonable_domain_reproduction():
+def test_06_clonable_domain_reproduction(tmp_path, config_dir):
     with criterion(6, "clonable domains: full manifold, single levels, forbidden"):
         full = clonable_domain(p_manifold_system())
-        assert full.mode_labels == ("sigma-", "pi", "sigma+")
-        assert full.dimension == 3
-        stacked = np.array([k.amplitudes for k in full.basis])
-        assert max_abs(stacked - np.eye(3)) < 1e-15
+        assert tuple(mode.label for mode in full) == ("sigma-", "pi", "sigma+")
+        out = tmp_path / "domain.json"
+        assert main(["domain", "--config", str(config_dir / "full_p_manifold.json"), "--out", str(out)]) == 0
+        basis = np.array(json.loads(out.read_text())["results"]["basis"])
+        assert max_abs(basis[..., 0] + 1j * basis[..., 1] - np.eye(3)) < 1e-15
 
         expected_single = {-1: ("sigma+",), 0: ("pi",), +1: ("sigma-",)}
         for m, labels in expected_single.items():
@@ -151,15 +152,13 @@ def test_06_clonable_domain_reproduction():
                 ground=AtomicLevel("g", l=0, m=0),
                 excited=(AtomicLevel("e", l=1, m=m),),
             )
-            domain = clonable_domain(system)
-            assert domain.mode_labels == labels
-            assert domain.dimension == 1
+            assert tuple(mode.label for mode in clonable_domain(system)) == labels
 
         forbidden = AtomicSystem(
             ground=AtomicLevel("g", l=0, m=0),
             excited=(AtomicLevel("s2", l=0, m=0),),
         )
-        assert clonable_domain(forbidden).mode_labels == ()
+        assert clonable_domain(forbidden) == ()
 
 
 def test_07_stimulated_equals_abstract():

@@ -29,7 +29,7 @@ from clonesim.emission import (
     validate_mode_map,
 )
 from clonesim.errors import DimensionMismatchError, DomainViolationError
-from clonesim.experiments import load_atomic_system
+from clonesim.experiments import ExperimentSpec, load_atomic_system, run
 from clonesim.hilbert import Ket, max_abs, random_ket
 
 from oracles import angular_factor_by_quadrature, hamiltonian_by_kron
@@ -381,19 +381,26 @@ class TestInteractionHamiltonian:
             build_interaction_hamiltonian(system, [PI, PI], n_max=1)
 
 
-class TestClonableDomain:
-    def test_full_p_manifold_spans_everything(self):
-        domain = clonable_domain(p_manifold_system())
-        assert domain.mode_labels == ("sigma-", "pi", "sigma+")
-        assert domain.dimension == 3
-        stacked = np.array([ket.amplitudes for ket in domain.basis])
-        assert max_abs(stacked - np.eye(3)) < 1e-15
+def mode_labels(modes) -> tuple[str, ...]:
+    return tuple(mode.label for mode in modes)
 
-    def test_single_level_gives_one_dimension(self):
-        domain = clonable_domain(two_level_pi_system())
-        assert domain.mode_labels == ("pi",)
-        assert domain.dimension == 1
-        assert domain.basis[0].isclose(Ket.basis_state(3, 1))
+
+def domain_basis(config_dir, config: str) -> np.ndarray:
+    """The ``basis`` of the domain report for ``config``, one row per ket."""
+    report, _ = run(ExperimentSpec(kind="domain", config_path=str(config_dir / config)))
+    assert report["results"]["dimension"] == len(report["results"]["basis"])
+    pairs = np.array(report["results"]["basis"]).reshape(-1, 3, 2)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+class TestClonableDomain:
+    def test_full_p_manifold_spans_everything(self, config_dir):
+        assert mode_labels(clonable_domain(p_manifold_system())) == ("sigma-", "pi", "sigma+")
+        assert np.array_equal(domain_basis(config_dir, "full_p_manifold.json"), np.eye(3))
+
+    def test_single_level_gives_one_dimension(self, config_dir):
+        assert mode_labels(clonable_domain(two_level_pi_system())) == ("pi",)
+        assert np.array_equal(domain_basis(config_dir, "pi_only.json"), np.eye(3)[[1]])
 
     @pytest.mark.parametrize("m,expected", [(-1, "sigma+"), (0, "pi"), (1, "sigma-")])
     def test_m_level_selects_opposite_component(self, m, expected):
@@ -401,12 +408,10 @@ class TestClonableDomain:
             ground=AtomicLevel("g", l=0, m=0),
             excited=(AtomicLevel("e", l=1, m=m),),
         )
-        assert clonable_domain(system).mode_labels == (expected,)
+        assert mode_labels(clonable_domain(system)) == (expected,)
 
     def test_forbidden_system_gives_empty_domain(self):
-        domain = clonable_domain(s_to_s_system())
-        assert domain.mode_labels == ()
-        assert domain.dimension == 0
+        assert clonable_domain(s_to_s_system()) == ()
 
 
 class TestValidateModeMap:

@@ -73,6 +73,14 @@ FULL_P_CONFIG = {
 }
 
 
+# FULL_P_CONFIG with one misspelt key; a dropped key would change no error, only a result.
+UNKNOWN_KEY_CONFIGS = {
+    "top-level": {**FULL_P_CONFIG, "radial_factor": {"e0": 3.0}},
+    "excited-level": {**FULL_P_CONFIG, "excited": [{"label": "e0", "l": 1, "m": 0, "radial": 5.0}]},
+    "ground-level": {**FULL_P_CONFIG, "ground": {"label": "g", "l": 0, "m": 0, "parity": 1}},
+}
+
+
 def strip_timestamp(text: str) -> str:
     report = json.loads(text)
     report.pop("generated_at")
@@ -217,6 +225,13 @@ class TestConfigLoading:
         bad = tmp_path / "latin1.json"
         bad.write_bytes(json.dumps(FULL_P_CONFIG).replace('"g"', '"\u00e9"').encode("latin-1"))
         with pytest.raises(ConfigError, match="not UTF-8"):
+            load_atomic_system(bad)
+
+    @pytest.mark.parametrize("config", UNKNOWN_KEY_CONFIGS.values(), ids=UNKNOWN_KEY_CONFIGS.keys())
+    def test_unknown_key_is_config_error(self, tmp_path, config):
+        bad = tmp_path / "unknown_key.json"
+        bad.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match="unknown keys"):
             load_atomic_system(bad)
 
 
@@ -491,7 +506,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "overlap, verdict",
-        [("1e-13", "CONSISTENT"), (repr(1 - 1e-13), "CONSISTENT"), ("2e-12", "CONTRADICTION"), ("0.5", "CONTRADICTION")],
+        [("1e-13", "CONSISTENT"), (repr(1 - 1e-13), "CONSISTENT"), ("2e-12", "CONTRADICTION"), ("0.5", "CONTRADICTION"),
+         ("-1", "CONTRADICTION")],
     )
     def test_witness_endpoints_within_witness_tolerance(self, capsys, overlap, verdict):
         # An overlap the witness calls CONSISTENT (within WITNESS_ATOL of 0 or 1) is an endpoint.
@@ -551,6 +567,15 @@ class TestCli:
         assert main(["selection-rules", "--config", str(config)]) == 2
         assert "must be a list of levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", UNKNOWN_KEY_CONFIGS.values(), ids=UNKNOWN_KEY_CONFIGS.keys())
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path, config):
+        path = tmp_path / "unknown_key.json"
+        path.write_text(json.dumps(config))
+        assert main(["selection-rules", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: unknown keys" in captured.err
+
     def test_non_utf8_config_exit_2(self, capsys, tmp_path):
         config = tmp_path / "latin1.json"
         config.write_bytes(json.dumps(FULL_P_CONFIG).replace('"g"', '"\u00e9"').encode("latin-1"))
@@ -603,13 +628,47 @@ class TestCli:
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_run_all_experiments_script_writes_every_report(capsys, tmp_path):
+def load_batch_script():
     spec = importlib.util.spec_from_file_location("run_all_experiments", REPO_ROOT / "scripts" / "run_all_experiments.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_all_experiments_script_writes_every_report(capsys, tmp_path):
+    script = load_batch_script()
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     assert len(list(tmp_path.iterdir())) == 11
     assert capsys.readouterr().out.count(" ok\n") == 11
+
+
+@pytest.mark.parametrize("fmt, extension", [("json", "json"), ("csv", "csv"), ("table", "txt")])
+def test_batch_reports_equal_cli_reports(capsys, tmp_path, fmt, extension):
+    script = load_batch_script()
+    assert script.main(["--out-dir", str(tmp_path / "batch"), "--format", fmt]) == 0
+    seeds = {}
+    for index, argv in enumerate(script.EXPERIMENTS):
+        name = f"{index:02d}_{argv[0]}.{extension}"
+        assert main(argv + ["--format", fmt, "--out", str(tmp_path / name)]) == 0
+        batch, direct = (tmp_path / "batch" / name).read_text(), (tmp_path / name).read_text()
+        if fmt == "json":
+            batch, direct = strip_timestamp(batch), strip_timestamp(direct)
+            seeds[name] = json.loads(batch)["parameters"]["seed"]
+        assert batch == direct, name
+    if fmt == "json":
+        # Only the two experiments that draw a random state were given a seed.
+        assert {name for name, seed in seeds.items() if seed == 7} == {
+            "01_clone-demo.json", "07_stimulated-clone.json"}
+        assert set(seeds.values()) == {0, 7}
+
+
+def test_batch_status_line_names_the_exit_code(capsys, tmp_path, monkeypatch):
+    script = load_batch_script()
+    codes = iter([0, 1, 3] + [0] * (len(script.EXPERIMENTS) - 3))
+    monkeypatch.setattr(script.cli, "main", lambda argv: next(codes))
+    assert script.main(["--out-dir", str(tmp_path)]) == 1
+    statuses = [line.split("  ")[-1] for line in capsys.readouterr().out.splitlines()]
+    assert statuses[:4] == ["ok", "CHECK FAILED", "exit 3", "ok"]
 
 
 def without_timestamp(result: tuple[object, str, str]) -> tuple[object, str, str]:

@@ -9,12 +9,19 @@ square root at the end), so forbidden couplings come out exactly zero.
 Containment of an irrep in a tensor product is the selection-rule
 criterion used by the emission layer: a ground irrep participates in a
 dipole transition only if it appears in excited (x) photon.
+
+:func:`dipole_angular_factors` is the one home of the Wigner-Eckart
+angular factor <l_g m_g | C^(1)_q | l_e m_e>.  It is memoized per integer
+(l_e, m_e, l_g, m_g), so the exact Racah sums run once per distinct pair
+of levels in a process, however many systems are built from them;
+:func:`clebsch_gordan` itself stays exact and uncached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, sqrt
 from numbers import Real
 
@@ -134,3 +141,21 @@ def clebsch_gordan(j1, m1, j2, m2, big_j, big_m) -> float:
     if total == 0:
         return 0.0
     return float(total) * sqrt(float(radicand))
+
+
+@cache
+def dipole_angular_factors(l_e: int, m_e: int, l_g: int, m_g: int) -> tuple[float, float, float]:
+    """<l_g m_g | C^(1)_q | l_e m_e> for q = -1, 0, +1, in that order.
+
+    Wigner-Eckart form:
+        <l_e m_e; 1 q | l_g m_g> * sqrt((2 l_e + 1)/(2 l_g + 1))
+                                 * <l_e 0; 1 0 | l_g 0>,
+    exactly zero unless l_g = l_e +- 1 and m_g = m_e + q.  Memoized per
+    integer orbital quantum numbers; the result is an immutable tuple, and
+    the uncached computation stays reachable as ``__wrapped__``.
+    """
+    reduced = clebsch_gordan(l_e, 0, 1, 0, l_g, 0)
+    return tuple(
+        clebsch_gordan(l_e, m_e, 1, q, l_g, m_g) * sqrt((2 * l_e + 1) / (2 * l_g + 1)) * reduced
+        for q in (-1, 0, 1)
+    )

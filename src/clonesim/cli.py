@@ -5,8 +5,9 @@ experiment reads; reports go to stdout or ``--out``.  The parser is built
 once per process and reused by every :func:`main` call; parsing reads only
 its ``argv``, so no call carries options into the next.  Exit codes: 0
 success, 1 report written but a check failed, 2 unparseable command line
-or config, 3 domain violation, 4 dimension or validation failure, or an
-``--out`` path that cannot be written.
+or config, 3 domain violation, 4 dimension or validation failure, an
+``--out`` path that cannot be written, or a report that stdout cannot
+encode.  ``--out`` files are written as UTF-8, as configs are read.
 """
 
 from __future__ import annotations
@@ -99,10 +100,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION_ERROR
 
     if out is None:
-        sys.stdout.write(rendered)
+        try:
+            sys.stdout.write(rendered)
+        except UnicodeEncodeError as exc:
+            _emit_error("cannot write report", f"stdout cannot encode it ({exc.reason}); pass --out to write UTF-8")
+            return EXIT_VALIDATION_ERROR
     else:
         try:
-            Path(out).write_text(rendered)
+            Path(out).write_text(rendered, encoding="utf-8")
         except OSError as exc:
             _emit_error("cannot write report", exc)
             return EXIT_VALIDATION_ERROR

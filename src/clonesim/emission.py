@@ -8,9 +8,12 @@ C^(1)_q, so an amplitude is exactly zero whenever the selection rules
 Delta l = +-1, Delta m = q fail.
 
 Each system builds these amplitudes once, as its dipole table D
-(``AtomicSystem.amplitudes``).  D is the one source of truth for the
-couplings: the clonable domain, the ancilla map, spontaneous-emission
-weights and the interaction Hamiltonian all read it.
+(``AtomicSystem.amplitudes``): each entry is the level's radial factor
+times the angular factor from :func:`~clonesim.angular.dipole_angular_factors`,
+which is memoized per integer (l_e, m_e, l_g, m_g), so a system built from
+levels seen before does no Clebsch-Gordan arithmetic.  D is the one source
+of truth for the couplings: the clonable domain, the ancilla map,
+spontaneous-emission weights and the interaction Hamiltonian all read it.
 
 The clonable domain of a system is the span of the polarization
 components with at least one allowed transition.  A mode map pairs each
@@ -29,14 +32,14 @@ from the copying construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import isfinite, sqrt
+from math import isfinite
 from numbers import Integral, Real
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .angular import IrrepLabel, clebsch_gordan
+from .angular import IrrepLabel, dipole_angular_factors
 from .copying import CloneReport, apply_copy_map
 from .errors import DimensionMismatchError, DomainViolationError
 from .hilbert import DensityMatrix, Ket, OperatorMatrix
@@ -164,10 +167,9 @@ class AtomicSystem:
         g = self.ground
         table = np.zeros((len(self.excited), 3), dtype=complex)
         for i, e in enumerate(self.excited):
-            reduced = clebsch_gordan(e.l, 0, 1, 0, g.l, 0)
-            for q in (-1, 0, 1):
-                angular = clebsch_gordan(e.l, e.m, 1, q, g.l, g.m) * sqrt((2 * e.l + 1) / (2 * g.l + 1)) * reduced
-                table[i, q + 1] = factors[e.label] * angular
+            radial = factors[e.label]
+            for column, angular in enumerate(dipole_angular_factors(e.l, e.m, g.l, g.m)):
+                table[i, column] = radial * angular
         allowed = np.abs(table) > AMPLITUDE_TOLERANCE
         table.setflags(write=False)
         allowed.setflags(write=False)
@@ -201,13 +203,11 @@ def p_manifold_system(radial: float = 1.0) -> AtomicSystem:
 def transition_amplitude(system: AtomicSystem, e: AtomicLevel, pol: PolarizationMode) -> complex:
     """Dipole amplitude for |e> -> |ground> coupled to polarization ``pol``.
 
-    Wigner-Eckart form: radial factor times
-    <l_g m_g | C^(1)_q | l_e m_e> =
-        <l_e m_e; 1 q | l_g m_g> * sqrt((2 l_e + 1)/(2 l_g + 1))
-                                 * <l_e 0; 1 0 | l_g 0>.
-
-    Exactly zero unless l_g = l_e +- 1 and m_g = m_e + q.  This is the
-    entry of the system's dipole table ``amplitudes``.
+    The radial factor times the angular factor
+    <l_g m_g | C^(1)_q | l_e m_e> of
+    :func:`~clonesim.angular.dipole_angular_factors`, so exactly zero
+    unless l_g = l_e +- 1 and m_g = m_e + q.  This is the entry of the
+    system's dipole table ``amplitudes``.
     """
     try:
         row = system.excited.index(e)

@@ -154,12 +154,18 @@ def load_atomic_system(
 
 
 def parse_amplitudes(text: str) -> np.ndarray:
-    """Parse a comma-separated amplitude list like ``0.7+0.7i, 0, 1i``."""
+    """Parse a comma-separated amplitude list like ``0.7+0.7i, 0, 1i``.
+
+    Digit-group underscores, which ``complex`` would drop (``1_0`` is 10),
+    are refused.
+    """
     tokens = [token.strip() for token in text.split(",")]
     values = []
     for token in tokens:
         if not token:
             raise ValueError("empty amplitude in state spec")
+        if "_" in token:
+            raise ValueError(f"amplitude {token!r} holds an underscore")
         try:
             values.append(complex(token.replace("i", "j")))
         except ValueError as exc:
@@ -171,7 +177,8 @@ def resolve_state(spec: str | None, dim: int, seed: int) -> Ket:
     """Turn a state spec (amplitude list, preset name, or None) into a Ket.
 
     None draws a seeded random state; ``plus`` is the uniform
-    superposition; ``basisK`` the K-th basis vector.
+    superposition; ``basisK`` the K-th basis vector, K in ASCII digits only
+    (``int`` would also take a sign, spaces or ``1_0``).
     """
     if spec is None:
         return random_ket(dim, np.random.default_rng(seed))
@@ -179,8 +186,10 @@ def resolve_state(spec: str | None, dim: int, seed: int) -> Ket:
     if name == "plus":
         return Ket(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
     if name.startswith("basis"):
-        index = int(name.removeprefix("basis"))
-        return Ket.basis_state(dim, index)
+        index = name.removeprefix("basis")
+        if not (index.isascii() and index.isdigit()):
+            raise ValueError(f"basis index {index!r} is not a non-negative decimal integer")
+        return Ket.basis_state(dim, int(index))
     amplitudes = parse_amplitudes(spec)
     if amplitudes.shape[0] != dim:
         raise DimensionMismatchError(f"state has {amplitudes.shape[0]} amplitudes, expected {dim}")

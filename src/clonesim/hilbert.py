@@ -196,8 +196,12 @@ class DensityMatrix:
 
 
 def tensor_product(a: Ket, b: Ket) -> Ket:
-    """Kronecker product of two kets, first factor major; norm multiplies."""
-    return Ket(np.kron(a.amplitudes, b.amplitudes))
+    """Kronecker product of two kets, first factor major; norm multiplies.
+
+    The broadcast multiply that ``np.kron`` performs for vectors, without
+    its dispatch, so the result equals ``np.kron`` bit for bit.
+    """
+    return Ket((a.amplitudes[:, None] * b.amplitudes[None, :]).ravel())
 
 
 def inner_product(a: Ket, b: Ket) -> complex:

@@ -7,7 +7,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from clonesim.angular import PHOTON_IRREP, contains
+from clonesim import angular
+from clonesim.angular import PHOTON_IRREP, contains, dipole_angular_factors
 from clonesim.copying import CopyBasis, clone
 from clonesim.emission import (
     PI,
@@ -33,6 +34,7 @@ from clonesim.experiments import ExperimentSpec, load_atomic_system, run
 from clonesim.hilbert import Ket, max_abs, random_ket
 
 from oracles import angular_factor_by_quadrature, hamiltonian_by_kron
+from test_golden import REPO_ROOT
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -255,6 +257,48 @@ class TestDipoleTable:
                 excited=(AtomicLevel("e0", l=1, m=0),),
                 amplitudes=np.zeros((1, 3)),
             )
+
+
+# Every config file, and the library's test atom with a radial factor that is not 1.
+SYSTEM_BUILDERS = {path.name: (lambda path=path: load_atomic_system(path)[0])
+                   for path in sorted((REPO_ROOT / "configs").glob("*.json"))}
+SYSTEM_BUILDERS["p_manifold_system"] = lambda: p_manifold_system(radial=0.37)
+
+
+class TestAngularFactorCache:
+    @pytest.mark.parametrize("build", SYSTEM_BUILDERS.values(), ids=SYSTEM_BUILDERS.keys())
+    def test_table_bitwise_equals_uncached_formula(self, build):
+        system = build()
+        g = system.ground
+        uncached = np.array([
+            [system.radial_factors[e.label] * angular
+             for angular in dipole_angular_factors.__wrapped__(e.l, e.m, g.l, g.m)]
+            for e in system.excited
+        ], dtype=complex)
+        assert system.amplitudes.tobytes() == uncached.tobytes()
+        assert max_abs(system.amplitudes - quadrature_table(system)) < 1e-12
+
+    def test_second_build_makes_no_clebsch_gordan_call(self, monkeypatch):
+        calls = []
+        original = angular.clebsch_gordan
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(angular, "clebsch_gordan", counted)
+        dipole_angular_factors.cache_clear()
+        first = p_manifold_system()
+        assert len(calls) == 4 * first.manifold_dim  # the reduced factor and three components per level
+        second = p_manifold_system(radial=2.0)
+        assert len(calls) == 4 * first.manifold_dim
+        assert second.amplitudes.tobytes() == (2.0 * first.amplitudes).tobytes()
+
+    def test_values_are_immutable_tuples(self):
+        factors = dipole_angular_factors(1, 0, 0, 0)
+        assert type(factors) is tuple and len(factors) == 3
+        assert all(type(value) is float for value in factors)
+        assert dipole_angular_factors(1, 0, 0, 0) is factors
 
 
 class TestHamiltonianAgainstKronOracle:

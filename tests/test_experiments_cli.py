@@ -3,6 +3,9 @@
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -141,6 +144,17 @@ class TestStateParsing:
     def test_wrong_length_rejected(self):
         with pytest.raises(Exception):
             resolve_state("1,0,0", 2, seed=0)
+
+    @pytest.mark.parametrize("index", ["1_0", "+1", " 1", "-1", ""])
+    def test_basis_index_is_plain_digits(self, index):
+        # int() reads "1_0" as 10 and "+1", " 1" as 1
+        with pytest.raises(ValueError, match="not a non-negative decimal integer"):
+            resolve_state(f"basis{index}", 12, seed=0)
+
+    def test_digit_group_underscore_amplitude_rejected(self):
+        # complex() reads "1_0" as 10
+        with pytest.raises(ValueError, match="underscore"):
+            parse_amplitudes("1_0, 1")
 
 
 class TestConfigLoading:
@@ -554,6 +568,19 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert [path.name for path in tmp_path.iterdir()] == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["clone-demo", "--dim", "12", "--state", "basis1_0"],
+         ["clone-demo", "--state", "1_0,1"],
+         ["spontaneous", "--config", str(CONFIG_DIR / "full_p_manifold.json"), "--excited-state", "1_0,0,1"]],
+        ids=["basis-index", "state-amplitude", "excited-state-amplitude"],
+    )
+    def test_digit_group_underscore_exit_4(self, capsys, argv):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("clonesim: invalid input: ")
+
     def test_spontaneous_repeated_modes_exit_4(self, capsys, config_dir):
         code = main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), "--modes", "pi,pi"])
         assert code == 4
@@ -660,6 +687,39 @@ def test_batch_reports_equal_cli_reports(capsys, tmp_path, fmt, extension):
         assert {name for name, seed in seeds.items() if seed == 7} == {
             "01_clone-demo.json", "07_stimulated-clone.json"}
         assert set(seeds.values()) == {0, 7}
+
+
+# An ASCII-only locale without UTF-8 mode: stdout cannot encode a non-ASCII label.
+ASCII_LOCALE_ENV = {
+    **{key: value for key, value in os.environ.items() if key not in ("PYTHONUTF8", "PYTHONIOENCODING")},
+    "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(REPO_ROOT / "src"),
+}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "table"])
+class TestNonAsciiLabelUnderAsciiLocale:
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "accented.json"
+        accented = {**FULL_P_CONFIG, "excited": [{"label": "e\u00e9", "l": 1, "m": 0}]}
+        path.write_text(json.dumps(accented, ensure_ascii=False), encoding="utf-8")
+        return path
+
+    def run_ascii(self, tmp_path, *argv):
+        return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "clonesim.cli", *argv], cwd=tmp_path,
+                              env=ASCII_LOCALE_ENV, capture_output=True, timeout=60)
+
+    def test_out_is_utf8(self, tmp_path, config, output_format):
+        done = self.run_ascii(tmp_path, "selection-rules", "--config", str(config), "--format", output_format,
+                              "--out", "o.txt")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert "e\u00e9" in (tmp_path / "o.txt").read_text(encoding="utf-8")
+
+    def test_stdout_exit_4_with_one_line(self, tmp_path, config, output_format):
+        done = self.run_ascii(tmp_path, "selection-rules", "--config", str(config), "--format", output_format)
+        assert (done.returncode, done.stdout) == (4, b"")
+        assert done.stderr.startswith(b"clonesim: cannot write report: ")
+        assert done.stderr.count(b"\n") == 1
 
 
 def test_batch_status_line_names_the_exit_code(capsys, tmp_path, monkeypatch):

@@ -34,6 +34,11 @@ amplitude_lists = st.lists(
     max_size=8,
 ).filter(lambda amps: np.linalg.norm(amps) > 1e-6)
 
+# Kets of dimension 1..32 with unnormalized finite amplitudes, signed zeros included.
+kets_up_to_32 = st.integers(1, 32).flatmap(lambda dim: st.lists(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim
+)).map(lambda amplitudes: Ket(np.array(amplitudes, dtype=complex)))
+
 
 class TestKet:
     def test_dim_and_amplitude_length_agree(self):
@@ -99,6 +104,11 @@ class TestTensorProduct:
             lhs = tensor_product(combined, b).amplitudes
             rhs = alpha * tensor_product(a, b).amplitudes + beta * tensor_product(a2, b).amplitudes
             assert max_abs(lhs - rhs) < 1e-12
+
+
+    @given(kets_up_to_32, kets_up_to_32)
+    def test_bitwise_equal_to_np_kron(self, a, b):
+        assert tensor_product(a, b).amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
 
 
 class TestInnerProductAndFidelity:

@@ -19,12 +19,10 @@ from .emission import (
     AtomicLevel,
     AtomicSystem,
     PolarizationMode,
-    adaptive_ancilla,
     build_interaction_hamiltonian,
     clonable_domain,
     hamiltonian_basis,
     p_manifold_system,
-    spherical_mode,
     spontaneous_emission_output,
     stimulated_clone,
     transition_amplitude,

@@ -150,12 +150,14 @@ def dipole_angular_factors(l_e: int, m_e: int, l_g: int, m_g: int) -> tuple[floa
     Wigner-Eckart form:
         <l_e m_e; 1 q | l_g m_g> * sqrt((2 l_e + 1)/(2 l_g + 1))
                                  * <l_e 0; 1 0 | l_g 0>,
-    exactly zero unless l_g = l_e +- 1 and m_g = m_e + q.  Memoized per
-    integer orbital quantum numbers; the result is an immutable tuple, and
-    the uncached computation stays reachable as ``__wrapped__``.
+    exactly zero unless l_g = l_e +- 1 and m_g = m_e + q.  A zero is +0.0:
+    the ``+ 0.0`` drops the sign a negative reduced factor gives it and
+    leaves every nonzero factor unchanged.  Memoized per integer orbital
+    quantum numbers; the result is an immutable tuple, and the uncached
+    computation stays reachable as ``__wrapped__``.
     """
     reduced = clebsch_gordan(l_e, 0, 1, 0, l_g, 0)
     return tuple(
-        clebsch_gordan(l_e, m_e, 1, q, l_g, m_g) * sqrt((2 * l_e + 1) / (2 * l_g + 1)) * reduced
+        clebsch_gordan(l_e, m_e, 1, q, l_g, m_g) * sqrt((2 * l_e + 1) / (2 * l_g + 1)) * reduced + 0.0
         for q in (-1, 0, 1)
     )

@@ -20,10 +20,12 @@ components with at least one allowed transition.  A mode map pairs each
 photon component with an excited level that emits it, or with ``None``;
 :func:`validate_mode_map` rejects a level that cannot emit its component,
 so a mapped component is always a coupled one.  The mode map is the
-copy's ancilla map V: the incoming photon's amplitudes are transplanted
-onto the mapped levels as V|photon>, and that excited superposition is
-the ancilla of the copy map U = I (x) V^dagger, which copies the photon
-perfectly.  A photon with support on the ``None`` components raises
+copy's ancilla map V, a plain manifold x photon array: the incoming
+photon's amplitudes are transplanted onto the mapped levels as
+V|photon>, and :func:`stimulated_clone` reports that excited
+superposition as the ancilla, together with the copy
+V^dagger|ancilla> (x) V^dagger|ancilla> of the photon's coupled part.
+A photon with support on the ``None`` components raises
 :class:`~clonesim.errors.DomainViolationError`, from the one domain test
 in the ancilla map; the restriction comes from the atomic symmetries, not
 from the copying construction.
@@ -31,7 +33,7 @@ from the copying construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 from numbers import Integral, Real
 from types import MappingProxyType
@@ -40,9 +42,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .angular import IrrepLabel, dipole_angular_factors
-from .copying import CloneReport, apply_copy_map
+from .copying import CloneReport
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DensityMatrix, Ket, OperatorMatrix
+from .hilbert import DensityMatrix, Ket, OperatorMatrix, tensor_product
 
 #: Amplitudes below this are treated as symmetry-forbidden (they are exact
 #: zeros from the CG machinery; the threshold only guards radial rounding).
@@ -51,8 +53,6 @@ AMPLITUDE_TOLERANCE = 1e-12
 #: A photon is copied iff its norm on the components its mode map leaves
 #: uncoupled (``None``) is at most this.
 DOMAIN_MEMBERSHIP_TOLERANCE = 1e-9
-
-_CANONICAL_MODE_LABELS = {-1: "sigma-", 0: "pi", +1: "sigma+"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,16 +71,9 @@ class PolarizationMode:
             raise ValueError(f"spherical component q={self.q} must be -1, 0, or +1")
 
 
-def spherical_mode(q: int) -> PolarizationMode:
-    """Canonical polarization mode for spherical component q."""
-    if q not in _CANONICAL_MODE_LABELS:
-        raise ValueError(f"q={q} must be -1, 0, or +1")
-    return PolarizationMode(_CANONICAL_MODE_LABELS[q], q)
-
-
-SIGMA_MINUS = spherical_mode(-1)
-PI = spherical_mode(0)
-SIGMA_PLUS = spherical_mode(+1)
+SIGMA_MINUS = PolarizationMode("sigma-", -1)
+PI = PolarizationMode("pi", 0)
+SIGMA_PLUS = PolarizationMode("sigma+", +1)
 
 #: The full polarization space, ordered by q.
 SPHERICAL_MODES: tuple[PolarizationMode, ...] = (SIGMA_MINUS, PI, SIGMA_PLUS)
@@ -328,8 +321,8 @@ def validate_mode_map(system: AtomicSystem, mode_map: ModeMap) -> list[tuple[Pol
     return pairs
 
 
-def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> OperatorMatrix:
-    """The mode map as the copy's ancilla map V, a manifold x photon matrix.
+def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> np.ndarray:
+    """The mode map as the copy's ancilla map V, a manifold x photon array.
 
     This is the one place that decides which photon components the atom
     copies.  V has a 1 at (level of ``mode_map[j]``, j) for each mapped
@@ -353,12 +346,7 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> OperatorM
             f"photon has norm {outside:.3e} on modes {[pairs[j][0].label for j in uncoupled]}, "
             "which no mapped level emits"
         )
-    return OperatorMatrix(v)
-
-
-def adaptive_ancilla(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Ket:
-    """The excited-manifold ancilla that :func:`stimulated_clone` prepares."""
-    return stimulated_clone(photon, system, mode_map).ancilla
+    return v
 
 
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
@@ -368,19 +356,19 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     normalized V|photon>: component j of the photon is carried by the
     excited level ``mode_map[j]``, so the ancilla is the superposition of
     those levels with the photon's coefficients.  Photon support on a
-    component mapped to ``None`` is a domain violation.  The copy map
-    U = I (x) V^dagger is applied in factored form, never as a dense
-    matrix.  The copy acts on the photon's coupled part V^dagger|ancilla>,
-    which drops only components the domain test bounds by
-    ``DOMAIN_MEMBERSHIP_TOLERANCE``.  The report keeps the full photon as
-    input, its output lives in the photon (x) photon space, and the
-    fidelity against photon (x) photon is 1.
+    component mapped to ``None`` is a domain violation.  The output is
+    the copy of the photon's coupled part V^dagger|ancilla>, which drops
+    only components the domain test bounds by
+    ``DOMAIN_MEMBERSHIP_TOLERANCE``; no copy-map matrix is built.  The
+    report keeps the full photon as input, its output lives in the
+    photon (x) photon space, and the fidelity against photon (x) photon
+    is 1.
     """
     psi = photon.normalize()
     v = _ancilla_map(psi, system, mode_map)
-    ancilla = Ket(v.entries @ psi.amplitudes).normalize()
-    coupled = Ket(v.entries.conj().T @ ancilla.amplitudes)
-    return replace(apply_copy_map(coupled, ancilla, v, matched=True), input=psi)
+    ancilla = Ket(v @ psi.amplitudes).normalize()
+    coupled = Ket(v.conj().T @ ancilla.amplitudes)
+    return CloneReport(input=psi, ancilla=ancilla, output=tensor_product(coupled, coupled), matched=True)
 
 
 def spontaneous_emission_output(

@@ -38,7 +38,7 @@ from .emission import (
     validate_mode_map,
 )
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
-from .hilbert import Ket, fidelity, max_abs, random_ket
+from .hilbert import Ket, max_abs, random_ket
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -301,6 +301,14 @@ def _require_config(spec: ExperimentSpec):
     return load_atomic_system(spec.config_path)
 
 
+def _selection_rule(ground: AtomicLevel, level: AtomicLevel, mode: PolarizationMode) -> tuple[bool, bool]:
+    """Whether the ground irrep is contained in excited (x) photon, and
+    whether the SU(2) selection rules admit the transition: containment
+    and m_g = m_e + q.  Independent of the dipole table."""
+    contained = contains(ground.irrep, (level.irrep, PHOTON_IRREP))
+    return contained, contained and ground.m == level.m + mode.q
+
+
 def _run_selection_rules(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     system, _ = _require_config(spec)
     rows = []
@@ -309,9 +317,8 @@ def _run_selection_rules(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         for mode in SPHERICAL_MODES:
             amplitude = amplitudes[mode.q + 1]
             allowed = bool(allowed_row[mode.q + 1])
-            irrep_ok = contains(system.ground.irrep, (level.irrep, PHOTON_IRREP))
-            weight_ok = system.ground.m == level.m + mode.q
-            if allowed != (irrep_ok and weight_ok):
+            irrep_ok, admitted = _selection_rule(system.ground, level, mode)
+            if allowed != admitted:
                 mismatches += 1
             rows.append(
                 {
@@ -350,12 +357,18 @@ def _run_domain(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         "dimension": len(modes),
         "basis": [_ket_json(ket) for ket in basis],
     }
-    gram_ok = all(
-        abs(fidelity(a, b) - (1.0 if i == j else 0.0)) <= 1e-12
-        for i, a in enumerate(basis)
-        for j, b in enumerate(basis)
-    )
-    checks = [_check("domain-basis-orthonormal", gram_ok, f"dimension={len(modes)}")]
+    admitted = [
+        mode.label
+        for mode in SPHERICAL_MODES
+        if any(_selection_rule(system.ground, level, mode)[1] for level in system.excited)
+    ]
+    checks = [
+        _check(
+            "domain-matches-selection-rules",
+            results["allowed_modes"] == admitted,
+            f"selection rules admit {admitted}",
+        )
+    ]
     return {"results": results, "checks": checks}, rows
 
 

@@ -6,11 +6,11 @@ Tensor products use Kronecker ordering with the first factor major
 everywhere in the package.  Global phase is never canonicalized; use
 :func:`fidelity` for phase-insensitive comparison.
 
-Flagged properties (unitary, hermitian, density matrix) are checked at
-construction, and a NaN deviation fails every check.
-:meth:`OperatorMatrix.hermitian_from_nonzeros` builds a hermitian matrix
-from its nonzeros and checks it in O(nnz); only allocating the
-zero-filled array scales with dim^2.
+Flagged properties (unitary, density matrix) are checked at
+construction, and a NaN deviation fails every check.  A hermitian
+operator has one constructor, :meth:`OperatorMatrix.hermitian_from_nonzeros`,
+which builds it from its nonzeros and checks it in O(nnz); only allocating
+the zero-filled array scales with dim^2.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ def max_abs(values: np.ndarray) -> float:
     """Max-norm of an array, 0.0 for empty input."""
     arr = np.asarray(values)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
-def _require_hermitian(deviation: float) -> None:
-    if not deviation < DEFAULT_ATOL:
-        raise ValueError(f"matrix flagged hermitian but ||M - M^dag||_max = {deviation:.3e}")
 
 
 def _frozen_complex_array(values, ndim: int) -> np.ndarray:
@@ -77,12 +72,6 @@ class Ket:
             raise ValueError("cannot normalize a zero vector")
         return Ket(self.amplitudes / n)
 
-    def isclose(self, other: "Ket") -> bool:
-        """Entrywise comparison within ``DEFAULT_ATOL``, phase-sensitive."""
-        if self.dim != other.dim:
-            return False
-        return max_abs(self.amplitudes - other.amplitudes) <= DEFAULT_ATOL
-
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "Ket":
         if not 0 <= index < dim:
@@ -97,14 +86,14 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix with optional unitarity/hermiticity guarantees.
+    """Dense complex matrix with an optional unitarity guarantee.
 
-    Flagged properties are verified at construction within ``DEFAULT_ATOL``.
+    A ``unitary`` flag is verified at construction within ``DEFAULT_ATOL``.
+    Hermitian matrices come from :meth:`hermitian_from_nonzeros`.
     """
 
     entries: np.ndarray
     unitary: bool = False
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
@@ -112,8 +101,6 @@ class OperatorMatrix:
             deviation = self.deviation_from_unitarity()
             if not deviation < DEFAULT_ATOL:
                 raise ValueError(f"matrix flagged unitary but ||M^dag M - I||_max = {deviation:.3e}")
-        if self.hermitian:
-            _require_hermitian(self.deviation_from_hermiticity())
 
     @classmethod
     def hermitian_from_nonzeros(
@@ -124,9 +111,9 @@ class OperatorMatrix:
 
         A repeated position keeps its last value.  Every unwritten entry is
         zero, so ``max |M[r, c] - conj(M[c, r])|`` over the written
-        positions, read back from the final array, equals
-        ``deviation_from_hermiticity()``: the check costs O(nnz) and the
-        array is frozen without a copy.
+        positions, read back from the final array, equals the dense
+        ``max |M - M^dagger|``: the check costs O(nnz) and the array is
+        frozen without a copy.
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         values = np.asarray(values, dtype=complex)
@@ -136,11 +123,13 @@ class OperatorMatrix:
             raise ValueError(f"nonzero positions must lie in [0, {dim})")
         entries = np.zeros((dim, dim), dtype=complex)
         entries[rows, cols] = values
-        _require_hermitian(max_abs(entries[rows, cols] - entries[cols, rows].conj()))
+        deviation = max_abs(entries[rows, cols] - entries[cols, rows].conj())
+        if not deviation < DEFAULT_ATOL:
+            raise ValueError(f"matrix flagged hermitian but ||M - M^dag||_max = {deviation:.3e}")
         entries.setflags(write=False)
         matrix = object.__new__(cls)
-        for name, value in (("entries", entries), ("unitary", False), ("hermitian", True)):
-            object.__setattr__(matrix, name, value)
+        object.__setattr__(matrix, "entries", entries)
+        object.__setattr__(matrix, "unitary", False)
         return matrix
 
     @property
@@ -156,11 +145,6 @@ class OperatorMatrix:
             return float("inf")
         eye = np.eye(self.dim_in)
         return max_abs(self.entries.conj().T @ self.entries - eye)
-
-    def deviation_from_hermiticity(self) -> float:
-        if self.dim_out != self.dim_in:
-            return float("inf")
-        return max_abs(self.entries - self.entries.conj().T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from clonesim import cli, experiments
 from clonesim.cli import main
+from clonesim.emission import PI, SIGMA_MINUS
 from clonesim.errors import ConfigError
 from clonesim.experiments import (
     EXPERIMENT_KINDS,
@@ -34,39 +34,21 @@ CONFIG_DIR = REPO_ROOT / "configs"
 
 REPORT_KEYS = {"schema_version", "kind", "generated_at", "parameters", "results", "checks", "passed"}
 
-# machine-checkable rendering of docs/report_schema.md (version 1)
-REPORT_JSON_SCHEMA = {
-    "type": "object",
-    "required": sorted(REPORT_KEYS),
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": 1},
-        "kind": {"type": "string"},
-        "generated_at": {"type": "string"},
-        "parameters": {
-            "type": "object",
-            "required": [
-                "config_path", "state", "seed", "dim",
-                "ancilla_index", "overlap", "excited_state", "modes",
-            ],
-        },
-        "results": {"type": "object"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "passed", "detail"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "detail": {"type": "string"},
-                },
-            },
-        },
-        "passed": {"type": "boolean"},
-    },
-}
+REPORT_PARAMETERS = {"config_path", "state", "seed", "dim", "ancilla_index", "overlap", "excited_state", "modes"}
+
+
+def assert_schema_valid(report: dict) -> None:
+    """The report layout of docs/report_schema.md (version 1), key by key."""
+    assert report.keys() == REPORT_KEYS
+    assert type(report["schema_version"]) is int and report["schema_version"] == 1
+    assert isinstance(report["kind"], str) and isinstance(report["generated_at"], str)
+    assert isinstance(report["parameters"], dict) and REPORT_PARAMETERS <= report["parameters"].keys()
+    assert isinstance(report["results"], dict) and isinstance(report["passed"], bool)
+    assert isinstance(report["checks"], list)
+    for check in report["checks"]:
+        assert isinstance(check, dict) and check.keys() == {"name", "passed", "detail"}
+        assert isinstance(check["name"], str) and isinstance(check["detail"], str)
+        assert isinstance(check["passed"], bool)
 
 
 # configs/full_p_manifold.json without its radial factors and mode map
@@ -259,7 +241,7 @@ class TestRunners:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_rendered_report_is_schema_valid(self, kind, config_dir):
         rendered = render_report(*run(spec_for(kind, config_dir)), "json")
-        jsonschema.validate(json.loads(rendered), REPORT_JSON_SCHEMA)
+        assert_schema_valid(json.loads(rendered))
 
     def test_clone_demo_equal_superposition(self, config_dir):
         report, _ = run(spec_for("clone-demo", config_dir))
@@ -415,6 +397,19 @@ class TestCli:
         main(["stimulated-clone", "--config", str(config_dir / "full_p_manifold.json"), "--seed", "5"])
         second = capsys.readouterr().out
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    def test_wrong_clonable_domain_fails_the_domain_check(self, capsys, monkeypatch, config_dir):
+        monkeypatch.setattr(experiments, "clonable_domain", lambda system: (SIGMA_MINUS, PI))
+        assert main(["domain", "--config", str(config_dir / "full_p_manifold.json")]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["allowed_modes"] == ["sigma-", "pi"]
+        assert [(check["name"], check["passed"]) for check in report["checks"]] == [
+            ("domain-matches-selection-rules", False)
+        ]
+
+    @pytest.mark.parametrize("config", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+    def test_domain_check_passes_on_every_config(self, capsys, config):
+        assert main(["domain", "--config", str(CONFIG_DIR / config)]) == 0
 
     def test_config_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,6 @@ from .copying import (
     CloneReport,
     CopyBasis,
     OverlapWitness,
-    apply_copy_map,
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,
@@ -32,7 +31,6 @@ from .hilbert import (
     DensityMatrix,
     Ket,
     OperatorMatrix,
-    apply,
     fidelity,
     inner_product,
     partial_trace,

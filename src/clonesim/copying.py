@@ -10,11 +10,12 @@ the n^2-dimensional product space by
 and the ancilla map V = A S^dagger sends |s_i> to |a_i>.  Preparing the
 ancilla as V|psi> and applying U copies *every* state |psi> perfectly,
 because all copying content lives in V: structurally U = I (x) V^dagger.
-:class:`CopyBasis` checks S, A and V once and holds V, and every copying
-path applies U in that factored form; the dense matrix is built only on
-request.  Feeding the same U a fixed ancilla instead copies only the
-matching basis ray, which is the content of the no-cloning restriction
-this module also witnesses.
+:class:`CopyBasis` checks S, A and V once and holds V as a plain frozen
+array, and each copy is formed directly as psi (x) V^dagger|ancilla>;
+the dense U is built only on request.  S, A, V and U pass one check, for
+orthonormal columns.  Feeding the same U a fixed ancilla instead copies
+only the matching basis ray, which is the content of the no-cloning
+restriction this module also witnesses.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisError
-from .hilbert import (
-    DEFAULT_ATOL,
-    Ket,
-    OperatorMatrix,
-    apply,
-    fidelity,
-    max_abs,
-    tensor_product,
-)
+from .hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, fidelity, max_abs, tensor_product
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_CONTRADICTION = "CONTRADICTION"
@@ -47,16 +40,16 @@ WITNESS_ATOL = 1e-12
 
 
 def _frozen_basis(name: str, columns) -> np.ndarray:
-    """``columns`` as a read-only complex matrix, once it is a finite, square,
-    non-empty matrix with orthonormal columns."""
+    """``columns`` as a read-only complex matrix, once it is a finite,
+    non-empty unitary: square, with orthonormal columns."""
     matrix = np.array(columns, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise BasisError(f"{name} basis must be a non-empty square matrix, got shape {matrix.shape}")
+        raise BasisError(f"{name} must be a non-empty square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
-        raise BasisError(f"{name} basis entries must be finite")
+        raise BasisError(f"{name} entries must be finite")
     deviation = max_abs(matrix.conj().T @ matrix - np.eye(len(matrix)))
     if not deviation < DEFAULT_ATOL:
-        raise BasisError(f"{name} basis is not orthonormal (deviation {deviation:.3e})")
+        raise BasisError(f"{name} is not orthonormal (deviation {deviation:.3e})")
     matrix.setflags(write=False)
     return matrix
 
@@ -67,24 +60,22 @@ class CopyBasis:
 
     ``system`` (S) and ``ancilla`` (A) are n x n matrices whose columns are
     the basis kets; ``v`` is the ancilla map V = A S^dagger.  All three are
-    checked once, at construction, and frozen.  The ancilla space is taken
-    to have the same dimension as the system space, so the n^2 defining
-    relations determine the copy unitary on the whole product space.
+    checked once, at construction, and frozen as plain arrays.  The ancilla
+    space is taken to have the same dimension as the system space, so the
+    n^2 defining relations determine the copy unitary on the whole product
+    space.
     """
 
     system: np.ndarray
     ancilla: np.ndarray
-    v: OperatorMatrix = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        system = _frozen_basis("system", self.system)
-        ancilla = _frozen_basis("ancilla", self.ancilla)
+        system = _frozen_basis("system basis", self.system)
+        ancilla = _frozen_basis("ancilla basis", self.ancilla)
         if system.shape != ancilla.shape:
             raise BasisError(f"system and ancilla bases differ in shape: {system.shape} and {ancilla.shape}")
-        try:
-            v = OperatorMatrix(ancilla @ system.conj().T, unitary=True)
-        except ValueError as exc:
-            raise BasisError(f"ancilla map V = A S^dagger: {exc}") from exc
+        v = _frozen_basis("ancilla map V = A S^dagger", ancilla @ system.conj().T)
         for name, value in (("system", system), ("ancilla", ancilla), ("v", v)):
             object.__setattr__(self, name, value)
 
@@ -128,12 +119,11 @@ def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
     and columns of kron(S, S) the corresponding outputs, so
     U = kron(S, S) kron(S, A)^dagger realizes all n^2 relations at once.
     This is the explicit dense materialization of U = I (x) V^dagger for
-    callers that ask for the matrix; every copying path applies U in that
-    factored form through :func:`apply_copy_map` and never builds it.
+    callers that ask for the matrix; every copying path forms its copy
+    from V directly and never builds it.
     """
     s, a = basis.system, basis.ancilla
-    u = np.kron(s, s) @ np.kron(s, a).conj().T
-    return OperatorMatrix(u, unitary=True)
+    return OperatorMatrix(_frozen_basis("copy unitary U", np.kron(s, s) @ np.kron(s, a).conj().T))
 
 
 def _prepare_input(state: Ket) -> Ket:
@@ -146,27 +136,18 @@ def _prepare_input(state: Ket) -> Ket:
     return state.normalize()
 
 
-def apply_copy_map(psi: Ket, ancilla: Ket, v: OperatorMatrix, matched: bool) -> CloneReport:
-    """Apply U = I (x) V^dagger to psi (x) ancilla and report against psi (x) psi.
-
-    ``v`` is the ancilla map V, a unitary or, for a copy restricted to a
-    subspace, a partial isometry from the system space into the ancilla
-    space.  Forming psi (x) V^dagger|ancilla> costs O(n^2) for an n x n V;
-    building the dense U costs O(n^6).
-    """
-    output = tensor_product(psi, Ket(v.entries.conj().T @ ancilla.amplitudes))
-    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=matched)
-
-
 def clone(input: Ket, basis: CopyBasis) -> CloneReport:
     """Copy ``input`` with the matched, state-prepared ancilla.
 
-    The ancilla is V|input>, the copy map acts on input (x) ancilla, and
-    the report compares the output against input (x) input.  Fidelity is
-    1 for every input state.
+    The ancilla is V|input> and the output input (x) V^dagger|ancilla>,
+    U = I (x) V^dagger applied in O(n^2) without building the O(n^6) dense
+    U; the report compares the output against input (x) input.  Fidelity
+    is 1 for every input state.
     """
     psi = _prepare_input(input)
-    return apply_copy_map(psi, apply(basis.v, psi), basis.v, matched=True)
+    ancilla = Ket(basis.v @ psi.amplitudes)
+    output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
+    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=True)
 
 
 def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBasis) -> CloneReport:
@@ -181,7 +162,8 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
         raise IndexError(f"ancilla index {fixed_ancilla_index} out of range for n={basis.n}")
     psi = _prepare_input(input)
     ancilla = Ket(basis.ancilla[:, fixed_ancilla_index])
-    return apply_copy_map(psi, ancilla, basis.v, matched=False)
+    output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
+    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=False)
 
 
 @dataclass(frozen=True)

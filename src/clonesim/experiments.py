@@ -394,8 +394,7 @@ def _run_stimulated_clone(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         raise ConfigError("stimulated-clone requires a 'mode_map' entry in the config")
     photon = _stimulated_photon(spec, mode_map)
     report = stimulated_clone(photon, system, mode_map)
-    abstract = clone(photon, CopyBasis.computational(photon.dim))
-    difference = max_abs(report.output.amplitudes - abstract.output.amplitudes)
+    difference = max_abs(report.output.amplitudes - report.target.amplitudes)
     results = {
         "photon": _ket_json(report.input),
         "photon_basis": [mode.label for mode, _ in mode_map],
@@ -436,13 +435,21 @@ def _run_spontaneous(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         "weights": weights,
         "density_matrix": _matrix_json(rho.entries),
     }
+    # A mode gets weight exactly when a populated level may emit it by the
+    # SU(2) rules alone, without reading the dipole table.
+    populations = np.ones(system.manifold_dim) if excited is None else np.abs(excited.amplitudes) ** 2
+    populated = [level for level, population in zip(system.excited, populations) if population > 0]
+    mismatched = [
+        mode.label
+        for mode, weight in zip(modes, weights)
+        if (weight != 0) != any(_selection_rule(system.ground, level, mode)[1] for level in populated)
+    ]
     checks = [
-        _check("trace-one", abs(sum(weights) - 1.0) <= 1e-10, f"trace={sum(weights)!r}"),
         _check(
-            "hermitian",
-            max_abs(rho.entries - rho.entries.conj().T) <= 1e-10,
-            "entrywise conjugate-transpose comparison",
-        ),
+            "weights-match-selection-rules",
+            not mismatched,
+            f"modes whose weight disagrees with the selection rules: {mismatched}",
+        )
     ]
     rows = [
         {"mode": mode.label, "weight": weight} for mode, weight in zip(modes, weights)

@@ -6,11 +6,13 @@ Tensor products use Kronecker ordering with the first factor major
 everywhere in the package.  Global phase is never canonicalized; use
 :func:`fidelity` for phase-insensitive comparison.
 
-Flagged properties (unitary, density matrix) are checked at
-construction, and a NaN deviation fails every check.  A hermitian
-operator has one constructor, :meth:`OperatorMatrix.hermitian_from_nonzeros`,
-which builds it from its nonzeros and checks it in O(nnz); only allocating
-the zero-filled array scales with dim^2.
+A density matrix is checked at construction, and a NaN deviation fails
+every check.  :class:`OperatorMatrix` is only the dense matrix a caller
+asked for: a hermitian one has one constructor,
+:meth:`OperatorMatrix.hermitian_from_nonzeros`, which builds it from its
+nonzeros and checks it in O(nnz); only allocating the zero-filled array
+scales with dim^2.  Unitarity is checked where the matrix is made, as
+orthonormal columns (see :mod:`clonesim.copying`).
 """
 
 from __future__ import annotations
@@ -86,21 +88,15 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix with an optional unitarity guarantee.
+    """Dense complex matrix, frozen at construction.
 
-    A ``unitary`` flag is verified at construction within ``DEFAULT_ATOL``.
     Hermitian matrices come from :meth:`hermitian_from_nonzeros`.
     """
 
     entries: np.ndarray
-    unitary: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
-        if self.unitary:
-            deviation = self.deviation_from_unitarity()
-            if not deviation < DEFAULT_ATOL:
-                raise ValueError(f"matrix flagged unitary but ||M^dag M - I||_max = {deviation:.3e}")
 
     @classmethod
     def hermitian_from_nonzeros(
@@ -129,22 +125,7 @@ class OperatorMatrix:
         entries.setflags(write=False)
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", entries)
-        object.__setattr__(matrix, "unitary", False)
         return matrix
-
-    @property
-    def dim_out(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dim_in(self) -> int:
-        return self.entries.shape[1]
-
-    def deviation_from_unitarity(self) -> float:
-        if self.dim_out != self.dim_in:
-            return float("inf")
-        eye = np.eye(self.dim_in)
-        return max_abs(self.entries.conj().T @ self.entries - eye)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +179,6 @@ def inner_product(a: Ket, b: Ket) -> complex:
 def fidelity(a: Ket, b: Ket) -> float:
     """|<a|b>|^2, invariant under global phase of either argument."""
     return abs(inner_product(a, b)) ** 2
-
-
-def apply(m: OperatorMatrix, k: Ket) -> Ket:
-    """Matrix-vector product; unitary operators preserve the norm."""
-    if m.dim_in != k.dim:
-        raise DimensionMismatchError(f"operator expects dim {m.dim_in}, ket has dim {k.dim}")
-    return Ket(m.entries @ k.amplitudes)
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:

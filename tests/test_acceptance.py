@@ -73,8 +73,8 @@ def test_02_copy_unitary_unitarity():
         rng = np.random.default_rng(202)
         for n in range(2, 9):
             for _ in range(100):
-                u = build_copy_unitary(random_copy_basis(n, rng))
-                assert u.deviation_from_unitarity() < 1e-12
+                u = build_copy_unitary(random_copy_basis(n, rng)).entries
+                assert max_abs(u.conj().T @ u - np.eye(n * n)) < 1e-12
 
 
 def test_03_oracle_equivalence_of_copy_unitary():
@@ -85,8 +85,7 @@ def test_03_oracle_equivalence_of_copy_unitary():
                 basis = random_copy_basis(n, rng)
                 u = build_copy_unitary(basis).entries
                 assert max_abs(u - copy_unitary_by_columns(basis)) < 1e-12
-                v = basis.v.entries
-                assert max_abs(u - np.kron(np.eye(n), v.conj().T)) < 1e-12
+                assert max_abs(u - np.kron(np.eye(n), basis.v.conj().T)) < 1e-12
 
 
 def test_04_fixed_ancilla_failure_and_overlap_witness():

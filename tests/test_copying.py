@@ -1,6 +1,7 @@
 """Tests for copy bases, the ancilla map, the copy unitary, and no-cloning witnesses."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from clonesim.copying import (
     no_cloning_overlap_witness,
 )
 from clonesim.errors import BasisError
-from clonesim.hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, apply, fidelity, max_abs, random_ket
+from clonesim.hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, fidelity, max_abs, random_ket
 
 from oracles import copy_unitary_by_columns, random_copy_basis, random_unitary
 
@@ -83,7 +84,7 @@ class TestCopyBasis:
         system, ancilla = random_unitary(3, rng), random_unitary(3, rng)
         basis = CopyBasis(system, ancilla)
         system[0, 0] = ancilla[0, 0] = 7.0  # the basis holds its own copies
-        for matrix in (basis.system, basis.ancilla, basis.v.entries):
+        for matrix in (basis.system, basis.ancilla, basis.v):
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 1.0
         for name in ("system", "ancilla", "v"):
@@ -96,8 +97,9 @@ class TestCopyBasis:
             system, ancilla = random_unitary(n, rng), random_unitary(n, rng)
             basis = CopyBasis(system, ancilla)
             assert basis.n == n
-            assert basis.v.unitary
-            assert max_abs(basis.v.entries - ancilla @ system.conj().T) < 1e-12
+            assert type(basis.v) is np.ndarray
+            assert max_abs(basis.v.conj().T @ basis.v - np.eye(n)) < 1e-12
+            assert max_abs(basis.v - ancilla @ system.conj().T) < 1e-12
 
     def test_only_the_bases_are_init_fields(self):
         assert [f.name for f in dataclasses.fields(CopyBasis) if f.init] == ["system", "ancilla"]
@@ -106,11 +108,11 @@ class TestCopyBasis:
 class TestAncillaPrepMap:
     def test_identity_when_bases_coincide(self):
         v = CopyBasis.computational(3).v
-        assert max_abs(v.entries - np.eye(3)) < 1e-12
+        assert max_abs(v - np.eye(3)) < 1e-12
 
     def test_swapped_pair_gives_basis_swap(self):
         v = swapped_basis().v
-        assert max_abs(v.entries - X_SWAP) < 1e-12
+        assert max_abs(v - X_SWAP) < 1e-12
 
     def test_reads_back_the_generating_unitary(self, rng):
         # Apply a random unitary W to the system basis to make the ancilla
@@ -120,7 +122,7 @@ class TestAncillaPrepMap:
             system = np.eye(n)
             ancilla = np.column_stack([w @ column for column in system.T])
             v = CopyBasis(system, ancilla).v
-            assert max_abs(v.entries - w) < 1e-12
+            assert max_abs(v - w) < 1e-12
 
     def test_linearity_on_superpositions(self, rng):
         basis = random_copy_basis(4, rng)
@@ -130,8 +132,8 @@ class TestAncillaPrepMap:
             beta = complex(rng.standard_normal(), rng.standard_normal())
             a, b = Ket(basis.system[:, 0]), Ket(basis.system[:, 2])
             combined = alpha * a.amplitudes + beta * b.amplitudes
-            lhs = v.entries @ combined
-            rhs = alpha * (v.entries @ a.amplitudes) + beta * (v.entries @ b.amplitudes)
+            lhs = v @ combined
+            rhs = alpha * (v @ a.amplitudes) + beta * (v @ b.amplitudes)
             assert max_abs(lhs - rhs) < 1e-12
 
 
@@ -148,26 +150,36 @@ class TestBuildCopyUnitary:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_unitarity(self, n, rng):
-        u = build_copy_unitary(random_copy_basis(n, rng))
-        assert u.deviation_from_unitarity() < 1e-12
+        u = build_copy_unitary(random_copy_basis(n, rng)).entries
+        assert max_abs(u.conj().T @ u - np.eye(n * n)) < 1e-12
+
+    def test_rejects_non_unitary(self):
+        # CopyBasis never holds such bases; a stand-in reaches the check on U itself.
+        stretched = SimpleNamespace(system=np.diag([1.0, 2.0]), ancilla=np.eye(2))
+        with pytest.raises(BasisError, match="copy unitary U is not orthonormal"):
+            build_copy_unitary(stretched)
+
+    def test_rejects_non_finite(self):
+        system = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(BasisError, match="copy unitary U entries must be finite"):
+            build_copy_unitary(SimpleNamespace(system=system, ancilla=np.eye(2)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_column_assembly_oracle_and_structural_identity(self, n, rng):
         basis = random_copy_basis(n, rng)
         u = build_copy_unitary(basis).entries
         assert max_abs(u - copy_unitary_by_columns(basis)) < 1e-12
-        v = basis.v.entries
-        assert max_abs(u - np.kron(np.eye(n), v.conj().T)) < 1e-12
+        assert max_abs(u - np.kron(np.eye(n), basis.v.conj().T)) < 1e-12
 
     def test_defining_relations_on_mismatched_pairs(self, rng):
         # U (|s_i> (x) |a_j>) = |s_i> (x) |s_j>, including i != j.
         basis = random_copy_basis(3, rng)
-        u = build_copy_unitary(basis)
+        u = build_copy_unitary(basis).entries
         for i in range(3):
             for j in range(3):
-                joint = Ket(np.kron(basis.system[:, i], basis.ancilla[:, j]))
+                joint = np.kron(basis.system[:, i], basis.ancilla[:, j])
                 expected = np.kron(basis.system[:, i], basis.system[:, j])
-                assert max_abs(apply(u, joint).amplitudes - expected) < 1e-12
+                assert max_abs(u @ joint - expected) < 1e-12
 
 
 class TestClone:
@@ -201,7 +213,7 @@ class TestClone:
         basis = random_copy_basis(4, rng)
         psi = random_ket(4, rng)
         report = clone(psi, basis)
-        assert max_abs(report.ancilla.amplitudes - basis.v.entries @ psi.amplitudes) < 1e-12
+        assert max_abs(report.ancilla.amplitudes - basis.v @ psi.amplitudes) < 1e-12
 
     def test_warns_on_denormalized_input(self):
         with pytest.warns(UserWarning, match="renormalizing"):
@@ -249,18 +261,20 @@ class TestCloneWithFixedAncilla:
 
 class TestFactoredCopyMap:
     def test_copies_build_no_operator(self, rng, monkeypatch):
-        # V is formed and checked once, when the basis is built; a copy only applies it.
-        basis = random_copy_basis(4, rng)
+        # V is a plain array, formed and checked once when the basis is built;
+        # neither the basis nor a copy builds an OperatorMatrix.
         built = []
         original = OperatorMatrix.__post_init__
         monkeypatch.setattr(OperatorMatrix, "__post_init__", lambda self: built.append(self) or original(self))
+        basis = random_copy_basis(4, rng)
+        CopyBasis.computational(3)
         for _ in range(3):
             psi = random_ket(4, rng)
             clone(psi, basis)
             for k in range(4):
                 clone_with_fixed_ancilla(psi, k, basis)
         assert built == []
-        CopyBasis.computational(2)
+        build_copy_unitary(basis)
         assert len(built) == 1  # the patch sees a construction
 
     @pytest.mark.parametrize("n", range(2, 9))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clonesim import cli, experiments
+from clonesim import cli, copying, emission, experiments
 from clonesim.cli import main
 from clonesim.emission import PI, SIGMA_MINUS
 from clonesim.errors import ConfigError
@@ -280,6 +280,36 @@ class TestRunners:
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
         assert report["results"]["abstract_path_max_difference"] <= 1e-12
 
+    def test_stimulated_clone_runs_no_abstract_copier(self, config_dir, monkeypatch):
+        # The physical copy is compared with photon (x) photon, not with a run of clone().
+        calls = []
+        post_init = copying.CopyBasis.__post_init__
+        monkeypatch.setattr(copying.CopyBasis, "__post_init__", lambda self: calls.append("CopyBasis") or post_init(self))
+        for module in (copying, experiments):
+            original = module.clone
+            monkeypatch.setattr(module, "clone", lambda *args, f=original: calls.append("clone") or f(*args))
+        report, _ = run(spec_for("stimulated-clone", config_dir))
+        assert report["passed"] and calls == []
+        run(spec_for("clone-demo", config_dir))
+        assert calls == ["CopyBasis", "clone"]  # the patches see the abstract copier
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param([config, "--seed", str(seed)], id=f"{config}-seed{seed}")
+            for config in ("full_p_manifold.json", "pi_only.json")
+            for seed in range(10)
+        ]
+        + [pytest.param(["pi_only.json", "--state", "1,1e-11"], id="pi_only.json-below-tolerance")],
+    )
+    def test_abstract_path_difference_is_the_gap_to_photon_squared(self, capsys, options):
+        config, *rest = options
+        main(["stimulated-clone", "--config", str(CONFIG_DIR / config), *rest])
+        results = json.loads(capsys.readouterr().out)["results"]
+        photon, output = (np.array(results[key]) @ [1, 1j] for key in ("photon", "output"))
+        gap = np.max(np.abs(output - np.kron(photon, photon)))
+        assert results["abstract_path_max_difference"] == gap
+
     def test_spontaneous_reports_isotropic_mixture(self, config_dir):
         report, _ = run(spec_for("spontaneous", config_dir))
         assert report["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-10)
@@ -410,6 +440,30 @@ class TestCli:
     @pytest.mark.parametrize("config", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
     def test_domain_check_passes_on_every_config(self, capsys, config):
         assert main(["domain", "--config", str(CONFIG_DIR / config)]) == 0
+
+    @pytest.mark.parametrize(
+        "factors, populations",
+        [((0.0, 0.5, -0.5), ["--excited-state", "1,0,0"]), ((0.0, 0.0, 0.0), [])],
+        ids=["weight-on-a-forbidden-mode", "no-weight-on-an-admitted-mode"],
+    )
+    def test_wrong_dipole_table_fails_the_spontaneous_check(self, capsys, monkeypatch, tmp_path, factors, populations):
+        # Level e- (m = -1) may emit only sigma+; the patched table says otherwise.
+        config = tmp_path / "full_p.json"
+        config.write_text(json.dumps(FULL_P_CONFIG))
+        original = emission.dipole_angular_factors
+        monkeypatch.setattr(
+            emission, "dipole_angular_factors", lambda *lm: factors if lm == (1, -1, 0, 0) else original(*lm)
+        )
+        assert main(["spontaneous", "--config", str(config), *populations]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(check["name"], check["passed"]) for check in report["checks"]] == [
+            ("weights-match-selection-rules", False)
+        ]
+
+    # Unpopulated levels, and a population that underflows to zero, give modes no weight.
+    @pytest.mark.parametrize("populations", [["--excited-state", "1,0,0"], ["--excited-state", "0,1e-170,1"]])
+    def test_spontaneous_check_passes_with_unweighted_modes(self, capsys, config_dir, populations):
+        assert main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), *populations]) == 0
 
     def test_config_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,9 +6,14 @@ integers, booleans and check verdicts must match exactly, floats to within
 ``FLOAT_ATOL`` (so -0.0 equals 0.0).  The ``generated_at`` timestamp and the
 free-text check ``detail`` are not part of a golden.
 
-Regenerate the references, only when a report change is intended, with::
+Regenerate references, only when a report change is intended, by naming
+their cases (all cases when none is named; an unknown name exits 2)::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py spontaneous domain
+
+Name only the cases whose reports the change touches: the last bits of a
+float, and the sign of a zero, can differ between machines, so rewriting
+an untouched golden can change it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -97,9 +103,35 @@ def test_every_kind_has_a_golden():
     assert {argv[0] for argv in CASES.values()} == set(EXPERIMENT_KINDS)
 
 
+def regenerate(names: list[str]) -> int:
+    """Rewrite the goldens of the named cases, or of every case when none is
+    named; exit code 2, and nothing written, on an unknown name."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown golden cases {unknown}; the cases are {sorted(CASES)}", file=sys.stderr)
+        return 2
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in names or CASES:
+        text = json.dumps(run_case(CASES[name]), indent=2, sort_keys=True) + "\n"
+        (GOLDEN_DIR / f"{name}.json").write_text(text)
+    return 0
+
+
+def test_regenerates_only_the_named_case(tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    assert regenerate(["domain"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["domain.json"]
+    assert json.loads((tmp_path / "domain.json").read_text()) == run_case(CASES["domain"])
+
+
+def test_regeneration_refuses_an_unknown_case(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    assert regenerate(["domain", "no-such-case"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "no-such-case" in capsys.readouterr().err
+
+
 if __name__ == "__main__":
     os.chdir(REPO_ROOT)
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        text = json.dumps(run_case(argv), indent=2, sort_keys=True) + "\n"
-        (GOLDEN_DIR / f"{name}.json").write_text(text)
+    sys.exit(regenerate(sys.argv[1:]))

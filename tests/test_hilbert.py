@@ -11,7 +11,6 @@ from clonesim.hilbert import (
     DensityMatrix,
     Ket,
     OperatorMatrix,
-    apply,
     fidelity,
     inner_product,
     max_abs,
@@ -152,38 +151,39 @@ class TestInnerProductAndFidelity:
 
 
 class TestApply:
+    # Operators act on kets as plain matrix-vector products of their entries.
     def test_identity(self):
         k = ket(0.6, 0.8j)
-        assert max_abs(apply(OperatorMatrix(np.eye(2), unitary=True), k).amplitudes - k.amplitudes) <= DEFAULT_ATOL
+        assert max_abs(Ket(OperatorMatrix(np.eye(2)).entries @ k.amplitudes).amplitudes - k.amplitudes) <= DEFAULT_ATOL
 
     def test_basis_swap(self):
-        swap = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex), unitary=True)
-        assert max_abs(apply(swap, ket(1, 0)).amplitudes - ket(0, 1).amplitudes) <= DEFAULT_ATOL
+        swap = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
+        assert max_abs(Ket(swap.entries @ ket(1, 0).amplitudes).amplitudes - ket(0, 1).amplitudes) <= DEFAULT_ATOL
 
     def test_unitary_preserves_norm(self, rng):
         for n in (2, 3, 5):
-            u = OperatorMatrix(random_unitary(n, rng), unitary=True)
+            u = OperatorMatrix(random_unitary(n, rng))
             k = random_ket(n, rng)
-            assert abs(apply(u, k).norm - k.norm) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(OperatorMatrix(np.eye(2), unitary=True), ket(1, 0, 0))
+            assert abs(Ket(u.entries @ k.amplitudes).norm - k.norm) < 1e-10
 
 
 class TestOperatorMatrix:
-    def test_unitary_flag_validates(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[1, 0], [0, 2]], dtype=complex), unitary=True)
-
     def test_flag_deviations_small_for_valid(self, rng):
-        u = OperatorMatrix(random_unitary(4, rng), unitary=True)
-        assert u.deviation_from_unitarity() < 1e-10
+        # The matrix keeps its entries: a unitary stays unitary within rounding.
+        u = OperatorMatrix(random_unitary(4, rng)).entries
+        assert max_abs(u.conj().T @ u - np.eye(4)) < 1e-10
 
-    @pytest.mark.parametrize("flag", ["unitary"])
-    def test_nan_fails_flag_checks(self, flag):
-        with pytest.raises(ValueError, match=f"flagged {flag}.*nan"):
-            OperatorMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex), **{flag: True})
+    def test_holds_a_frozen_copy(self):
+        source = np.eye(2, dtype=complex)
+        m = OperatorMatrix(source)
+        source[0, 0] = 7.0
+        assert m.entries[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 0] = 2.0
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            OperatorMatrix(np.ones(3))
 
 
 def sparse_hermitian(dim: int, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -203,7 +203,6 @@ class TestHermitianFromNonzeros:
             rows, cols = rows[order], cols[order]
             m = OperatorMatrix.hermitian_from_nonzeros(dim, rows, cols, h[rows, cols])
             assert np.array_equal(m.entries, h)
-            assert m.unitary is False
             assert np.array_equal(m.entries, m.entries.conj().T)
 
     def test_empty_is_zero_matrix(self):

@@ -5,9 +5,10 @@ experiment reads; reports go to stdout or ``--out``.  The parser is built
 once per process and reused by every :func:`main` call; parsing reads only
 its ``argv``, so no call carries options into the next.  Exit codes: 0
 success, 1 report written but a check failed, 2 unparseable command line
-or config, 3 domain violation, 4 dimension or validation failure, an
-``--out`` path that cannot be written, or a report that stdout cannot
-encode.  ``--out`` files are written as UTF-8, as configs are read.
+(returned, not raised) or config, 3 domain violation, 4 dimension or
+validation failure, an ``--out`` path that cannot be written, or a
+report that stdout cannot encode.  ``--out`` files are written as UTF-8,
+as configs are read.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _KIND_FLAGS = {
 
 _FLAG_ARGUMENTS = {
     "--config": {"dest": "config_path", "metavar": "PATH", "help": "atomic-system config file (JSON)"},
-    "--state": {"help": "input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK)"},
+    "--state": {"help": "input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK); "
+                        "write a leading minus sign as --state=-1,0"},
     "--seed": {"type": int, "help": "seed for random-state generation (default 0)"},
     "--dim": {"type": int, "help": "dimension for random input states (default 2)"},
     "--ancilla-index": {"type": int, "help": "which basis ancilla to hold fixed (default 0)"},
@@ -81,7 +83,10 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    fields = vars(build_parser().parse_args(argv))
+    try:
+        fields = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     output_format, out = fields.pop("format"), fields.pop("out")
     try:
         report, rows = run(ExperimentSpec(**fields))

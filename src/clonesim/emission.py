@@ -20,15 +20,13 @@ components with at least one allowed transition.  A mode map pairs each
 photon component with an excited level that emits it, or with ``None``;
 :func:`validate_mode_map` rejects a level that cannot emit its component,
 so a mapped component is always a coupled one.  The mode map is the
-copy's ancilla map V, a plain manifold x photon array: the incoming
-photon's amplitudes are transplanted onto the mapped levels as
-V|photon>, and :func:`stimulated_clone` reports that excited
-superposition as the ancilla, together with the copy
-V^dagger|ancilla> (x) V^dagger|ancilla> of the photon's coupled part.
-A photon with support on the ``None`` components raises
-:class:`~clonesim.errors.DomainViolationError`, from the one domain test
-in the ancilla map; the restriction comes from the atomic symmetries, not
-from the copying construction.
+copy's ancilla map V, a plain manifold x photon array holding 1 / D for
+each mapped level and component, so the atom prepared as V|photon> emits
+the photon itself; :func:`stimulated_clone` reports the photon pair that
+atom emits through D.  A photon with support on the ``None`` components
+raises :class:`~clonesim.errors.DomainViolationError`, from the one
+domain test in the ancilla map; the restriction comes from the atomic
+symmetries, not from the copying construction.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 from .angular import IrrepLabel, dipole_angular_factors
 from .copying import CloneReport
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DensityMatrix, Ket, OperatorMatrix, tensor_product
+from .hilbert import DensityMatrix, Ket, OperatorMatrix
 
 #: Amplitudes below this are treated as symmetry-forbidden (they are exact
 #: zeros from the CG machinery; the threshold only guards radial rounding).
@@ -325,21 +323,23 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> np.ndarra
     """The mode map as the copy's ancilla map V, a manifold x photon array.
 
     This is the one place that decides which photon components the atom
-    copies.  V has a 1 at (level of ``mode_map[j]``, j) for each mapped
-    component and a zero column for each ``None``, so it is a partial
-    isometry.  A photon whose norm on the ``None`` components exceeds
-    ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside the clonable domain.
+    copies.  V has 1 / D[i, q_j + 1] at (level i of ``mode_map[j]``, j) for
+    each mapped component, dividing out its dipole sign and radial factor,
+    and a zero column for each ``None``.  A photon whose norm on the
+    ``None`` components exceeds ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside
+    the clonable domain.
     """
     pairs = validate_mode_map(system, mode_map)
     if len(pairs) != psi.dim:
         raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
     v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
     uncoupled = []
-    for j, (_, label) in enumerate(pairs):
+    for j, (mode, label) in enumerate(pairs):
         if label is None:
             uncoupled.append(j)
         else:
-            v[system.excited_index(label), j] = 1.0
+            i = system.excited_index(label)
+            v[i, j] = 1.0 / system.amplitudes[i, mode.q + 1]
     outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
     if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
         raise DomainViolationError(
@@ -350,25 +350,24 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> np.ndarra
 
 
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
-    """Copy a photon polarization state via the adaptive atomic ancilla.
+    """Copy a photon polarization state by stimulated emission from the adaptive ancilla.
 
-    The mode map is the ancilla map V.  The adaptive ancilla is the
-    normalized V|photon>: component j of the photon is carried by the
-    excited level ``mode_map[j]``, so the ancilla is the superposition of
-    those levels with the photon's coefficients.  Photon support on a
-    component mapped to ``None`` is a domain violation.  The output is
-    the copy of the photon's coupled part V^dagger|ancilla>, which drops
-    only components the domain test bounds by
-    ``DOMAIN_MEMBERSHIP_TOLERANCE``; no copy-map matrix is built.  The
-    report keeps the full photon as input, its output lives in the
-    photon (x) photon space, and the fidelity against photon (x) photon
-    is 1.
+    The ancilla is the normalized V|photon> of the ancilla map V.  It emits
+    phi = D[:, photon columns]^T |ancilla>, read from the whole dipole
+    table, beside the photon, so the output is the pair
+    a_phi^dagger a_photon^dagger|0> in photon (x) photon space, normalized:
+    the ground projection of the interaction Hamiltonian applied to
+    |ancilla> (x) |1_photon>, without its overall sign.  The fidelity is
+    2c / (1 + c) with c = |<phi|photon>|^2 / <phi|phi>.
     """
     psi = photon.normalize()
     v = _ancilla_map(psi, system, mode_map)
     ancilla = Ket(v @ psi.amplitudes).normalize()
-    coupled = Ket(v.conj().T @ ancilla.amplitudes)
-    return CloneReport(input=psi, ancilla=ancilla, output=tensor_product(coupled, coupled), matched=True)
+    columns = [mode.q + 1 for mode, _ in mode_map]
+    phi = system.amplitudes[:, columns].T @ ancilla.amplitudes
+    pair = np.outer(phi, psi.amplitudes)
+    output = Ket((pair + pair.T).ravel()).normalize()
+    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=True)
 
 
 def spontaneous_emission_output(
@@ -384,7 +383,8 @@ def spontaneous_emission_output(
     ``modes``.  Populations come from ``excited_state``; ``None`` is the
     unpolarized ensemble (uniform populations over the manifold).  There
     is no decay channel when no populated level has an ``allowed``
-    transition into ``modes``.  Coherences between manifold levels are
+    transition into ``modes``, and a ``ValueError`` when such a mode's
+    weight underflows to 0.  Coherences between manifold levels are
     deliberately discarded: the statement under test is about statistics,
     not a single pure outcome.
     """
@@ -399,9 +399,10 @@ def spontaneous_emission_output(
     else:
         populations = np.abs(excited_state.normalize().amplitudes) ** 2
 
-    if not system.allowed[populations > 0][:, columns].any():
+    emitted = system.allowed[populations > 0][:, columns].any(axis=0)
+    if not emitted.any():
         raise DomainViolationError("no allowed decay channel into the given modes")
     weights = populations @ np.abs(system.amplitudes[:, columns]) ** 2
-    if not weights.sum() > 0:
-        raise ValueError("every allowed decay weight underflows to zero")
+    if not (weights[emitted] > 0).all():
+        raise ValueError("an allowed decay weight underflows to zero")
     return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the production code path it checks:
 coupling coefficients come from explicit ladder-operator construction,
 angular factors from numerical quadrature of spherical harmonics, the
-interaction Hamiltonian from dense per-term Kronecker products, copy
+interaction Hamiltonian from dense per-term Kronecker products, the
+stimulated photon pair from that Hamiltonian applied in Fock space, copy
 unitaries from column-by-column assembly, reduced density matrices from
 hand-written index contraction.
 """
@@ -185,6 +186,43 @@ def hamiltonian_by_kron(
                 term = np.kron(sigma, field_op)
                 h -= d * term + np.conj(d) * term.conj().T
     return h
+
+
+def stimulated_pair_by_hamiltonian(couplings: np.ndarray, ancilla: np.ndarray, photon: np.ndarray) -> np.ndarray:
+    """H |ancilla> (x) |1_photon> from the dense Hamiltonian, written in photon (x) photon space.
+
+    ``couplings[i, k]`` couples excited level i to photon component k, and
+    H is ``hamiltonian_by_kron(couplings, 2)``.  The one-photon state is
+    |1_photon> = sum_k photon_k |1_k>.  Asserts that H leaves no weight off
+    the ground-level two-photon states, then maps |2_k> to e_k (x) e_k and
+    |1_k 1_l> to (e_k (x) e_l + e_l (x) e_k) / sqrt(2).  The result is not
+    normalized and keeps H's overall sign.
+    """
+    n_levels, n_modes = couplings.shape
+    fock_dim = 3**n_modes
+
+    def fock_index(*photons: int) -> int:
+        occupations = [photons.count(k) for k in range(n_modes)]
+        return sum(n * 3 ** (n_modes - 1 - k) for k, n in enumerate(occupations))
+
+    state = np.zeros((1 + n_levels) * fock_dim, dtype=complex)
+    for i in range(n_levels):
+        for k in range(n_modes):
+            state[(1 + i) * fock_dim + fock_index(k)] = ancilla[i] * photon[k]
+    emitted = hamiltonian_by_kron(couplings, 2) @ state
+
+    pair = np.zeros((n_modes, n_modes), dtype=complex)
+    reached = np.zeros(emitted.shape, dtype=bool)
+    for k in range(n_modes):
+        for l in range(k, n_modes):
+            index = fock_index(k, l)  # the ground level's block comes first
+            reached[index] = True
+            if k == l:
+                pair[k, k] = emitted[index]
+            else:
+                pair[k, l] = pair[l, k] = emitted[index] / np.sqrt(2.0)
+    assert not emitted[~reached].any(), "H leaves weight off the ground-level two-photon states"
+    return pair.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from clonesim.emission import (
 )
 from clonesim.hilbert import Ket, max_abs, random_ket
 
-from oracles import cg_by_lowering, copy_unitary_by_columns, random_copy_basis
+from oracles import cg_by_lowering, copy_unitary_by_columns, random_copy_basis, stimulated_pair_by_hamiltonian
 
 FULL_MODE_MAP = ((SIGMA_MINUS, "e+"), (PI, "e0"), (SIGMA_PLUS, "e-"))
 
@@ -161,16 +161,20 @@ def test_06_clonable_domain_reproduction(tmp_path, config_dir):
 
 
 def test_07_stimulated_equals_abstract():
-    with criterion(7, "stimulated clone equals abstract pipeline, 1000 photons"):
+    with criterion(7, "stimulated clone equals abstract pipeline and dense-H emission, 1000 photons"):
         rng = np.random.default_rng(707)
         system = p_manifold_system()
         abstract_basis = CopyBasis.computational(3)
+        couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in FULL_MODE_MAP]]
         for _ in range(1000):
             photon = random_ket(3, rng)
             physical = stimulated_clone(photon, system, FULL_MODE_MAP)
             abstract = clone(photon, abstract_basis)
             assert max_abs(physical.output.amplitudes - abstract.output.amplitudes) < 1e-12
             assert abs(physical.fidelity - 1.0) < 1e-10
+            # H|ancilla, 1_photon> on the ground level, normalized, without H's overall sign.
+            pair = stimulated_pair_by_hamiltonian(couplings, physical.ancilla.amplitudes, physical.input.amplitudes)
+            assert max_abs(physical.output.amplitudes + pair / np.linalg.norm(pair)) < 1e-12
 
 
 def test_08_spontaneous_emission_contrast():

@@ -1,14 +1,16 @@
 """Tests for dipole amplitudes, the interaction Hamiltonian, clonable
 domains, and the adaptive-ancilla stimulated cloning pipeline."""
 
+import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from clonesim import angular
+from clonesim import angular, emission
 from clonesim.angular import PHOTON_IRREP, contains, dipole_angular_factors
+from clonesim.cli import main
 from clonesim.copying import CopyBasis, clone
 from clonesim.emission import (
     PI,
@@ -31,7 +33,7 @@ from clonesim.errors import DimensionMismatchError, DomainViolationError
 from clonesim.experiments import ExperimentSpec, load_atomic_system, run
 from clonesim.hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, max_abs, random_ket
 
-from oracles import angular_factor_by_quadrature, hamiltonian_by_kron
+from oracles import angular_factor_by_quadrature, hamiltonian_by_kron, stimulated_pair_by_hamiltonian
 from test_golden import REPO_ROOT
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -520,23 +522,51 @@ class TestOneDomainTest:
         assert max_abs(report.ancilla.amplitudes - [1.0]) <= DEFAULT_ATOL
 
 
+def divided_ancilla(system: AtomicSystem, table: np.ndarray, mode_map, photon: np.ndarray) -> np.ndarray:
+    """The normalized manifold state with psi_j / d_j on the level of mapped component j,
+    where d_j is that level's entry for the component in ``table``, the system's
+    quadrature table."""
+    ancilla = np.zeros(system.manifold_dim, dtype=complex)
+    for (mode, label), amplitude in zip(mode_map, photon):
+        if label is not None:
+            i = system.excited_index(label)
+            ancilla[i] = amplitude / table[i, mode.q + 1]
+    return ancilla / np.linalg.norm(ancilla)
+
+
 class TestAdaptiveAncilla:
     def test_basis_photon_maps_to_its_level(self):
         system = p_manifold_system()
-        photon = Ket.basis_state(3, 2)  # sigma+ component
+        photon = Ket.basis_state(3, 2)  # sigma+ component, emitted by e- with amplitude -1/sqrt(3)
         ancilla = stimulated_clone(photon, system, FULL_MODE_MAP).ancilla
-        expected = Ket.basis_state(3, system.excited_index("e-"))
-        assert max_abs(ancilla.amplitudes - expected.amplitudes) <= DEFAULT_ATOL
+        expected = -Ket.basis_state(3, system.excited_index("e-")).amplitudes
+        assert max_abs(ancilla.amplitudes - expected) <= DEFAULT_ATOL
 
-    def test_superposition_amplitudes_transplanted(self):
+    def test_superposition_amplitudes_divided_by_dipole_amplitudes(self):
         system = p_manifold_system()
         photon = Ket(np.array([INV_SQRT2, 0.0, INV_SQRT2]))  # sigma- + sigma+
         ancilla = stimulated_clone(photon, system, FULL_MODE_MAP).ancilla
         expected = np.zeros(3, dtype=complex)
-        expected[system.excited_index("e+")] = INV_SQRT2
-        expected[system.excited_index("e-")] = INV_SQRT2
+        expected[system.excited_index("e+")] = -INV_SQRT2
+        expected[system.excited_index("e-")] = -INV_SQRT2
         assert max_abs(ancilla.amplitudes - expected) < 1e-12
+        divided = divided_ancilla(system, quadrature_table(system), FULL_MODE_MAP, photon.amplitudes)
+        assert max_abs(ancilla.amplitudes - divided) < 1e-12
         assert abs(ancilla.norm - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    def test_radial_factors_are_divided_out(self, kind, rng):
+        system = seeded_radial_system(kind)
+        # Each coupled mode paired with the first level that emits it.
+        mode_map = [
+            (mode, system.excited[int(np.argmax(system.allowed[:, mode.q + 1]))].label)
+            for mode in clonable_domain(system)
+        ]
+        table = quadrature_table(system)
+        for _ in range(10):
+            photon = random_ket(len(mode_map), rng)
+            ancilla = stimulated_clone(photon, system, mode_map).ancilla
+            assert max_abs(ancilla.amplitudes - divided_ancilla(system, table, mode_map, photon.amplitudes)) < 1e-12
 
     def test_support_on_forbidden_component_raises(self):
         system = two_level_pi_system()
@@ -589,12 +619,13 @@ class TestStimulatedClone:
         system = p_manifold_system()
         levels = [system.excited_index(label) for _, label in mode_map]
         assert levels != sorted(levels)
+        table = quadrature_table(system)
         for _ in range(25):
             photon = random_ket(len(mode_map), rng)
             report = stimulated_clone(photon, system, mode_map)
             psi = photon.normalize().amplitudes
             assert max_abs(report.output.amplitudes - np.kron(psi, psi)) < 1e-12
-            assert max_abs(report.ancilla.amplitudes[levels] - psi) < 1e-12
+            assert max_abs(report.ancilla.amplitudes - divided_ancilla(system, table, mode_map, psi)) < 1e-12
 
     def test_matches_abstract_pipeline_entrywise(self, rng):
         system = p_manifold_system()
@@ -641,6 +672,84 @@ class TestStimulatedClone:
         assert built == []
         OperatorMatrix(np.eye(2))
         assert len(built) == 1  # the patch sees a construction
+
+
+def assert_matches_hamiltonian(report, system: AtomicSystem, mode_map) -> None:
+    """The stimulated output is H|ancilla, 1_photon> on the ground level, from the dense
+    oracle, normalized and without H's overall sign."""
+    couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in mode_map]]
+    pair = stimulated_pair_by_hamiltonian(couplings, report.ancilla.amplitudes, report.input.amplitudes)
+    assert max_abs(report.output.amplitudes + pair / np.linalg.norm(pair)) < 1e-12
+
+
+def transplanted_ancilla_map(psi, system, mode_map, divided=emission._ancilla_map):
+    """The ancilla map with 1 for each mapped entry: photon amplitudes moved onto the
+    levels without dividing out the dipole amplitudes."""
+    return (divided(psi, system, mode_map) != 0).astype(complex)
+
+
+class TestStimulatedPairAgainstHamiltonian:
+    def test_full_p_manifold_with_random_radial_factors(self, rng):
+        system, mode_map = load_atomic_system(REPO_ROOT / "configs" / "full_p_manifold.json")
+        for _ in range(300):
+            radial = {level.label: float(rng.uniform(0.3, 3.0)) for level in system.excited}
+            atom = replace(system, radial_factors=radial)
+            report = stimulated_clone(random_ket(3, rng), atom, mode_map)
+            assert_matches_hamiltonian(report, atom, mode_map)
+            assert abs(report.fidelity - 1.0) < 1e-12
+
+    def test_pi_only(self, rng):
+        # A pi photon with up to 7e-10 on the uncoupled sigma+ component, below the domain tolerance.
+        system, mode_map = load_atomic_system(REPO_ROOT / "configs" / "pi_only.json")
+        for _ in range(25):
+            phases = np.exp(2j * np.pi * rng.random(2))
+            report = stimulated_clone(Ket(phases * [1.0, rng.uniform(0.0, 7e-10)]), system, mode_map)
+            assert_matches_hamiltonian(report, system, mode_map)
+
+    @pytest.mark.parametrize(
+        "mode_map",
+        [((SIGMA_MINUS, "e+"), (SIGMA_PLUS, "e-")), FULL_MODE_MAP],
+        ids=["two-modes", "three-modes"],
+    )
+    def test_level_permuting_mode_maps(self, mode_map, rng):
+        system = seeded_radial_system("p-manifold")
+        for _ in range(25):
+            report = stimulated_clone(random_ket(len(mode_map), rng), system, mode_map)
+            assert_matches_hamiltonian(report, system, mode_map)
+
+    def test_below_tolerance_pair_holds_the_bosonic_cross_term(self):
+        # The pi-only atom emits pi alone, so the pair is a_pi^dagger a_photon^dagger|0>: its
+        # cross entries are half the photon's sigma+ amplitude, not its square.
+        system, mode_map = load_atomic_system(REPO_ROOT / "configs" / "pi_only.json")
+        report = stimulated_clone(Ket(np.array([1.0, 1e-11])), system, mode_map)
+        assert max_abs(report.output.amplitudes - [1.0, 5e-12, 5e-12, 0.0]) < 1e-15
+        assert abs(report.fidelity - 1.0) < 1e-15
+
+
+class TestTransplantedAncillaFails:
+    """Without the division by the dipole amplitudes the atom emits phi_j = d_j psi_j, and
+    the pair's fidelity is 2c / (1 + c) with c = |<phi|psi>|^2 / <phi|phi>."""
+
+    def test_fidelity_is_the_mismatched_pair_formula(self, monkeypatch, rng):
+        monkeypatch.setattr(emission, "_ancilla_map", transplanted_ancilla_map)
+        system = seeded_radial_system("p-manifold")
+        table = quadrature_table(system)
+        for _ in range(25):
+            psi = random_ket(3, rng).amplitudes
+            report = stimulated_clone(Ket(psi), system, FULL_MODE_MAP)
+            phi = np.array([table[system.excited_index(label), mode.q + 1] for mode, label in FULL_MODE_MAP]) * psi
+            c = abs(np.vdot(phi, psi)) ** 2 / np.vdot(phi, phi).real
+            assert report.fidelity == pytest.approx(2 * c / (1 + c), abs=1e-12)
+            assert_matches_hamiltonian(report, system, FULL_MODE_MAP)
+
+    @pytest.mark.parametrize("seed, fidelity", [(0, 0.167), (1, 0.059), (2, 0.230)])
+    def test_cli_check_fails(self, monkeypatch, capsys, seed, fidelity):
+        monkeypatch.setattr(emission, "_ancilla_map", transplanted_ancilla_map)
+        config = REPO_ROOT / "configs" / "full_p_manifold.json"
+        assert main(["stimulated-clone", "--config", str(config), "--seed", str(seed)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["fidelity"] == pytest.approx(fidelity, abs=5e-4)
+        assert [(check["name"], check["passed"]) for check in report["checks"]] == [("fidelity-is-one", False)]
 
 
 class TestSpontaneousEmission:

@@ -27,6 +27,7 @@ from clonesim.experiments import (
     resolve_state,
     run,
 )
+from oracles import stimulated_pair_by_hamiltonian
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import REPO_ROOT
 
@@ -78,13 +79,10 @@ def stdlib_json(report: dict) -> str:
 
 
 def run_cli(argv: list[str]) -> tuple[object, str, str]:
-    """Exit code, stdout and stderr of one in-process CLI call; argparse exits give their code."""
+    """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -277,8 +275,11 @@ class TestRunners:
 
     def test_stimulated_clone_report(self, config_dir):
         report, _ = run(spec_for("stimulated-clone", config_dir))
-        assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
-        assert report["results"]["abstract_path_max_difference"] <= 1e-12
+        results = report["results"]
+        assert results["fidelity"] == pytest.approx(1.0, abs=1e-10)
+        photon, output = (np.array(results[key]) @ [1, 1j] for key in ("photon", "output"))
+        assert np.max(np.abs(output - np.kron(photon, photon))) <= 1e-12
+        assert [check["name"] for check in report["checks"]] == ["fidelity-is-one"]
 
     def test_stimulated_clone_runs_no_abstract_copier(self, config_dir, monkeypatch):
         # The physical copy is compared with photon (x) photon, not with a run of clone().
@@ -302,13 +303,20 @@ class TestRunners:
         ]
         + [pytest.param(["pi_only.json", "--state", "1,1e-11"], id="pi_only.json-below-tolerance")],
     )
-    def test_abstract_path_difference_is_the_gap_to_photon_squared(self, capsys, options):
+    def test_report_output_is_the_dense_hamiltonian_pair(self, capsys, options):
+        # The reported pair is H|ancilla, 1_photon> on the ground level, from the report's own
+        # ancilla and photon, normalized and without H's overall sign.
         config, *rest = options
-        main(["stimulated-clone", "--config", str(CONFIG_DIR / config), *rest])
+        assert main(["stimulated-clone", "--config", str(CONFIG_DIR / config), *rest]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
-        photon, output = (np.array(results[key]) @ [1, 1j] for key in ("photon", "output"))
-        gap = np.max(np.abs(output - np.kron(photon, photon)))
-        assert results["abstract_path_max_difference"] == gap
+        photon, ancilla, output = (
+            np.array(results[key]) @ [1, 1j] for key in ("photon", "adaptive_ancilla", "output")
+        )
+        system, mode_map = load_atomic_system(CONFIG_DIR / config)
+        couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in mode_map]]
+        pair = stimulated_pair_by_hamiltonian(couplings, ancilla, photon)
+        assert np.max(np.abs(output + pair / np.linalg.norm(pair))) < 1e-12
+        assert results["fidelity"] == pytest.approx(abs(np.vdot(np.kron(photon, photon), output)) ** 2, abs=1e-12)
 
     def test_spontaneous_reports_isotropic_mixture(self, config_dir):
         report, _ = run(spec_for("spontaneous", config_dir))
@@ -464,6 +472,22 @@ class TestCli:
     @pytest.mark.parametrize("populations", [["--excited-state", "1,0,0"], ["--excited-state", "0,1e-170,1"]])
     def test_spontaneous_check_passes_with_unweighted_modes(self, capsys, config_dir, populations):
         assert main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"), *populations]) == 0
+
+    def test_spontaneous_weight_lost_to_underflow_exit_4(self, capsys, config_dir):
+        # e- holds a subnormal population whose only channel, sigma+, underflows to weight 0.
+        code = main(["spontaneous", "--config", str(config_dir / "full_p_manifold.json"),
+                     "--excited-state", "2.3e-162,1,0"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "an allowed decay weight underflows to zero" in captured.err
+
+    def test_argparse_error_is_returned(self, capsys):
+        # argparse reads "-1,0" as an option, so --state has no value; main returns 2 instead of raising.
+        assert main(["clone-demo", "--state", "-1,0"]) == 2
+        assert "argument --state: expected one argument" in capsys.readouterr().err
+        assert main(["clone-demo", "--state=-1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["input"] == [[-1.0, 0.0], [0.0, 0.0]]
 
     def test_config_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -714,8 +738,8 @@ def load_batch_script():
 def test_run_all_experiments_script_writes_every_report(capsys, tmp_path):
     script = load_batch_script()
     assert script.main(["--out-dir", str(tmp_path)]) == 0
-    assert len(list(tmp_path.iterdir())) == 11
-    assert capsys.readouterr().out.count(" ok\n") == 11
+    assert len(list(tmp_path.iterdir())) == 12
+    assert capsys.readouterr().out.count(" ok\n") == 12
 
 
 @pytest.mark.parametrize("fmt, extension", [("json", "json"), ("csv", "csv"), ("table", "txt")])

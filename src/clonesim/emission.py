@@ -42,7 +42,7 @@ import numpy as np
 from .angular import IrrepLabel, dipole_angular_factors
 from .copying import CloneReport
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DensityMatrix, Ket, OperatorMatrix
+from .hilbert import DensityMatrix, Ket, OperatorMatrix, max_abs
 
 #: Amplitudes below this are treated as symmetry-forbidden (they are exact
 #: zeros from the CG machinery; the threshold only guards radial rounding).
@@ -349,6 +349,18 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> np.ndarra
     return v
 
 
+def _power_of_two_scaled(values: np.ndarray) -> np.ndarray:
+    """``values`` times the power of two that puts their largest modulus in [0.5, 1).
+
+    The scaling is exact, so a normalization after it rounds bit for bit as
+    it would without it, while squaring the entries can neither overflow nor
+    underflow whatever the radial factors' scale.  All-zero ``values`` are
+    returned as they are.
+    """
+    largest = max_abs(values)
+    return values * np.ldexp(1.0, -np.frexp(largest)[1]) if largest else values
+
+
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state by stimulated emission from the adaptive ancilla.
 
@@ -358,13 +370,15 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     a_phi^dagger a_photon^dagger|0> in photon (x) photon space, normalized:
     the ground projection of the interaction Hamiltonian applied to
     |ancilla> (x) |1_photon>, without its overall sign.  The fidelity is
-    2c / (1 + c) with c = |<phi|photon>|^2 / <phi|phi>.
+    2c / (1 + c) with c = |<phi|photon>|^2 / <phi|phi>.  V|photon> and phi
+    scale as 1 / D and D, so both are brought to a unit largest modulus
+    before they are normalized: the copy is the same at any radial scale.
     """
     psi = photon.normalize()
     v = _ancilla_map(psi, system, mode_map)
-    ancilla = Ket(v @ psi.amplitudes).normalize()
+    ancilla = Ket(_power_of_two_scaled(v @ psi.amplitudes)).normalize()
     columns = [mode.q + 1 for mode, _ in mode_map]
-    phi = system.amplitudes[:, columns].T @ ancilla.amplitudes
+    phi = _power_of_two_scaled(system.amplitudes[:, columns].T @ ancilla.amplitudes)
     pair = np.outer(phi, psi.amplitudes)
     output = Ket((pair + pair.T).ravel()).normalize()
     return CloneReport(input=psi, ancilla=ancilla, output=output, matched=True)
@@ -402,7 +416,8 @@ def spontaneous_emission_output(
     emitted = system.allowed[populations > 0][:, columns].any(axis=0)
     if not emitted.any():
         raise DomainViolationError("no allowed decay channel into the given modes")
-    weights = populations @ np.abs(system.amplitudes[:, columns]) ** 2
+    # |D| is brought to a unit largest entry before it is squared, so no radial scale overflows.
+    weights = populations @ _power_of_two_scaled(np.abs(system.amplitudes[:, columns])) ** 2
     if not (weights[emitted] > 0).all():
         raise ValueError("an allowed decay weight underflows to zero")
     return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -108,13 +109,32 @@ def load_atomic_system(
 
     The mode map's photon basis order is the key order of the ``mode_map``
     object in the file; a key repeated in any object is a ``ConfigError``.
+    The file is read on every call, and parsed and validated once per
+    distinct (path, content) in a process; each call gets its own mode-map
+    list.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
+    system, mode_map = _parse_config(str(path), text)
+    return system, None if mode_map is None else list(mode_map)
+
+
+@lru_cache(maxsize=64)
+def _parse_config(
+    path: str, text: str
+) -> tuple[AtomicSystem, tuple[tuple[PolarizationMode, str | None], ...] | None]:
+    """The system and mode map that config ``text`` read from ``path`` defines.
+
+    Memoized on both arguments: the system is immutable and the mode map a
+    tuple, so a cached result is shared safely, and an error, never
+    cached, names ``path``.
+    """
+    try:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "ground" not in raw or "excited" not in raw:
@@ -144,7 +164,7 @@ def load_atomic_system(
         raise ConfigError("'mode_map' must map polarization labels to excited labels or null")
     try:
         mode_map = [(mode_for_label(str(mode)), level) for mode, level in mode_map_raw.items()]
-        return system, validate_mode_map(system, mode_map)
+        return system, tuple(validate_mode_map(system, mode_map))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mode_map in {path}: {exc}") from exc
 

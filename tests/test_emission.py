@@ -799,11 +799,16 @@ class TestSpontaneousEmission:
             spontaneous_emission_output(s_to_s_system())
 
     def test_underflowing_weights_are_refused(self):
-        # e0's only channel is allowed, but 1e-320 * |D|^2 ~ 3e-335 underflows to 0.
+        # e0's pi channel is allowed, but beside e-'s sigma+ channel |D| is scaled by 1 and
+        # 1e-320 * |D|^2 ~ 3e-335 underflows to 0.
         system = p_manifold_system()
         weak = replace(system, radial_factors={**system.radial_factors, "e0": 1e-7})
+        excited = Ket(np.array([1.0, 1e-160, 0.0]))
         with pytest.raises(ValueError, match="underflows"):
-            spontaneous_emission_output(weak, Ket(np.array([1.0, 1e-160, 0.0])), modes=(PI,))
+            spontaneous_emission_output(weak, excited, modes=(PI, SIGMA_PLUS))
+        # Alone, pi's |D| is scaled to a unit largest entry first, so its weight survives.
+        rho = spontaneous_emission_output(weak, excited, modes=(PI,))
+        assert rho.entries[0, 0] == 1.0
 
     def test_trace_and_hermiticity(self, rng):
         system = p_manifold_system()

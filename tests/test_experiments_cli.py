@@ -18,6 +18,7 @@ from clonesim import cli, copying, emission, experiments
 from clonesim.cli import main
 from clonesim.emission import PI, SIGMA_MINUS
 from clonesim.errors import ConfigError
+from clonesim.hilbert import max_abs
 from clonesim.experiments import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
@@ -227,6 +228,48 @@ class TestConfigLoading:
         bad.write_text(json.dumps(config))
         with pytest.raises(ConfigError, match="unknown keys"):
             load_atomic_system(bad)
+
+
+class TestConfigCache:
+    def test_rewritten_file_is_parsed_again(self, tmp_path):
+        config = tmp_path / "atom.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e0": 2.0}}))
+        first, _ = load_atomic_system(config)
+        config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e0": 3.0}, "mode_map": {"pi": "e0"}}))
+        second, mode_map = load_atomic_system(config)
+        assert first.radial_factors["e0"] == 2.0 and second.radial_factors["e0"] == 3.0
+        assert mode_map == [(PI, "e0")]
+
+    def test_malformed_config_raises_on_every_call(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {"pi": "e0", "sigma+": "e+"}}))
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="cannot emit") as caught:
+                load_atomic_system(bad)
+            messages.append(str(caught.value))
+        assert len(set(messages)) == 1 and str(bad) in messages[0]
+
+    def test_returned_mode_map_is_the_callers_own(self, config_dir):
+        _, mode_map = load_atomic_system(config_dir / "full_p_manifold.json")
+        expected = list(mode_map)
+        mode_map.reverse()
+        mode_map.append((PI, None))
+        assert load_atomic_system(config_dir / "full_p_manifold.json")[1] == expected
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+    def test_warm_load_equals_cold_load(self, config_dir, name):
+        warm, warm_map = load_atomic_system(config_dir / name)
+        assert load_atomic_system(config_dir / name)[0] is warm  # parsed once
+        experiments._parse_config.cache_clear()
+        cold, cold_map = load_atomic_system(config_dir / name)
+        assert cold is not warm
+        assert [level.label for level in (cold.ground, *cold.excited)] == [
+            level.label for level in (warm.ground, *warm.excited)
+        ]
+        assert cold.amplitudes.tobytes() == warm.amplitudes.tobytes()
+        assert cold.allowed.tobytes() == warm.allowed.tobytes()
+        assert cold_map == warm_map
 
 
 class TestRunners:
@@ -569,6 +612,34 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-12)
         assert main(["spontaneous", "--config", str(config_dir / "s_to_s_forbidden.json")]) == 3
         assert "no allowed decay channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radial", [1e-6, 2e10, 1e12, 1e200])
+    def test_stimulated_clone_is_independent_of_radial_scale(self, tmp_path, radial):
+        # V holds 1 / D, so unless it is rescaled |V photon| ~ sqrt(3) / r is below the zero-vector
+        # tolerance from r = 2e10 on.
+        def results(scale):
+            config = tmp_path / f"scale_{scale}.json"
+            config.write_text(json.dumps({
+                **FULL_P_CONFIG,
+                "radial_factors": {"e-": scale, "e0": scale, "e+": scale},
+                "mode_map": {"sigma-": "e+", "pi": "e0", "sigma+": "e-"},
+            }))
+            code, out, err = run_cli(["stimulated-clone", "--config", str(config), "--seed", "7"])
+            assert (code, err) == (0, "")
+            return json.loads(out)["results"]
+
+        reference, scaled = results(1.0), results(radial)
+        for key in ("photon", "adaptive_ancilla", "output"):
+            assert max_abs(np.array(scaled[key]) - np.array(reference[key])) <= 1e-12
+        assert scaled["fidelity"] == pytest.approx(reference["fidelity"], abs=1e-12)
+
+    def test_spontaneous_weights_at_a_huge_radial_scale(self, tmp_path):
+        # Unless |D| is scaled first, |D|^2 overflows above r ~ 1e154; warnings are errors under pytest.
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e-": 1e200, "e0": 1e200, "e+": 1e200}}))
+        code, out, err = run_cli(["spontaneous", "--config", str(config)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-12)
 
     @pytest.mark.parametrize("options", [[], ["--state", "1"]], ids=["seeded", "state"])
     def test_uncoupled_mode_map_exit_3(self, capsys, tmp_path, options):

@@ -94,9 +94,7 @@ class CloneReport:
     """Result of one copying run.
 
     ``target`` (input (x) input) and ``fidelity`` (|<target|output>|^2) are
-    derived from the other fields at construction; ``matched`` records
-    whether the ancilla was prepared from the input (True) or held fixed
-    (False).
+    derived from the other fields at construction.
     """
 
     input: Ket
@@ -104,7 +102,6 @@ class CloneReport:
     output: Ket
     target: Ket = field(init=False)
     fidelity: float = field(init=False)
-    matched: bool
 
     def __post_init__(self) -> None:
         target = tensor_product(self.input, self.input)
@@ -147,7 +144,7 @@ def clone(input: Ket, basis: CopyBasis) -> CloneReport:
     psi = _prepare_input(input)
     ancilla = Ket(basis.v @ psi.amplitudes)
     output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
-    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=True)
+    return CloneReport(input=psi, ancilla=ancilla, output=output)
 
 
 def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBasis) -> CloneReport:
@@ -163,7 +160,7 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
     psi = _prepare_input(input)
     ancilla = Ket(basis.ancilla[:, fixed_ancilla_index])
     output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
-    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=False)
+    return CloneReport(input=psi, ancilla=ancilla, output=output)
 
 
 @dataclass(frozen=True)

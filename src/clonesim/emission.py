@@ -11,8 +11,10 @@ Each system builds these amplitudes once, as its dipole table D
 (``AtomicSystem.amplitudes``): each entry is the level's radial factor
 times the angular factor from :func:`~clonesim.angular.dipole_angular_factors`,
 which is memoized per integer (l_e, m_e, l_g, m_g), so a system built from
-levels seen before does no Clebsch-Gordan arithmetic.  D is the one source
-of truth for the couplings: the clonable domain, the ancilla map,
+levels seen before does no Clebsch-Gordan arithmetic.  A transition is
+allowed iff its angular factor is nonzero, so the mask ``allowed`` is the
+selection rules' exact zeros, whatever the radial scale.  D is the one
+source of truth for the couplings: the clonable domain, the ancilla map,
 spontaneous-emission weights and the interaction Hamiltonian all read it.
 
 The clonable domain of a system is the span of the polarization
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 from numbers import Integral, Real
+from sys import float_info
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -42,11 +45,7 @@ import numpy as np
 from .angular import IrrepLabel, dipole_angular_factors
 from .copying import CloneReport
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DensityMatrix, Ket, OperatorMatrix, max_abs
-
-#: Amplitudes below this are treated as symmetry-forbidden (they are exact
-#: zeros from the CG machinery; the threshold only guards radial rounding).
-AMPLITUDE_TOLERANCE = 1e-12
+from .hilbert import DensityMatrix, Ket, OperatorMatrix, _power_of_two_scaled
 
 #: A photon is copied iff its norm on the components its mode map leaves
 #: uncoupled (``None``) is at most this.
@@ -88,20 +87,16 @@ def mode_for_label(label: str) -> PolarizationMode:
 class AtomicLevel:
     """One atomic level with orbital quantum numbers; parity is (-1)^l.
 
-    The label is a non-empty string and the energy a finite real number;
-    neither is coerced (bools are rejected).
+    The label is a non-empty string, not coerced.
     """
 
     label: str
     l: int
     m: int
-    energy: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"level label must be a non-empty string, got {self.label!r}")
-        if isinstance(self.energy, bool) or not isinstance(self.energy, Real) or not isfinite(self.energy):
-            raise ValueError(f"energy of level {self.label!r} must be a finite real number, got {self.energy!r}")
         if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (self.l, self.m)):
             raise ValueError(f"l and m must be integers for level {self.label!r}, got {self.l!r} and {self.m!r}")
         if self.l < 0:
@@ -124,11 +119,12 @@ class AtomicSystem:
 
     Radial factors default to 1 for every excited level; they are
     dimensionless finite positive real constants multiplying the angular
-    factor (bools and strings are rejected, not coerced).
+    factor (bools and strings are rejected, not coerced).  A factor that
+    makes an allowed amplitude subnormal is refused: 1 / D would overflow.
 
     ``amplitudes`` is the read-only dipole table D: the
     :func:`transition_amplitude` of excited level i and component q sits
-    at [i, q + 1].  ``allowed`` is its mask ``|D| > AMPLITUDE_TOLERANCE``.
+    at [i, q + 1].  ``allowed`` is the mask of its nonzero angular factors.
     """
 
     ground: AtomicLevel
@@ -156,12 +152,13 @@ class AtomicSystem:
         object.__setattr__(self, "radial_factors", MappingProxyType(factors))
 
         g = self.ground
-        table = np.zeros((len(self.excited), 3), dtype=complex)
-        for i, e in enumerate(self.excited):
-            radial = factors[e.label]
-            for column, angular in enumerate(dipole_angular_factors(e.l, e.m, g.l, g.m)):
-                table[i, column] = radial * angular
-        allowed = np.abs(table) > AMPLITUDE_TOLERANCE
+        angular = np.array([dipole_angular_factors(e.l, e.m, g.l, g.m) for e in self.excited])
+        radial = np.array([factors[e.label] for e in self.excited])
+        table = radial[:, None] * angular
+        allowed = angular != 0
+        if (np.abs(table[allowed]) < float_info.min).any():
+            raise ValueError("a radial factor makes an allowed dipole amplitude subnormal, so 1 / D would overflow")
+        table = table.astype(complex)
         table.setflags(write=False)
         allowed.setflags(write=False)
         object.__setattr__(self, "amplitudes", table)
@@ -181,11 +178,11 @@ class AtomicSystem:
 def p_manifold_system(radial: float = 1.0) -> AtomicSystem:
     """The workhorse test atom: s ground state below a full l=1 manifold."""
     return AtomicSystem(
-        ground=AtomicLevel("g", l=0, m=0, energy=0.0),
+        ground=AtomicLevel("g", l=0, m=0),
         excited=(
-            AtomicLevel("e-", l=1, m=-1, energy=1.0),
-            AtomicLevel("e0", l=1, m=0, energy=1.0),
-            AtomicLevel("e+", l=1, m=+1, energy=1.0),
+            AtomicLevel("e-", l=1, m=-1),
+            AtomicLevel("e0", l=1, m=0),
+            AtomicLevel("e+", l=1, m=+1),
         ),
         radial_factors={"e-": radial, "e0": radial, "e+": radial},
     )
@@ -349,18 +346,6 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> np.ndarra
     return v
 
 
-def _power_of_two_scaled(values: np.ndarray) -> np.ndarray:
-    """``values`` times the power of two that puts their largest modulus in [0.5, 1).
-
-    The scaling is exact, so a normalization after it rounds bit for bit as
-    it would without it, while squaring the entries can neither overflow nor
-    underflow whatever the radial factors' scale.  All-zero ``values`` are
-    returned as they are.
-    """
-    largest = max_abs(values)
-    return values * np.ldexp(1.0, -np.frexp(largest)[1]) if largest else values
-
-
 def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state by stimulated emission from the adaptive ancilla.
 
@@ -370,18 +355,19 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     a_phi^dagger a_photon^dagger|0> in photon (x) photon space, normalized:
     the ground projection of the interaction Hamiltonian applied to
     |ancilla> (x) |1_photon>, without its overall sign.  The fidelity is
-    2c / (1 + c) with c = |<phi|photon>|^2 / <phi|phi>.  V|photon> and phi
-    scale as 1 / D and D, so both are brought to a unit largest modulus
-    before they are normalized: the copy is the same at any radial scale.
+    2c / (1 + c) with c = |<phi|photon>|^2 / <phi|phi>.  V|photon> scales
+    as 1 / D, which normalization absorbs, and phi as D, so phi is brought
+    to a unit largest modulus before the pair is formed: the copy is the
+    same at any radial scale.
     """
     psi = photon.normalize()
     v = _ancilla_map(psi, system, mode_map)
-    ancilla = Ket(_power_of_two_scaled(v @ psi.amplitudes)).normalize()
+    ancilla = Ket(v @ psi.amplitudes).normalize()
     columns = [mode.q + 1 for mode, _ in mode_map]
     phi = _power_of_two_scaled(system.amplitudes[:, columns].T @ ancilla.amplitudes)
     pair = np.outer(phi, psi.amplitudes)
     output = Ket((pair + pair.T).ravel()).normalize()
-    return CloneReport(input=psi, ancilla=ancilla, output=output, matched=True)
+    return CloneReport(input=psi, ancilla=ancilla, output=output)
 
 
 def spontaneous_emission_output(

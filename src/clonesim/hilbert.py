@@ -17,6 +17,7 @@ orthonormal columns (see :mod:`clonesim.copying`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,20 @@ DEFAULT_ATOL = 1e-10
 def max_abs(values: np.ndarray) -> float:
     """Max-norm of an array, 0.0 for empty input."""
     arr = np.asarray(values)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def _power_of_two_scaled(values: np.ndarray) -> np.ndarray:
+    """``values`` times the power of two that puts their largest modulus in [0.5, 1).
+
+    The scaling is exact, so a normalization after it rounds bit for bit as
+    it would without it, while squaring the entries can neither overflow nor
+    underflow whatever their scale.  The factor is applied in two halves,
+    which stay in the float range even for a subnormal largest modulus.
+    Values already in range, and all-zero ones, are returned as they are.
+    """
+    exponent = -math.frexp(max_abs(values))[1]
+    return values * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2) if exponent else values
 
 
 def _frozen_complex_array(values, ndim: int) -> np.ndarray:
@@ -68,11 +82,12 @@ class Ket:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalize(self) -> "Ket":
-        """Return a unit-norm copy; error on (near-)zero vectors."""
-        n = self.norm
-        if n < DEFAULT_ATOL:
+        """A unit-norm copy, the same at any scale; error on the all-zero vector."""
+        scaled = _power_of_two_scaled(self.amplitudes)
+        n = float(np.linalg.norm(scaled))
+        if not n:
             raise ValueError("cannot normalize a zero vector")
-        return Ket(self.amplitudes / n)
+        return Ket(scaled / n)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "Ket":

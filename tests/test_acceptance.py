@@ -111,7 +111,7 @@ def test_05_selection_rule_biconditional_and_cg_oracle():
                 ground = AtomicLevel("g", l=l_g, m=m_g)
                 for l_e in range(0, 4):
                     excited = tuple(
-                        AtomicLevel(f"e{m}", l=l_e, m=m, energy=1.0)
+                        AtomicLevel(f"e{m}", l=l_e, m=m)
                         for m in range(-l_e, l_e + 1)
                     )
                     system = AtomicSystem(ground=ground, excited=excited)
@@ -190,7 +190,7 @@ def test_09_stimulated_ladder_factor():
     with criterion(9, "stimulated coupling carries the sqrt(2) ladder factor"):
         system = AtomicSystem(
             ground=AtomicLevel("g", l=0, m=0),
-            excited=(AtomicLevel("e0", l=1, m=0, energy=1.0),),
+            excited=(AtomicLevel("e0", l=1, m=0),),
         )
         h = build_interaction_hamiltonian(system, [PI], n_max=2)
         labels = hamiltonian_basis(system, [PI], 2)

@@ -45,7 +45,7 @@ FULL_MODE_MAP = ((SIGMA_MINUS, "e+"), (PI, "e0"), (SIGMA_PLUS, "e-"))
 def two_level_pi_system(radial: float = 1.0) -> AtomicSystem:
     return AtomicSystem(
         ground=AtomicLevel("g", l=0, m=0),
-        excited=(AtomicLevel("e0", l=1, m=0, energy=1.0),),
+        excited=(AtomicLevel("e0", l=1, m=0),),
         radial_factors={"e0": radial},
     )
 
@@ -53,7 +53,7 @@ def two_level_pi_system(radial: float = 1.0) -> AtomicSystem:
 def s_to_s_system() -> AtomicSystem:
     return AtomicSystem(
         ground=AtomicLevel("g", l=0, m=0),
-        excited=(AtomicLevel("s2", l=0, m=0, energy=1.0),),
+        excited=(AtomicLevel("s2", l=0, m=0),),
     )
 
 
@@ -146,6 +146,25 @@ class TestAtomicSystem:
         with pytest.raises(ValueError, match="finite positive number"):
             two_level_pi_system(radial=radial)
 
+    @pytest.mark.parametrize(
+        "ground, level, radial",
+        [((0, 0), (1, 0), 1e-310), ((0, 0), (1, 0), 5e-324), ((4, -4), (5, -3), 3e-308)],
+        ids=["subnormal", "smallest-subnormal", "normal-times-small-angular-factor"],
+    )
+    def test_rejects_subnormal_allowed_amplitude(self, ground, level, radial):
+        # 1 / D overflows below the normal range; |<4 -4|C^(1)_+1|5 -3>| ~ 0.1 takes 3e-308 there.
+        with pytest.raises(ValueError, match="subnormal, so 1 / D would overflow"):
+            AtomicSystem(
+                ground=AtomicLevel("g", l=ground[0], m=ground[1]),
+                excited=(AtomicLevel("e", l=level[0], m=level[1]),),
+                radial_factors={"e": radial},
+            )
+
+    def test_accepts_subnormal_radial_on_a_level_that_emits_nothing(self):
+        # s -> s has no allowed transition, so nothing divides by its amplitudes.
+        system = replace(s_to_s_system(), radial_factors={"s2": 1e-310})
+        assert not system.allowed.any()
+
     @pytest.mark.parametrize("radial", [2, np.float64(2.0), np.float32(2.0)])
     def test_accepts_real_radial_as_float(self, radial):
         factor = two_level_pi_system(radial=radial).radial_factors["e0"]
@@ -194,7 +213,7 @@ class TestTransitionAmplitude:
         # d ground state picks up transitions from p and f manifolds
         ground = AtomicLevel("g", l=2, m=1)
         excited = tuple(
-            AtomicLevel(f"e{m}", l=l_e, m=m, energy=1.0) for m in range(-l_e, l_e + 1)
+            AtomicLevel(f"e{m}", l=l_e, m=m) for m in range(-l_e, l_e + 1)
         )
         system = AtomicSystem(ground=ground, excited=excited)
         for level in excited:
@@ -209,7 +228,7 @@ class TestTransitionAmplitude:
             ground = AtomicLevel("g", l=l_g, m=0)
             for l_e in range(0, 3):
                 excited = tuple(
-                    AtomicLevel(f"e{m}", l=l_e, m=m, energy=1.0)
+                    AtomicLevel(f"e{m}", l=l_e, m=m)
                     for m in range(-l_e, l_e + 1)
                 )
                 system = AtomicSystem(ground=ground, excited=excited)
@@ -229,6 +248,16 @@ class TestDipoleTable:
         assert system.amplitudes.shape == (system.manifold_dim, 3)
         assert max_abs(system.amplitudes - oracle) < 1e-12
         assert np.array_equal(system.allowed, np.abs(oracle) > 1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-306, 1e-300, 1e-13, 1.7e308])
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    def test_mask_is_independent_of_radial_scale(self, kind, scale):
+        # The quadrature oracle's nonzeros at the seeded radial factors, which lie in [0.3, 3).
+        system = seeded_radial_system(kind)
+        expected = np.abs(quadrature_table(system)) > 1e-9
+        scaled = replace(system, radial_factors={label: scale for label in system.radial_factors})
+        assert np.array_equal(scaled.allowed, expected)
+        assert np.array_equal(scaled.amplitudes != 0, expected)
 
     def test_read_only(self):
         system = p_manifold_system()

@@ -568,7 +568,9 @@ class TestCli:
         assert main(["domain", "--config", str(config)]) == 2
         assert "cannot emit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1"], ids=["NaN", "Infinity", "true", "string"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), True, "1", 1e-310], ids=["NaN", "Infinity", "true", "string", "subnormal"]
+    )
     def test_bad_radial_factor_exit_2(self, capsys, tmp_path, value):
         config = tmp_path / "bad_radial.json"
         config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e0": value}}))
@@ -588,18 +590,19 @@ class TestCli:
         assert main(["domain", "--config", str(config)]) == 2
         assert f"duplicate key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("label", None), ("label", 5), ("label", ""),
-         ("energy", "0"), ("energy", True), ("energy", float("nan")), ("energy", float("inf"))],
-        ids=["label-null", "label-int", "label-empty", "energy-string", "energy-true", "energy-NaN", "energy-Infinity"],
-    )
-    def test_level_fields_are_not_coerced_exit_2(self, capsys, tmp_path, field, value):
+    @pytest.mark.parametrize("value", [None, 5, ""], ids=["label-null", "label-int", "label-empty"])
+    def test_level_fields_are_not_coerced_exit_2(self, capsys, tmp_path, value):
         config = tmp_path / "bad_level.json"
-        config.write_text(json.dumps({**FULL_P_CONFIG, "excited": [{"label": "e0", "l": 1, "m": 0, field: value}]}))
+        config.write_text(json.dumps({**FULL_P_CONFIG, "excited": [{"label": value, "l": 1, "m": 0}]}))
         assert main(["selection-rules", "--config", str(config)]) == 2
-        message = "must be a non-empty string" if field == "label" else "must be a finite real number"
-        assert message in capsys.readouterr().err
+        assert "must be a non-empty string" in capsys.readouterr().err
+
+    def test_level_energy_is_an_unknown_key_exit_2(self, capsys, tmp_path):
+        # Nothing in the model reads a level energy, so a config may not set one.
+        config = tmp_path / "energy.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "ground": {"label": "g", "l": 0, "m": 0, "energy": 0.0}}))
+        assert main(["selection-rules", "--config", str(config)]) == 2
+        assert "unknown keys ['energy'] in ground level" in capsys.readouterr().err
 
     def test_spontaneous_channels_follow_the_allowed_mask(self, capsys, tmp_path, config_dir):
         # Radial factors of 1e-7 leave every sigma/pi amplitude allowed (|D| ~ 5.8e-8)
@@ -613,10 +616,9 @@ class TestCli:
         assert main(["spontaneous", "--config", str(config_dir / "s_to_s_forbidden.json")]) == 3
         assert "no allowed decay channel" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("radial", [1e-6, 2e10, 1e12, 1e200])
+    @pytest.mark.parametrize("radial", [1e-300, 1e-13, 1e-6, 2e10, 1e12, 1e200, 1.7e308])
     def test_stimulated_clone_is_independent_of_radial_scale(self, tmp_path, radial):
-        # V holds 1 / D, so unless it is rescaled |V photon| ~ sqrt(3) / r is below the zero-vector
-        # tolerance from r = 2e10 on.
+        # V holds 1 / D and the emitted photon scales as D, so both span the whole normal range.
         def results(scale):
             config = tmp_path / f"scale_{scale}.json"
             config.write_text(json.dumps({
@@ -632,6 +634,28 @@ class TestCli:
         for key in ("photon", "adaptive_ancilla", "output"):
             assert max_abs(np.array(scaled[key]) - np.array(reference[key])) <= 1e-12
         assert scaled["fidelity"] == pytest.approx(reference["fidelity"], abs=1e-12)
+
+    @pytest.mark.parametrize("radial", [1e-300, 1e-13])
+    @pytest.mark.parametrize("name", ["full_p_manifold", "hydrogen_n2"])
+    @pytest.mark.parametrize("kind", ["selection-rules", "domain", "spontaneous"])
+    def test_tiny_radial_scale_keeps_every_allowed_transition(self, tmp_path, kind, name, radial):
+        # The mask is the angular factor's exact zeros, so no radial scale makes a transition forbidden.
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw["radial_factors"] = {level["label"]: radial for level in raw["excited"]}
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(raw))
+        reference = run_cli([kind, "--config", str(CONFIG_DIR / f"{name}.json")])
+        code, out, err = run_cli([kind, "--config", str(config)])
+        assert (code, err) == (0, "")
+        results, expected = json.loads(out)["results"], json.loads(reference[1])["results"]
+        if kind == "selection-rules":
+            assert [row["allowed"] for row in results["transitions"]] == [
+                row["allowed"] for row in expected["transitions"]
+            ]
+        elif kind == "domain":
+            assert results == expected
+        else:
+            assert results["weights"] == pytest.approx(expected["weights"], abs=1e-15)
 
     def test_spontaneous_weights_at_a_huge_radial_scale(self, tmp_path):
         # Unless |D| is scaled first, |D|^2 overflows above r ~ 1e154; warnings are errors under pytest.
@@ -655,6 +679,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-160", "5e-324", "1.7e308"])
+    @pytest.mark.parametrize(
+        "kind, option, unit",
+        [("clone-demo", "--state", "1,0"), ("fixed-ancilla", "--state", "1,0"),
+         ("spontaneous", "--excited-state", "0,1,0")],
+    )
+    def test_state_scale_does_not_change_the_report(self, kind, option, unit, scale):
+        # Normalization scales by an exact power of two first, so neither the norm's square
+        # overflows nor a tiny norm is mistaken for the zero vector.
+        config = ["--config", FULL_P] if kind == "spontaneous" else []
+        scaled = unit.replace("1", scale)
+
+        def report(state):
+            code, out, err = run_cli([kind, *config, f"{option}={state}"])
+            assert (code, err) == (0, "")
+            body = json.loads(out)
+            del body["generated_at"], body["parameters"][option.lstrip("-").replace("-", "_")]
+            return body
+
+        assert report(scaled) == report(unit)
+
+    @pytest.mark.parametrize(
+        "kind, option, zero", [("clone-demo", "--state", "0,0"), ("spontaneous", "--excited-state", "0,0,0")]
+    )
+    def test_zero_state_exit_4(self, capsys, kind, option, zero):
+        config = ["--config", FULL_P] if kind == "spontaneous" else []
+        assert main([kind, *config, f"{option}={zero}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot normalize a zero vector" in captured.err
 
     def test_non_finite_overlap_exit_4(self, capsys):
         assert main(["no-cloning-witness", "--overlap", "nan"]) == 4

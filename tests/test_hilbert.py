@@ -32,7 +32,7 @@ amplitude_lists = st.lists(
     st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=8,
-).filter(lambda amps: np.linalg.norm(amps) > 1e-6)
+).filter(any)  # only the all-zero vector is refused
 
 # Kets of dimension 1..32 with unnormalized finite amplitudes, signed zeros included.
 kets_up_to_32 = st.integers(1, 32).flatmap(lambda dim: st.lists(
@@ -68,6 +68,12 @@ class TestKet:
     def test_normalize_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             ket(0, 0).normalize()
+
+    @pytest.mark.parametrize("scale", [1.7e308, 1e200, 1e-160, 1e-310, 5e-324])
+    def test_normalize_is_independent_of_scale(self, scale):
+        # The norm of a 1e200 vector overflows when squared, and that of a 1e-160 one underflows.
+        assert ket(scale, 0).normalize().amplitudes.tolist() == [1, 0]
+        assert ket(scale, -scale).normalize().amplitudes == pytest.approx([INV_SQRT2, -INV_SQRT2], abs=1e-15)
 
     def test_basis_state(self):
         assert max_abs(ket(0, 1, 0).amplitudes - Ket.basis_state(3, 1).amplitudes) <= DEFAULT_ATOL

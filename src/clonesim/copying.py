@@ -20,7 +20,6 @@ restriction this module also witnesses.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +29,6 @@ from .hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, fidelity, max_abs, tenso
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_CONTRADICTION = "CONTRADICTION"
-
-#: Inputs are renormalized before cloning; deviations beyond this warn.
-NORM_WARNING_THRESHOLD = 1e-6
 
 #: An overlap is CONSISTENT when |s - s^2| is at most this, and |s| may
 #: exceed 1 by this much.
@@ -93,20 +89,17 @@ class CopyBasis:
 class CloneReport:
     """Result of one copying run.
 
-    ``target`` (input (x) input) and ``fidelity`` (|<target|output>|^2) are
-    derived from the other fields at construction.
+    ``fidelity`` (|<input (x) input|output>|^2) is derived from the other
+    fields at construction.
     """
 
     input: Ket
     ancilla: Ket
     output: Ket
-    target: Ket = field(init=False)
     fidelity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        target = tensor_product(self.input, self.input)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "fidelity", fidelity(target, self.output))
+        object.__setattr__(self, "fidelity", fidelity(tensor_product(self.input, self.input), self.output))
 
 
 def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
@@ -123,25 +116,15 @@ def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
     return OperatorMatrix(_frozen_basis("copy unitary U", np.kron(s, s) @ np.kron(s, a).conj().T))
 
 
-def _prepare_input(state: Ket) -> Ket:
-    deviation = abs(state.norm - 1.0)
-    if deviation > NORM_WARNING_THRESHOLD:
-        warnings.warn(
-            f"input state norm deviates from 1 by {deviation:.3e}; renormalizing",
-            stacklevel=3,
-        )
-    return state.normalize()
-
-
 def clone(input: Ket, basis: CopyBasis) -> CloneReport:
     """Copy ``input`` with the matched, state-prepared ancilla.
 
-    The ancilla is V|input> and the output input (x) V^dagger|ancilla>,
-    U = I (x) V^dagger applied in O(n^2) without building the O(n^6) dense
-    U; the report compares the output against input (x) input.  Fidelity
-    is 1 for every input state.
+    The input is normalized, at any scale.  The ancilla is V|input> and
+    the output input (x) V^dagger|ancilla>, U = I (x) V^dagger applied in
+    O(n^2) without building the O(n^6) dense U; the report compares the
+    output against input (x) input.  Fidelity is 1 for every input state.
     """
-    psi = _prepare_input(input)
+    psi = input.normalize()
     ancilla = Ket(basis.v @ psi.amplitudes)
     output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
     return CloneReport(input=psi, ancilla=ancilla, output=output)
@@ -157,7 +140,7 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
     """
     if not 0 <= fixed_ancilla_index < basis.n:
         raise IndexError(f"ancilla index {fixed_ancilla_index} out of range for n={basis.n}")
-    psi = _prepare_input(input)
+    psi = input.normalize()
     ancilla = Ket(basis.ancilla[:, fixed_ancilla_index])
     output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
     return CloneReport(input=psi, ancilla=ancilla, output=output)

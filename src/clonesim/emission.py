@@ -146,7 +146,11 @@ class AtomicSystem:
             raise ValueError(f"radial factors for unknown levels: {sorted(unknown)}")
         for label in labels:
             value = factors.setdefault(label, 1.0)
-            if isinstance(value, bool) or not isinstance(value, Real) or not (isfinite(value) and value > 0):
+            try:
+                valid = not isinstance(value, bool) and isinstance(value, Real) and isfinite(value) and value > 0
+            except OverflowError:  # an integer beyond the float range
+                valid = False
+            if not valid:
                 raise ValueError(f"radial factor for {label!r} must be a finite positive number, got {value!r}")
             factors[label] = float(value)
         object.__setattr__(self, "radial_factors", MappingProxyType(factors))

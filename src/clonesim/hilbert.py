@@ -77,10 +77,6 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def normalize(self) -> "Ket":
         """A unit-norm copy, the same at any scale; error on the all-zero vector."""
         scaled = _power_of_two_scaled(self.amplitudes)

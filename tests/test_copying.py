@@ -205,8 +205,10 @@ class TestClone:
             assert abs(report.fidelity - 1.0) < 1e-10
 
     def test_report_fidelity_recomputable(self, rng):
-        report = clone(random_ket(3, rng), random_copy_basis(3, rng))
-        assert fidelity(report.target, report.output) == pytest.approx(report.fidelity, abs=1e-14)
+        psi = random_ket(3, rng)
+        report = clone(psi, random_copy_basis(3, rng))
+        target = Ket(np.kron(psi.amplitudes, psi.amplitudes))
+        assert fidelity(target, report.output) == pytest.approx(report.fidelity, abs=1e-14)
 
     def test_ancilla_is_prepared_from_input(self, rng):
         basis = random_copy_basis(4, rng)
@@ -214,13 +216,17 @@ class TestClone:
         report = clone(psi, basis)
         assert max_abs(report.ancilla.amplitudes - basis.v @ psi.amplitudes) < 1e-12
 
-    def test_warns_on_denormalized_input(self):
-        with pytest.warns(UserWarning, match="renormalizing"):
-            clone(Ket(np.array([2.0, 0.0], dtype=complex)), CopyBasis.computational(2))
-
-    def test_renormalizes_silently_within_threshold(self, recwarn):
-        clone(Ket(np.array([1.0 + 1e-9, 0.0], dtype=complex)), CopyBasis.computational(2))
-        assert not recwarn.list
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 2.0, 1e200])
+    @pytest.mark.parametrize(
+        "copy",
+        [clone, lambda state, basis: clone_with_fixed_ancilla(state, 0, basis)],
+        ids=["clone", "fixed-ancilla"],
+    )
+    def test_normalizes_any_scale_without_warning(self, copy, scale):
+        # pyproject's filterwarnings = ["error"] turns any warning into a failure.
+        report = copy(Ket(np.array([scale, 0.0])), CopyBasis.computational(2))
+        assert report.input.amplitudes.tolist() == [1.0, 0.0]
+        assert report.fidelity == 1.0
 
 
 class TestCloneWithFixedAncilla:

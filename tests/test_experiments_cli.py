@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,9 +41,9 @@ REPORT_PARAMETERS = {"config_path", "state", "seed", "dim", "ancilla_index", "ov
 
 
 def assert_schema_valid(report: dict) -> None:
-    """The report layout of docs/report_schema.md (version 1), key by key."""
+    """The report layout of docs/report_schema.md (version 2), key by key."""
     assert report.keys() == REPORT_KEYS
-    assert type(report["schema_version"]) is int and report["schema_version"] == 1
+    assert type(report["schema_version"]) is int and report["schema_version"] == 2
     assert isinstance(report["kind"], str) and isinstance(report["generated_at"], str)
     assert isinstance(report["parameters"], dict) and REPORT_PARAMETERS <= report["parameters"].keys()
     assert isinstance(report["results"], dict) and isinstance(report["passed"], bool)
@@ -66,6 +67,14 @@ UNKNOWN_KEY_CONFIGS = {
     "excited-level": {**FULL_P_CONFIG, "excited": [{"label": "e0", "l": 1, "m": 0, "radial": 5.0}]},
     "ground-level": {**FULL_P_CONFIG, "ground": {"label": "g", "l": 0, "m": 0, "parity": 1}},
 }
+
+
+def documented_columns() -> dict[str, list[str]]:
+    """Each kind's csv and table columns, from the table in docs/report_schema.md."""
+    text = (REPO_ROOT / "docs" / "report_schema.md").read_text(encoding="utf-8")
+    section = text.split("\n## csv and table columns\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` +\| (.+) \|$", section, re.MULTILINE)
+    return {kind: re.findall(r"`([^`]+)`", columns) for kind, columns in rows}
 
 
 def strip_timestamp(text: str) -> str:
@@ -453,6 +462,14 @@ class TestRendering:
         assert lines[0].startswith("excited,")
         assert len(lines) == 1 + 4 * 3
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_csv_and_table_columns_are_documented(self, kind, config_dir):
+        report, rows = run(spec_for(kind, config_dir))
+        columns = documented_columns()
+        assert columns.keys() == set(EXPERIMENT_KINDS)
+        assert render_report(report, rows, "csv").splitlines()[0].split(",") == columns[kind]
+        assert render_report(report, rows, "table").splitlines()[1].split() == columns[kind]
+
     def test_table_is_aligned_text(self, config_dir):
         text = render_report(*run(spec_for("domain", config_dir)), "table")
         assert "mode" in text and "sigma-" in text
@@ -569,7 +586,9 @@ class TestCli:
         assert "cannot emit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), True, "1", 1e-310], ids=["NaN", "Infinity", "true", "string", "subnormal"]
+        "value",
+        [float("nan"), float("inf"), True, "1", 1e-310, 10**400],
+        ids=["NaN", "Infinity", "true", "string", "subnormal", "401-digit-integer"],
     )
     def test_bad_radial_factor_exit_2(self, capsys, tmp_path, value):
         config = tmp_path / "bad_radial.json"
@@ -577,6 +596,13 @@ class TestCli:
         for kind in ("domain", "spontaneous"):
             assert main([kind, "--config", str(config)]) == 2
             assert "config error" in capsys.readouterr().err
+
+    def test_integer_longer_than_json_reads_exit_2(self, capsys, tmp_path):
+        # json refuses an integer of more than 4300 digits with a plain ValueError.
+        config = tmp_path / "long_integer.json"
+        config.write_text(json.dumps(FULL_P_CONFIG)[:-1] + ', "radial_factors": {"e0": 1' + "0" * 5000 + "}}")
+        assert main(["domain", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry, key",

@@ -1,14 +1,14 @@
 """Command-line experiment runner.
 
-One subcommand per experiment kind, taking only the options its
-experiment reads; reports go to stdout or ``--out``.  The parser is built
-once per process and reused by every :func:`main` call; parsing reads only
-its ``argv``, so no call carries options into the next.  Exit codes: 0
-success, 1 report written but a check failed, 2 unparseable command line
-(returned, not raised) or config, 3 domain violation, 4 dimension or
-validation failure, an ``--out`` path that cannot be written, or a
-report that stdout cannot encode.  ``--out`` files are written as UTF-8,
-as configs are read.
+One subcommand per experiment kind, taking an option per parameter of its
+runner (``experiments.EXPERIMENT_INPUTS``); reports go to stdout or
+``--out``.  The parser is built once per process and reused by every
+:func:`main` call; parsing reads only its ``argv``, so no call carries
+options into the next.  Exit codes: 0 success, 1 report written but a check
+failed, 2 unparseable command line (returned, not raised) or config, 3
+domain violation, 4 dimension or validation failure, an ``--out`` path that
+cannot be written, or a report that stdout cannot encode.  ``--out`` files
+are written as UTF-8, as configs are read.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from pathlib import Path
 
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
 from .experiments import (
+    EXPERIMENT_INPUTS,
     EXPERIMENT_KINDS,
     OUTPUT_FORMATS,
-    ExperimentSpec,
     render_report,
     run,
 )
@@ -33,30 +33,20 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DOMAIN_VIOLATION = 3
 EXIT_VALIDATION_ERROR = 4
 
-#: The options each subcommand reads besides ``--format`` and ``--out``.  An
-#: option a subcommand does not take is an argparse error (exit 2); one it
-#: takes but is not given is left out, so ``ExperimentSpec`` holds the defaults.
-_KIND_FLAGS = {
-    "clone-demo": ("--state", "--seed", "--dim"),
-    "fixed-ancilla": ("--state", "--seed", "--dim", "--ancilla-index"),
-    "no-cloning-witness": ("--overlap",),
-    "selection-rules": ("--config",),
-    "domain": ("--config",),
-    "stimulated-clone": ("--config", "--state", "--seed"),
-    "spontaneous": ("--config", "--excited-state", "--modes"),
-}
-
-_FLAG_ARGUMENTS = {
-    "--config": {"dest": "config_path", "metavar": "PATH", "help": "atomic-system config file (JSON)"},
-    "--state": {"help": "input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK); "
-                        "write a leading minus sign as --state=-1,0"},
-    "--seed": {"type": int, "help": "seed for random-state generation (default 0)"},
-    "--dim": {"type": int, "help": "dimension for random input states (default 2)"},
-    "--ancilla-index": {"type": int, "help": "which basis ancilla to hold fixed (default 0)"},
-    "--overlap": {"type": float, "help": "single overlap to test; default sweeps 0.00..1.00"},
-    "--excited-state": {"help": "amplitudes over the excited manifold; default isotropic ensemble"},
-    "--modes": {"type": lambda text: tuple(label.strip() for label in text.split(",")),
-                "help": "comma-separated polarization labels restricting the output space"},
+#: The option of each runner parameter.  A subcommand takes its runner's, any
+#: other is an argparse error (exit 2); one not given is left out, so the
+#: runner's default applies, and one without a default is required.
+_OPTIONS = {
+    "config_path": ("--config", {"metavar": "PATH", "help": "atomic-system config file (JSON)"}),
+    "state": ("--state", {"help": "input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK); "
+                                  "write a leading minus sign as --state=-1,0"}),
+    "seed": ("--seed", {"type": int, "help": "seed for random-state generation"}),
+    "dim": ("--dim", {"type": int, "help": "dimension for random input states"}),
+    "ancilla_index": ("--ancilla-index", {"type": int, "help": "which basis ancilla to hold fixed"}),
+    "overlap": ("--overlap", {"type": float, "help": "single overlap to test; default sweeps 0.00..1.00"}),
+    "excited_state": ("--excited-state", {"help": "amplitudes over the excited manifold; default isotropic ensemble"}),
+    "modes": ("--modes", {"type": lambda text: tuple(label.strip() for label in text.split(",")),
+                          "help": "comma-separated polarization labels restricting the output space"}),
 }
 
 
@@ -69,8 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="kind", required=True)
     for kind in EXPERIMENT_KINDS:
         sub = subparsers.add_parser(kind, help=f"run the {kind} experiment", argument_default=argparse.SUPPRESS)
-        for flag in _KIND_FLAGS[kind]:
-            sub.add_argument(flag, **_FLAG_ARGUMENTS[flag])
+        for name, parameter in EXPERIMENT_INPUTS[kind].parameters.items():
+            flag, arguments = _OPTIONS[name]
+            required = parameter.default is parameter.empty
+            if not required and parameter.default is not None:
+                arguments = {**arguments, "help": f"{arguments['help']} (default {parameter.default})"}
+            sub.add_argument(flag, dest=name, required=required, **arguments)
         sub.add_argument("--format", type=str, default="json", choices=OUTPUT_FORMATS,
                          help="report format (default json)")
         sub.add_argument("--out", type=str, default=None, metavar="PATH",
@@ -89,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     output_format, out = fields.pop("format"), fields.pop("out")
     try:
-        report, rows = run(ExperimentSpec(**fields))
+        report, rows = run(**fields)
         rendered = render_report(report, rows, output_format)
     except ConfigError as exc:
         _emit_error("config error", exc)

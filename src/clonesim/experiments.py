@@ -1,18 +1,20 @@
 """Canned experiment runners producing machine-readable reports.
 
-Every experiment is described by an :class:`ExperimentSpec` and produces a
-JSON-serializable report dict.  Reports are deterministic for a fixed spec
-and seed except for the ``generated_at`` timestamp, which golden-file
-comparisons must exclude.  See ``docs/report_schema.md`` for the schema.
+Each experiment kind is one runner; the runner's signature is the only
+statement of the inputs the kind reads and of their defaults, and
+:func:`run` turns its results into a JSON-serializable report dict.
+Reports are deterministic for fixed inputs except for the ``generated_at``
+timestamp, which golden-file comparisons must exclude.  See
+``docs/report_schema.md`` for the schema.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -41,32 +43,13 @@ from .emission import (
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
 from .hilbert import Ket, random_ket
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 #: Largest ``dim`` that ``clone-demo`` and ``fixed-ancilla`` accept; the
 #: copy writes dim^2 output amplitudes (65,536 at the bound).
 MAX_COPY_DIM = 256
-
-
-@dataclass
-class ExperimentSpec:
-    """Inputs of one experiment run; identical specs yield identical reports."""
-
-    kind: str
-    config_path: str | None = None
-    state: str | None = None
-    seed: int = 0
-    dim: int = 2
-    ancilla_index: int = 0
-    overlap: float | None = None
-    excited_state: str | None = None
-    modes: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +118,7 @@ def _parse_config(
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer too long, or nesting too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "ground" not in raw or "excited" not in raw:
         raise ConfigError(f"config {path} must define 'ground' and 'excited'")
@@ -230,23 +213,26 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations
+# Experiment implementations: one runner per kind, whose parameters are the
+# inputs the kind reads, with their defaults.
+
+#: A runner's report results and checks, and the rows the csv and table formats render.
+_Outcome = tuple[dict, list[dict], list[dict]]
 
 
-def _copy_state(spec: ExperimentSpec) -> Ket:
+def _copy_state(state: str | None, seed: int, dim: int) -> Ket:
     """The input state of a copy experiment, once ``dim`` is within 1..MAX_COPY_DIM."""
-    if not 1 <= spec.dim <= MAX_COPY_DIM:
-        raise ValueError(f"dim must be between 1 and {MAX_COPY_DIM}, got {spec.dim}")
-    return resolve_state(spec.state, spec.dim, spec.seed)
+    if not 1 <= dim <= MAX_COPY_DIM:
+        raise ValueError(f"dim must be between 1 and {MAX_COPY_DIM}, got {dim}")
+    return resolve_state(state, dim, seed)
 
 
-def _run_clone_demo(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    state = _copy_state(spec)
-    basis = CopyBasis.computational(state.dim)
-    report = clone(state, basis)
+def _run_clone_demo(state: str | None = None, seed: int = 0, dim: int = 2) -> _Outcome:
+    psi = _copy_state(state, seed, dim)
+    basis = CopyBasis.computational(psi.dim)
+    report = clone(psi, basis)
     results = {
         "input": _ket_json(report.input),
-        "ancilla": _ket_json(report.ancilla),
         "output": _ket_json(report.output),
         "fidelity": report.fidelity,
     }
@@ -254,14 +240,14 @@ def _run_clone_demo(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         _check("fidelity-is-one", abs(report.fidelity - 1.0) <= 1e-10, f"fidelity={report.fidelity!r}")
     ]
     rows = [{"quantity": "fidelity", "value": report.fidelity}]
-    return {"results": results, "checks": checks}, rows
+    return results, checks, rows
 
 
-def _run_fixed_ancilla(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    state = _copy_state(spec)
-    basis = CopyBasis.computational(state.dim)
-    report = clone_with_fixed_ancilla(state, spec.ancilla_index, basis)
-    expected = float(abs(state.normalize().amplitudes[spec.ancilla_index]) ** 2)
+def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, ancilla_index: int = 0) -> _Outcome:
+    psi = _copy_state(state, seed, dim)
+    basis = CopyBasis.computational(psi.dim)
+    report = clone_with_fixed_ancilla(psi, ancilla_index, basis)
+    expected = float(abs(psi.normalize().amplitudes[ancilla_index]) ** 2)
     results = {
         "input": _ket_json(report.input),
         "output": _ket_json(report.output),
@@ -279,12 +265,12 @@ def _run_fixed_ancilla(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         {"quantity": "fidelity", "value": report.fidelity},
         {"quantity": "expected_fidelity", "value": expected},
     ]
-    return {"results": results, "checks": checks}, rows
+    return results, checks, rows
 
 
-def _run_witness(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    if spec.overlap is not None:
-        overlaps = [spec.overlap]
+def _run_witness(overlap: float | None = None) -> _Outcome:
+    if overlap is not None:
+        overlaps = [overlap]
     else:
         overlaps = [k / 100.0 for k in range(0, 101)]
     witnesses = [no_cloning_overlap_witness(s) for s in overlaps]
@@ -308,13 +294,7 @@ def _run_witness(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
             f"{len(endpoints)} endpoint overlaps checked",
         ),
     ]
-    return {"results": results, "checks": checks}, rows
-
-
-def _require_config(spec: ExperimentSpec):
-    if spec.config_path is None:
-        raise ConfigError(f"experiment {spec.kind!r} requires --config")
-    return load_atomic_system(spec.config_path)
+    return results, checks, rows
 
 
 def _selection_rule(ground: AtomicLevel, level: AtomicLevel, mode: PolarizationMode) -> tuple[bool, bool]:
@@ -325,8 +305,8 @@ def _selection_rule(ground: AtomicLevel, level: AtomicLevel, mode: PolarizationM
     return contained, contained and ground.m == level.m + mode.q
 
 
-def _run_selection_rules(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    system, _ = _require_config(spec)
+def _run_selection_rules(config_path: str) -> _Outcome:
+    system, _ = load_atomic_system(config_path)
     rows = []
     mismatches = 0
     for level, amplitudes, allowed_row in zip(system.excited, system.amplitudes, system.allowed):
@@ -356,11 +336,11 @@ def _run_selection_rules(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
             f"{mismatches} mismatches over {len(rows)} transitions",
         )
     ]
-    return {"results": results, "checks": checks}, rows
+    return results, checks, rows
 
 
-def _run_domain(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    system, _ = _require_config(spec)
+def _run_domain(config_path: str) -> _Outcome:
+    system, _ = load_atomic_system(config_path)
     modes = clonable_domain(system)
     rows = [{"mode": mode.label, "q": mode.q} for mode in modes]
     results = {
@@ -381,30 +361,30 @@ def _run_domain(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
             f"selection rules admit {admitted}",
         )
     ]
-    return {"results": results, "checks": checks}, rows
+    return results, checks, rows
 
 
-def _stimulated_photon(spec: ExperimentSpec, mode_map) -> Ket:
+def _stimulated_photon(state: str | None, seed: int, mode_map) -> Ket:
     dim = len(mode_map)
-    if spec.state is not None:
-        return resolve_state(spec.state, dim, spec.seed)
+    if state is not None:
+        return resolve_state(state, dim, seed)
     # Random photons are drawn inside the clonable components so the canned
     # experiment exercises the success path; use --state to probe violations.
     coupled = [j for j, (_, label) in enumerate(mode_map) if label is not None]
     if not coupled:
         raise DomainViolationError("the mode map couples no photon component")
-    inner = random_ket(len(coupled), np.random.default_rng(spec.seed))
+    inner = random_ket(len(coupled), np.random.default_rng(seed))
     amplitudes = np.zeros(dim, dtype=complex)
     for c, j in enumerate(coupled):
         amplitudes[j] = inner.amplitudes[c]
     return Ket(amplitudes)
 
 
-def _run_stimulated_clone(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    system, mode_map = _require_config(spec)
+def _run_stimulated_clone(config_path: str, state: str | None = None, seed: int = 0) -> _Outcome:
+    system, mode_map = load_atomic_system(config_path)
     if mode_map is None:
         raise ConfigError("stimulated-clone requires a 'mode_map' entry in the config")
-    photon = _stimulated_photon(spec, mode_map)
+    photon = _stimulated_photon(state, seed, mode_map)
     report = stimulated_clone(photon, system, mode_map)
     results = {
         "photon": _ket_json(report.input),
@@ -417,17 +397,19 @@ def _run_stimulated_clone(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         _check("fidelity-is-one", abs(report.fidelity - 1.0) <= 1e-10, f"fidelity={report.fidelity!r}"),
     ]
     rows = [{"quantity": "fidelity", "value": report.fidelity}]
-    return {"results": results, "checks": checks}, rows
+    return results, checks, rows
 
 
-def _run_spontaneous(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    system, _ = _require_config(spec)
+def _run_spontaneous(
+    config_path: str, excited_state: str | None = None, modes: tuple[str, ...] | None = None
+) -> _Outcome:
+    system, _ = load_atomic_system(config_path)
     modes = (
-        tuple(mode_for_label(label) for label in spec.modes)
-        if spec.modes is not None
+        tuple(mode_for_label(label) for label in modes)
+        if modes is not None
         else SPHERICAL_MODES
     )
-    excited = None if spec.excited_state is None else Ket(parse_amplitudes(spec.excited_state)).normalize()
+    excited = None if excited_state is None else Ket(parse_amplitudes(excited_state)).normalize()
     rho = spontaneous_emission_output(system, excited, modes)
     weights = [float(np.real(rho.entries[i, i])) for i in range(rho.dim)]
     results = {
@@ -454,7 +436,7 @@ def _run_spontaneous(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     rows = [
         {"mode": mode.label, "weight": weight} for mode, weight in zip(modes, weights)
     ]
-    return {"results": results, "checks": checks}, rows
+    return results, checks, rows
 
 
 _RUNNERS = {
@@ -469,19 +451,36 @@ _RUNNERS = {
 
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 
+#: The inputs each kind reads, with their defaults: its runner's signature.
+EXPERIMENT_INPUTS = {kind: inspect.signature(runner) for kind, runner in _RUNNERS.items()}
 
-def run(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    """Execute one experiment; return its report document and the rows that
-    the csv and table formats render."""
-    body, rows = _RUNNERS[spec.kind](spec)
+
+def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
+    """Execute one experiment; return its report document, whose ``parameters``
+    are the kind's inputs with their defaults applied, and the rows that the
+    csv and table formats render.  An unknown ``kind``, an input the kind does
+    not read, or a missing ``config_path`` is a ``ConfigError``."""
+    signature = EXPERIMENT_INPUTS.get(kind)
+    if signature is None:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    declared = signature.parameters
+    unread = sorted(inputs.keys() - declared.keys())
+    if unread:
+        raise ConfigError(f"experiment {kind!r} does not read {unread}; its inputs are {list(declared)}")
+    missing = [name for name, parameter in declared.items()
+               if parameter.default is parameter.empty and name not in inputs]
+    if missing:
+        raise ConfigError(f"experiment {kind!r} requires {missing}")
+    parameters = {name: inputs.get(name, parameter.default) for name, parameter in declared.items()}
+    results, checks, rows = _RUNNERS[kind](**parameters)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": spec.kind,
+        "kind": kind,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "parameters": {field.name: getattr(spec, field.name) for field in fields(spec) if field.name != "kind"},
-        "results": body["results"],
-        "checks": body["checks"],
-        "passed": all(check["passed"] for check in body["checks"]),
+        "parameters": parameters,
+        "results": results,
+        "checks": checks,
+        "passed": all(check["passed"] for check in checks),
     }
     return report, rows
 

@@ -30,7 +30,7 @@ from clonesim.emission import (
     validate_mode_map,
 )
 from clonesim.errors import DimensionMismatchError, DomainViolationError
-from clonesim.experiments import ExperimentSpec, load_atomic_system, run
+from clonesim.experiments import load_atomic_system, run
 from clonesim.hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, max_abs, random_ket
 
 from oracles import angular_factor_by_quadrature, hamiltonian_by_kron, stimulated_pair_by_hamiltonian
@@ -465,7 +465,7 @@ def mode_labels(modes) -> tuple[str, ...]:
 
 def domain_basis(config_dir, config: str) -> np.ndarray:
     """The ``basis`` of the domain report for ``config``, one row per ket."""
-    report, _ = run(ExperimentSpec(kind="domain", config_path=str(config_dir / config)))
+    report, _ = run("domain", config_path=str(config_dir / config))
     assert report["results"]["dimension"] == len(report["results"]["basis"])
     pairs = np.array(report["results"]["basis"]).reshape(-1, 3, 2)
     return pairs[..., 0] + 1j * pairs[..., 1]

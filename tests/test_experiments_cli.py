@@ -1,5 +1,6 @@
 """Tests for the experiment runner, report formats, and the CLI surface."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -21,8 +22,8 @@ from clonesim.emission import PI, SIGMA_MINUS
 from clonesim.errors import ConfigError
 from clonesim.hilbert import max_abs
 from clonesim.experiments import (
+    EXPERIMENT_INPUTS,
     EXPERIMENT_KINDS,
-    ExperimentSpec,
     load_atomic_system,
     parse_amplitudes,
     render_report,
@@ -37,15 +38,25 @@ CONFIG_DIR = REPO_ROOT / "configs"
 
 REPORT_KEYS = {"schema_version", "kind", "generated_at", "parameters", "results", "checks", "passed"}
 
-REPORT_PARAMETERS = {"config_path", "state", "seed", "dim", "ancilla_index", "overlap", "excited_state", "modes"}
+
+def documented_table(heading: str) -> dict[str, list[str]]:
+    """The backquoted names in each kind's row of a table in docs/report_schema.md."""
+    text = (REPO_ROOT / "docs" / "report_schema.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` +\| (.+) \|$", section, re.MULTILINE)
+    return {kind: re.findall(r"`([^`]+)`", names) for kind, names in rows}
+
+
+REPORT_PARAMETERS = documented_table("`parameters` per kind")
 
 
 def assert_schema_valid(report: dict) -> None:
-    """The report layout of docs/report_schema.md (version 2), key by key."""
+    """The report layout of docs/report_schema.md (version 3), key by key."""
     assert report.keys() == REPORT_KEYS
-    assert type(report["schema_version"]) is int and report["schema_version"] == 2
+    assert type(report["schema_version"]) is int and report["schema_version"] == 3
     assert isinstance(report["kind"], str) and isinstance(report["generated_at"], str)
-    assert isinstance(report["parameters"], dict) and REPORT_PARAMETERS <= report["parameters"].keys()
+    assert isinstance(report["parameters"], dict)
+    assert sorted(report["parameters"]) == sorted(REPORT_PARAMETERS[report["kind"]])
     assert isinstance(report["results"], dict) and isinstance(report["passed"], bool)
     assert isinstance(report["checks"], list)
     for check in report["checks"]:
@@ -69,14 +80,6 @@ UNKNOWN_KEY_CONFIGS = {
 }
 
 
-def documented_columns() -> dict[str, list[str]]:
-    """Each kind's csv and table columns, from the table in docs/report_schema.md."""
-    text = (REPO_ROOT / "docs" / "report_schema.md").read_text(encoding="utf-8")
-    section = text.split("\n## csv and table columns\n", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `([a-z-]+)` +\| (.+) \|$", section, re.MULTILINE)
-    return {kind: re.findall(r"`([^`]+)`", columns) for kind, columns in rows}
-
-
 def strip_timestamp(text: str) -> str:
     report = json.loads(text)
     report.pop("generated_at")
@@ -96,7 +99,8 @@ def run_cli(argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def spec_for(kind: str, config_dir, **overrides) -> ExperimentSpec:
+def spec_for(kind: str, config_dir, **overrides) -> dict:
+    """The inputs ``run(kind, ...)`` takes in these tests, with ``overrides``."""
     defaults = {
         "clone-demo": {"state": "plus", "dim": 2},
         "fixed-ancilla": {"state": "plus", "dim": 2, "ancilla_index": 0},
@@ -106,8 +110,7 @@ def spec_for(kind: str, config_dir, **overrides) -> ExperimentSpec:
         "stimulated-clone": {"config_path": str(config_dir / "full_p_manifold.json"), "seed": 11},
         "spontaneous": {"config_path": str(config_dir / "full_p_manifold.json")},
     }
-    params = {**defaults[kind], **overrides}
-    return ExperimentSpec(kind=kind, **params)
+    return {**defaults[kind], **overrides}
 
 
 class TestStateParsing:
@@ -284,34 +287,34 @@ class TestConfigCache:
 class TestRunners:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_kind_runs_and_passes(self, kind, config_dir):
-        report, _ = run(spec_for(kind, config_dir))
+        report, _ = run(kind, **spec_for(kind, config_dir))
         assert report["kind"] == kind
         assert report["passed"] is True
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_rendered_report_is_schema_valid(self, kind, config_dir):
-        rendered = render_report(*run(spec_for(kind, config_dir)), "json")
+        rendered = render_report(*run(kind, **spec_for(kind, config_dir)), "json")
         assert_schema_valid(json.loads(rendered))
 
     def test_clone_demo_equal_superposition(self, config_dir):
-        report, _ = run(spec_for("clone-demo", config_dir))
+        report, _ = run("clone-demo", **spec_for("clone-demo", config_dir))
         output = [re for re, _ in report["results"]["output"]]
         assert output == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-12)
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_ancilla_half_fidelity(self, config_dir):
-        report, _ = run(spec_for("fixed-ancilla", config_dir))
+        report, _ = run("fixed-ancilla", **spec_for("fixed-ancilla", config_dir))
         assert report["results"]["fidelity"] == pytest.approx(0.5, abs=1e-10)
 
     def test_witness_sweep_counts(self, config_dir):
-        report, _ = run(spec_for("no-cloning-witness", config_dir))
+        report, _ = run("no-cloning-witness", **spec_for("no-cloning-witness", config_dir))
         witnesses = report["results"]["witnesses"]
         assert len(witnesses) == 101
         contradictions = [w for w in witnesses if w["verdict"] == "CONTRADICTION"]
         assert len(contradictions) == 99
 
     def test_selection_rules_hydrogen_table(self, config_dir):
-        report, _ = run(spec_for("selection-rules", config_dir))
+        report, _ = run("selection-rules", **spec_for("selection-rules", config_dir))
         rows = report["results"]["transitions"]
         by_level = {}
         for row in rows:
@@ -321,12 +324,12 @@ class TestRunners:
         assert sorted(row["q"] for row in allowed_2p) == [-1, 0, 1]
 
     def test_domain_report(self, config_dir):
-        report, _ = run(spec_for("domain", config_dir))
+        report, _ = run("domain", **spec_for("domain", config_dir))
         assert report["results"]["allowed_modes"] == ["sigma-", "pi", "sigma+"]
         assert report["results"]["dimension"] == 3
 
     def test_stimulated_clone_report(self, config_dir):
-        report, _ = run(spec_for("stimulated-clone", config_dir))
+        report, _ = run("stimulated-clone", **spec_for("stimulated-clone", config_dir))
         results = report["results"]
         assert results["fidelity"] == pytest.approx(1.0, abs=1e-10)
         photon, output = (np.array(results[key]) @ [1, 1j] for key in ("photon", "output"))
@@ -341,9 +344,9 @@ class TestRunners:
         for module in (copying, experiments):
             original = module.clone
             monkeypatch.setattr(module, "clone", lambda *args, f=original: calls.append("clone") or f(*args))
-        report, _ = run(spec_for("stimulated-clone", config_dir))
+        report, _ = run("stimulated-clone", **spec_for("stimulated-clone", config_dir))
         assert report["passed"] and calls == []
-        run(spec_for("clone-demo", config_dir))
+        run("clone-demo", **spec_for("clone-demo", config_dir))
         assert calls == ["CopyBasis", "clone"]  # the patches see the abstract copier
 
     @pytest.mark.parametrize(
@@ -371,11 +374,11 @@ class TestRunners:
         assert results["fidelity"] == pytest.approx(abs(np.vdot(np.kron(photon, photon), output)) ** 2, abs=1e-12)
 
     def test_spontaneous_reports_isotropic_mixture(self, config_dir):
-        report, _ = run(spec_for("spontaneous", config_dir))
+        report, _ = run("spontaneous", **spec_for("spontaneous", config_dir))
         assert report["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-10)
 
     def test_spontaneous_two_mode_restriction(self, config_dir):
-        report, _ = run(spec_for("spontaneous", config_dir, modes=("sigma-", "sigma+")))
+        report, _ = run("spontaneous", **spec_for("spontaneous", config_dir, modes=("sigma-", "sigma+")))
         assert report["results"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-10)
 
 
@@ -419,15 +422,15 @@ def with_fixed_pair_lists(test):
 class TestRendering:
     def test_json_determinism_modulo_timestamp(self, config_dir):
         for kind in EXPERIMENT_KINDS:
-            first = render_report(*run(spec_for(kind, config_dir)), "json")
-            second = render_report(*run(spec_for(kind, config_dir)), "json")
+            first = render_report(*run(kind, **spec_for(kind, config_dir)), "json")
+            second = render_report(*run(kind, **spec_for(kind, config_dir)), "json")
             assert strip_timestamp(first) == strip_timestamp(second)
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_json_has_no_numpy_reprs(self, kind, config_dir):
         # pi_only.json leaves a photon component uncoupled.
         overrides = {"config_path": str(config_dir / "pi_only.json")} if kind == "stimulated-clone" else {}
-        text = render_report(*run(spec_for(kind, config_dir, **overrides)), "json")
+        text = render_report(*run(kind, **spec_for(kind, config_dir, **overrides)), "json")
         assert "np." not in text
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -453,25 +456,25 @@ class TestRendering:
 
     def test_json_excludes_private_keys(self, config_dir):
         # the csv/table rows are passed beside the report, never written into it
-        text = render_report(*run(spec_for("domain", config_dir)), "json")
+        text = render_report(*run("domain", **spec_for("domain", config_dir)), "json")
         assert set(json.loads(text)) == REPORT_KEYS
 
     def test_csv_has_header_and_rows(self, config_dir):
-        text = render_report(*run(spec_for("selection-rules", config_dir)), "csv")
+        text = render_report(*run("selection-rules", **spec_for("selection-rules", config_dir)), "csv")
         lines = text.strip().splitlines()
         assert lines[0].startswith("excited,")
         assert len(lines) == 1 + 4 * 3
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_csv_and_table_columns_are_documented(self, kind, config_dir):
-        report, rows = run(spec_for(kind, config_dir))
-        columns = documented_columns()
+        report, rows = run(kind, **spec_for(kind, config_dir))
+        columns = documented_table("csv and table columns")
         assert columns.keys() == set(EXPERIMENT_KINDS)
         assert render_report(report, rows, "csv").splitlines()[0].split(",") == columns[kind]
         assert render_report(report, rows, "table").splitlines()[1].split() == columns[kind]
 
     def test_table_is_aligned_text(self, config_dir):
-        text = render_report(*run(spec_for("domain", config_dir)), "table")
+        text = render_report(*run("domain", **spec_for("domain", config_dir)), "table")
         assert "mode" in text and "sigma-" in text
 
 
@@ -603,6 +606,15 @@ class TestCli:
         config.write_text(json.dumps(FULL_P_CONFIG)[:-1] + ', "radial_factors": {"e0": 1' + "0" * 5000 + "}}")
         assert main(["domain", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_nesting_deeper_than_json_reads_exit_2(self, capsys, tmp_path):
+        # json refuses nesting deeper than the interpreter's recursion limit with a RecursionError.
+        config = tmp_path / "nested.json"
+        config.write_text("[" * 100_000)
+        assert main(["domain", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
 
     @pytest.mark.parametrize(
         "entry, key",
@@ -773,8 +785,8 @@ class TestCli:
         assert main(["clone-demo", "--dim", "256", "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
 
     def test_failed_check_exit_1_after_writing_report(self, capsys, tmp_path, monkeypatch):
-        def failing_runner(spec):
-            return {"results": {}, "checks": [{"name": "always-fails", "passed": False, "detail": "forced"}]}, []
+        def failing_runner(state=None, seed=0, dim=2):
+            return {}, [{"name": "always-fails", "passed": False, "detail": "forced"}], []
 
         monkeypatch.setitem(experiments._RUNNERS, "clone-demo", failing_runner)
         assert main(["clone-demo"]) == 1
@@ -880,6 +892,51 @@ class TestCli:
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
 
+def subcommand_options(kind: str) -> dict[str, argparse.Action]:
+    """The options of ``kind``'s subcommand in ``cli.build_parser()`` by dest, bar -h, --format and --out."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action for action in subparsers.choices[kind]._actions
+            if action.dest not in ("help", "format", "out")}
+
+
+def readme_options() -> dict[str, dict[str, str]]:
+    """Each subcommand's options in README's option table, each with the N of
+    the "(default N)" beside it, or "" where none is shown."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n| subcommand ", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` +\| (.+?) *\|$", section, re.MULTILINE)
+    return {kind: dict(re.findall(r"`(--[a-z-]+)[^`]*`(?: \(default (-?\d+)\))?", cell)) for kind, cell in rows}
+
+
+class TestInputsAreDeclaredOnce:
+    """The runner's signature is the one statement of a kind's inputs."""
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_report_parameters_are_the_subcommand_options(self, kind, config_dir):
+        report, _ = run(kind, **spec_for(kind, config_dir))
+        assert sorted(report["parameters"]) == sorted(subcommand_options(kind))
+
+    @pytest.mark.parametrize(
+        "kind, inputs",
+        [("clone-demo", {"overlap": 0.5}), ("domain", {}), ("nope", {})],
+        ids=["input-the-kind-does-not-read", "missing-config-path", "unknown-kind"],
+    )
+    def test_inputs_outside_the_signature_are_config_errors(self, kind, inputs):
+        with pytest.raises(ConfigError):
+            run(kind, **inputs)
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_readme_option_table_matches_the_parser(self, kind):
+        documented = readme_options()
+        assert documented.keys() == set(EXPERIMENT_KINDS)
+        options = subcommand_options(kind)
+        assert sorted(documented[kind]) == sorted(action.option_strings[0] for action in options.values())
+        for name, parameter in EXPERIMENT_INPUTS[kind].parameters.items():
+            shown = parameter.default not in (None, parameter.empty)
+            assert documented[kind][options[name].option_strings[0]] == (str(parameter.default) if shown else "")
+
+
 def load_batch_script():
     spec = importlib.util.spec_from_file_location("run_all_experiments", REPO_ROOT / "scripts" / "run_all_experiments.py")
     script = importlib.util.module_from_spec(spec)
@@ -905,13 +962,14 @@ def test_batch_reports_equal_cli_reports(capsys, tmp_path, fmt, extension):
         batch, direct = (tmp_path / "batch" / name).read_text(), (tmp_path / name).read_text()
         if fmt == "json":
             batch, direct = strip_timestamp(batch), strip_timestamp(direct)
-            seeds[name] = json.loads(batch)["parameters"]["seed"]
+            seeds[name] = json.loads(batch)["parameters"].get("seed")
         assert batch == direct, name
     if fmt == "json":
-        # Only the two experiments that draw a random state were given a seed.
+        # Only the two experiments that draw a random state were given a seed;
+        # the kinds that read no seed echo none.
         assert {name for name, seed in seeds.items() if seed == 7} == {
             "01_clone-demo.json", "07_stimulated-clone.json"}
-        assert set(seeds.values()) == {0, 7}
+        assert set(seeds.values()) == {None, 0, 7}
 
 
 # An ASCII-only locale without UTF-8 mode: stdout cannot encode a non-ASCII label.

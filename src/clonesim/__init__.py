@@ -20,7 +20,6 @@ from .emission import (
     PolarizationMode,
     build_interaction_hamiltonian,
     clonable_domain,
-    hamiltonian_basis,
     p_manifold_system,
     spontaneous_emission_output,
     stimulated_clone,

@@ -30,8 +30,8 @@ from .hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, fidelity, max_abs, tenso
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_CONTRADICTION = "CONTRADICTION"
 
-#: An overlap is CONSISTENT when |s - s^2| is at most this, and |s| may
-#: exceed 1 by this much.
+#: An overlap is CONSISTENT when it lies within this of 0 or of 1, and |s|
+#: may exceed 1 by this much.
 WITNESS_ATOL = 1e-12
 
 
@@ -160,13 +160,14 @@ def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     cloning two states of overlap ``s`` with one fixed ancilla.
 
     Unitarity preserves inner products, so <p|q> = <p|q>^2 would have to
-    hold; only s in {0, 1} survives.  Every other overlap is reported as a
-    CONTRADICTION with residual |s - s^2|, which is the linearity
-    obstruction behind the no-cloning theorem.
+    hold; only s in {0, 1} survives.  An overlap within ``WITNESS_ATOL`` of
+    0 or of 1 is CONSISTENT; every other overlap is a CONTRADICTION.  The
+    residual |s - s^2| is the linearity obstruction behind the no-cloning
+    theorem.
     """
     s = complex(s)
     if not abs(s) <= 1 + WITNESS_ATOL:  # false for NaN too
         raise ValueError(f"|s| = {abs(s):.6g} is not a valid state overlap: it must be finite and at most 1")
     residual = abs(s - s * s)
-    verdict = VERDICT_CONSISTENT if residual <= WITNESS_ATOL else VERDICT_CONTRADICTION
+    verdict = VERDICT_CONSISTENT if min(abs(s), abs(s - 1)) <= WITNESS_ATOL else VERDICT_CONTRADICTION
     return OverlapWitness(overlap=s, residual=residual, verdict=verdict)

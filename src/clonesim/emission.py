@@ -215,21 +215,6 @@ def _mode_columns(modes: Sequence[PolarizationMode]) -> np.ndarray:
     return np.array([mode.q + 1 for mode in modes], dtype=int)
 
 
-def hamiltonian_basis(
-    system: AtomicSystem, modes: Sequence[PolarizationMode], n_max: int
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Basis labels (atom label, per-mode occupations) in matrix index order.
-
-    Ordering matches the Kronecker convention: atom factor major, then the
-    modes in the given order, occupations 0..n_max each.
-    """
-    atom_labels = [system.ground.label] + [level.label for level in system.excited]
-    occupation_lists: list[tuple[int, ...]] = [()]
-    for _ in modes:
-        occupation_lists = [occ + (n,) for occ in occupation_lists for n in range(n_max + 1)]
-    return [(label, occ) for label in atom_labels for occ in occupation_lists]
-
-
 def build_interaction_hamiltonian(
     system: AtomicSystem,
     modes: Sequence[PolarizationMode],

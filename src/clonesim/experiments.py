@@ -247,7 +247,7 @@ def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, an
     psi = _copy_state(state, seed, dim)
     basis = CopyBasis.computational(psi.dim)
     report = clone_with_fixed_ancilla(psi, ancilla_index, basis)
-    expected = float(abs(psi.normalize().amplitudes[ancilla_index]) ** 2)
+    expected = float(abs(report.input.amplitudes[ancilla_index]) ** 2)
     results = {
         "input": _ket_json(report.input),
         "output": _ket_json(report.output),
@@ -297,37 +297,43 @@ def _run_witness(overlap: float | None = None) -> _Outcome:
     return results, checks, rows
 
 
-def _selection_rule(ground: AtomicLevel, level: AtomicLevel, mode: PolarizationMode) -> tuple[bool, bool]:
-    """Whether the ground irrep is contained in excited (x) photon, and
-    whether the SU(2) selection rules admit the transition: containment
-    and m_g = m_e + q.  Independent of the dipole table."""
-    contained = contains(ground.irrep, (level.irrep, PHOTON_IRREP))
-    return contained, contained and ground.m == level.m + mode.q
+def _su2_admission(system: AtomicSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) selection rules of ``system``, read from its levels' l, m and
+    parity and never from its dipole table.
+
+    Two read-only boolean tables laid out like ``system.allowed`` (excited
+    levels x (sigma-, pi, sigma+)): ``contained``, whether the ground irrep
+    lies in excited (x) photon, and ``admitted``, whether also m_g = m_e + q.
+    """
+    ground, target = system.ground, system.ground.irrep
+    contained = np.array(
+        [[contains(target, (level.irrep, PHOTON_IRREP))] * len(SPHERICAL_MODES) for level in system.excited]
+    )
+    conserved = np.array([[ground.m == level.m + mode.q for mode in SPHERICAL_MODES] for level in system.excited])
+    admitted = contained & conserved
+    contained.setflags(write=False)
+    admitted.setflags(write=False)
+    return contained, admitted
 
 
-def _run_selection_rules(config_path: str) -> _Outcome:
+def _run_transitions(config_path: str) -> _Outcome:
     system, _ = load_atomic_system(config_path)
-    rows = []
-    mismatches = 0
-    for level, amplitudes, allowed_row in zip(system.excited, system.amplitudes, system.allowed):
-        for mode in SPHERICAL_MODES:
-            amplitude = amplitudes[mode.q + 1]
-            allowed = bool(allowed_row[mode.q + 1])
-            irrep_ok, admitted = _selection_rule(system.ground, level, mode)
-            if allowed != admitted:
-                mismatches += 1
-            rows.append(
-                {
-                    "excited": level.label,
-                    "l": level.l,
-                    "m": level.m,
-                    "mode": mode.label,
-                    "q": mode.q,
-                    "amplitude": float(np.real(amplitude)),
-                    "allowed": allowed,
-                    "irrep_contained": irrep_ok,
-                }
-            )
+    contained, admitted = _su2_admission(system)
+    rows = [
+        {
+            "excited": level.label,
+            "l": level.l,
+            "m": level.m,
+            "mode": mode.label,
+            "q": mode.q,
+            "amplitude": float(system.amplitudes[i, j].real),
+            "allowed": bool(system.allowed[i, j]),
+            "irrep_contained": bool(contained[i, j]),
+        }
+        for i, level in enumerate(system.excited)
+        for j, mode in enumerate(SPHERICAL_MODES)
+    ]
+    mismatches = np.count_nonzero(system.allowed != admitted)
     results = {"ground": system.ground.label, "transitions": rows}
     checks = [
         _check(
@@ -349,11 +355,8 @@ def _run_domain(config_path: str) -> _Outcome:
         # The span's basis in the full polarization space ordered (sigma-, pi, sigma+).
         "basis": [_ket_json(Ket.basis_state(len(SPHERICAL_MODES), mode.q + 1)) for mode in modes],
     }
-    admitted = [
-        mode.label
-        for mode in SPHERICAL_MODES
-        if any(_selection_rule(system.ground, level, mode)[1] for level in system.excited)
-    ]
+    admits = _su2_admission(system)[1].any(axis=0)
+    admitted = [mode.label for mode in SPHERICAL_MODES if admits[mode.q + 1]]
     checks = [
         _check(
             "domain-matches-selection-rules",
@@ -375,8 +378,7 @@ def _stimulated_photon(state: str | None, seed: int, mode_map) -> Ket:
         raise DomainViolationError("the mode map couples no photon component")
     inner = random_ket(len(coupled), np.random.default_rng(seed))
     amplitudes = np.zeros(dim, dtype=complex)
-    for c, j in enumerate(coupled):
-        amplitudes[j] = inner.amplitudes[c]
+    amplitudes[coupled] = inner.amplitudes
     return Ket(amplitudes)
 
 
@@ -411,7 +413,7 @@ def _run_spontaneous(
     )
     excited = None if excited_state is None else Ket(parse_amplitudes(excited_state)).normalize()
     rho = spontaneous_emission_output(system, excited, modes)
-    weights = [float(np.real(rho.entries[i, i])) for i in range(rho.dim)]
+    weights = np.diag(rho.entries).real.tolist()
     results = {
         "modes": [mode.label for mode in modes],
         "weights": weights,
@@ -420,12 +422,8 @@ def _run_spontaneous(
     # A mode gets weight exactly when a populated level may emit it by the
     # SU(2) rules alone, without reading the dipole table.
     populations = np.ones(system.manifold_dim) if excited is None else np.abs(excited.amplitudes) ** 2
-    populated = [level for level, population in zip(system.excited, populations) if population > 0]
-    mismatched = [
-        mode.label
-        for mode, weight in zip(modes, weights)
-        if (weight != 0) != any(_selection_rule(system.ground, level, mode)[1] for level in populated)
-    ]
+    emitted = _su2_admission(system)[1][populations > 0].any(axis=0)
+    mismatched = [mode.label for mode, weight in zip(modes, weights) if (weight != 0) != emitted[mode.q + 1]]
     checks = [
         _check(
             "weights-match-selection-rules",
@@ -443,7 +441,7 @@ _RUNNERS = {
     "clone-demo": _run_clone_demo,
     "fixed-ancilla": _run_fixed_ancilla,
     "no-cloning-witness": _run_witness,
-    "selection-rules": _run_selection_rules,
+    "selection-rules": _run_transitions,
     "domain": _run_domain,
     "stimulated-clone": _run_stimulated_clone,
     "spontaneous": _run_spontaneous,
@@ -497,7 +495,7 @@ def render_report(report: dict, rows: list[dict], output_format: str) -> str:
             writer.writerows(rows)
         return buffer.getvalue()
     if output_format == "table":
-        return render_table(rows, title=f"{report['kind']} (passed={report['passed']})")
+        return _render_table(rows, f"{report['kind']} (passed={report['passed']})")
     raise ConfigError(f"unknown output format {output_format!r}")
 
 
@@ -532,19 +530,18 @@ def _json_text(value, indent: str) -> str:
     return "[\n" + ",\n".join(inner + _json_text(item, inner) for item in value) + "\n" + indent + "]"
 
 
-def render_table(rows: list[dict], title: str = "") -> str:
+def _render_table(rows: list[dict], title: str) -> str:
     if not rows:
-        return (title + "\n") if title else ""
+        return title + "\n"
     headers = list(rows[0].keys())
     cells = [[_format_cell(row.get(h, "")) for h in headers] for row in rows]
     widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    lines = [
+        title,
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
+        "  ".join("-" * w for w in widths),
+        *("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in cells),
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -3,13 +3,15 @@
 Each oracle deliberately avoids the production code path it checks:
 coupling coefficients come from explicit ladder-operator construction,
 angular factors from numerical quadrature of spherical harmonics, the
-interaction Hamiltonian from dense per-term Kronecker products, the
-stimulated photon pair from that Hamiltonian applied in Fock space, copy
-unitaries from column-by-column assembly, reduced density matrices from
-hand-written index contraction.
+interaction Hamiltonian from dense per-term Kronecker products and its
+basis labels from their order, the stimulated photon pair from that
+Hamiltonian applied in Fock space, copy unitaries from column-by-column
+assembly, reduced density matrices from hand-written index contraction.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 from scipy.special import sph_harm_y
@@ -186,6 +188,16 @@ def hamiltonian_by_kron(
                 term = np.kron(sigma, field_op)
                 h -= d * term + np.conj(d) * term.conj().T
     return h
+
+
+def hamiltonian_basis(system, modes, n_max: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Basis labels (atom label, per-mode occupations) of a Hamiltonian in
+    ``hamiltonian_by_kron`` order: the atom factor (ground, then the excited
+    levels) major, then the modes in the given order, occupations 0..n_max
+    each, the last mode fastest."""
+    atom_labels = [system.ground.label] + [level.label for level in system.excited]
+    occupation_lists = list(product(range(n_max + 1), repeat=len(modes)))
+    return [(label, occupations) for label in atom_labels for occupations in occupation_lists]
 
 
 def stimulated_pair_by_hamiltonian(couplings: np.ndarray, ancilla: np.ndarray, photon: np.ndarray) -> np.ndarray:

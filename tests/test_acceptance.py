@@ -30,7 +30,6 @@ from clonesim.emission import (
     AtomicSystem,
     build_interaction_hamiltonian,
     clonable_domain,
-    hamiltonian_basis,
     p_manifold_system,
     spontaneous_emission_output,
     stimulated_clone,
@@ -38,7 +37,13 @@ from clonesim.emission import (
 )
 from clonesim.hilbert import Ket, max_abs, random_ket
 
-from oracles import cg_by_lowering, copy_unitary_by_columns, random_copy_basis, stimulated_pair_by_hamiltonian
+from oracles import (
+    cg_by_lowering,
+    copy_unitary_by_columns,
+    hamiltonian_basis,
+    random_copy_basis,
+    stimulated_pair_by_hamiltonian,
+)
 
 FULL_MODE_MAP = ((SIGMA_MINUS, "e+"), (PI, "e0"), (SIGMA_PLUS, "e-"))
 

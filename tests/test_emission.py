@@ -22,7 +22,6 @@ from clonesim.emission import (
     PolarizationMode,
     build_interaction_hamiltonian,
     clonable_domain,
-    hamiltonian_basis,
     p_manifold_system,
     spontaneous_emission_output,
     stimulated_clone,
@@ -33,7 +32,7 @@ from clonesim.errors import DimensionMismatchError, DomainViolationError
 from clonesim.experiments import load_atomic_system, run
 from clonesim.hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, max_abs, random_ket
 
-from oracles import angular_factor_by_quadrature, hamiltonian_by_kron, stimulated_pair_by_hamiltonian
+from oracles import angular_factor_by_quadrature, hamiltonian_basis, hamiltonian_by_kron, stimulated_pair_by_hamiltonian
 from test_golden import REPO_ROOT
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)

@@ -508,6 +508,47 @@ class TestCli:
             ("domain-matches-selection-rules", False)
         ]
 
+    @pytest.mark.parametrize(
+        "excited, patched, factors, allowed_modes",
+        [
+            (FULL_P_CONFIG["excited"], (1, -1, 0, 0), (0.0, 0.0, 0.0), ["sigma-", "pi"]),
+            ([{"label": "e0", "l": 1, "m": 0}], (1, 0, 0, 0), (0.5, 0.5, 0.0), ["sigma-", "pi"]),
+        ],
+        ids=["no-emission-of-an-admitted-mode", "emission-of-a-forbidden-mode"],
+    )
+    def test_wrong_dipole_table_fails_the_domain_check(
+        self, capsys, monkeypatch, tmp_path, excited, patched, factors, allowed_modes
+    ):
+        config = tmp_path / "atom.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "excited": excited}))
+        original = emission.dipole_angular_factors
+        monkeypatch.setattr(
+            emission, "dipole_angular_factors", lambda *lm: factors if lm == patched else original(*lm)
+        )
+        assert main(["domain", "--config", str(config)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["allowed_modes"] == allowed_modes
+        assert [(check["name"], check["passed"]) for check in report["checks"]] == [
+            ("domain-matches-selection-rules", False)
+        ]
+
+    @pytest.mark.parametrize(
+        "factors", [(0.0, 0.5, -0.5), (0.0, 0.0, 0.0)], ids=["forbidden-component", "missing-component"]
+    )
+    def test_wrong_dipole_table_fails_the_containment_check(self, capsys, monkeypatch, tmp_path, factors):
+        # Level e- (m = -1) may emit only sigma+; the patched table says otherwise in one component.
+        config = tmp_path / "full_p.json"
+        config.write_text(json.dumps(FULL_P_CONFIG))
+        original = emission.dipole_angular_factors
+        monkeypatch.setattr(
+            emission, "dipole_angular_factors", lambda *lm: factors if lm == (1, -1, 0, 0) else original(*lm)
+        )
+        assert main(["selection-rules", "--config", str(config)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(check["name"], check["passed"], check["detail"]) for check in report["checks"]] == [
+            ("amplitude-iff-containment", False, "1 mismatches over 9 transitions")
+        ]
+
     @pytest.mark.parametrize("config", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
     def test_domain_check_passes_on_every_config(self, capsys, config):
         assert main(["domain", "--config", str(CONFIG_DIR / config)]) == 0
@@ -758,11 +799,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "overlap, verdict",
         [("1e-13", "CONSISTENT"), (repr(1 - 1e-13), "CONSISTENT"), ("2e-12", "CONTRADICTION"), ("0.5", "CONTRADICTION"),
-         ("-1", "CONTRADICTION")],
+         ("-1", "CONTRADICTION"), ("-1e-12", "CONSISTENT"), ("1.0000000000001e-12", "CONTRADICTION")],
     )
     def test_witness_endpoints_within_witness_tolerance(self, capsys, overlap, verdict):
         # An overlap the witness calls CONSISTENT (within WITNESS_ATOL of 0 or 1) is an endpoint.
-        assert main(["no-cloning-witness", "--overlap", overlap]) == 0
+        assert main(["no-cloning-witness", f"--overlap={overlap}"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["witnesses"][0]["verdict"] == verdict
         interior = int(verdict == "CONTRADICTION")

@@ -15,8 +15,9 @@ import pytest
 from test_golden import REPO_ROOT
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
+def load_perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded from its file path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up while they are built
     try:
@@ -26,7 +27,7 @@ def load_tracer():
     return module
 
 
-TRACER = load_tracer()
+TRACER = load_perfbench_module("tracer")
 
 
 @pytest.mark.parametrize("module_name, attr", TRACER.FUNCTIONS, ids=lambda value: value)

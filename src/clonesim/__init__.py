@@ -32,7 +32,6 @@ from .hilbert import (
     OperatorMatrix,
     fidelity,
     inner_product,
-    partial_trace,
     random_ket,
     tensor_product,
 )

@@ -51,10 +51,6 @@ class IrrepLabel:
         if self.parity not in (None, 1, -1):
             raise ValueError("parity must be +1, -1, or None")
 
-    @property
-    def j(self) -> float:
-        return self.twice_j / 2
-
     def __repr__(self) -> str:
         j_str = str(self.twice_j // 2) if self.twice_j % 2 == 0 else f"{self.twice_j}/2"
         if self.parity is None:
@@ -140,7 +136,10 @@ def clebsch_gordan(j1, m1, j2, m2, big_j, big_m) -> float:
         total += Fraction(-1 if k % 2 else 1, denominator)
     if total == 0:
         return 0.0
-    return float(total) * sqrt(float(radicand))
+    # The radicand leaves the float range from j ~ 58, the coefficient never.
+    # Moving out a power of four is exact, so it changes no rounding.
+    s = max(0, (radicand.numerator.bit_length() - radicand.denominator.bit_length()) // 2 - 256)
+    return float(total * 2**s) * sqrt(float(radicand / 4**s))
 
 
 @cache

@@ -43,8 +43,10 @@ _OPTIONS = {
     "seed": ("--seed", {"type": int, "help": "seed for random-state generation"}),
     "dim": ("--dim", {"type": int, "help": "dimension for random input states"}),
     "ancilla_index": ("--ancilla-index", {"type": int, "help": "which basis ancilla to hold fixed"}),
-    "overlap": ("--overlap", {"type": float, "help": "single overlap to test; default sweeps 0.00..1.00"}),
-    "excited_state": ("--excited-state", {"help": "amplitudes over the excited manifold; default isotropic ensemble"}),
+    "overlap": ("--overlap", {"type": float, "help": "single overlap to test; default sweeps 0.00..1.00; "
+                                                     "write a leading minus sign as --overlap=-1e-12"}),
+    "excited_state": ("--excited-state", {"help": "amplitudes over the excited manifold; default isotropic ensemble; "
+                                                  "write a leading minus sign as --excited-state=-0.6,0.8,0"}),
     "modes": ("--modes", {"type": lambda text: tuple(label.strip() for label in text.split(",")),
                           "help": "comma-separated polarization labels restricting the output space"}),
 }

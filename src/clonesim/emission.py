@@ -305,17 +305,17 @@ def validate_mode_map(system: AtomicSystem, mode_map: ModeMap) -> list[tuple[Pol
     return pairs
 
 
-def _ancilla_map(psi: Ket, system: AtomicSystem, mode_map: ModeMap) -> np.ndarray:
-    """The mode map as the copy's ancilla map V, a manifold x photon array.
+def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> np.ndarray:
+    """The validated mode map ``pairs`` as the copy's ancilla map V, a
+    manifold x photon array.
 
     This is the one place that decides which photon components the atom
-    copies.  V has 1 / D[i, q_j + 1] at (level i of ``mode_map[j]``, j) for
+    copies.  V has 1 / D[i, q_j + 1] at (level i of ``pairs[j]``, j) for
     each mapped component, dividing out its dipole sign and radial factor,
     and a zero column for each ``None``.  A photon whose norm on the
     ``None`` components exceeds ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside
     the clonable domain.
     """
-    pairs = validate_mode_map(system, mode_map)
     if len(pairs) != psi.dim:
         raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
     v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
@@ -350,9 +350,10 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     same at any radial scale.
     """
     psi = photon.normalize()
-    v = _ancilla_map(psi, system, mode_map)
+    pairs = validate_mode_map(system, mode_map)
+    v = _ancilla_map(psi, system, pairs)
     ancilla = Ket(v @ psi.amplitudes).normalize()
-    columns = [mode.q + 1 for mode, _ in mode_map]
+    columns = [mode.q + 1 for mode, _ in pairs]
     phi = _power_of_two_scaled(system.amplitudes[:, columns].T @ ancilla.amplitudes)
     pair = np.outer(phi, psi.amplitudes)
     output = Ket((pair + pair.T).ravel()).normalize()

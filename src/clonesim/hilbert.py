@@ -157,19 +157,6 @@ class DensityMatrix:
         if not eigenvalues.min() >= -DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_ket(cls, ket: Ket) -> "DensityMatrix":
-        v = ket.normalize().amplitudes
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
 
 def tensor_product(a: Ket, b: Ket) -> Ket:
     """Kronecker product of two kets, first factor major; norm multiplies.
@@ -190,25 +177,6 @@ def inner_product(a: Ket, b: Ket) -> complex:
 def fidelity(a: Ket, b: Ket) -> float:
     """|<a|b>|^2, invariant under global phase of either argument."""
     return abs(inner_product(a, b)) ** 2
-
-
-def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Reduced density matrix over subsystem ``keep`` ("A" or "B").
-
-    ``dims = (d_A, d_B)`` must factor ``rho.dim`` with A the major
-    (first) tensor factor.
-    """
-    d_a, d_b = dims
-    if d_a < 1 or d_b < 1 or d_a * d_b != rho.dim:
-        raise DimensionMismatchError(f"dims {dims} do not factor density matrix of dim {rho.dim}")
-    if keep not in ("A", "B"):
-        raise ValueError("keep must be 'A' or 'B'")
-    blocks = rho.entries.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        reduced = np.einsum("ijkj->ik", blocks)
-    else:
-        reduced = np.einsum("ijil->jl", blocks)
-    return DensityMatrix(reduced)
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:

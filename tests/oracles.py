@@ -5,8 +5,8 @@ coupling coefficients come from explicit ladder-operator construction,
 angular factors from numerical quadrature of spherical harmonics, the
 interaction Hamiltonian from dense per-term Kronecker products and its
 basis labels from their order, the stimulated photon pair from that
-Hamiltonian applied in Fock space, copy unitaries from column-by-column
-assembly, reduced density matrices from hand-written index contraction.
+Hamiltonian applied in Fock space, and copy unitaries from column-by-column
+assembly.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def stimulated_pair_by_hamiltonian(couplings: np.ndarray, ancilla: np.ndarray, p
 
 
 # ---------------------------------------------------------------------------
-# Copy-unitary assembly and reduced density matrices
+# Copy-unitary assembly
 
 
 def copy_unitary_by_columns(basis: CopyBasis) -> np.ndarray:
@@ -252,23 +252,6 @@ def copy_unitary_by_columns(basis: CopyBasis) -> np.ndarray:
             output_vec = np.kron(basis.system[:, i], basis.system[:, j])
             u += np.outer(output_vec, input_vec.conj())
     return u
-
-
-def partial_trace_by_loops(entries: np.ndarray, d_a: int, d_b: int, keep: str) -> np.ndarray:
-    """Reduced density matrix via explicit nested index loops."""
-    if keep == "A":
-        out = np.zeros((d_a, d_a), dtype=complex)
-        for i in range(d_a):
-            for k in range(d_a):
-                for j in range(d_b):
-                    out[i, k] += entries[i * d_b + j, k * d_b + j]
-    else:
-        out = np.zeros((d_b, d_b), dtype=complex)
-        for j in range(d_b):
-            for l in range(d_b):
-                for i in range(d_a):
-                    out[j, l] += entries[i * d_b + j, i * d_b + l]
-    return out
 
 
 # ---------------------------------------------------------------------------

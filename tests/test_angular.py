@@ -10,6 +10,7 @@ from clonesim.angular import (
     PHOTON_IRREP,
     clebsch_gordan,
     contains,
+    dipole_angular_factors,
     twice,
 )
 
@@ -52,10 +53,10 @@ class TestIrrepLabel:
     def test_twice_roundtrip(self):
         assert twice(1.5) == 3
         assert twice(Fraction(5, 2)) == 5
-        assert j(1.5).j == 1.5
+        assert j(1.5).twice_j == 3
 
     def test_photon_irrep(self):
-        assert PHOTON_IRREP.j == 1
+        assert PHOTON_IRREP.twice_j == 2
         assert PHOTON_IRREP.parity == -1
 
 
@@ -152,6 +153,14 @@ class TestClebschGordan:
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
             clebsch_gordan(0.4, 0.4, 1, 0, 1, 0.4)
+
+    @pytest.mark.parametrize("l", [58, 59, 61, 100])
+    def test_pi_factor_matches_closed_form_at_large_l(self, l):
+        # From j ~ 58 the Racah radicand lies beyond the float range; the coefficient does not.
+        assert dipole_angular_factors(l, 0, l - 1, 0)[1] == pytest.approx(l / np.sqrt(4 * l * l - 1), rel=1e-12)
+        assert dipole_angular_factors(l, 0, l + 1, 0)[1] == pytest.approx(
+            (l + 1) / np.sqrt((2 * l + 1) * (2 * l + 3)), rel=1e-12
+        )
 
     @pytest.mark.parametrize("tj1", range(0, 7))
     @pytest.mark.parametrize("tj2", range(0, 7))

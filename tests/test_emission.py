@@ -115,7 +115,7 @@ class TestAtomicLevel:
 
     def test_irrep_carries_parity(self):
         irrep = AtomicLevel("p", l=1, m=0).irrep
-        assert irrep.j == 1 and irrep.parity == -1
+        assert irrep.twice_j == 2 and irrep.parity == -1
 
 
 class TestAtomicSystem:
@@ -690,6 +690,14 @@ class TestStimulatedClone:
         assert report.ancilla.dim == system.manifold_dim
         expected = Ket.basis_state(3, system.excited_index("e0"))
         assert max_abs(report.ancilla.amplitudes - expected.amplitudes) <= DEFAULT_ATOL
+
+    def test_one_shot_mode_map(self, rng):
+        # The mode map is read once, so an iterator of its pairs copies as the tuple does.
+        system, photon = seeded_radial_system("p-manifold"), random_ket(3, rng)
+        expected = stimulated_clone(photon, system, FULL_MODE_MAP)
+        report = stimulated_clone(photon, system, iter(FULL_MODE_MAP))
+        for field in ("input", "ancilla", "output"):
+            assert getattr(report, field).amplitudes.tobytes() == getattr(expected, field).amplitudes.tobytes()
 
     def test_builds_no_operator(self, rng, monkeypatch):
         # V is a plain array and the copy is formed directly, so no OperatorMatrix is built.

@@ -549,6 +549,17 @@ class TestCli:
             ("amplitude-iff-containment", False, "1 mismatches over 9 transitions")
         ]
 
+    def test_selection_rules_at_large_l(self, capsys, tmp_path):
+        # These levels' Racah radicands lie beyond the float range; their coefficients do not.
+        config = tmp_path / "large_l.json"
+        config.write_text(json.dumps({
+            "ground": {"label": "g", "l": 60, "m": 0},
+            "excited": [{"label": "e0", "l": 61, "m": 0}],
+        }))
+        assert main(["selection-rules", "--config", str(config)]) == 0
+        amplitudes = [row["amplitude"] for row in json.loads(capsys.readouterr().out)["results"]["transitions"]]
+        assert amplitudes == [0.0, pytest.approx(61 / np.sqrt(4 * 61**2 - 1), rel=1e-12), 0.0]
+
     @pytest.mark.parametrize("config", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
     def test_domain_check_passes_on_every_config(self, capsys, config):
         assert main(["domain", "--config", str(CONFIG_DIR / config)]) == 0
@@ -592,6 +603,21 @@ class TestCli:
         assert "argument --state: expected one argument" in capsys.readouterr().err
         assert main(["clone-demo", "--state=-1,0"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["input"] == [[-1.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "kind, form",
+        [("clone-demo", "--state=-1,0"), ("no-cloning-witness", "--overlap=-1e-12"),
+         ("spontaneous", "--excited-state=-0.6,0.8,0")],
+    )
+    def test_help_gives_the_equals_form_for_a_leading_minus(self, capsys, monkeypatch, kind, form):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the form
+        assert main([kind, "--help"]) == 0
+        assert form in capsys.readouterr().out
+
+    def test_excited_state_with_a_leading_minus(self, capsys, config_dir):
+        config = str(config_dir / "full_p_manifold.json")
+        assert main(["spontaneous", "--config", config, "--excited-state=-0.6,0.8,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["weights"] == pytest.approx([0.0, 0.64, 0.36], abs=1e-15)
 
     def test_config_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

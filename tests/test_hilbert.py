@@ -14,12 +14,11 @@ from clonesim.hilbert import (
     fidelity,
     inner_product,
     max_abs,
-    partial_trace,
     random_ket,
     tensor_product,
 )
 
-from oracles import partial_trace_by_loops, random_unitary
+from oracles import random_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -274,53 +273,6 @@ class TestDensityMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="not hermitian"):
             DensityMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex))
-
-    def test_from_ket(self):
-        rho = DensityMatrix.from_ket(ket(INV_SQRT2, INV_SQRT2))
-        assert max_abs(rho.entries - 0.5 * np.ones((2, 2))) < 1e-12
-
-
-class TestPartialTrace:
-    def test_product_state_keep_a(self):
-        zero = ket(1, 0)
-        one = ket(0, 1)
-        rho = DensityMatrix.from_ket(tensor_product(zero, one))
-        reduced = partial_trace(rho, (2, 2), "A")
-        assert max_abs(reduced.entries - np.diag([1, 0])) < 1e-12
-
-    def test_bell_state_keep_a_is_maximally_mixed(self):
-        bell = ket(INV_SQRT2, 0, 0, INV_SQRT2)
-        reduced = partial_trace(DensityMatrix.from_ket(bell), (2, 2), "A")
-        assert max_abs(reduced.entries - np.eye(2) / 2) < 1e-10
-
-    def test_separable_mixture_keep_b(self):
-        # 1/2 (|00><00| + |11><11|); expected value frozen from the
-        # hand-contraction oracle below.
-        rho = DensityMatrix(0.5 * np.diag([1, 0, 0, 1]).astype(complex))
-        reduced = partial_trace(rho, (2, 2), "B")
-        oracle = partial_trace_by_loops(rho.entries, 2, 2, "B")
-        assert max_abs(oracle - np.eye(2) / 2) < 1e-12
-        assert max_abs(reduced.entries - np.eye(2) / 2) < 1e-10
-
-    def test_matches_loop_oracle(self, rng):
-        for d_a, d_b in ((2, 3), (3, 2), (2, 2)):
-            psi = random_ket(d_a * d_b, rng)
-            rho = DensityMatrix.from_ket(psi)
-            for keep in ("A", "B"):
-                reduced = partial_trace(rho, (d_a, d_b), keep)
-                oracle = partial_trace_by_loops(rho.entries, d_a, d_b, keep)
-                assert max_abs(reduced.entries - oracle) < 1e-12
-
-    def test_output_is_valid_density_matrix(self, rng):
-        # trace 1 and hermiticity are enforced by the DensityMatrix type
-        psi = random_ket(6, rng)
-        reduced = partial_trace(DensityMatrix.from_ket(psi), (2, 3), "B")
-        assert abs(np.trace(reduced.entries) - 1.0) < 1e-10
-
-    def test_rejects_non_factoring_dims(self):
-        rho = DensityMatrix.maximally_mixed(4)
-        with pytest.raises(DimensionMismatchError):
-            partial_trace(rho, (3, 2), "A")
 
 
 class TestRandomKet:

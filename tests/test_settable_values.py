@@ -3,18 +3,24 @@ every parameter of a public function or method in the package.
 
 Each settable value must do something, so the count only moves when a
 change adds or deletes one on purpose; the pinned total makes that move
-explicit.
+explicit.  Beside it, every public name of the package must have a caller
+outside the tests.
 """
 
+import ast
 import dataclasses
 import inspect
+import re
+from collections import Counter
 
 from clonesim import angular, cli, copying, emission, errors, experiments, hilbert
+
+from test_golden import REPO_ROOT
 
 MODULES = (angular, cli, copying, emission, errors, experiments, hilbert)
 
 #: The census total; change it only with the change that adds or deletes a value.
-SETTABLE_VALUES = 93
+SETTABLE_VALUES = 88
 
 
 def _parameters(function) -> list[str]:
@@ -51,3 +57,49 @@ def test_census_sees_wrapped_functions_and_methods():
     assert counts["clonesim.angular.dipole_angular_factors"] == 4  # functools.cache
     assert counts["clonesim.hilbert.OperatorMatrix.hermitian_from_nonzeros"] == 4  # classmethod, cls excluded
     assert counts["clonesim.emission.AtomicSystem"] == 3  # amplitudes and allowed are derived
+
+
+LIBRARY_FILES = sorted(path for path in (REPO_ROOT / "src" / "clonesim").glob("*.py") if path.name != "__init__.py")
+CALLER_FILES = sorted([*(REPO_ROOT / "perfbench").glob("*.py"), *(REPO_ROOT / "scripts").glob("*.py")])
+
+
+def _words(text: str) -> Counter:
+    return Counter(re.findall(r"\w+", text))
+
+
+def _public_definitions(tree: ast.Module):
+    """The node of each public top-level function and class, and of each
+    public method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (child for child in node.body
+                            if isinstance(child, ast.FunctionDef) and not child.name.startswith("_"))
+
+
+def uncalled_public_names() -> list[str]:
+    """The public names that appear, as a whole word, neither in the library
+    outside their own definition (``__init__.py``'s re-exports do not count)
+    nor anywhere in ``perfbench`` or ``scripts``, whose string bindings of
+    traced names do count.
+
+    A word match over-counts: a short name such as ``dim`` or ``j`` also
+    matches unrelated words, so it always counts as used.
+    """
+    sources = {path: path.read_text(encoding="utf-8") for path in LIBRARY_FILES}
+    library = sum((_words(text) for text in sources.values()), Counter())
+    callers = sum((_words(path.read_text(encoding="utf-8")) for path in CALLER_FILES), Counter())
+    uncalled = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for node in _public_definitions(ast.parse(text)):
+            first = min([node.lineno, *(decorator.lineno for decorator in node.decorator_list)])
+            own = _words("\n".join(lines[first - 1:node.end_lineno]))[node.name]
+            if library[node.name] == own and not callers[node.name]:
+                uncalled.append(node.name)
+    return sorted(uncalled)
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names() == []

@@ -12,7 +12,10 @@ same machine; which checkout goes first alternates from seed to seed.  Each
 checkout's runs go to ``BENCH_<label>.json``: every run's provenance line and
 end-to-end metrics, plus each metric's median and quartiles per workload.  With two or more
 checkouts it also prints, per workload and metric, how often each checkout
-beat the first one over the seeds, and the first one's quartile spread.
+beat the first one over the seeds, and the first one's quartile spread.  It
+warns first when one compared checkout records no git commit and the other
+does: a copy without ``.git`` and a ``git clone`` of one commit have
+benchmarked a few percent apart, so compare checkouts made the same way.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
@@ -71,10 +74,19 @@ def summary(runs: list[dict]) -> dict:
     return table
 
 
+def without_git(label_runs: list[dict]) -> bool:
+    """Whether a checkout's runs record no git commit, as a checkout without ``.git`` does."""
+    return any(run["provenance"]["git_commit"] is None for run in label_runs if "provenance" in run)
+
+
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
     """Per workload and metric: baseline median → each other median, pairwise wins, baseline spread."""
     base = labels[0]
     for other in labels[1:]:
+        if without_git(runs[base]) != without_git(runs[other]):
+            bare, cloned = (base, other) if without_git(runs[base]) else (other, base)
+            print(f"warning: {bare} records no git commit (no .git) and {cloned} does; checkouts made in different"
+                  " ways have benchmarked about 2.6% apart on atom-pipeline, so compare checkouts made the same way")
         for workload, metrics in table[base].items():
             for name, stats in metrics.items():
                 theirs = table[other].get(workload, {}).get(name)

@@ -17,6 +17,7 @@ from .emission import (
     SPHERICAL_MODES,
     AtomicLevel,
     AtomicSystem,
+    ModeMap,
     PolarizationMode,
     build_interaction_hamiltonian,
     clonable_domain,

@@ -18,14 +18,15 @@ source of truth for the couplings: the clonable domain, the ancilla map,
 spontaneous-emission weights and the interaction Hamiltonian all read it.
 
 The clonable domain of a system is the span of the polarization
-components with at least one allowed transition.  A mode map pairs each
-photon component with an excited level that emits it, or with ``None``;
-:func:`validate_mode_map` rejects a level that cannot emit its component,
-so a mapped component is always a coupled one.  The mode map is the
-copy's ancilla map V, a plain manifold x photon array holding 1 / D for
-each mapped level and component, so the atom prepared as V|photon> emits
-the photon itself; :func:`stimulated_clone` reports the photon pair that
-atom emits through D.  A photon with support on the ``None`` components
+components with at least one allowed transition.  A :class:`ModeMap`
+pairs each photon component with an excited level of its system that
+emits it, or with ``None``; it is checked once, when it is built, and
+refuses a level that cannot emit its component, so a mapped component is
+always a coupled one.  The mode map is the copy's ancilla map V, a plain
+manifold x photon array holding 1 / D for each mapped level and
+component, so the atom prepared as V|photon> emits the photon itself;
+:func:`stimulated_clone` reports the photon pair that atom emits
+through D.  A photon with support on the ``None`` components
 raises :class:`~clonesim.errors.DomainViolationError`, from the one
 domain test in the ancilla map; the restriction comes from the atomic
 symmetries, not from the copying construction.
@@ -272,50 +273,55 @@ def clonable_domain(system: AtomicSystem) -> tuple[PolarizationMode, ...]:
     return tuple(SPHERICAL_MODES[column] for column in coupled)
 
 
-#: Photon basis description: one (mode, excited-level label) pair per
-#: photon component, in component order.  ``None`` marks a component with
-#: no dipole-coupled level.
-ModeMap = Sequence[tuple[PolarizationMode, str | None]]
+@dataclass(frozen=True, eq=False)
+class ModeMap:
+    """The photon basis of a copy on ``system``: one (mode, excited-level
+    label) pair per photon component, in component order; ``None`` marks a
+    component with no dipole-coupled level.
 
-
-def validate_mode_map(system: AtomicSystem, mode_map: ModeMap) -> list[tuple[PolarizationMode, str | None]]:
-    """The mode map as a list, once its modes are distinct, its levels
-    distinct excited levels of ``system``, and each mapped level emits its
-    mode (a dipole-allowed transition); raises ``ValueError`` otherwise.
-
-    After validation a non-null entry means a coupled component and
-    ``None`` an uncoupled one.
+    ``pairs`` is read once, into a tuple.  A mode map exists only in valid
+    form: its pairs are non-empty, its modes distinct, its levels distinct
+    excited levels of ``system``, and each mapped level emits its mode (a
+    dipole-allowed transition); it raises ``ValueError`` otherwise.
     """
-    pairs = list(mode_map)
-    _mode_columns([mode for mode, _ in pairs])
-    mapped = [label for _, label in pairs if label is not None]
-    if len(set(mapped)) != len(mapped):
-        raise ValueError("mode map must be injective on excited levels")
-    known = {level.label for level in system.excited}
-    unknown = [label for label in mapped if label not in known]
-    if unknown:
-        raise ValueError(f"mode map points at unknown excited levels {unknown}")
-    forbidden = [
-        f"{mode.label}->{label}"
-        for mode, label in pairs
-        if label is not None and not system.allowed[system.excited_index(label), mode.q + 1]
-    ]
-    if forbidden:
-        raise ValueError(f"mode map pairs modes with levels that cannot emit them: {forbidden}")
-    return pairs
+
+    system: AtomicSystem
+    pairs: tuple[tuple[PolarizationMode, str | None], ...]
+
+    def __post_init__(self) -> None:
+        pairs = tuple((mode, label) for mode, label in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if not pairs:
+            raise ValueError("mode map must pair at least one photon component")
+        _mode_columns([mode for mode, _ in pairs])
+        mapped = [label for _, label in pairs if label is not None]
+        if len(set(mapped)) != len(mapped):
+            raise ValueError("mode map must be injective on excited levels")
+        system = self.system
+        known = {level.label for level in system.excited}
+        unknown = [label for label in mapped if label not in known]
+        if unknown:
+            raise ValueError(f"mode map points at unknown excited levels {unknown}")
+        forbidden = [
+            f"{mode.label}->{label}"
+            for mode, label in pairs
+            if label is not None and not system.allowed[system.excited_index(label), mode.q + 1]
+        ]
+        if forbidden:
+            raise ValueError(f"mode map pairs modes with levels that cannot emit them: {forbidden}")
 
 
-def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> np.ndarray:
-    """The validated mode map ``pairs`` as the copy's ancilla map V, a
-    manifold x photon array.
+def _ancilla_map(psi: Ket, mode_map: ModeMap) -> np.ndarray:
+    """The mode map as the copy's ancilla map V, a manifold x photon array.
 
     This is the one place that decides which photon components the atom
-    copies.  V has 1 / D[i, q_j + 1] at (level i of ``pairs[j]``, j) for
-    each mapped component, dividing out its dipole sign and radial factor,
-    and a zero column for each ``None``.  A photon whose norm on the
-    ``None`` components exceeds ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside
-    the clonable domain.
+    copies.  V has 1 / D[i, q_j + 1] at (level i of pair j, j) for each
+    mapped component, dividing out its dipole sign and radial factor, and
+    a zero column for each ``None``.  A photon whose norm on the ``None``
+    components exceeds ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside the
+    clonable domain.
     """
+    system, pairs = mode_map.system, mode_map.pairs
     if len(pairs) != psi.dim:
         raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
     v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
@@ -335,7 +341,7 @@ def _ancilla_map(psi: Ket, system: AtomicSystem, pairs: ModeMap) -> np.ndarray:
     return v
 
 
-def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> CloneReport:
+def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state by stimulated emission from the adaptive ancilla.
 
     The ancilla is the normalized V|photon> of the ancilla map V.  It emits
@@ -350,11 +356,10 @@ def stimulated_clone(photon: Ket, system: AtomicSystem, mode_map: ModeMap) -> Cl
     same at any radial scale.
     """
     psi = photon.normalize()
-    pairs = validate_mode_map(system, mode_map)
-    v = _ancilla_map(psi, system, pairs)
+    v = _ancilla_map(psi, mode_map)
     ancilla = Ket(v @ psi.amplitudes).normalize()
-    columns = [mode.q + 1 for mode, _ in pairs]
-    phi = _power_of_two_scaled(system.amplitudes[:, columns].T @ ancilla.amplitudes)
+    columns = [mode.q + 1 for mode, _ in mode_map.pairs]
+    phi = _power_of_two_scaled(mode_map.system.amplitudes[:, columns].T @ ancilla.amplitudes)
     pair = np.outer(phi, psi.amplitudes)
     output = Ket((pair + pair.T).ravel()).normalize()
     return CloneReport(input=psi, ancilla=ancilla, output=output)

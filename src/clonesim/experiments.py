@@ -33,12 +33,11 @@ from .emission import (
     SPHERICAL_MODES,
     AtomicLevel,
     AtomicSystem,
-    PolarizationMode,
+    ModeMap,
     clonable_domain,
     mode_for_label,
     spontaneous_emission_output,
     stimulated_clone,
-    validate_mode_map,
 )
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
 from .hilbert import Ket, random_ket
@@ -85,16 +84,14 @@ def _parse_level(raw: dict, context: str) -> AtomicLevel:
         raise ConfigError(f"invalid {context} level {raw!r}: {exc}") from exc
 
 
-def load_atomic_system(
-    path: str | Path,
-) -> tuple[AtomicSystem, list[tuple[PolarizationMode, str | None]] | None]:
+def load_atomic_system(path: str | Path) -> tuple[AtomicSystem, ModeMap | None]:
     """Load an AtomicSystem plus optional mode map from a JSON config file.
 
     The mode map's photon basis order is the key order of the ``mode_map``
     object in the file; a key repeated in any object is a ``ConfigError``.
     The file is read on every call, and parsed and validated once per
-    distinct (path, content) in a process; each call gets its own mode-map
-    list.
+    distinct (path, content) in a process; calls on the same content share
+    the same immutable system and mode map.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -102,19 +99,16 @@ def load_atomic_system(
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
-    system, mode_map = _parse_config(str(path), text)
-    return system, None if mode_map is None else list(mode_map)
+    return _parse_config(str(path), text)
 
 
 @lru_cache(maxsize=64)
-def _parse_config(
-    path: str, text: str
-) -> tuple[AtomicSystem, tuple[tuple[PolarizationMode, str | None], ...] | None]:
+def _parse_config(path: str, text: str) -> tuple[AtomicSystem, ModeMap | None]:
     """The system and mode map that config ``text`` read from ``path`` defines.
 
-    Memoized on both arguments: the system is immutable and the mode map a
-    tuple, so a cached result is shared safely, and an error, never
-    cached, names ``path``.
+    Memoized on both arguments: the system and the mode map are immutable,
+    so a cached result is shared safely, and an error, never cached, names
+    ``path``.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
@@ -146,8 +140,7 @@ def _parse_config(
     if not isinstance(mode_map_raw, dict):
         raise ConfigError("'mode_map' must map polarization labels to excited labels or null")
     try:
-        mode_map = [(mode_for_label(str(mode)), level) for mode, level in mode_map_raw.items()]
-        return system, tuple(validate_mode_map(system, mode_map))
+        return system, ModeMap(system, ((mode_for_label(str(mode)), level) for mode, level in mode_map_raw.items()))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mode_map in {path}: {exc}") from exc
 
@@ -367,13 +360,13 @@ def _run_domain(config_path: str) -> _Outcome:
     return results, checks, rows
 
 
-def _stimulated_photon(state: str | None, seed: int, mode_map) -> Ket:
-    dim = len(mode_map)
+def _stimulated_photon(state: str | None, seed: int, mode_map: ModeMap) -> Ket:
+    dim = len(mode_map.pairs)
     if state is not None:
         return resolve_state(state, dim, seed)
     # Random photons are drawn inside the clonable components so the canned
     # experiment exercises the success path; use --state to probe violations.
-    coupled = [j for j, (_, label) in enumerate(mode_map) if label is not None]
+    coupled = [j for j, (_, label) in enumerate(mode_map.pairs) if label is not None]
     if not coupled:
         raise DomainViolationError("the mode map couples no photon component")
     inner = random_ket(len(coupled), np.random.default_rng(seed))
@@ -383,14 +376,14 @@ def _stimulated_photon(state: str | None, seed: int, mode_map) -> Ket:
 
 
 def _run_stimulated_clone(config_path: str, state: str | None = None, seed: int = 0) -> _Outcome:
-    system, mode_map = load_atomic_system(config_path)
+    _, mode_map = load_atomic_system(config_path)
     if mode_map is None:
         raise ConfigError("stimulated-clone requires a 'mode_map' entry in the config")
     photon = _stimulated_photon(state, seed, mode_map)
-    report = stimulated_clone(photon, system, mode_map)
+    report = stimulated_clone(photon, mode_map)
     results = {
         "photon": _ket_json(report.input),
-        "photon_basis": [mode.label for mode, _ in mode_map],
+        "photon_basis": [mode.label for mode, _ in mode_map.pairs],
         "adaptive_ancilla": _ket_json(report.ancilla),
         "output": _ket_json(report.output),
         "fidelity": report.fidelity,

@@ -28,6 +28,7 @@ from clonesim.emission import (
     SPHERICAL_MODES,
     AtomicLevel,
     AtomicSystem,
+    ModeMap,
     build_interaction_hamiltonian,
     clonable_domain,
     p_manifold_system,
@@ -173,7 +174,7 @@ def test_07_stimulated_equals_abstract():
         couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in FULL_MODE_MAP]]
         for _ in range(1000):
             photon = random_ket(3, rng)
-            physical = stimulated_clone(photon, system, FULL_MODE_MAP)
+            physical = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP))
             abstract = clone(photon, abstract_basis)
             assert max_abs(physical.output.amplitudes - abstract.output.amplitudes) < 1e-12
             assert abs(physical.fidelity - 1.0) < 1e-10

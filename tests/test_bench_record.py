@@ -1,0 +1,56 @@
+"""``scripts/bench_record.py``'s comparison, on fabricated run records."""
+
+import importlib.util
+
+import pytest
+
+from test_golden import REPO_ROOT
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", REPO_ROOT / "scripts" / "bench_record.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+BENCH_RECORD = load_bench_record()
+
+
+def fabricated_runs(git_commit, ops_per_s: list[float]) -> list[dict]:
+    """One atom-pipeline run record per value, as ``run_once`` writes it."""
+    return [
+        {
+            "workload": "atom-pipeline",
+            "seed": seed,
+            "exit_code": 0,
+            "provenance": {"git_commit": git_commit},
+            "correct": True,
+            "metrics": {name: value for name in BENCH_RECORD.METRICS},
+        }
+        for seed, value in enumerate(ops_per_s, start=1)
+    ]
+
+
+def comparison(capsys, commits: dict[str, object]) -> list[str]:
+    runs = {label: fabricated_runs(commit, [100.0, 102.0, 101.0]) for label, commit in commits.items()}
+    table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
+    BENCH_RECORD.print_comparison(list(commits), runs, table)
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("commits", [{"parent": None, "change": "0" * 40}, {"parent": "0" * 40, "change": None}],
+                         ids=["baseline-without-git", "other-without-git"])
+def test_warns_before_comparing_a_checkout_without_git_to_one_with_it(capsys, commits):
+    lines = comparison(capsys, commits)
+    bare = next(label for label, commit in commits.items() if commit is None)
+    assert lines[0].startswith(f"warning: {bare} records no git commit")
+    assert not any(line.startswith("warning") for line in lines[1:])
+    assert len(lines) == 1 + len(BENCH_RECORD.METRICS)
+
+
+@pytest.mark.parametrize("commit", [None, "0" * 40], ids=["both-without-git", "both-with-git"])
+def test_checkouts_made_alike_compare_without_warning(capsys, commit):
+    lines = comparison(capsys, {"parent": commit, "change": commit})
+    assert len(lines) == len(BENCH_RECORD.METRICS)
+    assert not any(line.startswith("warning") for line in lines)

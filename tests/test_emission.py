@@ -19,6 +19,7 @@ from clonesim.emission import (
     SPHERICAL_MODES,
     AtomicLevel,
     AtomicSystem,
+    ModeMap,
     PolarizationMode,
     build_interaction_hamiltonian,
     clonable_domain,
@@ -26,7 +27,6 @@ from clonesim.emission import (
     spontaneous_emission_output,
     stimulated_clone,
     transition_amplitude,
-    validate_mode_map,
 )
 from clonesim.errors import DimensionMismatchError, DomainViolationError
 from clonesim.experiments import load_atomic_system, run
@@ -504,7 +504,21 @@ class TestValidateModeMap:
     )
     def test_rejects_dipole_forbidden_pair(self, make_system, mode_map):
         with pytest.raises(ValueError, match="cannot emit"):
-            validate_mode_map(make_system(), mode_map)
+            ModeMap(make_system(), mode_map)
+
+    @pytest.mark.parametrize("pairs", [(), iter(())], ids=["tuple", "iterator"])
+    def test_rejects_empty_map(self, pairs):
+        with pytest.raises(ValueError, match="at least one photon component"):
+            ModeMap(p_manifold_system(), pairs)
+
+    def test_pairs_are_read_once_into_tuples(self):
+        system = p_manifold_system()
+        mode_map = ModeMap(system, iter([[PI, "e0"], [SIGMA_PLUS, None]]))
+        assert mode_map.system is system
+        assert mode_map.pairs == ((PI, "e0"), (SIGMA_PLUS, None))
+        assert type(mode_map.pairs) is tuple and all(type(pair) is tuple for pair in mode_map.pairs)
+        with pytest.raises(FrozenInstanceError):
+            mode_map.system = two_level_pi_system()
 
 
 # Each case: (system, mode map, photon amplitudes, error, message); every one is refused.
@@ -534,18 +548,18 @@ class TestOneDomainTest:
     def test_refuses(self, case):
         make_system, mode_map, amplitudes, error, message = REFUSED_PHOTONS[case]
         with pytest.raises(error, match=message):
-            stimulated_clone(Ket(np.array(amplitudes)), make_system(), mode_map)
+            stimulated_clone(Ket(np.array(amplitudes)), ModeMap(make_system(), mode_map))
 
     def test_domain_violation_names_the_null_modes(self):
         make_system, mode_map, amplitudes, _, _ = REFUSED_PHOTONS["null-norm-above-tolerance"]
         photon = Ket(np.array(amplitudes))
         with pytest.raises(DomainViolationError, match=r"\['sigma\+', 'sigma-'\]"):
-            stimulated_clone(photon, make_system(), mode_map)
+            stimulated_clone(photon, ModeMap(make_system(), mode_map))
 
     def test_null_norm_below_tolerance_is_copied(self):
         photon = Ket(np.array([1.0, 5e-10, 5e-10]))  # null norm 7.1e-10
         mode_map = ((PI, "e0"), (SIGMA_PLUS, None), (SIGMA_MINUS, None))
-        report = stimulated_clone(photon, two_level_pi_system(), mode_map)
+        report = stimulated_clone(photon, ModeMap(two_level_pi_system(), mode_map))
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert max_abs(report.ancilla.amplitudes - [1.0]) <= DEFAULT_ATOL
 
@@ -566,14 +580,14 @@ class TestAdaptiveAncilla:
     def test_basis_photon_maps_to_its_level(self):
         system = p_manifold_system()
         photon = Ket.basis_state(3, 2)  # sigma+ component, emitted by e- with amplitude -1/sqrt(3)
-        ancilla = stimulated_clone(photon, system, FULL_MODE_MAP).ancilla
+        ancilla = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP)).ancilla
         expected = -Ket.basis_state(3, system.excited_index("e-")).amplitudes
         assert max_abs(ancilla.amplitudes - expected) <= DEFAULT_ATOL
 
     def test_superposition_amplitudes_divided_by_dipole_amplitudes(self):
         system = p_manifold_system()
         photon = Ket(np.array([INV_SQRT2, 0.0, INV_SQRT2]))  # sigma- + sigma+
-        ancilla = stimulated_clone(photon, system, FULL_MODE_MAP).ancilla
+        ancilla = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP)).ancilla
         expected = np.zeros(3, dtype=complex)
         expected[system.excited_index("e+")] = -INV_SQRT2
         expected[system.excited_index("e-")] = -INV_SQRT2
@@ -593,7 +607,7 @@ class TestAdaptiveAncilla:
         table = quadrature_table(system)
         for _ in range(10):
             photon = random_ket(len(mode_map), rng)
-            ancilla = stimulated_clone(photon, system, mode_map).ancilla
+            ancilla = stimulated_clone(photon, ModeMap(system, mode_map)).ancilla
             assert max_abs(ancilla.amplitudes - divided_ancilla(system, table, mode_map, photon.amplitudes)) < 1e-12
 
     def test_support_on_forbidden_component_raises(self):
@@ -601,29 +615,29 @@ class TestAdaptiveAncilla:
         photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         mode_map = ((PI, "e0"), (SIGMA_PLUS, None))
         with pytest.raises(DomainViolationError, match="sigma\\+"):
-            stimulated_clone(photon, system, mode_map)
+            stimulated_clone(photon, ModeMap(system, mode_map))
 
     def test_mode_map_must_cover_photon(self):
         system = p_manifold_system()
         with pytest.raises(DimensionMismatchError):
-            stimulated_clone(Ket.basis_state(3, 0), system, FULL_MODE_MAP[:2])
+            stimulated_clone(Ket.basis_state(3, 0), ModeMap(system, FULL_MODE_MAP[:2]))
 
     def test_mode_map_must_be_injective(self):
         system = p_manifold_system()
         photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         with pytest.raises(ValueError):
-            stimulated_clone(photon, system, ((SIGMA_MINUS, "e0"), (PI, "e0")))
+            stimulated_clone(photon, ModeMap(system, ((SIGMA_MINUS, "e0"), (PI, "e0"))))
 
     def test_mode_map_modes_must_be_distinct(self):
         system = p_manifold_system()
         photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         with pytest.raises(ValueError, match="mode labels must be unique"):
-            stimulated_clone(photon, system, ((PI, "e0"), (PI, "e+")))
+            stimulated_clone(photon, ModeMap(system, ((PI, "e0"), (PI, "e+"))))
 
     def test_mode_map_levels_must_exist(self):
         system = p_manifold_system()
         with pytest.raises(ValueError, match="unknown excited levels"):
-            stimulated_clone(Ket.basis_state(1, 0), system, ((PI, "nope"),))
+            stimulated_clone(Ket.basis_state(1, 0), ModeMap(system, ((PI, "nope"),)))
 
 
 class TestStimulatedClone:
@@ -632,7 +646,7 @@ class TestStimulatedClone:
         mode_map = ((SIGMA_PLUS, "e-"), (SIGMA_MINUS, "e+"))
         for _ in range(25):
             photon = random_ket(2, rng)
-            report = stimulated_clone(photon, system, mode_map)
+            report = stimulated_clone(photon, ModeMap(system, mode_map))
             assert abs(report.fidelity - 1.0) < 1e-10
             direct = np.kron(report.input.amplitudes, report.input.amplitudes)
             assert max_abs(report.output.amplitudes - direct) < 1e-12
@@ -650,7 +664,7 @@ class TestStimulatedClone:
         table = quadrature_table(system)
         for _ in range(25):
             photon = random_ket(len(mode_map), rng)
-            report = stimulated_clone(photon, system, mode_map)
+            report = stimulated_clone(photon, ModeMap(system, mode_map))
             psi = photon.normalize().amplitudes
             assert max_abs(report.output.amplitudes - np.kron(psi, psi)) < 1e-12
             assert max_abs(report.ancilla.amplitudes - divided_ancilla(system, table, mode_map, psi)) < 1e-12
@@ -659,25 +673,25 @@ class TestStimulatedClone:
         system = p_manifold_system()
         for _ in range(25):
             photon = random_ket(3, rng)
-            physical = stimulated_clone(photon, system, FULL_MODE_MAP)
+            physical = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP))
             abstract = clone(photon, CopyBasis.computational(3))
             assert max_abs(physical.output.amplitudes - abstract.output.amplitudes) < 1e-12
 
     def test_single_ray_domain_still_copies(self):
         system = two_level_pi_system()
-        report = stimulated_clone(Ket(np.array([1.0])), system, ((PI, "e0"),))
+        report = stimulated_clone(Ket(np.array([1.0])), ModeMap(system, ((PI, "e0"),)))
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_photon_outside_domain_raises(self):
         system = two_level_pi_system()
         photon = Ket(np.array([INV_SQRT2, INV_SQRT2]))
         with pytest.raises(DomainViolationError):
-            stimulated_clone(photon, system, ((PI, "e0"), (SIGMA_PLUS, None)))
+            stimulated_clone(photon, ModeMap(system, ((PI, "e0"), (SIGMA_PLUS, None))))
 
     def test_zero_amplitude_on_uncoupled_component_is_fine(self):
         system = two_level_pi_system()
         photon = Ket(np.array([1.0, 0.0]))
-        report = stimulated_clone(photon, system, ((PI, "e0"), (SIGMA_PLUS, None)))
+        report = stimulated_clone(photon, ModeMap(system, ((PI, "e0"), (SIGMA_PLUS, None))))
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         expected = np.zeros(4, dtype=complex)
         expected[0] = 1.0
@@ -686,16 +700,16 @@ class TestStimulatedClone:
     def test_ancilla_reported_over_manifold(self):
         system = p_manifold_system()
         photon = Ket(np.array([0.0, 1.0, 0.0]))  # pi component
-        report = stimulated_clone(photon, system, FULL_MODE_MAP)
+        report = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP))
         assert report.ancilla.dim == system.manifold_dim
         expected = Ket.basis_state(3, system.excited_index("e0"))
         assert max_abs(report.ancilla.amplitudes - expected.amplitudes) <= DEFAULT_ATOL
 
     def test_one_shot_mode_map(self, rng):
-        # The mode map is read once, so an iterator of its pairs copies as the tuple does.
+        # The mode map reads its pairs once, so an iterator of them copies as the tuple does.
         system, photon = seeded_radial_system("p-manifold"), random_ket(3, rng)
-        expected = stimulated_clone(photon, system, FULL_MODE_MAP)
-        report = stimulated_clone(photon, system, iter(FULL_MODE_MAP))
+        expected = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP))
+        report = stimulated_clone(photon, ModeMap(system, iter(FULL_MODE_MAP)))
         for field in ("input", "ancilla", "output"):
             assert getattr(report, field).amplitudes.tobytes() == getattr(expected, field).amplitudes.tobytes()
 
@@ -704,24 +718,24 @@ class TestStimulatedClone:
         built = []
         original = OperatorMatrix.__post_init__
         monkeypatch.setattr(OperatorMatrix, "__post_init__", lambda self: built.append(self) or original(self))
-        stimulated_clone(random_ket(3, rng), p_manifold_system(), FULL_MODE_MAP)
+        stimulated_clone(random_ket(3, rng), ModeMap(p_manifold_system(), FULL_MODE_MAP))
         assert built == []
         OperatorMatrix(np.eye(2))
         assert len(built) == 1  # the patch sees a construction
 
 
-def assert_matches_hamiltonian(report, system: AtomicSystem, mode_map) -> None:
+def assert_matches_hamiltonian(report, mode_map: ModeMap) -> None:
     """The stimulated output is H|ancilla, 1_photon> on the ground level, from the dense
     oracle, normalized and without H's overall sign."""
-    couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in mode_map]]
+    couplings = mode_map.system.amplitudes[:, [mode.q + 1 for mode, _ in mode_map.pairs]]
     pair = stimulated_pair_by_hamiltonian(couplings, report.ancilla.amplitudes, report.input.amplitudes)
     assert max_abs(report.output.amplitudes + pair / np.linalg.norm(pair)) < 1e-12
 
 
-def transplanted_ancilla_map(psi, system, mode_map, divided=emission._ancilla_map):
+def transplanted_ancilla_map(psi, mode_map, divided=emission._ancilla_map):
     """The ancilla map with 1 for each mapped entry: photon amplitudes moved onto the
     levels without dividing out the dipole amplitudes."""
-    return (divided(psi, system, mode_map) != 0).astype(complex)
+    return (divided(psi, mode_map) != 0).astype(complex)
 
 
 class TestStimulatedPairAgainstHamiltonian:
@@ -729,35 +743,35 @@ class TestStimulatedPairAgainstHamiltonian:
         system, mode_map = load_atomic_system(REPO_ROOT / "configs" / "full_p_manifold.json")
         for _ in range(300):
             radial = {level.label: float(rng.uniform(0.3, 3.0)) for level in system.excited}
-            atom = replace(system, radial_factors=radial)
-            report = stimulated_clone(random_ket(3, rng), atom, mode_map)
-            assert_matches_hamiltonian(report, atom, mode_map)
+            atom_map = ModeMap(replace(system, radial_factors=radial), mode_map.pairs)
+            report = stimulated_clone(random_ket(3, rng), atom_map)
+            assert_matches_hamiltonian(report, atom_map)
             assert abs(report.fidelity - 1.0) < 1e-12
 
     def test_pi_only(self, rng):
         # A pi photon with up to 7e-10 on the uncoupled sigma+ component, below the domain tolerance.
-        system, mode_map = load_atomic_system(REPO_ROOT / "configs" / "pi_only.json")
+        _, mode_map = load_atomic_system(REPO_ROOT / "configs" / "pi_only.json")
         for _ in range(25):
             phases = np.exp(2j * np.pi * rng.random(2))
-            report = stimulated_clone(Ket(phases * [1.0, rng.uniform(0.0, 7e-10)]), system, mode_map)
-            assert_matches_hamiltonian(report, system, mode_map)
+            report = stimulated_clone(Ket(phases * [1.0, rng.uniform(0.0, 7e-10)]), mode_map)
+            assert_matches_hamiltonian(report, mode_map)
 
     @pytest.mark.parametrize(
-        "mode_map",
+        "pairs",
         [((SIGMA_MINUS, "e+"), (SIGMA_PLUS, "e-")), FULL_MODE_MAP],
         ids=["two-modes", "three-modes"],
     )
-    def test_level_permuting_mode_maps(self, mode_map, rng):
-        system = seeded_radial_system("p-manifold")
+    def test_level_permuting_mode_maps(self, pairs, rng):
+        mode_map = ModeMap(seeded_radial_system("p-manifold"), pairs)
         for _ in range(25):
-            report = stimulated_clone(random_ket(len(mode_map), rng), system, mode_map)
-            assert_matches_hamiltonian(report, system, mode_map)
+            report = stimulated_clone(random_ket(len(mode_map.pairs), rng), mode_map)
+            assert_matches_hamiltonian(report, mode_map)
 
     def test_below_tolerance_pair_holds_the_bosonic_cross_term(self):
         # The pi-only atom emits pi alone, so the pair is a_pi^dagger a_photon^dagger|0>: its
         # cross entries are half the photon's sigma+ amplitude, not its square.
-        system, mode_map = load_atomic_system(REPO_ROOT / "configs" / "pi_only.json")
-        report = stimulated_clone(Ket(np.array([1.0, 1e-11])), system, mode_map)
+        _, mode_map = load_atomic_system(REPO_ROOT / "configs" / "pi_only.json")
+        report = stimulated_clone(Ket(np.array([1.0, 1e-11])), mode_map)
         assert max_abs(report.output.amplitudes - [1.0, 5e-12, 5e-12, 0.0]) < 1e-15
         assert abs(report.fidelity - 1.0) < 1e-15
 
@@ -772,11 +786,11 @@ class TestTransplantedAncillaFails:
         table = quadrature_table(system)
         for _ in range(25):
             psi = random_ket(3, rng).amplitudes
-            report = stimulated_clone(Ket(psi), system, FULL_MODE_MAP)
+            report = stimulated_clone(Ket(psi), ModeMap(system, FULL_MODE_MAP))
             phi = np.array([table[system.excited_index(label), mode.q + 1] for mode, label in FULL_MODE_MAP]) * psi
             c = abs(np.vdot(phi, psi)) ** 2 / np.vdot(phi, phi).real
             assert report.fidelity == pytest.approx(2 * c / (1 + c), abs=1e-12)
-            assert_matches_hamiltonian(report, system, FULL_MODE_MAP)
+            assert_matches_hamiltonian(report, ModeMap(system, FULL_MODE_MAP))
 
     @pytest.mark.parametrize("seed, fidelity", [(0, 0.167), (1, 0.059), (2, 0.230)])
     def test_cli_check_fails(self, monkeypatch, capsys, seed, fidelity):

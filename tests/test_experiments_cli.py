@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -154,8 +155,9 @@ class TestConfigLoading:
     def test_full_manifold_config(self, config_dir):
         system, mode_map = load_atomic_system(config_dir / "full_p_manifold.json")
         assert system.manifold_dim == 3
-        assert [mode.label for mode, _ in mode_map] == ["sigma-", "pi", "sigma+"]
-        assert [label for _, label in mode_map] == ["e+", "e0", "e-"]
+        assert mode_map.system is system
+        assert [mode.label for mode, _ in mode_map.pairs] == ["sigma-", "pi", "sigma+"]
+        assert [label for _, label in mode_map.pairs] == ["e+", "e0", "e-"]
 
     def test_mode_map_optional(self, config_dir):
         _, mode_map = load_atomic_system(config_dir / "hydrogen_n2.json")
@@ -183,8 +185,8 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize(
         "mode_map",
-        [{"pi": "e0", "sigma+": "e0"}, {"pi": ["e0"]}, {"circular": "e0"}],
-        ids=["repeated-level", "unhashable-level", "unknown-mode"],
+        [{"pi": "e0", "sigma+": "e0"}, {"pi": ["e0"]}, {"circular": "e0"}, {}],
+        ids=["repeated-level", "unhashable-level", "unknown-mode", "empty"],
     )
     def test_invalid_mode_map_is_config_error(self, tmp_path, mode_map):
         bad = tmp_path / "bad_map.json"
@@ -250,7 +252,7 @@ class TestConfigCache:
         config.write_text(json.dumps({**FULL_P_CONFIG, "radial_factors": {"e0": 3.0}, "mode_map": {"pi": "e0"}}))
         second, mode_map = load_atomic_system(config)
         assert first.radial_factors["e0"] == 2.0 and second.radial_factors["e0"] == 3.0
-        assert mode_map == [(PI, "e0")]
+        assert mode_map.pairs == ((PI, "e0"),)
 
     def test_malformed_config_raises_on_every_call(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -262,12 +264,25 @@ class TestConfigCache:
             messages.append(str(caught.value))
         assert len(set(messages)) == 1 and str(bad) in messages[0]
 
-    def test_returned_mode_map_is_the_callers_own(self, config_dir):
+    def test_returned_mode_map_is_immutable_and_shared(self, config_dir):
         _, mode_map = load_atomic_system(config_dir / "full_p_manifold.json")
-        expected = list(mode_map)
-        mode_map.reverse()
-        mode_map.append((PI, None))
-        assert load_atomic_system(config_dir / "full_p_manifold.json")[1] == expected
+        assert type(mode_map.pairs) is tuple and all(type(pair) is tuple for pair in mode_map.pairs)
+        with pytest.raises(FrozenInstanceError):
+            mode_map.pairs = ((PI, None),)
+        assert load_atomic_system(config_dir / "full_p_manifold.json")[1] is mode_map
+
+    def test_one_mode_map_per_distinct_config(self, capsys, config_dir, monkeypatch):
+        # The mode map is validated once, when its config is parsed; a run on cached content builds none.
+        built = []
+        post_init = emission.ModeMap.__post_init__
+        monkeypatch.setattr(emission.ModeMap, "__post_init__", lambda self: built.append(self) or post_init(self))
+        experiments._parse_config.cache_clear()
+        counts = []
+        for _ in range(2):
+            before = len(built)
+            assert main(["stimulated-clone", "--config", str(config_dir / "full_p_manifold.json")]) == 0
+            counts.append(len(built) - before)
+        assert counts == [1, 0]
 
     @pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
     def test_warm_load_equals_cold_load(self, config_dir, name):
@@ -281,7 +296,8 @@ class TestConfigCache:
         ]
         assert cold.amplitudes.tobytes() == warm.amplitudes.tobytes()
         assert cold.allowed.tobytes() == warm.allowed.tobytes()
-        assert cold_map == warm_map
+        assert getattr(cold_map, "pairs", None) == getattr(warm_map, "pairs", None)
+        assert cold_map is None or cold_map.system is cold
 
 
 class TestRunners:
@@ -368,7 +384,7 @@ class TestRunners:
             np.array(results[key]) @ [1, 1j] for key in ("photon", "adaptive_ancilla", "output")
         )
         system, mode_map = load_atomic_system(CONFIG_DIR / config)
-        couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in mode_map]]
+        couplings = system.amplitudes[:, [mode.q + 1 for mode, _ in mode_map.pairs]]
         pair = stimulated_pair_by_hamiltonian(couplings, ancilla, photon)
         assert np.max(np.abs(output + pair / np.linalg.norm(pair))) < 1e-12
         assert results["fidelity"] == pytest.approx(abs(np.vdot(np.kron(photon, photon), output)) ** 2, abs=1e-12)
@@ -637,6 +653,21 @@ class TestCli:
         assert main(["stimulated-clone", "--config", str(config), "--state", "1,0"]) == 2
         assert main(["domain", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stimulated-clone"], ["stimulated-clone", "--state=1"], ["stimulated-clone", "--state=plus"], ["domain"]],
+        ids=["stimulated-seeded", "stimulated-state-1", "stimulated-state-plus", "domain"],
+    )
+    def test_empty_mode_map_exit_2(self, capsys, tmp_path, argv):
+        # An empty mode map pairs no photon component, so the config is refused for every kind.
+        config = tmp_path / "empty_map.json"
+        config.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {}}))
+        kind, *options = argv
+        assert main([kind, "--config", str(config), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "mode_map" in captured.err
 
     def test_fractional_l_exit_2(self, capsys, tmp_path):
         config = tmp_path / "fractional.json"

@@ -10,12 +10,16 @@ that ``BENCHMARK.json`` declares (``python3 perfbench/run.py``), at its
 one checkout after the other, so that several checkouts run in pairs on the
 same machine; which checkout goes first alternates from seed to seed.  Each
 checkout's runs go to ``BENCH_<label>.json``: every run's provenance line and
-end-to-end metrics, plus each metric's median and quartiles per workload.  With two or more
-checkouts it also prints, per workload and metric, how often each checkout
-beat the first one over the seeds, and the first one's quartile spread.  It
-warns first when one compared checkout records no git commit and the other
-does: a copy without ``.git`` and a ``git clone`` of one commit have
-benchmarked a few percent apart, so compare checkouts made the same way.
+end-to-end metrics, plus each metric's median and quartiles per workload.  Each
+run also records ``tree_dirty``: whether ``git status --porcelain`` lists any
+change in the checkout, or null where it has no ``.git``, since perfbench's
+provenance gives the HEAD commit even when the tree differs from it.  With
+two or more checkouts it also prints both checkouts' ``tree_dirty`` and, per
+workload and metric, how often each checkout beat the first one over the
+seeds, and the first one's quartile spread.  It warns first when one
+compared checkout records no git commit and the other does: a copy without
+``.git`` and a ``git clone`` of one commit have benchmarked a few percent
+apart, so compare checkouts made the same way.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
@@ -44,11 +48,20 @@ def run_argv(workload: str, seed) -> list[str]:
             "--seconds", str(BENCHMARK["run_seconds"])]
 
 
+def tree_dirty(root: Path) -> bool | None:
+    """Whether ``git status --porcelain`` lists a change in ``root``; None without ``.git``."""
+    if not (root / ".git").exists():
+        return None
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=root, capture_output=True, text=True)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
 def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One benchmark run: its exit code, provenance and end-to-end metric values."""
+    """One benchmark run: its exit code, tree state, provenance and end-to-end metric values."""
     argv = run_argv(workload, seed)
+    dirty = tree_dirty(root)
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    record = {"workload": workload, "seed": seed, "exit_code": done.returncode}
+    record = {"workload": workload, "seed": seed, "exit_code": done.returncode, "tree_dirty": dirty}
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
         record["stderr"] = done.stderr[-2000:]
@@ -79,14 +92,21 @@ def without_git(label_runs: list[dict]) -> bool:
     return any(run["provenance"]["git_commit"] is None for run in label_runs if "provenance" in run)
 
 
+def tree_state(label_runs: list[dict]) -> str:
+    """A checkout's ``tree_dirty`` over its runs: ``true``, ``false`` or ``null``, or each that occurs."""
+    return "/".join(sorted({json.dumps(run.get("tree_dirty")) for run in label_runs}))
+
+
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
-    """Per workload and metric: baseline median → each other median, pairwise wins, baseline spread."""
+    """Both checkouts' ``tree_dirty``, then per workload and metric: baseline
+    median → each other median, pairwise wins, baseline spread."""
     base = labels[0]
     for other in labels[1:]:
         if without_git(runs[base]) != without_git(runs[other]):
             bare, cloned = (base, other) if without_git(runs[base]) else (other, base)
             print(f"warning: {bare} records no git commit (no .git) and {cloned} does; checkouts made in different"
                   " ways have benchmarked about 2.6% apart on atom-pipeline, so compare checkouts made the same way")
+        print(f"tree_dirty: {base} {tree_state(runs[base])}, {other} {tree_state(runs[other])}")
         for workload, metrics in table[base].items():
             for name, stats in metrics.items():
                 theirs = table[other].get(workload, {}).get(name)

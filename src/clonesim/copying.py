@@ -12,15 +12,17 @@ ancilla as V|psi> and applying U copies *every* state |psi> perfectly,
 because all copying content lives in V: structurally U = I (x) V^dagger.
 :class:`CopyBasis` checks S, A and V once and holds V as a plain frozen
 array, and each copy is formed directly as psi (x) V^dagger|ancilla>;
-the dense U is built only on request.  S, A, V and U pass one check, for
-orthonormal columns.  Feeding the same U a fixed ancilla instead copies
-only the matching basis ray, which is the content of the no-cloning
-restriction this module also witnesses.
+the dense U is built only on request.  ``CopyBasis.computational(n)`` is
+one shared instance per n, like the one fixed machine it models.  S, A,
+V and U pass one check, for orthonormal columns.  Feeding the same U a
+fixed ancilla instead copies only the matching basis ray, which is the
+content of the no-cloning restriction this module also witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,8 +83,19 @@ class CopyBasis:
 
     @classmethod
     def computational(cls, n: int) -> "CopyBasis":
-        """Both bases equal to the canonical basis of C^n."""
-        return cls(np.eye(n), np.eye(n))
+        """Both bases equal to the canonical basis of C^n.
+
+        One shared instance per n, from a bounded cache, so its checks run
+        once per n in a process: a basis is frozen and its arrays read-only.
+        """
+        return _computational_basis(n)
+
+
+# Eight slots hold every n that a sweep over a few dims revisits; one basis
+# is 3 MB at n = 256.
+@lru_cache(maxsize=8, typed=True)
+def _computational_basis(n: int) -> CopyBasis:
+    return CopyBasis(np.eye(n), np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ import json
 import math
 from datetime import datetime, timezone
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -267,14 +268,12 @@ def _run_witness(overlap: float | None = None) -> _Outcome:
     else:
         overlaps = [k / 100.0 for k in range(0, 101)]
     witnesses = [no_cloning_overlap_witness(s) for s in overlaps]
-    rows = [
-        {"overlap": float(np.real(w.overlap)), "residual": w.residual, "verdict": w.verdict}
-        for w in witnesses
-    ]
+    rows = [{"overlap": w.overlap.real, "residual": w.residual, "verdict": w.verdict} for w in witnesses]
     results = {"witnesses": rows}
     # Endpoints are the overlaps the witness itself calls 0 or 1, within WITNESS_ATOL.
-    endpoints = [w for w in witnesses if min(abs(w.overlap), abs(w.overlap - 1.0)) <= WITNESS_ATOL]
-    interior = [w for w in witnesses if w not in endpoints]
+    endpoints, interior = [], []
+    for w in witnesses:
+        (endpoints if min(abs(w.overlap), abs(w.overlap - 1.0)) <= WITNESS_ATOL else interior).append(w)
     checks = [
         _check(
             "interior-overlaps-contradict",
@@ -492,35 +491,82 @@ def render_report(report: dict, rows: list[dict], output_format: str) -> str:
     raise ConfigError(f"unknown output format {output_format!r}")
 
 
-def _holds_pair_lists(value) -> bool:
-    """Whether ``value`` is a list of lists, or holds one through dicts with string keys."""
-    if isinstance(value, dict):
-        return all(type(key) is str for key in value) and any(_holds_pair_lists(item) for item in value.values())
-    return isinstance(value, (list, tuple)) and bool(value) and all(isinstance(item, (list, tuple)) for item in value)
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+#: json's writer for each plain scalar type; a subclass, such as
+#: ``np.float64`` or an ``IntEnum``, is not plain.
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _rows_text(items: list, inner: str) -> str | None:
+    """The non-empty list ``items`` written ``inner`` deep by one ``%``-format
+    call, or None unless its items are all lists of one non-zero length, or
+    all dicts with one non-empty set of ``str`` keys, holding plain scalars.
+
+    All-float finite leaves go through ``%r`` (``float.__repr__``, as in
+    ``json``); other leaves are written first and go through ``%s``.
+    """
+    first = items[0]
+    if type(first) is list and first and all(type(item) is list and len(item) == len(first) for item in items):
+        leaves = [leaf for item in items for leaf in item]
+        fields, opening, closing = [f"{inner}  "] * len(first), "[", "]"
+    elif (type(first) is dict and first and all(type(key) is str for key in first)
+          and all(type(item) is dict and item.keys() == first.keys() for item in items)):
+        keys = sorted(first)
+        leaves = [item[key] for item in items for key in keys]
+        # A key is part of the template, so its % must not start a conversion.
+        fields = [f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: " for key in keys]
+        opening, closing = "{", "}"
+    else:
+        return None
+    if all(type(leaf) is float for leaf in leaves) and math.isfinite(sum(leaves)):
+        spec = "%r"
+    else:
+        try:
+            leaves = [_SCALAR_TEXT[type(leaf)](leaf) for leaf in leaves]
+        except KeyError:
+            return None
+        spec = "%s"
+    row = f"{inner}{opening}\n" + ",\n".join(field + spec for field in fields) + f"\n{inner}{closing}"
+    return ",\n".join([row] * len(items)) % tuple(leaves)
 
 
 def _json_text(value, indent: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, written ``indent`` deep.
 
-    Only the layout around lists of ``[re, im]`` pairs is written here: such
-    a list, when its pairs are finite Python floats, by one ``%``-format
-    call (``%r`` is ``float.__repr__``, as in ``json``), and the dicts and
-    lists that hold it by recursion.  Every other value is written by
+    Plain scalars (exactly ``float``, ``int``, ``str``, ``bool`` or None)
+    are written by json's own scalar writers; a list whose items are all
+    lists of one length, or all dicts with one set of ``str`` keys, holding
+    plain scalars, by one ``%``-format call; other non-empty lists, and
+    dicts whose keys are all ``str``, by recursion.  Every other value
+    (tuples, other keys, subclasses, empty containers) is written by
     ``json.dumps`` itself and shifted right (its strings never hold a raw
     newline).
     """
-    if not _holds_pair_lists(value):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    write = _SCALAR_TEXT.get(type(value))
+    if write is not None:
+        return write(value)
     inner = indent + "  "
-    if isinstance(value, dict):
-        items = (f"{inner}{json.dumps(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items()))
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = (f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items()))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if all(type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float for p in value):
-        flat = [x for p in value for x in p]
-        if math.isfinite(sum(flat)):
-            pair = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
-            return "[\n" + ",\n".join([pair] * len(value)) % tuple(flat) + "\n" + indent + "]"
-    return "[\n" + ",\n".join(inner + _json_text(item, inner) for item in value) + "\n" + indent + "]"
+    if type(value) is list and value:
+        rows = _rows_text(value, inner)
+        if rows is None:
+            rows = ",\n".join(inner + _json_text(item, inner) for item in value)
+        return "[\n" + rows + "\n" + indent + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _render_table(rows: list[dict], title: str) -> str:

@@ -1,6 +1,7 @@
 """``scripts/bench_record.py``'s comparison, on fabricated run records."""
 
 import importlib.util
+import subprocess
 
 import pytest
 
@@ -17,13 +18,14 @@ def load_bench_record():
 BENCH_RECORD = load_bench_record()
 
 
-def fabricated_runs(git_commit, ops_per_s: list[float]) -> list[dict]:
+def fabricated_runs(git_commit, ops_per_s: list[float], tree_dirty=None) -> list[dict]:
     """One atom-pipeline run record per value, as ``run_once`` writes it."""
     return [
         {
             "workload": "atom-pipeline",
             "seed": seed,
             "exit_code": 0,
+            "tree_dirty": tree_dirty,
             "provenance": {"git_commit": git_commit},
             "correct": True,
             "metrics": {name: value for name in BENCH_RECORD.METRICS},
@@ -32,8 +34,9 @@ def fabricated_runs(git_commit, ops_per_s: list[float]) -> list[dict]:
     ]
 
 
-def comparison(capsys, commits: dict[str, object]) -> list[str]:
-    runs = {label: fabricated_runs(commit, [100.0, 102.0, 101.0]) for label, commit in commits.items()}
+def comparison(capsys, commits: dict[str, object], dirty: dict[str, bool] | None = None) -> list[str]:
+    runs = {label: fabricated_runs(commit, [100.0, 102.0, 101.0], (dirty or {}).get(label))
+            for label, commit in commits.items()}
     table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
     BENCH_RECORD.print_comparison(list(commits), runs, table)
     return capsys.readouterr().out.splitlines()
@@ -46,11 +49,32 @@ def test_warns_before_comparing_a_checkout_without_git_to_one_with_it(capsys, co
     bare = next(label for label, commit in commits.items() if commit is None)
     assert lines[0].startswith(f"warning: {bare} records no git commit")
     assert not any(line.startswith("warning") for line in lines[1:])
-    assert len(lines) == 1 + len(BENCH_RECORD.METRICS)
+    assert len(lines) == 2 + len(BENCH_RECORD.METRICS)
 
 
 @pytest.mark.parametrize("commit", [None, "0" * 40], ids=["both-without-git", "both-with-git"])
 def test_checkouts_made_alike_compare_without_warning(capsys, commit):
     lines = comparison(capsys, {"parent": commit, "change": commit})
-    assert len(lines) == len(BENCH_RECORD.METRICS)
+    assert len(lines) == 1 + len(BENCH_RECORD.METRICS)
     assert not any(line.startswith("warning") for line in lines)
+
+
+def test_prints_each_checkouts_tree_state_before_the_metrics(capsys):
+    commits = {"parent": "0" * 40, "change": "0" * 40, "copy": None}
+    lines = comparison(capsys, commits, dirty={"parent": False, "change": True})
+    assert lines[0] == "tree_dirty: parent false, change true"
+    assert "tree_dirty: parent false, copy null" in lines
+    assert not any(line.startswith("tree_dirty") for line in lines[1:1 + len(BENCH_RECORD.METRICS)])
+
+
+def test_tree_state_names_each_value_its_runs_record():
+    runs = fabricated_runs("0" * 40, [1.0, 2.0], True) + fabricated_runs("0" * 40, [3.0], False)
+    assert BENCH_RECORD.tree_state(runs) == "false/true"
+
+
+def test_tree_dirty_reads_git_status(tmp_path):
+    assert BENCH_RECORD.tree_dirty(tmp_path) is None  # no .git
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    assert BENCH_RECORD.tree_dirty(tmp_path) is False
+    (tmp_path / "untracked.txt").write_text("x")
+    assert BENCH_RECORD.tree_dirty(tmp_path) is True

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clonesim import copying
 from clonesim.copying import (
     CopyBasis,
     build_copy_unitary,
@@ -103,6 +104,35 @@ class TestCopyBasis:
 
     def test_only_the_bases_are_init_fields(self):
         assert [f.name for f in dataclasses.fields(CopyBasis) if f.init] == ["system", "ancilla"]
+
+
+class TestSharedComputationalBasis:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_one_instance_per_n(self, n):
+        assert CopyBasis.computational(n) is CopyBasis.computational(n)
+
+    def test_arrays_are_read_only(self):
+        basis = CopyBasis.computational(3)
+        for matrix in (basis.system, basis.ancilla, basis.v):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 2.0
+        assert max_abs(basis.v - np.eye(3)) == 0.0
+
+    def test_distinct_n_give_distinct_bases(self):
+        bases = [CopyBasis.computational(n) for n in (2, 3, 4)]
+        assert [basis.n for basis in bases] == [2, 3, 4]
+        assert len({id(basis) for basis in bases}) == 3
+
+    def test_cache_is_bounded(self):
+        assert copying._computational_basis.cache_parameters()["maxsize"] == 8
+        for n in range(1, 12):
+            CopyBasis.computational(n)
+        assert copying._computational_basis.cache_info().currsize == 8
+
+    def test_n_of_another_type_is_not_served_from_the_cache(self):
+        CopyBasis.computational(2)
+        with pytest.raises(TypeError):
+            CopyBasis.computational(2.0)
 
 
 class TestAncillaPrepMap:

@@ -354,6 +354,7 @@ class TestRunners:
 
     def test_stimulated_clone_runs_no_abstract_copier(self, config_dir, monkeypatch):
         # The physical copy is compared with photon (x) photon, not with a run of clone().
+        copying._computational_basis.cache_clear()  # so the clone-demo run below builds its basis
         calls = []
         post_init = copying.CopyBasis.__post_init__
         monkeypatch.setattr(copying.CopyBasis, "__post_init__", lambda self: calls.append("CopyBasis") or post_init(self))
@@ -414,8 +415,12 @@ odd_pair_lists = st.one_of(
     st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3),
     st.just([]),
 )
+# Lists of dicts with one key set, the shape of report rows and checks.
+dict_rows = st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({key: json_leaves for key in keys}), min_size=1, max_size=3)
+)
 json_values = st.recursive(
-    json_leaves | pair_lists | odd_pair_lists,
+    json_leaves | pair_lists | odd_pair_lists | dict_rows,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
@@ -429,8 +434,20 @@ fixed_pair_lists = [
 ]
 
 
-def with_fixed_pair_lists(test):
-    for value in fixed_pair_lists:
+# Lists on the edges of the one-format-call path: a % in a key, which a template
+# must escape; rows that differ in key set or length; leaves of every plain type,
+# and leaves that are not plain; empty rows.
+fixed_row_lists = [
+    [{"a%s": 1.0, "b": "x"}, {"a%s": 2.0, "b": "y"}], [{"%(k)s%%": None}, {"%(k)s%%": "%d"}],
+    [{"a": 1.0}, {"b": 2.0}], [{"a": 1.0, "b": 2.0}, {"a": 3.0}], [[1.0], [2.0, 3.0]],
+    [{"x": float("nan"), "y": -0.0}, {"x": float("-inf"), "y": 1e300}], [[True, 1, None], [False, -2, None]],
+    [{"s": "\u00e9\u2192\u03c8", "n": None}, {"s": "%s", "n": 10**20}], [{"v": np.float64(0.5)}, {"v": 1.0}],
+    [[np.float64(0.5), 1.0], [2.0, 3.0]], [[[1.0, 2.0]], [[3.0, 4.0]]], [[], []], [{}, {}], [{1: 1.0}, {1: 2.0}],
+]
+
+
+def with_fixed_lists(test):
+    for value in fixed_pair_lists + fixed_row_lists:
         test = example(report={"results": {"pairs": value, "nested": [value, {"x": value}]}})(test)
     return test
 
@@ -450,7 +467,7 @@ class TestRendering:
         assert "np." not in text
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @with_fixed_pair_lists
+    @with_fixed_lists
     @given(report=st.dictionaries(st.text(max_size=6), json_values, max_size=6))
     def test_json_writer_equals_stdlib_oracle(self, report):
         assert render_report(report, [], "json") == stdlib_json(report)

@@ -57,6 +57,7 @@ def test_census_sees_wrapped_functions_and_methods():
     assert counts["clonesim.angular.dipole_angular_factors"] == 4  # functools.cache
     assert counts["clonesim.hilbert.OperatorMatrix.hermitian_from_nonzeros"] == 4  # classmethod, cls excluded
     assert counts["clonesim.emission.AtomicSystem"] == 3  # amplitudes and allowed are derived
+    assert counts["clonesim.copying.CopyBasis.computational"] == 1  # its cache is a private helper
 
 
 LIBRARY_FILES = sorted(path for path in (REPO_ROOT / "src" / "clonesim").glob("*.py") if path.name != "__init__.py")

@@ -13,13 +13,17 @@ checkout's runs go to ``BENCH_<label>.json``: every run's provenance line and
 end-to-end metrics, plus each metric's median and quartiles per workload.  Each
 run also records ``tree_dirty``: whether ``git status --porcelain`` lists any
 change in the checkout, or null where it has no ``.git``, since perfbench's
-provenance gives the HEAD commit even when the tree differs from it.  With
-two or more checkouts it also prints both checkouts' ``tree_dirty`` and, per
-workload and metric, how often each checkout beat the first one over the
-seeds, and the first one's quartile spread.  It warns first when one
-compared checkout records no git commit and the other does: a copy without
-``.git`` and a ``git clone`` of one commit have benchmarked a few percent
-apart, so compare checkouts made the same way.
+provenance gives the HEAD commit even when the tree differs from it, and
+``probe_ms``: the best time of a fixed probe, timed just before the run, that
+does not use clonesim, so that it shows how fast the machine ran then.  With
+two or more checkouts it also prints both checkouts' ``tree_dirty`` and probe
+medians and, per workload and metric, how often each checkout beat the first
+one over the seeds, and the first one's quartile spread.  It warns first when
+one compared checkout records no git commit and the other does: a copy
+without ``.git`` and a ``git clone`` of one commit have benchmarked a few
+percent apart, so compare checkouts made the same way.  It also warns when
+the two checkouts' probe medians differ by more than the first one's probe
+quartile spread: the machine's speed moved between them.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
@@ -35,7 +39,10 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -56,12 +63,32 @@ def tree_dirty(root: Path) -> bool | None:
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
+def probe_ms() -> float:
+    """Best of five times, in ms, of a fixed probe: a pure-Python loop and 40
+    products of a 256 x 256 matrix, about 0.1 s each on a 2-vCPU Xeon, so
+    about 0.5 s in all."""
+    matrix = np.full((256, 256), 1 / 256)  # idempotent, so repeated products stay finite
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        total = 0
+        for i in range(1_000_000):
+            total += i * i
+        product = matrix
+        for _ in range(40):
+            product = product @ matrix
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One benchmark run: its exit code, tree state, provenance and end-to-end metric values."""
+    """One benchmark run: its exit code, tree state, machine probe, provenance and end-to-end metric values."""
     argv = run_argv(workload, seed)
     dirty = tree_dirty(root)
+    probe = probe_ms()
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    record = {"workload": workload, "seed": seed, "exit_code": done.returncode, "tree_dirty": dirty}
+    record = {"workload": workload, "seed": seed, "exit_code": done.returncode, "tree_dirty": dirty,
+              "probe_ms": probe}
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
         record["stderr"] = done.stderr[-2000:]
@@ -73,6 +100,12 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     return record
 
 
+def quartiles(values: list[float]) -> dict:
+    """The median and quartiles of ``values``, and how many there are."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
 def summary(runs: list[dict]) -> dict:
     """Median and quartiles of each end-to-end metric, per workload."""
     table: dict = {}
@@ -82,8 +115,7 @@ def summary(runs: list[dict]) -> dict:
         for name in METRICS:
             values = [metrics[name] for metrics in measured if name in metrics]
             if values:
-                q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-                table[workload][name] = {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+                table[workload][name] = quartiles(values)
     return table
 
 
@@ -98,15 +130,23 @@ def tree_state(label_runs: list[dict]) -> str:
 
 
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
-    """Both checkouts' ``tree_dirty``, then per workload and metric: baseline
-    median → each other median, pairwise wins, baseline spread."""
+    """Both checkouts' ``tree_dirty`` and probe medians, then per workload and
+    metric: baseline median → each other median, pairwise wins, baseline spread."""
     base = labels[0]
+    base_probe = quartiles([run["probe_ms"] for run in runs[base]])
     for other in labels[1:]:
         if without_git(runs[base]) != without_git(runs[other]):
             bare, cloned = (base, other) if without_git(runs[base]) else (other, base)
             print(f"warning: {bare} records no git commit (no .git) and {cloned} does; checkouts made in different"
                   " ways have benchmarked about 2.6% apart on atom-pipeline, so compare checkouts made the same way")
-        print(f"tree_dirty: {base} {tree_state(runs[base])}, {other} {tree_state(runs[other])}")
+        other_probe = quartiles([run["probe_ms"] for run in runs[other]])
+        gap, spread = abs(other_probe["median"] - base_probe["median"]), base_probe["q3"] - base_probe["q1"]
+        if gap > spread:
+            print(f"warning: probe medians of {base} and {other} differ by {gap:.3g} ms, more than {base}'s probe"
+                  f" IQR {spread:.3g} ms; the machine ran at another speed for each, so their metrics do not"
+                  " compare the code alone")
+        print(f"tree_dirty: {base} {tree_state(runs[base])}, {other} {tree_state(runs[other])}"
+              f"  probe_ms median: {base} {base_probe['median']:.4g}, {other} {other_probe['median']:.4g}")
         for workload, metrics in table[base].items():
             for name, stats in metrics.items():
                 theirs = table[other].get(workload, {}).get(name)

@@ -22,13 +22,14 @@ components with at least one allowed transition.  A :class:`ModeMap`
 pairs each photon component with an excited level of its system that
 emits it, or with ``None``; it is checked once, when it is built, and
 refuses a level that cannot emit its component, so a mapped component is
-always a coupled one.  The mode map is the copy's ancilla map V, a plain
-manifold x photon array holding 1 / D for each mapped level and
-component, so the atom prepared as V|photon> emits the photon itself;
-:func:`stimulated_clone` reports the photon pair that atom emits
-through D.  A photon with support on the ``None`` components
-raises :class:`~clonesim.errors.DomainViolationError`, from the one
-domain test in the ancilla map; the restriction comes from the atomic
+always a coupled one.  The same pass builds the copy's ancilla map V,
+which the mode map holds: a read-only manifold x photon array with 1 / D
+for each mapped level and component and a zero column for each ``None``,
+so the atom prepared as V|photon> emits the photon itself.
+:func:`stimulated_clone` reports the photon pair that atom emits through
+D.  A photon with support on V's zero columns raises
+:class:`~clonesim.errors.DomainViolationError`, from the one domain test
+in :func:`stimulated_clone`; the restriction comes from the atomic
 symmetries, not from the copying construction.
 """
 
@@ -283,17 +284,24 @@ class ModeMap:
     form: its pairs are non-empty, its modes distinct, its levels distinct
     excited levels of ``system``, and each mapped level emits its mode (a
     dipole-allowed transition); it raises ``ValueError`` otherwise.
+
+    The same pass builds the read-only ancilla map ``v``: 1 / D[i, q_j + 1]
+    at (level i of pair j, j), and a zero column exactly for each ``None``,
+    since D is finite and never a subnormal allowed entry, so 1 / D is never
+    0.  ``columns`` holds the read-only dipole-table columns q_j + 1.
     """
 
     system: AtomicSystem
     pairs: tuple[tuple[PolarizationMode, str | None], ...]
+    v: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pairs = tuple((mode, label) for mode, label in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("mode map must pair at least one photon component")
-        _mode_columns([mode for mode, _ in pairs])
+        columns = _mode_columns([mode for mode, _ in pairs])
         mapped = [label for _, label in pairs if label is not None]
         if len(set(mapped)) != len(mapped):
             raise ValueError("mode map must be injective on excited levels")
@@ -302,51 +310,32 @@ class ModeMap:
         unknown = [label for label in mapped if label not in known]
         if unknown:
             raise ValueError(f"mode map points at unknown excited levels {unknown}")
-        forbidden = [
-            f"{mode.label}->{label}"
-            for mode, label in pairs
-            if label is not None and not system.allowed[system.excited_index(label), mode.q + 1]
-        ]
+        v = np.zeros((system.manifold_dim, len(pairs)), dtype=complex)
+        forbidden = []
+        for j, (mode, label) in enumerate(pairs):
+            if label is None:
+                continue
+            i = system.excited_index(label)
+            if system.allowed[i, columns[j]]:
+                v[i, j] = 1.0 / system.amplitudes[i, columns[j]]
+            else:
+                forbidden.append(f"{mode.label}->{label}")
         if forbidden:
             raise ValueError(f"mode map pairs modes with levels that cannot emit them: {forbidden}")
-
-
-def _ancilla_map(psi: Ket, mode_map: ModeMap) -> np.ndarray:
-    """The mode map as the copy's ancilla map V, a manifold x photon array.
-
-    This is the one place that decides which photon components the atom
-    copies.  V has 1 / D[i, q_j + 1] at (level i of pair j, j) for each
-    mapped component, dividing out its dipole sign and radial factor, and
-    a zero column for each ``None``.  A photon whose norm on the ``None``
-    components exceeds ``DOMAIN_MEMBERSHIP_TOLERANCE`` is outside the
-    clonable domain.
-    """
-    system, pairs = mode_map.system, mode_map.pairs
-    if len(pairs) != psi.dim:
-        raise DimensionMismatchError(f"mode map has {len(pairs)} entries for a photon of dim {psi.dim}")
-    v = np.zeros((system.manifold_dim, psi.dim), dtype=complex)
-    uncoupled = []
-    for j, (mode, label) in enumerate(pairs):
-        if label is None:
-            uncoupled.append(j)
-        else:
-            i = system.excited_index(label)
-            v[i, j] = 1.0 / system.amplitudes[i, mode.q + 1]
-    outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
-    if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
-        raise DomainViolationError(
-            f"photon has norm {outside:.3e} on modes {[pairs[j][0].label for j in uncoupled]}, "
-            "which no mapped level emits"
-        )
-    return v
+        v.setflags(write=False)
+        columns.setflags(write=False)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "columns", columns)
 
 
 def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state by stimulated emission from the adaptive ancilla.
 
-    The ancilla is the normalized V|photon> of the ancilla map V.  It emits
-    phi = D[:, photon columns]^T |ancilla>, read from the whole dipole
-    table, beside the photon, so the output is the pair
+    The ancilla is the normalized V|photon> of the mode map's V, after the
+    one domain test: a photon's norm on V's zero columns must be at most
+    ``DOMAIN_MEMBERSHIP_TOLERANCE``.  It emits phi = D[:, photon
+    columns]^T |ancilla>, read from the whole dipole table, beside the
+    photon, so the output is the pair
     a_phi^dagger a_photon^dagger|0> in photon (x) photon space, normalized:
     the ground projection of the interaction Hamiltonian applied to
     |ancilla> (x) |1_photon>, without its overall sign.  The fidelity is
@@ -356,10 +345,18 @@ def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     same at any radial scale.
     """
     psi = photon.normalize()
-    v = _ancilla_map(psi, mode_map)
+    v = mode_map.v
+    if v.shape[1] != psi.dim:
+        raise DimensionMismatchError(f"mode map has {v.shape[1]} entries for a photon of dim {psi.dim}")
+    uncoupled = np.flatnonzero(~v.any(axis=0))
+    outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
+    if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
+        raise DomainViolationError(
+            f"photon has norm {outside:.3e} on modes {[mode_map.pairs[j][0].label for j in uncoupled]}, "
+            "which no mapped level emits"
+        )
     ancilla = Ket(v @ psi.amplitudes).normalize()
-    columns = [mode.q + 1 for mode, _ in mode_map.pairs]
-    phi = _power_of_two_scaled(mode_map.system.amplitudes[:, columns].T @ ancilla.amplitudes)
+    phi = _power_of_two_scaled(mode_map.system.amplitudes[:, mode_map.columns].T @ ancilla.amplitudes)
     pair = np.outer(phi, psi.amplitudes)
     output = Ket((pair + pair.T).ravel()).normalize()
     return CloneReport(input=psi, ancilla=ancilla, output=output)

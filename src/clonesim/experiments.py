@@ -365,8 +365,8 @@ def _stimulated_photon(state: str | None, seed: int, mode_map: ModeMap) -> Ket:
         return resolve_state(state, dim, seed)
     # Random photons are drawn inside the clonable components so the canned
     # experiment exercises the success path; use --state to probe violations.
-    coupled = [j for j, (_, label) in enumerate(mode_map.pairs) if label is not None]
-    if not coupled:
+    coupled = np.flatnonzero(mode_map.v.any(axis=0))
+    if not coupled.size:
         raise DomainViolationError("the mode map couples no photon component")
     inner = random_ket(len(coupled), np.random.default_rng(seed))
     amplitudes = np.zeros(dim, dtype=complex)

@@ -1,6 +1,7 @@
 """``scripts/bench_record.py``'s comparison, on fabricated run records."""
 
 import importlib.util
+import statistics
 import subprocess
 
 import pytest
@@ -18,7 +19,11 @@ def load_bench_record():
 BENCH_RECORD = load_bench_record()
 
 
-def fabricated_runs(git_commit, ops_per_s: list[float], tree_dirty=None) -> list[dict]:
+#: Fabricated machine-probe times: median 101 ms, IQR 1 ms.
+PROBE_MS = (100.0, 102.0, 101.0)
+
+
+def fabricated_runs(git_commit, ops_per_s: list[float], tree_dirty=None, probe_ms=PROBE_MS) -> list[dict]:
     """One atom-pipeline run record per value, as ``run_once`` writes it."""
     return [
         {
@@ -26,16 +31,19 @@ def fabricated_runs(git_commit, ops_per_s: list[float], tree_dirty=None) -> list
             "seed": seed,
             "exit_code": 0,
             "tree_dirty": tree_dirty,
+            "probe_ms": probe,
             "provenance": {"git_commit": git_commit},
             "correct": True,
             "metrics": {name: value for name in BENCH_RECORD.METRICS},
         }
-        for seed, value in enumerate(ops_per_s, start=1)
+        for seed, (value, probe) in enumerate(zip(ops_per_s, probe_ms), start=1)
     ]
 
 
-def comparison(capsys, commits: dict[str, object], dirty: dict[str, bool] | None = None) -> list[str]:
-    runs = {label: fabricated_runs(commit, [100.0, 102.0, 101.0], (dirty or {}).get(label))
+def comparison(capsys, commits: dict[str, object], dirty: dict[str, bool] | None = None,
+               probes: dict[str, tuple] | None = None) -> list[str]:
+    runs = {label: fabricated_runs(commit, [100.0, 102.0, 101.0], (dirty or {}).get(label),
+                                   (probes or {}).get(label, PROBE_MS))
             for label, commit in commits.items()}
     table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
     BENCH_RECORD.print_comparison(list(commits), runs, table)
@@ -62,8 +70,8 @@ def test_checkouts_made_alike_compare_without_warning(capsys, commit):
 def test_prints_each_checkouts_tree_state_before_the_metrics(capsys):
     commits = {"parent": "0" * 40, "change": "0" * 40, "copy": None}
     lines = comparison(capsys, commits, dirty={"parent": False, "change": True})
-    assert lines[0] == "tree_dirty: parent false, change true"
-    assert "tree_dirty: parent false, copy null" in lines
+    assert lines[0] == "tree_dirty: parent false, change true  probe_ms median: parent 101, change 101"
+    assert "tree_dirty: parent false, copy null  probe_ms median: parent 101, copy 101" in lines
     assert not any(line.startswith("tree_dirty") for line in lines[1:1 + len(BENCH_RECORD.METRICS)])
 
 
@@ -78,3 +86,17 @@ def test_tree_dirty_reads_git_status(tmp_path):
     assert BENCH_RECORD.tree_dirty(tmp_path) is False
     (tmp_path / "untracked.txt").write_text("x")
     assert BENCH_RECORD.tree_dirty(tmp_path) is True
+
+
+@pytest.mark.parametrize("change_probes, warned", [((101.5, 101.0, 101.8), False), ((130.0, 131.0, 129.0), True)],
+                         ids=["within-iqr", "beyond-iqr"])
+def test_warns_when_probe_medians_differ_by_more_than_the_baseline_iqr(capsys, change_probes, warned):
+    lines = comparison(capsys, {"parent": "0" * 40, "change": "0" * 40}, probes={"change": change_probes})
+    warnings = [line for line in lines if line.startswith("warning")]
+    if warned:
+        assert warnings == [lines[0]]
+        assert lines[0].startswith("warning: probe medians of parent and change differ by 29 ms, more than parent's"
+                                   " probe IQR 1 ms")
+    else:
+        assert warnings == []
+    assert lines[int(warned)].endswith(f"probe_ms median: parent 101, change {statistics.median(change_probes):.4g}")

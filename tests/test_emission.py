@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from clonesim import angular, emission
+from clonesim import angular, experiments
 from clonesim.angular import PHOTON_IRREP, contains, dipole_angular_factors
 from clonesim.cli import main
 from clonesim.copying import CopyBasis, clone
@@ -521,6 +521,71 @@ class TestValidateModeMap:
             mode_map.system = two_level_pi_system()
 
 
+def first_emitter_pairs(system: AtomicSystem) -> list:
+    """Each coupled mode paired with the first level that emits it."""
+    return [
+        (mode, system.excited[int(np.argmax(system.allowed[:, mode.q + 1]))].label)
+        for mode in clonable_domain(system)
+    ]
+
+
+def held_mode_maps() -> dict[str, ModeMap]:
+    """Every config's mode map, and each seeded-radial system's ``first_emitter_pairs``."""
+    maps = {path.name: load_atomic_system(path)[1] for path in sorted((REPO_ROOT / "configs").glob("*.json"))}
+    for kind in RADIAL_SYSTEMS:
+        system = seeded_radial_system(kind)
+        maps[kind] = ModeMap(system, first_emitter_pairs(system))
+    return {name: mode_map for name, mode_map in maps.items() if mode_map is not None}
+
+
+HELD_MODE_MAPS = held_mode_maps()
+
+
+class TestHeldAncillaMap:
+    @pytest.mark.parametrize("name", sorted(HELD_MODE_MAPS))
+    def test_v_divides_by_the_quadrature_table(self, name):
+        mode_map = HELD_MODE_MAPS[name]
+        system = mode_map.system
+        table = quadrature_table(system)
+        expected = np.zeros((system.manifold_dim, len(mode_map.pairs)), dtype=complex)
+        for j, (mode, label) in enumerate(mode_map.pairs):
+            if label is not None:
+                i = system.excited_index(label)
+                expected[i, j] = 1.0 / table[i, mode.q + 1]
+        assert np.allclose(mode_map.v, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(HELD_MODE_MAPS))
+    def test_zero_columns_are_the_null_components(self, name):
+        mode_map = HELD_MODE_MAPS[name]
+        assert (mode_map.v == 0).all(axis=0).tolist() == [label is None for _, label in mode_map.pairs]
+        assert mode_map.columns.tolist() == [mode.q + 1 for mode, _ in mode_map.pairs]
+
+    def test_v_and_columns_are_read_only(self):
+        mode_map = HELD_MODE_MAPS["pi_only.json"]
+        for name in ("v", "columns"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mode_map, name)[0] = 0
+            with pytest.raises(FrozenInstanceError):
+                setattr(mode_map, name, np.zeros(2))
+
+    def test_copies_read_the_one_held_map(self, rng):
+        reads = []
+
+        class RecordingModeMap(ModeMap):
+            def __getattribute__(self, name):
+                value = super().__getattribute__(name)
+                if name == "v":
+                    reads.append(value)
+                return value
+
+        mode_map = RecordingModeMap(p_manifold_system(), FULL_MODE_MAP)
+        assert reads == []  # building V reads none
+        for _ in range(2):
+            stimulated_clone(random_ket(3, rng), mode_map)
+        copies = list(reads)
+        assert len(copies) == 2 and copies[0] is copies[1] is mode_map.v
+
+
 # Each case: (system, mode map, photon amplitudes, error, message); every one is refused.
 REFUSED_PHOTONS = {
     "support-on-null-mode": (
@@ -599,11 +664,7 @@ class TestAdaptiveAncilla:
     @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
     def test_radial_factors_are_divided_out(self, kind, rng):
         system = seeded_radial_system(kind)
-        # Each coupled mode paired with the first level that emits it.
-        mode_map = [
-            (mode, system.excited[int(np.argmax(system.allowed[:, mode.q + 1]))].label)
-            for mode in clonable_domain(system)
-        ]
+        mode_map = first_emitter_pairs(system)
         table = quadrature_table(system)
         for _ in range(10):
             photon = random_ket(len(mode_map), rng)
@@ -732,10 +793,26 @@ def assert_matches_hamiltonian(report, mode_map: ModeMap) -> None:
     assert max_abs(report.output.amplitudes + pair / np.linalg.norm(pair)) < 1e-12
 
 
-def transplanted_ancilla_map(psi, mode_map, divided=emission._ancilla_map):
-    """The ancilla map with 1 for each mapped entry: photon amplitudes moved onto the
-    levels without dividing out the dipole amplitudes."""
-    return (divided(psi, mode_map) != 0).astype(complex)
+@pytest.fixture
+def transplanted_ancilla_map(monkeypatch):
+    """Every mode map built under it holds the ancilla map with 1 for each mapped entry:
+    photon amplitudes moved onto the levels without dividing out the dipole amplitudes.
+
+    The config cache is cleared before and after, so no config load reads a map built
+    outside the fixture, and no transplanted map outlives it.
+    """
+    divided = ModeMap.__post_init__
+
+    def transplanted(self):
+        divided(self)
+        v = (self.v != 0).astype(complex)
+        v.setflags(write=False)
+        object.__setattr__(self, "v", v)
+
+    monkeypatch.setattr(ModeMap, "__post_init__", transplanted)
+    experiments._parse_config.cache_clear()
+    yield
+    experiments._parse_config.cache_clear()
 
 
 class TestStimulatedPairAgainstHamiltonian:
@@ -780,8 +857,7 @@ class TestTransplantedAncillaFails:
     """Without the division by the dipole amplitudes the atom emits phi_j = d_j psi_j, and
     the pair's fidelity is 2c / (1 + c) with c = |<phi|psi>|^2 / <phi|phi>."""
 
-    def test_fidelity_is_the_mismatched_pair_formula(self, monkeypatch, rng):
-        monkeypatch.setattr(emission, "_ancilla_map", transplanted_ancilla_map)
+    def test_fidelity_is_the_mismatched_pair_formula(self, transplanted_ancilla_map, rng):
         system = seeded_radial_system("p-manifold")
         table = quadrature_table(system)
         for _ in range(25):
@@ -793,8 +869,7 @@ class TestTransplantedAncillaFails:
             assert_matches_hamiltonian(report, ModeMap(system, FULL_MODE_MAP))
 
     @pytest.mark.parametrize("seed, fidelity", [(0, 0.167), (1, 0.059), (2, 0.230)])
-    def test_cli_check_fails(self, monkeypatch, capsys, seed, fidelity):
-        monkeypatch.setattr(emission, "_ancilla_map", transplanted_ancilla_map)
+    def test_cli_check_fails(self, transplanted_ancilla_map, capsys, seed, fidelity):
         config = REPO_ROOT / "configs" / "full_p_manifold.json"
         assert main(["stimulated-clone", "--config", str(config), "--seed", str(seed)]) == 1
         report = json.loads(capsys.readouterr().out)

@@ -818,14 +818,22 @@ class TestCli:
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["weights"] == pytest.approx([1 / 3] * 3, abs=1e-12)
 
-    @pytest.mark.parametrize("options", [[], ["--state", "1"]], ids=["seeded", "state"])
-    def test_uncoupled_mode_map_exit_3(self, capsys, tmp_path, options):
+    @pytest.mark.parametrize(
+        "options, message",
+        [([], "the mode map couples no photon component"),
+         (["--state=1,0"], "photon has norm 1.000e+00 on modes ['pi', 'sigma+'], which no mapped level emits")],
+        ids=["seeded", "state"],
+    )
+    def test_uncoupled_mode_map_exit_3(self, capsys, tmp_path, options, message):
+        # docs/atomic_system_config.md: stimulated-clone exits 3 when every mode map value is
+        # null, and the map is valid, so the same config's domain runs.
         config = tmp_path / "uncoupled.json"
-        config.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {"pi": None}}))
+        config.write_text(json.dumps({**FULL_P_CONFIG, "mode_map": {"pi": None, "sigma+": None}}))
         assert main(["stimulated-clone", "--config", str(config), *options]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "domain violation" in captured.err
+        assert f"domain violation: {message}" in captured.err
+        assert main(["domain", "--config", str(config)]) == 0
 
     def test_non_finite_state_exit_4(self, capsys):
         assert main(["clone-demo", "--state", "nan,1"]) == 4

@@ -23,7 +23,11 @@ one compared checkout records no git commit and the other does: a copy
 without ``.git`` and a ``git clone`` of one commit have benchmarked a few
 percent apart, so compare checkouts made the same way.  It also warns when
 the two checkouts' probe medians differ by more than the first one's probe
-quartile spread: the machine's speed moved between them.
+quartile spread: the machine's speed moved between them.  Beside each
+workload's ``ops_per_s`` it summarizes and compares ``ops_per_s × probe_ms``,
+labelled machine-normalized: ops per probe time, which would cancel drift
+that slows the program and the probe alike; that it does so here is not yet
+shown.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
@@ -47,6 +51,12 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 METRICS = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
+#: ``ops_per_s × probe_ms`` of a run: its ops per probe time.
+NORMALIZED = "ops_per_s*probe_ms (machine-normalized)"
+#: Each summarized value and which way is better: the end-to-end metrics, with
+#: the machine-normalized one right after ``ops_per_s``.
+SUMMARIZED = {key: better for name, better in METRICS.items()
+              for key in ((name, NORMALIZED) if name == "ops_per_s" else (name,))}
 
 
 def run_argv(workload: str, seed) -> list[str]:
@@ -106,13 +116,21 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def run_values(run: dict) -> dict:
+    """A measured run's end-to-end metric values, plus its machine-normalized ``ops_per_s × probe_ms``."""
+    values = dict(run["metrics"])
+    if "ops_per_s" in values:
+        values[NORMALIZED] = values["ops_per_s"] * run["probe_ms"]
+    return values
+
+
 def summary(runs: list[dict]) -> dict:
-    """Median and quartiles of each end-to-end metric, per workload."""
+    """Median and quartiles of each summarized value, per workload."""
     table: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
-        measured = [run["metrics"] for run in runs if run["workload"] == workload and "metrics" in run]
+        measured = [run_values(run) for run in runs if run["workload"] == workload and "metrics" in run]
         table[workload] = {}
-        for name in METRICS:
+        for name in SUMMARIZED:
             values = [metrics[name] for metrics in measured if name in metrics]
             if values:
                 table[workload][name] = quartiles(values)
@@ -131,7 +149,8 @@ def tree_state(label_runs: list[dict]) -> str:
 
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
     """Both checkouts' ``tree_dirty`` and probe medians, then per workload and
-    metric: baseline median → each other median, pairwise wins, baseline spread."""
+    summarized value: baseline median → each other median, pairwise wins,
+    baseline spread."""
     base = labels[0]
     base_probe = quartiles([run["probe_ms"] for run in runs[base]])
     for other in labels[1:]:
@@ -153,11 +172,11 @@ def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict
                 if theirs is None:
                     continue
                 pairs = [
-                    (a["metrics"][name], b["metrics"][name])
+                    (run_values(a)[name], run_values(b)[name])
                     for a, b in zip(runs[base], runs[other])
                     if a["workload"] == workload and "metrics" in a and "metrics" in b
                 ]
-                sign = 1 if METRICS[name] == "higher" else -1
+                sign = 1 if SUMMARIZED[name] == "higher" else -1
                 wins = sum(sign * (b - a) > 0 for a, b in pairs)
                 print(f"{workload:18s} {name:14s} {base} {stats['median']:.4g} -> {other} {theirs['median']:.4g}"
                       f"  {other} better in {wins}/{len(pairs)} pairs; {base} IQR {stats['q3'] - stats['q1']:.3g}")

@@ -4,7 +4,10 @@ One subcommand per experiment kind, taking an option per parameter of its
 runner (``experiments.EXPERIMENT_INPUTS``); reports go to stdout or
 ``--out``.  The parser is built once per process and reused by every
 :func:`main` call; parsing reads only its ``argv``, so no call carries
-options into the next.  Exit codes: 0 success, 1 report written but a check
+options into the next.  An argv that starts with a kind is parsed by that
+kind's own parser alone, so an option it does not read is reported with the
+subcommand's usage; the top-level parser only routes, and parses every
+other argv (none, ``-h``, an unknown kind, an option before the kind).  Exit codes: 0 success, 1 report written but a check
 failed, 2 unparseable command line (returned, not raised) or config, 3
 domain violation, 4 dimension or validation failure, an ``--out`` path that
 cannot be written, or a report that stdout cannot encode.  ``--out`` files
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
 from .experiments import (
@@ -79,8 +81,14 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    kinds = next(action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     try:
-        fields = vars(build_parser().parse_args(argv))
+        if argv and argv[0] in kinds:
+            fields = {"kind": argv[0], **vars(kinds[argv[0]].parse_args(argv[1:]))}
+        else:
+            fields = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse has printed its usage error or help
         return exc.code
     output_format, out = fields.pop("format"), fields.pop("out")
@@ -108,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VALIDATION_ERROR
     else:
         try:
-            Path(out).write_text(rendered, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
         except OSError as exc:
             _emit_error("cannot write report", exc)
             return EXIT_VALIDATION_ERROR

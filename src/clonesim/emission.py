@@ -29,8 +29,10 @@ so the atom prepared as V|photon> emits the photon itself.
 :func:`stimulated_clone` reports the photon pair that atom emits through
 D.  A photon with support on V's zero columns raises
 :class:`~clonesim.errors.DomainViolationError`, from the one domain test
-in :func:`stimulated_clone`; the restriction comes from the atomic
-symmetries, not from the copying construction.
+in :func:`stimulated_clone`.  That restriction belongs to the mode map, not
+to the copying construction: the atomic symmetries bound it by the clonable
+domain, but a ``None`` may also sit on a component that some level emits,
+so a map can copy less than the domain holds.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ import inspect
 import io
 import json
 import math
+import os
 from datetime import datetime, timezone
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def _parse_level(raw: dict, context: str) -> AtomicLevel:
         raise ConfigError(f"invalid {context} level {raw!r}: {exc}") from exc
 
 
-def load_atomic_system(path: str | Path) -> tuple[AtomicSystem, ModeMap | None]:
+def load_atomic_system(path: str | os.PathLike[str]) -> tuple[AtomicSystem, ModeMap | None]:
     """Load an AtomicSystem plus optional mode map from a JSON config file.
 
     The mode map's photon basis order is the key order of the ``mode_map``
@@ -95,7 +95,8 @@ def load_atomic_system(path: str | Path) -> tuple[AtomicSystem, ModeMap | None]:
     the same immutable system and mode map.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -57,13 +57,13 @@ def test_warns_before_comparing_a_checkout_without_git_to_one_with_it(capsys, co
     bare = next(label for label, commit in commits.items() if commit is None)
     assert lines[0].startswith(f"warning: {bare} records no git commit")
     assert not any(line.startswith("warning") for line in lines[1:])
-    assert len(lines) == 2 + len(BENCH_RECORD.METRICS)
+    assert len(lines) == 2 + len(BENCH_RECORD.SUMMARIZED)
 
 
 @pytest.mark.parametrize("commit", [None, "0" * 40], ids=["both-without-git", "both-with-git"])
 def test_checkouts_made_alike_compare_without_warning(capsys, commit):
     lines = comparison(capsys, {"parent": commit, "change": commit})
-    assert len(lines) == 1 + len(BENCH_RECORD.METRICS)
+    assert len(lines) == 1 + len(BENCH_RECORD.SUMMARIZED)
     assert not any(line.startswith("warning") for line in lines)
 
 
@@ -72,7 +72,7 @@ def test_prints_each_checkouts_tree_state_before_the_metrics(capsys):
     lines = comparison(capsys, commits, dirty={"parent": False, "change": True})
     assert lines[0] == "tree_dirty: parent false, change true  probe_ms median: parent 101, change 101"
     assert "tree_dirty: parent false, copy null  probe_ms median: parent 101, copy 101" in lines
-    assert not any(line.startswith("tree_dirty") for line in lines[1:1 + len(BENCH_RECORD.METRICS)])
+    assert not any(line.startswith("tree_dirty") for line in lines[1:1 + len(BENCH_RECORD.SUMMARIZED)])
 
 
 def test_tree_state_names_each_value_its_runs_record():
@@ -100,3 +100,20 @@ def test_warns_when_probe_medians_differ_by_more_than_the_baseline_iqr(capsys, c
     else:
         assert warnings == []
     assert lines[int(warned)].endswith(f"probe_ms median: parent 101, change {statistics.median(change_probes):.4g}")
+
+
+def test_a_probe_twice_as_slow_with_half_the_ops_normalizes_to_equal_medians(capsys):
+    slow = [2 * probe for probe in PROBE_MS]
+    runs = {"parent": fabricated_runs("0" * 40, [100.0, 102.0, 101.0]),
+            "change": fabricated_runs("0" * 40, [50.0, 51.0, 50.5], probe_ms=slow)}
+    table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
+    raw = {label: table[label]["atom-pipeline"]["ops_per_s"]["median"] for label in runs}
+    normalized = {label: table[label]["atom-pipeline"][BENCH_RECORD.NORMALIZED]["median"] for label in runs}
+    assert raw == {"parent": 101.0, "change": 50.5}
+    assert normalized == {"parent": 101.0 * 101.0, "change": 101.0 * 101.0}
+    BENCH_RECORD.print_comparison(list(runs), runs, table)
+    lines = capsys.readouterr().out.splitlines()
+    raw_line = next(index for index, line in enumerate(lines) if " ops_per_s " in line)
+    assert "change better in 0/3 pairs" in lines[raw_line]
+    assert BENCH_RECORD.NORMALIZED in lines[raw_line + 1]
+    assert "parent 1.02e+04 -> change 1.02e+04  change better in 0/3 pairs" in lines[raw_line + 1]

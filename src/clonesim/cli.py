@@ -5,12 +5,13 @@ runner (``experiments.EXPERIMENT_INPUTS``); reports go to stdout or
 ``--out``.  The parser is built once per process and reused by every
 :func:`main` call; parsing reads only its ``argv``, so no call carries
 options into the next.  An argv that starts with a kind is parsed by that
-kind's own parser alone, so an option it does not read is reported with the
-subcommand's usage; the top-level parser only routes, and parses every
-other argv (none, ``-h``, an unknown kind, an option before the kind).  Exit codes: 0 success, 1 report written but a check
-failed, 2 unparseable command line (returned, not raised) or config, 3
-domain violation, 4 dimension or validation failure, an ``--out`` path that
-cannot be written, or a report that stdout cannot encode.  ``--out`` files
+kind's own parser alone, in one argparse pass, so an option it does not
+read is reported with the subcommand's usage; the top-level parser only
+routes, and parses every other argv (none, ``-h``, an unknown kind, an
+option before the kind).  Exit codes: 0 success, 1 report written but a
+check failed, 2 unparseable command line (returned, not raised) or config,
+3 domain violation, 4 dimension or validation failure, an ``--out`` path
+that cannot be written, or a report that stdout cannot encode.  ``--out`` files
 are written as UTF-8, as configs are read.
 """
 

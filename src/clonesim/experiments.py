@@ -94,7 +94,7 @@ def load_atomic_system(path: str | os.PathLike[str]) -> tuple[AtomicSystem, Mode
     distinct (path, content) in a process; calls on the same content share
     the same immutable system and mode map.
     """
-    try:
+    try:  # fspath refuses an int, which open would take as a file descriptor
         with open(os.fspath(path), encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:

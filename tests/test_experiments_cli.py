@@ -167,6 +167,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_atomic_system(tmp_path / "missing.json")
 
+    def test_a_file_descriptor_is_not_a_config_path(self, config_dir):
+        # open() takes an int as a descriptor to read and close; a config path is a str or path-like.
+        with open(config_dir / "pi_only.json", encoding="utf-8") as handle:
+            with pytest.raises(TypeError):
+                load_atomic_system(handle.fileno())
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -833,7 +839,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"domain violation: {message}" in captured.err
+        # The nulls restrict the map, not the domain: domain still lists the components they leave out.
         assert main(["domain", "--config", str(config)]) == 0
+        assert {"pi", "sigma+"} <= set(json.loads(capsys.readouterr().out)["results"]["allowed_modes"])
 
     def test_non_finite_state_exit_4(self, capsys):
         assert main(["clone-demo", "--state", "nan,1"]) == 4
@@ -918,10 +926,10 @@ class TestCli:
         assert main(["clone-demo", "--out", str(out)]) == 1
         assert json.loads(out.read_text())["checks"][0]["name"] == "always-fails"
 
-    @pytest.mark.parametrize("target", [".", "missing/report.json"], ids=["directory", "missing-parent"])
+    @pytest.mark.parametrize("target", [".", "missing/report.json", ""], ids=["directory", "missing-parent", "empty"])
     def test_unwritable_out_exit_4(self, capsys, tmp_path, target):
         # docs/report_schema.md: an --out path that cannot be written exits 4, without a traceback.
-        assert main(["clone-demo", "--out", str(tmp_path / target)]) == 4
+        assert main(["clone-demo", "--out", str(tmp_path / target) if target else ""]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("clonesim: cannot write report: ")
@@ -1174,6 +1182,73 @@ class TestSharedParser:
         run_cli(first)
         run_cli(["clone-demo", "--format", "xml"])  # an argparse error in between
         assert without_timestamp(run_cli(second)) == fresh
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each kind's parser: the choices of ``cli.build_parser()``'s subparsers action."""
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+#: The top-level parser's usage at 80 columns, as it reads at the parent of
+#: the single-parse change.
+TOP_USAGE = (
+    "usage: clonesim [-h]\n"
+    "                {clone-demo,fixed-ancilla,no-cloning-witness,selection-rules,domain,stimulated-clone,spontaneous}\n"
+    "                ...\n"
+)
+KIND_CHOICES = ("(choose from 'clone-demo', 'fixed-ancilla', 'no-cloning-witness', 'selection-rules', 'domain', "
+                "'stimulated-clone', 'spontaneous')")
+
+
+class TestRouting:
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_a_kind_is_parsed_by_its_own_parser_alone(self, kind, monkeypatch):
+        parsed_by = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            parsed_by.append(parser)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] else []
+        code, out, err = run_cli([kind, *config])
+        assert code == 0, err
+        assert parsed_by == [subcommand_parsers()[kind]]  # once, and never the top-level parser
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [([], 2, TOP_USAGE + "clonesim: error: the following arguments are required: kind\n"),
+         (["nope"], 2, TOP_USAGE + f"clonesim: error: argument kind: invalid choice: 'nope' {KIND_CHOICES}\n"),
+         (["--format", "json", "domain"], 2,
+          TOP_USAGE + f"clonesim: error: argument kind: invalid choice: 'json' {KIND_CHOICES}\n"),
+         (["-h"], 0, "")],
+        ids=["empty", "unknown-kind", "option-before-kind", "help"],
+    )
+    def test_the_top_level_parser_routes_every_other_argv(self, monkeypatch, argv, code, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        result = run_cli(argv)
+        assert (result[0], result[2]) == (code, err)
+        assert result[1].startswith(TOP_USAGE + "\nState-dependent quantum copying experiments\n" if code == 0 else "")
+
+    def test_an_unread_option_is_reported_with_the_subcommands_usage(self):
+        code, out, err = run_cli(["domain", "--config", FULL_P, "--dim", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: clonesim domain ")
+        assert "clonesim domain: error: unrecognized arguments: --dim 3\n" in err
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        # The console script calls main() with no argv.
+        monkeypatch.setattr(sys, "argv", ["clonesim", "domain", "--config", FULL_P, "--format", "csv"])
+        assert main() == 0
+        assert capsys.readouterr().out.splitlines()[0] == "mode,q"
+
+    @pytest.mark.parametrize("path", ["", str(CONFIG_DIR)], ids=["empty", "directory"])
+    def test_an_unreadable_config_path_exit_2(self, path):
+        code, out, err = run_cli(["domain", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"clonesim: config error: cannot read config {path}: ")
 
 
 # Edge values for every subcommand flag, and for two flags that no subcommand

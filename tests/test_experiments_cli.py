@@ -1023,11 +1023,15 @@ class TestCli:
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
 
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each kind's parser: the choices of ``cli.build_parser()``'s subparsers action."""
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def subcommand_options(kind: str) -> dict[str, argparse.Action]:
     """The options of ``kind``'s subcommand in ``cli.build_parser()`` by dest, bar -h, --format and --out."""
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    return {action.dest: action for action in subparsers.choices[kind]._actions
+    return {action.dest: action for action in subcommand_parsers()[kind]._actions
             if action.dest not in ("help", "format", "out")}
 
 
@@ -1184,14 +1188,8 @@ class TestSharedParser:
         assert without_timestamp(run_cli(second)) == fresh
 
 
-def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
-    """Each kind's parser: the choices of ``cli.build_parser()``'s subparsers action."""
-    return next(action.choices for action in cli.build_parser()._actions
-                if isinstance(action, argparse._SubParsersAction))
-
-
-#: The top-level parser's usage at 80 columns, as it reads at the parent of
-#: the single-parse change.
+#: The top-level parser's usage at 80 columns, which routing a kind to its own
+#: parser leaves as it was.
 TOP_USAGE = (
     "usage: clonesim [-h]\n"
     "                {clone-demo,fixed-ancilla,no-cloning-witness,selection-rules,domain,stimulated-clone,spontaneous}\n"
@@ -1230,7 +1228,10 @@ class TestRouting:
         monkeypatch.setenv("COLUMNS", "80")
         result = run_cli(argv)
         assert (result[0], result[2]) == (code, err)
-        assert result[1].startswith(TOP_USAGE + "\nState-dependent quantum copying experiments\n" if code == 0 else "")
+        if code == 0:
+            assert result[1].startswith(TOP_USAGE + "\nState-dependent quantum copying experiments\n")
+        else:
+            assert result[1] == ""
 
     def test_an_unread_option_is_reported_with_the_subcommands_usage(self):
         code, out, err = run_cli(["domain", "--config", FULL_P, "--dim", "3"])

@@ -18,9 +18,10 @@ provenance gives the HEAD commit even when the tree differs from it, and
 does not use clonesim, so that it shows how fast the machine ran then.  With
 two or more checkouts it also prints both checkouts' ``tree_dirty`` and probe
 medians and, per workload and metric, how often each checkout beat the first
-one over the seeds, and the first one's quartile spread.  It warns first when
-one compared checkout records no git commit and the other does: a copy
-without ``.git`` and a ``git clone`` of one commit have benchmarked a few
+one over the seeds, and the first one's quartile spread followed by its
+share of the first one's median, so that spreads of metrics on different
+scales compare.  It warns first when one compared checkout records no git
+commit and the other does: a copy without ``.git`` and a ``git clone`` of one commit have benchmarked a few
 percent apart, so compare checkouts made the same way.  It also warns when
 the two checkouts' probe medians differ by more than the first one's probe
 quartile spread: the machine's speed moved between them.  Beside each
@@ -147,10 +148,17 @@ def tree_state(label_runs: list[dict]) -> str:
     return "/".join(sorted({json.dumps(run.get("tree_dirty")) for run in label_runs}))
 
 
+def iqr_text(stats: dict) -> str:
+    """A summary's quartile spread, followed by its share of the median where the median is not 0."""
+    iqr = stats["q3"] - stats["q1"]
+    share = f" ({iqr / abs(stats['median']):.1%})" if stats["median"] else ""
+    return f"IQR {iqr:.3g}{share}"
+
+
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
     """Both checkouts' ``tree_dirty`` and probe medians, then per workload and
     summarized value: baseline median → each other median, pairwise wins,
-    baseline spread."""
+    baseline spread and its share of the baseline median."""
     base = labels[0]
     base_probe = quartiles([run["probe_ms"] for run in runs[base]])
     for other in labels[1:]:
@@ -179,7 +187,7 @@ def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict
                 sign = 1 if SUMMARIZED[name] == "higher" else -1
                 wins = sum(sign * (b - a) > 0 for a, b in pairs)
                 print(f"{workload:18s} {name:14s} {base} {stats['median']:.4g} -> {other} {theirs['median']:.4g}"
-                      f"  {other} better in {wins}/{len(pairs)} pairs; {base} IQR {stats['q3'] - stats['q1']:.3g}")
+                      f"  {other} better in {wins}/{len(pairs)} pairs; {base} {iqr_text(stats)}")
 
 
 def main(argv=None) -> int:

@@ -18,9 +18,11 @@ import math
 import os
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .angular import PHOTON_IRREP, contains
 from .copying import (
@@ -509,17 +511,33 @@ _SCALAR_TEXT = {
 }
 
 
+def _float_texts(floats: list[float]) -> list[str]:
+    """``_float_text`` of each of ``floats``, from one ``orjson.dumps`` call.
+
+    orjson writes a finite float as ``float.__repr__`` does wherever ``repr``
+    uses no exponent; the rest, picked by value (non-zero |x| < 1e-4,
+    |x| >= 1e16, and NaN and the infinities, which orjson writes as
+    ``null``), are written again by ``_float_text``.
+    """
+    if not floats:
+        return []
+    texts = orjson.dumps(floats).decode()[1:-1].split(",")
+    for i in [i for i, x in enumerate(floats) if not 1e-4 <= abs(x) < 1e16 and x]:
+        texts[i] = _float_text(floats[i])
+    return texts
+
+
 def _rows_text(items: list, inner: str) -> str | None:
     """The non-empty list ``items`` written ``inner`` deep by one ``%``-format
     call, or None unless its items are all lists of one non-zero length, or
     all dicts with one non-empty set of ``str`` keys, holding plain scalars.
 
-    All-float finite leaves go through ``%r`` (``float.__repr__``, as in
-    ``json``); other leaves are written first and go through ``%s``.
+    Every leaf is written first, the block's floats all by one batched call
+    (``_float_texts``), and enters the row template through ``%s``.
     """
     first = items[0]
-    if type(first) is list and first and all(type(item) is list and len(item) == len(first) for item in items):
-        leaves = [leaf for item in items for leaf in item]
+    if type(first) is list and first and set(map(type, items)) == {list} and set(map(len, items)) == {len(first)}:
+        leaves = list(chain.from_iterable(items))
         fields, opening, closing = [f"{inner}  "] * len(first), "[", "]"
     elif (type(first) is dict and first and all(type(key) is str for key in first)
           and all(type(item) is dict and item.keys() == first.keys() for item in items)):
@@ -530,16 +548,16 @@ def _rows_text(items: list, inner: str) -> str | None:
         opening, closing = "{", "}"
     else:
         return None
-    if all(type(leaf) is float for leaf in leaves) and math.isfinite(sum(leaves)):
-        spec = "%r"
+    types = set(map(type, leaves))
+    if types == {float}:
+        texts = _float_texts(leaves)
+    elif types <= _SCALAR_TEXT.keys():
+        floats = iter(_float_texts([leaf for leaf in leaves if type(leaf) is float]))
+        texts = [next(floats) if type(leaf) is float else _SCALAR_TEXT[type(leaf)](leaf) for leaf in leaves]
     else:
-        try:
-            leaves = [_SCALAR_TEXT[type(leaf)](leaf) for leaf in leaves]
-        except KeyError:
-            return None
-        spec = "%s"
-    row = f"{inner}{opening}\n" + ",\n".join(field + spec for field in fields) + f"\n{inner}{closing}"
-    return ",\n".join([row] * len(items)) % tuple(leaves)
+        return None
+    row = f"{inner}{opening}\n" + ",\n".join(field + "%s" for field in fields) + f"\n{inner}{closing}"
+    return ",\n".join([row] * len(items)) % tuple(texts)
 
 
 def _json_text(value, indent: str) -> str:
@@ -548,7 +566,9 @@ def _json_text(value, indent: str) -> str:
     Plain scalars (exactly ``float``, ``int``, ``str``, ``bool`` or None)
     are written by json's own scalar writers; a list whose items are all
     lists of one length, or all dicts with one set of ``str`` keys, holding
-    plain scalars, by one ``%``-format call; other non-empty lists, and
+    plain scalars, by one ``%``-format call, whose floats are written by
+    one ``orjson.dumps`` call with ``float.__repr__`` for those that
+    ``repr`` writes with an exponent; other non-empty lists, and
     dicts whose keys are all ``str``, by recursion.  Every other value
     (tuples, other keys, subclasses, empty containers) is written by
     ``json.dumps`` itself and shifted right (its strings never hold a raw

@@ -117,3 +117,17 @@ def test_a_probe_twice_as_slow_with_half_the_ops_normalizes_to_equal_medians(cap
     assert "change better in 0/3 pairs" in lines[raw_line]
     assert BENCH_RECORD.NORMALIZED in lines[raw_line + 1]
     assert "parent 1.02e+04 -> change 1.02e+04  change better in 0/3 pairs" in lines[raw_line + 1]
+
+
+def test_each_spread_is_followed_by_its_share_of_the_median(capsys):
+    lines = comparison(capsys, {"parent": "0" * 40, "change": "0" * 40})
+    raw_line = next(index for index, line in enumerate(lines) if " ops_per_s " in line)
+    # ops 100, 101, 102: IQR 1 on a median of 101; times probes 100, 101, 102 ms: IQR 202 on 10201.
+    assert lines[raw_line].endswith("parent IQR 1 (1.0%)")
+    assert BENCH_RECORD.NORMALIZED in lines[raw_line + 1]
+    assert lines[raw_line + 1].endswith("parent IQR 202 (2.0%)")
+
+
+def test_a_spread_about_a_zero_median_has_no_share():
+    assert BENCH_RECORD.iqr_text({"median": 0.0, "q1": -1.0, "q3": 2.0}) == "IQR 3"
+    assert BENCH_RECORD.iqr_text({"median": -4.0, "q1": -5.0, "q3": -3.0}) == "IQR 2 (50.0%)"

@@ -25,6 +25,7 @@ from clonesim.hilbert import max_abs
 from clonesim.experiments import (
     EXPERIMENT_INPUTS,
     EXPERIMENT_KINDS,
+    MAX_COPY_DIM,
     load_atomic_system,
     parse_amplitudes,
     render_report,
@@ -432,11 +433,21 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=20,
 )
-# Pair lists that pin the edges of the bulk path: all but the last two must not
-# be bulk-written (the int one may be, as %r of an int is what json writes).
+# The floats on the edges of repr's exponent notation (non-zero |x| < 1e-4 or
+# |x| >= 1e16), which the batched float writer must write again with repr.
+REPR_EDGE_FLOATS = [
+    sign * x
+    for x in (1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)))
+    for sign in (1.0, -1.0)
+] + [-0.0, 5e-324, 1.7976931348623157e308, 2.0164295512421898e-05]
+# Pair lists that pin the edges of the one-format-call path: the first six are
+# not uniform lists of plain scalars; the rest are, and mix floats that repr
+# writes with and without an exponent, or non-finite ones, in one block.
 fixed_pair_lists = [
     [[1, 2.0]], [[True, 2.0]], [[1.0, 2.0, 3.0]], [[np.float64(0.5), 2.0]], [(1.0, 2.0)], [],
     [[float("nan"), 1.0]], [[1e308, 1e308], [-1e308, 1.0]], [[-0.0, 5e-324], [1e16, 1e22]],
+    [[x, 0.5] for x in REPR_EDGE_FLOATS], [[-0.25, x] for x in reversed(REPR_EDGE_FLOATS)],
+    [[x, y] for x, y in zip(REPR_EDGE_FLOATS, [0.1, float("inf"), 123456789012345.6, float("nan"), -1.0] * 3)],
 ]
 
 
@@ -449,6 +460,7 @@ fixed_row_lists = [
     [{"x": float("nan"), "y": -0.0}, {"x": float("-inf"), "y": 1e300}], [[True, 1, None], [False, -2, None]],
     [{"s": "\u00e9\u2192\u03c8", "n": None}, {"s": "%s", "n": 10**20}], [{"v": np.float64(0.5)}, {"v": 1.0}],
     [[np.float64(0.5), 1.0], [2.0, 3.0]], [[[1.0, 2.0]], [[3.0, 4.0]]], [[], []], [{}, {}], [{1: 1.0}, {1: 2.0}],
+    [{"x": x, "s": "%s", "n": 1, "y": 0.75} for x in REPR_EDGE_FLOATS],
 ]
 
 
@@ -477,6 +489,29 @@ class TestRendering:
     @given(report=st.dictionaries(st.text(max_size=6), json_values, max_size=6))
     def test_json_writer_equals_stdlib_oracle(self, report):
         assert render_report(report, [], "json") == stdlib_json(report)
+
+    def test_batched_float_texts_are_repr(self):
+        # orjson writes the batch; its notation must equal repr wherever repr
+        # uses no exponent, in any orjson release that CI installs.
+        rng = np.random.default_rng(20240524)
+        patterns = rng.integers(0, 2**64, size=100_500, dtype=np.uint64).view(np.float64)
+        patterns = patterns[np.isfinite(patterns)][:100_000]
+        amplitudes = rng.standard_normal(100_000) / 16
+        products = rng.standard_normal(100_000) * rng.standard_normal(100_000) / 256
+        uniforms = rng.uniform(-1e16, 1e16, 10_000) * 10.0 ** rng.integers(-20, 1, 10_000)
+        rounded = [round(x, digits % 8) for x, digits in zip(rng.uniform(-1e4, 1e4, 10_000).tolist(), range(10_000))]
+        for values in (patterns, amplitudes, products, uniforms, np.array(rounded)):
+            floats = values.tolist()
+            assert experiments._float_texts(floats) == [float.__repr__(x) for x in floats]
+        assert patterns.size == amplitudes.size == 100_000
+
+    def test_largest_clone_report_renders_as_stdlib(self):
+        report, rows = run("clone-demo", dim=MAX_COPY_DIM)
+        leaves = np.array(report["results"]["output"]).ravel()
+        # About 5% of the leaves are written by repr after the batch (non-zero |x| < 1e-4).
+        assert np.count_nonzero((leaves != 0) & (np.abs(leaves) < 1e-4)) > 0.02 * leaves.size
+        # Line lists, not strings: pytest would explain a mismatch of two 5 MB strings by a slow diff.
+        assert render_report(report, rows, "json").splitlines() == stdlib_json(report).splitlines()
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_golden_reports_render_as_stdlib(self, case, monkeypatch):

@@ -21,14 +21,14 @@ medians and, per workload and metric, how often each checkout beat the first
 one over the seeds, and the first one's quartile spread followed by its
 share of the first one's median, so that spreads of metrics on different
 scales compare.  It warns first when one compared checkout records no git
-commit and the other does: a copy without ``.git`` and a ``git clone`` of one commit have benchmarked a few
-percent apart, so compare checkouts made the same way.  It also warns when
-the two checkouts' probe medians differ by more than the first one's probe
-quartile spread: the machine's speed moved between them.  Beside each
-workload's ``ops_per_s`` it summarizes and compares ``ops_per_s × probe_ms``,
-labelled machine-normalized: ops per probe time, which would cancel drift
-that slows the program and the probe alike; that it does so here is not yet
-shown.
+commit and the other does: a copy without ``.git`` and a ``git clone`` of
+one commit have benchmarked a few percent apart, so compare checkouts made
+the same way.  It also warns when the two checkouts' probe medians differ
+by more than the first one's probe quartile spread: the machine's speed
+moved between them.  Beside each workload's ``ops_per_s`` it summarizes and
+compares ``ops_per_s × probe_ms``, labelled machine-normalized: ops per
+probe time, which would cancel drift that slows the program and the probe
+alike; that it does so here is not yet shown.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\

@@ -499,8 +499,8 @@ class TestRendering:
         amplitudes = rng.standard_normal(100_000) / 16
         products = rng.standard_normal(100_000) * rng.standard_normal(100_000) / 256
         uniforms = rng.uniform(-1e16, 1e16, 10_000) * 10.0 ** rng.integers(-20, 1, 10_000)
-        rounded = [round(x, digits % 8) for x, digits in zip(rng.uniform(-1e4, 1e4, 10_000).tolist(), range(10_000))]
-        for values in (patterns, amplitudes, products, uniforms, np.array(rounded)):
+        rounded = np.array([round(x, k % 8) for k, x in enumerate(rng.uniform(-1e4, 1e4, 10_000).tolist())])
+        for values in (patterns, amplitudes, products, uniforms, rounded):
             floats = values.tolist()
             assert experiments._float_texts(floats) == [float.__repr__(x) for x in floats]
         assert patterns.size == amplitudes.size == 100_000

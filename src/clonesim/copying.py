@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -151,6 +152,8 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
     ray.  This is the forbidden universal configuration, exercised to
     exhibit its failure.
     """
+    if isinstance(fixed_ancilla_index, bool) or not isinstance(fixed_ancilla_index, Integral):
+        raise IndexError(f"ancilla index {fixed_ancilla_index!r} is not an integer")
     if not 0 <= fixed_ancilla_index < basis.n:
         raise IndexError(f"ancilla index {fixed_ancilla_index} out of range for n={basis.n}")
     psi = input.normalize()
@@ -176,8 +179,10 @@ def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     hold; only s in {0, 1} survives.  An overlap within ``WITNESS_ATOL`` of
     0 or of 1 is CONSISTENT; every other overlap is a CONTRADICTION.  The
     residual |s - s^2| is the linearity obstruction behind the no-cloning
-    theorem.
+    theorem.  A ``bool`` or ``str`` is refused, not read as a number.
     """
+    if type(s) is not float and isinstance(s, (bool, np.bool_, str)):
+        raise ValueError(f"overlap {s!r} is not a number")
     s = complex(s)
     if not abs(s) <= 1 + WITNESS_ATOL:  # false for NaN too
         raise ValueError(f"|s| = {abs(s):.6g} is not a valid state overlap: it must be finite and at most 1")

@@ -49,7 +49,7 @@ import numpy as np
 from .angular import IrrepLabel, dipole_angular_factors
 from .copying import CloneReport
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import DensityMatrix, Ket, OperatorMatrix, _power_of_two_scaled
+from .hilbert import Ket, OperatorMatrix, _power_of_two_scaled
 
 #: A photon is copied iff its norm on the components its mode map leaves
 #: uncoupled (``None``) is at most this.
@@ -368,19 +368,21 @@ def spontaneous_emission_output(
     system: AtomicSystem,
     excited_state: Ket | None = None,
     modes: Sequence[PolarizationMode] = SPHERICAL_MODES,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Polarization statistics of vacuum-driven decay, in the ensemble picture.
 
     Every mode is weighted equally by the vacuum, so each decay channel
-    contributes its squared amplitude: the output density matrix is
-    diagonal with weights sum_j p_j |amplitude(e_j, q)|^2, normalized over
-    ``modes``.  Populations come from ``excited_state``; ``None`` is the
-    unpolarized ensemble (uniform populations over the manifold).  There
-    is no decay channel when no populated level has an ``allowed``
-    transition into ``modes``, and a ``ValueError`` when such a mode's
-    weight underflows to 0.  Coherences between manifold levels are
-    deliberately discarded: the statement under test is about statistics,
-    not a single pure outcome.
+    contributes its squared amplitude: the result is the float vector of
+    weights sum_j p_j |amplitude(e_j, q)|^2 over ``modes``, normalized to
+    sum 1.  The output density matrix is diagonal in ``modes`` with these
+    weights; the ``spontaneous`` report writes diag(weights) as its
+    ``density_matrix`` until report schema 4.  Populations come from
+    ``excited_state``; ``None`` is the unpolarized ensemble (uniform
+    populations over the manifold).  There is no decay channel when no
+    populated level has an ``allowed`` transition into ``modes``, and a
+    ``ValueError`` when such a mode's weight underflows to 0.  Coherences
+    between manifold levels are deliberately discarded: the statement
+    under test is about statistics, not a single pure outcome.
     """
     modes = list(modes)
     if not modes:
@@ -400,4 +402,4 @@ def spontaneous_emission_output(
     weights = populations @ _power_of_two_scaled(np.abs(system.amplitudes[:, columns])) ** 2
     if not (weights[emitted] > 0).all():
         raise ValueError("an allowed decay weight underflows to zero")
-    return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
+    return weights / weights.sum()

@@ -133,7 +133,7 @@ def _parse_config(path: str, text: str) -> tuple[AtomicSystem, ModeMap | None]:
         system = AtomicSystem(
             ground=ground,
             excited=excited,
-            radial_factors={str(k): v for k, v in radial.items()},
+            radial_factors=radial,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid atomic system in {path}: {exc}") from exc
@@ -144,7 +144,7 @@ def _parse_config(path: str, text: str) -> tuple[AtomicSystem, ModeMap | None]:
     if not isinstance(mode_map_raw, dict):
         raise ConfigError("'mode_map' must map polarization labels to excited labels or null")
     try:
-        return system, ModeMap(system, ((mode_for_label(str(mode)), level) for mode, level in mode_map_raw.items()))
+        return system, ModeMap(system, ((mode_for_label(mode), level) for mode, level in mode_map_raw.items()))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mode_map in {path}: {exc}") from exc
 
@@ -348,7 +348,7 @@ def _run_domain(config_path: str) -> _Outcome:
         "allowed_modes": [mode.label for mode in modes],
         "dimension": len(modes),
         # The span's basis in the full polarization space ordered (sigma-, pi, sigma+).
-        "basis": [_ket_json(Ket.basis_state(len(SPHERICAL_MODES), mode.q + 1)) for mode in modes],
+        "basis": _matrix_json(np.eye(len(SPHERICAL_MODES), dtype=complex)[[mode.q + 1 for mode in modes]]),
     }
     admits = _su2_admission(system)[1].any(axis=0)
     admitted = [mode.label for mode in SPHERICAL_MODES if admits[mode.q + 1]]
@@ -407,12 +407,11 @@ def _run_spontaneous(
         else SPHERICAL_MODES
     )
     excited = None if excited_state is None else Ket(parse_amplitudes(excited_state)).normalize()
-    rho = spontaneous_emission_output(system, excited, modes)
-    weights = np.diag(rho.entries).real.tolist()
+    weights = spontaneous_emission_output(system, excited, modes).tolist()
     results = {
         "modes": [mode.label for mode in modes],
         "weights": weights,
-        "density_matrix": _matrix_json(rho.entries),
+        "density_matrix": _matrix_json(np.diag(weights).astype(complex)),
     }
     # A mode gets weight exactly when a populated level may emit it by the
     # SU(2) rules alone, without reading the dipole table.

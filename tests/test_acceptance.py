@@ -36,7 +36,7 @@ from clonesim.emission import (
     stimulated_clone,
     transition_amplitude,
 )
-from clonesim.hilbert import Ket, max_abs, random_ket
+from clonesim.hilbert import DensityMatrix, Ket, max_abs, random_ket
 
 from oracles import (
     cg_by_lowering,
@@ -186,9 +186,11 @@ def test_07_stimulated_equals_abstract():
 def test_08_spontaneous_emission_contrast():
     with criterion(8, "isotropic spontaneous output is I/3 (and I/2 on 2 modes)"):
         system = p_manifold_system()
-        rho3 = spontaneous_emission_output(system)
+        # The output state is diagonal in the modes: DensityMatrix checks that it is PSD with unit trace.
+        rho3 = DensityMatrix(np.diag(spontaneous_emission_output(system)).astype(complex))
         assert max_abs(rho3.entries - np.eye(3) / 3.0) < 1e-10
-        rho2 = spontaneous_emission_output(system, modes=(SIGMA_MINUS, SIGMA_PLUS))
+        weights2 = spontaneous_emission_output(system, modes=(SIGMA_MINUS, SIGMA_PLUS))
+        rho2 = DensityMatrix(np.diag(weights2).astype(complex))
         assert max_abs(rho2.entries - np.eye(2) / 2.0) < 1e-10
 
 

@@ -1,6 +1,8 @@
 """Tests for copy bases, the ancilla map, the copy unitary, and no-cloning witnesses."""
 
 import dataclasses
+import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,6 +294,15 @@ class TestCloneWithFixedAncilla:
         with pytest.raises(IndexError):
             clone_with_fixed_ancilla(Ket.basis_state(2, 0), 2, CopyBasis.computational(2))
 
+    @pytest.mark.parametrize("index", [True, False, np.bool_(True), 1.0, np.float64(0.0), "1"])
+    def test_non_integer_index_refused(self, index):
+        with pytest.raises(IndexError, match=f"ancilla index {re.escape(repr(index))} is not an integer"):
+            clone_with_fixed_ancilla(Ket.basis_state(2, 0), index, CopyBasis.computational(2))
+
+    def test_numpy_integer_index_accepted(self):
+        report = clone_with_fixed_ancilla(Ket.basis_state(2, 1), np.int64(1), CopyBasis.computational(2))
+        assert report.fidelity == 1.0
+
 
 class TestFactoredCopyMap:
     def test_copies_build_no_operator(self, rng, monkeypatch):
@@ -356,3 +367,14 @@ class TestOverlapWitness:
     def test_rejects_non_finite_overlap(self, s):
         with pytest.raises(ValueError, match="finite"):
             no_cloning_overlap_witness(s)
+
+    @pytest.mark.parametrize("s", [True, False, np.bool_(False), "0.5", "1"])
+    def test_rejects_bool_and_string_overlaps(self, s):
+        with pytest.raises(ValueError, match=f"overlap {re.escape(repr(s))} is not a number"):
+            no_cloning_overlap_witness(s)
+
+    @pytest.mark.parametrize("s", [np.float64(0.5), 0.5 + 0j, np.complex128(0.5), 0, Fraction(1, 2)])
+    def test_accepts_numbers_of_other_types(self, s):
+        witness = no_cloning_overlap_witness(s)
+        assert witness.overlap == complex(s)
+        assert witness.verdict == ("CONSISTENT" if s == 0 else "CONTRADICTION")

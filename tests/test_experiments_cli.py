@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clonesim import cli, copying, emission, experiments
+from clonesim import cli, copying, emission, experiments, hilbert
 from clonesim.cli import main
 from clonesim.emission import PI, SIGMA_MINUS
 from clonesim.errors import ConfigError
@@ -404,6 +404,48 @@ class TestRunners:
     def test_spontaneous_two_mode_restriction(self, config_dir):
         report, _ = run("spontaneous", **spec_for("spontaneous", config_dir, modes=("sigma-", "sigma+")))
         assert report["results"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "kind, name, value, error",
+        [
+            ("no-cloning-witness", "overlap", "0.5", ValueError),
+            ("no-cloning-witness", "overlap", True, ValueError),
+            ("fixed-ancilla", "ancilla_index", True, IndexError),
+            ("fixed-ancilla", "ancilla_index", 1.0, IndexError),
+        ],
+    )
+    def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value, error):
+        with pytest.raises(error, match=re.escape(repr(value))):
+            run(kind, **spec_for(kind, config_dir, **{name: value}))
+
+    def test_no_experiment_builds_a_dense_matrix(self, config_dir, monkeypatch):
+        # Restated fields such as spontaneous's density_matrix are written from vectors.
+        built = []
+        for cls in (hilbert.DensityMatrix, hilbert.OperatorMatrix):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(type(self)) or f(self))
+        from_nonzeros = hilbert.OperatorMatrix.hermitian_from_nonzeros
+        monkeypatch.setattr(
+            hilbert.OperatorMatrix, "hermitian_from_nonzeros",
+            classmethod(lambda cls, *args: built.append("hermitian_from_nonzeros") or from_nonzeros(*args)),
+        )
+        for kind in EXPERIMENT_KINDS:
+            run(kind, **spec_for(kind, config_dir))
+        run("spontaneous", **spec_for("spontaneous", config_dir, excited_state="0.6,0.48i,0.64", modes=("sigma-", "pi")))
+        assert built == []
+        hilbert.DensityMatrix(np.eye(1))
+        hilbert.OperatorMatrix.hermitian_from_nonzeros(1, [0], [0], [1.0])
+        assert built == [hilbert.DensityMatrix, "hermitian_from_nonzeros"]  # the patches see constructions
+
+    def test_domain_builds_no_ket(self, monkeypatch):
+        built = []
+        post_init = hilbert.Ket.__post_init__
+        monkeypatch.setattr(hilbert.Ket, "__post_init__", lambda self: built.append(self) or post_init(self))
+        for config in sorted(CONFIG_DIR.glob("*.json")):
+            run("domain", config_path=str(config))
+        assert built == []
+        hilbert.Ket.basis_state(3, 0)
+        assert len(built) == 1  # the patch sees a construction
 
 
 # Report-shaped values for the JSON writer: every leaf type json writes, and

@@ -15,20 +15,20 @@ run also records ``tree_dirty``: whether ``git status --porcelain`` lists any
 change in the checkout, or null where it has no ``.git``, since perfbench's
 provenance gives the HEAD commit even when the tree differs from it, and
 ``probe_ms``: the best time of a fixed probe, timed just before the run, that
-does not use clonesim, so that it shows how fast the machine ran then.  With
-two or more checkouts it also prints both checkouts' ``tree_dirty`` and probe
-medians and, per workload and metric, how often each checkout beat the first
-one over the seeds, and the first one's quartile spread followed by its
-share of the first one's median, so that spreads of metrics on different
-scales compare.  It warns first when one compared checkout records no git
-commit and the other does: a copy without ``.git`` and a ``git clone`` of
-one commit have benchmarked a few percent apart, so compare checkouts made
-the same way.  It also warns when the two checkouts' probe medians differ
-by more than the first one's probe quartile spread: the machine's speed
-moved between them.  Beside each workload's ``ops_per_s`` it summarizes and
-compares ``ops_per_s × probe_ms``, labelled machine-normalized: ops per
-probe time, which would cancel drift that slows the program and the probe
-alike; that it does so here is not yet shown.
+does not use clonesim, so that it shows how fast the machine ran then.  The
+script pins BLAS to one thread before numpy loads, as perfbench pins the
+workloads, so the probe's matmul runs on one CPU as they do; ``probe_ms``
+values recorded before that pin were taken on all CPUs and do not compare
+with later ones.  With two or more checkouts it also prints both checkouts'
+``tree_dirty`` and probe medians and, per workload and metric, how often
+each checkout beat the first one over the seeds, and the first one's
+quartile spread followed by its share of the first one's median, so that
+spreads of metrics on different scales compare.  It warns first when one
+compared checkout records no git commit and the other does: a copy without
+``.git`` and a ``git clone`` of one commit have benchmarked a few percent
+apart, so compare checkouts made the same way.  It also warns when the two
+checkouts' probe medians differ by more than the first one's probe quartile
+spread: the machine's speed moved between them.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
@@ -41,23 +41,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+THREAD_PINNING = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(THREAD_PINNING)
+
+import numpy as np  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 METRICS = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
-#: ``ops_per_s × probe_ms`` of a run: its ops per probe time.
-NORMALIZED = "ops_per_s*probe_ms (machine-normalized)"
-#: Each summarized value and which way is better: the end-to-end metrics, with
-#: the machine-normalized one right after ``ops_per_s``.
-SUMMARIZED = {key: better for name, better in METRICS.items()
-              for key in ((name, NORMALIZED) if name == "ops_per_s" else (name,))}
 
 
 def run_argv(workload: str, seed) -> list[str]:
@@ -76,8 +74,8 @@ def tree_dirty(root: Path) -> bool | None:
 
 def probe_ms() -> float:
     """Best of five times, in ms, of a fixed probe: a pure-Python loop and 40
-    products of a 256 x 256 matrix, about 0.1 s each on a 2-vCPU Xeon, so
-    about 0.5 s in all."""
+    products of a 256 x 256 matrix on one BLAS thread, about 0.1 s each on a
+    2-vCPU Xeon, so about 0.5 s in all."""
     matrix = np.full((256, 256), 1 / 256)  # idempotent, so repeated products stay finite
     best = float("inf")
     for _ in range(5):
@@ -117,21 +115,13 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def run_values(run: dict) -> dict:
-    """A measured run's end-to-end metric values, plus its machine-normalized ``ops_per_s × probe_ms``."""
-    values = dict(run["metrics"])
-    if "ops_per_s" in values:
-        values[NORMALIZED] = values["ops_per_s"] * run["probe_ms"]
-    return values
-
-
 def summary(runs: list[dict]) -> dict:
-    """Median and quartiles of each summarized value, per workload."""
+    """Median and quartiles of each end-to-end metric, per workload."""
     table: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
-        measured = [run_values(run) for run in runs if run["workload"] == workload and "metrics" in run]
+        measured = [run["metrics"] for run in runs if run["workload"] == workload and "metrics" in run]
         table[workload] = {}
-        for name in SUMMARIZED:
+        for name in METRICS:
             values = [metrics[name] for metrics in measured if name in metrics]
             if values:
                 table[workload][name] = quartiles(values)
@@ -157,7 +147,7 @@ def iqr_text(stats: dict) -> str:
 
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
     """Both checkouts' ``tree_dirty`` and probe medians, then per workload and
-    summarized value: baseline median → each other median, pairwise wins,
+    end-to-end metric: baseline median → each other median, pairwise wins,
     baseline spread and its share of the baseline median."""
     base = labels[0]
     base_probe = quartiles([run["probe_ms"] for run in runs[base]])
@@ -180,11 +170,11 @@ def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict
                 if theirs is None:
                     continue
                 pairs = [
-                    (run_values(a)[name], run_values(b)[name])
+                    (a["metrics"][name], b["metrics"][name])
                     for a, b in zip(runs[base], runs[other])
                     if a["workload"] == workload and "metrics" in a and "metrics" in b
                 ]
-                sign = 1 if SUMMARIZED[name] == "higher" else -1
+                sign = 1 if METRICS[name] == "higher" else -1
                 wins = sum(sign * (b - a) > 0 for a, b in pairs)
                 print(f"{workload:18s} {name:14s} {base} {stats['median']:.4g} -> {other} {theirs['median']:.4g}"
                       f"  {other} better in {wins}/{len(pairs)} pairs; {base} {iqr_text(stats)}")
@@ -215,7 +205,8 @@ def main(argv=None) -> int:
                 record = run_once(root, workload, seed)
                 runs[label].append(record)
                 shown = {name: round(value, 4) for name, value in record.get("metrics", {}).items()}
-                print(f"{label} {workload} seed={seed} exit={record['exit_code']} {shown}", flush=True)
+                print(f"{label} {workload} seed={seed} exit={record['exit_code']}"
+                      f" correct={json.dumps(record.get('correct'))} {shown}", flush=True)
 
     table = {label: summary(label_runs) for label, label_runs in runs.items()}
     for label in checkouts:

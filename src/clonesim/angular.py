@@ -38,7 +38,7 @@ def twice(j, what: str = "angular momentum") -> int:
     return int(rounded)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class IrrepLabel:
     """SU(2) irrep label j (stored as 2j) with optional parity +1/-1."""
 

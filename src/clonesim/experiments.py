@@ -451,7 +451,10 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     """Execute one experiment; return its report document, whose ``parameters``
     are the kind's inputs with their defaults applied, and the rows that the
     csv and table formats render.  An unknown ``kind``, an input the kind does
-    not read, or a missing ``config_path`` is a ``ConfigError``."""
+    not read, or a missing ``config_path`` is a ``ConfigError``; an input whose
+    default is an ``int`` (``seed``, ``dim``, ``ancilla_index``) given as
+    anything but an ``int``, a ``bool`` or numpy integer included, is a
+    ``ValueError``."""
     signature = EXPERIMENT_INPUTS.get(kind)
     if signature is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -463,6 +466,9 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
                if parameter.default is parameter.empty and name not in inputs]
     if missing:
         raise ConfigError(f"experiment {kind!r} requires {missing}")
+    for name, value in inputs.items():
+        if type(declared[name].default) is int and type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
     parameters = {name: inputs.get(name, parameter.default) for name, parameter in declared.items()}
     results, checks, rows = _RUNNERS[kind](**parameters)
     report = {

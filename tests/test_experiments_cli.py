@@ -406,16 +406,21 @@ class TestRunners:
         assert report["results"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-10)
 
     @pytest.mark.parametrize(
-        "kind, name, value, error",
+        "kind, name, value",
         [
-            ("no-cloning-witness", "overlap", "0.5", ValueError),
-            ("no-cloning-witness", "overlap", True, ValueError),
-            ("fixed-ancilla", "ancilla_index", True, IndexError),
-            ("fixed-ancilla", "ancilla_index", 1.0, IndexError),
+            ("no-cloning-witness", "overlap", "0.5"),
+            ("no-cloning-witness", "overlap", True),
+            *(
+                (kind, name, value)
+                for kind, signature in EXPERIMENT_INPUTS.items()
+                for name, parameter in signature.parameters.items()
+                if type(parameter.default) is int  # seed, dim and ancilla_index take an int and nothing else
+                for value in (True, 2.0, "2", np.int64(2))
+            ),
         ],
     )
-    def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value, error):
-        with pytest.raises(error, match=re.escape(repr(value))):
+    def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} .*{re.escape(repr(value))}"):
             run(kind, **spec_for(kind, config_dir, **{name: value}))
 
     def test_no_experiment_builds_a_dense_matrix(self, config_dir, monkeypatch):

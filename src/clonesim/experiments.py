@@ -18,7 +18,6 @@ import math
 import os
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -202,7 +201,7 @@ def _ket_json(k: Ket) -> list[list[float]]:
 
 def _matrix_json(m: np.ndarray) -> list:
     """``m`` as nested lists of ``[re, im]`` pairs of Python floats, in ``m``'s shape."""
-    return np.stack([m.real, m.imag], -1).tolist()
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -532,36 +531,83 @@ def _float_texts(floats: list[float]) -> list[str]:
     return texts
 
 
+def _block_text(block: list, indent: str) -> str | None:
+    """The non-empty list ``block`` written ``indent`` deep by one
+    ``orjson.dumps`` call, or None where orjson refuses a leaf (a float
+    subclass such as ``np.float64``, an int beyond 64 bits) or writes one as
+    json does not (a str, a dict, None, or NaN and the infinities, which
+    orjson writes as ``null``).
+
+    orjson's indent layout is json's, and it writes a float as
+    ``float.__repr__`` does except in the tokens that hold an exponent
+    (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``) or start ``0.0000``
+    (a non-zero |x| < 1e-4 without one); only those are written again, by
+    ``repr``.  The block is dumped inside one list per level of ``indent``, so
+    orjson writes it at its depth, and those lists are sliced off.
+    """
+    depth = len(indent) // 2
+    for _ in range(depth):
+        block = [block]
+    try:
+        text = orjson.dumps(block, option=orjson.OPT_INDENT_2).decode()
+    except orjson.JSONEncodeError:
+        return None
+    # Outside a str only null holds an n, and one char is found by a fast
+    # scan where "null" takes a slow one.
+    if '"' in text or "{" in text or "n" in text:
+        return None
+    # The wrappers write "[\n  " ... "[\n" + indent before the block and
+    # "\n" + indent[2:] + "]" ... "\n]" after it.
+    start, stop = depth * (depth + 3), len(text) - depth * (depth + 1)
+    # The e of true and false follows a letter, an exponent's a digit.  A
+    # token that holds 0.0000 after its start, such as 10.00001, is written
+    # again unchanged.
+    edits = [at for at in _find_all(text, "e", start) if text[at - 1].isdigit()]
+    edits += _find_all(text, "0.0000", start)
+    pieces = []
+    for at in sorted(edits):
+        head = text.rfind(" ", 0, at) + 1
+        end = text.find("\n", at)
+        if text[end - 1] == ",":
+            end -= 1
+        pieces += text[start:head], repr(float(text[head:end]))
+        start = end
+    pieces.append(text[start:stop])
+    return "".join(pieces)
+
+
+def _find_all(text: str, sub: str, start: int) -> list[int]:
+    """The index of each occurrence of ``sub`` in ``text`` from ``start``."""
+    found = []
+    at = text.find(sub, start)
+    while at >= 0:
+        found.append(at)
+        at = text.find(sub, at + 1)
+    return found
+
+
 def _rows_text(items: list, inner: str) -> str | None:
     """The non-empty list ``items`` written ``inner`` deep by one ``%``-format
-    call, or None unless its items are all lists of one non-zero length, or
-    all dicts with one non-empty set of ``str`` keys, holding plain scalars.
+    call, or None unless its items are all dicts with one non-empty set of
+    ``str`` keys, holding plain scalars.
 
     Every leaf is written first, the block's floats all by one batched call
     (``_float_texts``), and enters the row template through ``%s``.
     """
     first = items[0]
-    if type(first) is list and first and set(map(type, items)) == {list} and set(map(len, items)) == {len(first)}:
-        leaves = list(chain.from_iterable(items))
-        fields, opening, closing = [f"{inner}  "] * len(first), "[", "]"
-    elif (type(first) is dict and first and all(type(key) is str for key in first)
-          and all(type(item) is dict and item.keys() == first.keys() for item in items)):
-        keys = sorted(first)
-        leaves = [item[key] for item in items for key in keys]
-        # A key is part of the template, so its % must not start a conversion.
-        fields = [f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: " for key in keys]
-        opening, closing = "{", "}"
-    else:
+    if not (type(first) is dict and first and all(type(key) is str for key in first)
+            and all(type(item) is dict and item.keys() == first.keys() for item in items)):
         return None
+    keys = sorted(first)
+    leaves = [item[key] for item in items for key in keys]
     types = set(map(type, leaves))
-    if types == {float}:
-        texts = _float_texts(leaves)
-    elif types <= _SCALAR_TEXT.keys():
-        floats = iter(_float_texts([leaf for leaf in leaves if type(leaf) is float]))
-        texts = [next(floats) if type(leaf) is float else _SCALAR_TEXT[type(leaf)](leaf) for leaf in leaves]
-    else:
+    if not types <= _SCALAR_TEXT.keys():
         return None
-    row = f"{inner}{opening}\n" + ",\n".join(field + "%s" for field in fields) + f"\n{inner}{closing}"
+    floats = iter(_float_texts([leaf for leaf in leaves if type(leaf) is float]))
+    texts = [next(floats) if type(leaf) is float else _SCALAR_TEXT[type(leaf)](leaf) for leaf in leaves]
+    # A key is part of the template, so its % must not start a conversion.
+    fields = [f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys]
+    row = f"{inner}{{\n" + ",\n".join(fields) + f"\n{inner}}}"
     return ",\n".join([row] * len(items)) % tuple(texts)
 
 
@@ -569,15 +615,14 @@ def _json_text(value, indent: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, written ``indent`` deep.
 
     Plain scalars (exactly ``float``, ``int``, ``str``, ``bool`` or None)
-    are written by json's own scalar writers; a list whose items are all
-    lists of one length, or all dicts with one set of ``str`` keys, holding
-    plain scalars, by one ``%``-format call, whose floats are written by
-    one ``orjson.dumps`` call with ``float.__repr__`` for those that
-    ``repr`` writes with an exponent; other non-empty lists, and
-    dicts whose keys are all ``str``, by recursion.  Every other value
-    (tuples, other keys, subclasses, empty containers) is written by
-    ``json.dumps`` itself and shifted right (its strings never hold a raw
-    newline).
+    are written by json's own scalar writers; a list of lists, such as a
+    block of ``[re, im]`` pairs, by one ``orjson.dumps`` call
+    (``_block_text``); a list of dicts with one set of ``str`` keys,
+    holding plain scalars, by one ``%``-format call (``_rows_text``); other
+    non-empty lists, and dicts whose keys are all ``str``, by recursion.
+    Every other value (tuples, other keys, subclasses, empty containers) is
+    written by ``json.dumps`` itself and shifted right (its strings never
+    hold a raw newline).
     """
     write = _SCALAR_TEXT.get(type(value))
     if write is not None:
@@ -588,6 +633,9 @@ def _json_text(value, indent: str) -> str:
                  for key, item in sorted(value.items()))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if type(value) is list and value:
+        block = _block_text(value, indent) if type(value[0]) is list else None
+        if block is not None:
+            return block
         rows = _rows_text(value, inner)
         if rows is None:
             rows = ",\n".join(inner + _json_text(item, inner) for item in value)

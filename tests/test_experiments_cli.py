@@ -495,6 +495,14 @@ fixed_pair_lists = [
     [[float("nan"), 1.0]], [[1e308, 1e308], [-1e308, 1.0]], [[-0.0, 5e-324], [1e16, 1e22]],
     [[x, 0.5] for x in REPR_EDGE_FLOATS], [[-0.25, x] for x in reversed(REPR_EDGE_FLOATS)],
     [[x, y] for x, y in zip(REPR_EDGE_FLOATS, [0.1, float("inf"), 123456789012345.6, float("nan"), -1.0] * 3)],
+    # The edges of the orjson block writer's rewrite: the e of true and false
+    # is no exponent; 10.00001 holds 0.0000 but is no small float; the
+    # neighbours of 1e-4; ints at and beyond orjson's 64 bits; None, which
+    # orjson writes as NaN's null; nested empty lists; a depth-3 block.
+    [[True, 1e-07], [False, 1e16], [True, 0.5]], [[10.00001, -10.00001], [1e-05, -1e-05]],
+    [[1e-4, float(np.nextafter(1e-4, 0))], [float(np.nextafter(1e-4, 1)), 5e-324], [-0.0, 1e16]],
+    [[-(2**63), 2**64 - 1], [1.5e-05, 0]], [[2**64, 1e-07]], [[None, 1e-07]],
+    [[], [[]], [[], [[], []]]], [[[0.5, -1.5e-05]], [[1e-300, 2.0]]],
 ]
 
 
@@ -509,6 +517,21 @@ fixed_row_lists = [
     [[np.float64(0.5), 1.0], [2.0, 3.0]], [[[1.0, 2.0]], [[3.0, 4.0]]], [[], []], [{}, {}], [{1: 1.0}, {1: 2.0}],
     [{"x": x, "s": "%s", "n": 1, "y": 0.75} for x in REPR_EDGE_FLOATS],
 ]
+
+
+def float_draws() -> tuple[np.ndarray, ...]:
+    """Five arrays of finite doubles, of 100k or 10k each: uniform bit
+    patterns, so every exponent; amplitudes and products of amplitudes, as
+    copies hold; values of every decade down to 1e-20 times 1e16; and values
+    rounded to 0 to 7 decimals."""
+    rng = np.random.default_rng(20240524)
+    patterns = rng.integers(0, 2**64, size=100_500, dtype=np.uint64).view(np.float64)
+    patterns = patterns[np.isfinite(patterns)][:100_000]
+    amplitudes = rng.standard_normal(100_000) / 16
+    products = rng.standard_normal(100_000) * rng.standard_normal(100_000) / 256
+    uniforms = rng.uniform(-1e16, 1e16, 10_000) * 10.0 ** rng.integers(-20, 1, 10_000)
+    rounded = np.array([round(x, k % 8) for k, x in enumerate(rng.uniform(-1e4, 1e4, 10_000).tolist())])
+    return patterns, amplitudes, products, uniforms, rounded
 
 
 def with_fixed_lists(test):
@@ -540,17 +563,21 @@ class TestRendering:
     def test_batched_float_texts_are_repr(self):
         # orjson writes the batch; its notation must equal repr wherever repr
         # uses no exponent, in any orjson release that CI installs.
-        rng = np.random.default_rng(20240524)
-        patterns = rng.integers(0, 2**64, size=100_500, dtype=np.uint64).view(np.float64)
-        patterns = patterns[np.isfinite(patterns)][:100_000]
-        amplitudes = rng.standard_normal(100_000) / 16
-        products = rng.standard_normal(100_000) * rng.standard_normal(100_000) / 256
-        uniforms = rng.uniform(-1e16, 1e16, 10_000) * 10.0 ** rng.integers(-20, 1, 10_000)
-        rounded = np.array([round(x, k % 8) for k, x in enumerate(rng.uniform(-1e4, 1e4, 10_000).tolist())])
-        for values in (patterns, amplitudes, products, uniforms, rounded):
+        draws = float_draws()
+        for values in draws:
             floats = values.tolist()
             assert experiments._float_texts(floats) == [float.__repr__(x) for x in floats]
-        assert patterns.size == amplitudes.size == 100_000
+        assert draws[0].size == draws[1].size == 100_000
+
+    def test_orjson_blocks_render_as_stdlib(self):
+        # orjson writes each list-of-lists block whole; its indent layout, and
+        # its floats once the exponent-form tokens are rewritten, must equal
+        # json's, in any orjson release that CI installs.
+        for values in float_draws():
+            for shape in ((-1, 2), (-1, 5, 2)):
+                report = {"block": values.reshape(shape).tolist()}
+                # Line lists, not strings: pytest would explain a mismatch of two long strings by a slow diff.
+                assert render_report(report, [], "json").splitlines() == stdlib_json(report).splitlines()
 
     def test_largest_clone_report_renders_as_stdlib(self):
         report, rows = run("clone-demo", dim=MAX_COPY_DIM)

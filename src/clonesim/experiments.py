@@ -543,7 +543,9 @@ def _block_text(block: list, indent: str) -> str | None:
     (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``) or start ``0.0000``
     (a non-zero |x| < 1e-4 without one); only those are written again, by
     ``repr``.  The block is dumped inside one list per level of ``indent``, so
-    orjson writes it at its depth, and those lists are sliced off.
+    orjson writes it at its depth, and those lists are sliced off.  orjson
+    also writes an ``enum.Enum`` member, which json refuses, as its value;
+    reports hold none.
     """
     depth = len(indent) // 2
     for _ in range(depth):

@@ -522,8 +522,8 @@ fixed_row_lists = [
 def float_draws() -> tuple[np.ndarray, ...]:
     """Five arrays of finite doubles, of 100k or 10k each: uniform bit
     patterns, so every exponent; amplitudes and products of amplitudes, as
-    copies hold; values of every decade down to 1e-20 times 1e16; and values
-    rounded to 0 to 7 decimals."""
+    copies hold; uniforms over the 21 decades below 1e16; and values rounded
+    to 0 to 7 decimals."""
     rng = np.random.default_rng(20240524)
     patterns = rng.integers(0, 2**64, size=100_500, dtype=np.uint64).view(np.float64)
     patterns = patterns[np.isfinite(patterns)][:100_000]

@@ -35,6 +35,8 @@ EXPERIMENTS = [
     # A photon 1e-11 off the clonable domain: the stimulated pair differs from photon (x) photon
     # by a bosonic cross term of that order, which the fidelity check must not count as a failure.
     ["stimulated-clone", "--config", str(CONFIG_DIR / "pi_only.json"), "--state", "1,1e-11"],
+    # The single-overlap witness, which reads the scalar witness where the default sweeps a grid.
+    ["no-cloning-witness", "--overlap", "0.5"],
 ]
 
 STATUS = {cli.EXIT_OK: "ok", cli.EXIT_CHECK_FAILED: "CHECK FAILED"}

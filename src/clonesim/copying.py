@@ -16,7 +16,10 @@ the dense U is built only on request.  ``CopyBasis.computational(n)`` is
 one shared instance per n, like the one fixed machine it models.  S, A,
 V and U pass one check, for orthonormal columns.  Feeding the same U a
 fixed ancilla instead copies only the matching basis ray, which is the
-content of the no-cloning restriction this module also witnesses.
+content of the no-cloning restriction this module also witnesses.  The
+witness rule (the residual |s - s^2| and whether s is within
+``WITNESS_ATOL`` of 0 or 1) is array-valued: one numpy pass judges a whole
+grid of overlaps, and the single-overlap witness reads the same rule.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ class OverlapWitness:
     verdict: str
 
 
+def _witness_rule(s):
+    """The residual |s - s^2| and whether s is CONSISTENT, that is within
+    ``WITNESS_ATOL`` of 0 or of 1, for one complex overlap ``s`` or
+    elementwise over an array of overlaps."""
+    return abs(s - s * s), np.minimum(abs(s), abs(s - 1)) <= WITNESS_ATOL
+
+
 def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     """Check the consistency condition a single unitary would impose when
     cloning two states of overlap ``s`` with one fixed ancilla.
@@ -186,6 +196,6 @@ def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     s = complex(s)
     if not abs(s) <= 1 + WITNESS_ATOL:  # false for NaN too
         raise ValueError(f"|s| = {abs(s):.6g} is not a valid state overlap: it must be finite and at most 1")
-    residual = abs(s - s * s)
-    verdict = VERDICT_CONSISTENT if min(abs(s), abs(s - 1)) <= WITNESS_ATOL else VERDICT_CONTRADICTION
-    return OverlapWitness(overlap=s, residual=residual, verdict=verdict)
+    residual, consistent = _witness_rule(s)
+    return OverlapWitness(overlap=s, residual=residual,
+                          verdict=VERDICT_CONSISTENT if consistent else VERDICT_CONTRADICTION)

@@ -25,8 +25,10 @@ import orjson
 
 from .angular import PHOTON_IRREP, contains
 from .copying import (
-    WITNESS_ATOL,
+    VERDICT_CONSISTENT,
+    VERDICT_CONTRADICTION,
     CopyBasis,
+    _witness_rule,
     clone,
     clone_with_fixed_ancilla,
     no_cloning_overlap_witness,
@@ -156,8 +158,16 @@ def parse_amplitudes(text: str) -> np.ndarray:
     """Parse a comma-separated amplitude list like ``0.7+0.7i, 0, 1i``.
 
     Digit-group underscores, which ``complex`` would drop (``1_0`` is 10),
-    are refused.
+    are refused.  A list with no underscore is parsed by one ``complex``
+    call per raw token, as ``complex`` strips whitespace itself; the token
+    loop below runs only where that fails, and raises its message or
+    parses what ``complex`` does not strip (U+001C to U+001F).
     """
+    if "_" not in text:
+        try:
+            return np.array(list(map(complex, text.replace("i", "j").split(","))), dtype=complex)
+        except ValueError:
+            pass
     tokens = [token.strip() for token in text.split(",")]
     values = []
     for token in tokens:
@@ -266,31 +276,34 @@ def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, an
 
 def _run_witness(overlap: float | None = None) -> _Outcome:
     if overlap is not None:
-        overlaps = [overlap]
+        witness = no_cloning_overlap_witness(overlap)
+        overlaps, residuals = [witness.overlap.real], [witness.residual]
+        consistent = [witness.verdict == VERDICT_CONSISTENT]
     else:
-        overlaps = [k / 100.0 for k in range(0, 101)]
-    witnesses = [no_cloning_overlap_witness(s) for s in overlaps]
-    rows = [{"overlap": w.overlap.real, "residual": w.residual, "verdict": w.verdict} for w in witnesses]
+        grid = np.arange(101) / 100.0
+        residuals, consistent = _witness_rule(grid)
+        overlaps, residuals, consistent = grid.tolist(), residuals.tolist(), consistent.tolist()
+    verdicts = [VERDICT_CONSISTENT if c else VERDICT_CONTRADICTION for c in consistent]
+    rows = [{"overlap": s, "residual": r, "verdict": v} for s, r, v in zip(overlaps, residuals, verdicts)]
     results = {"witnesses": rows}
-    # Endpoints are the overlaps the witness itself calls 0 or 1, within WITNESS_ATOL.
-    endpoints, interior = [], []
-    for w in witnesses:
-        (endpoints if min(abs(w.overlap), abs(w.overlap - 1.0)) <= WITNESS_ATOL else interior).append(w)
+    # Endpoints are the overlaps the witness rule calls 0 or 1, within WITNESS_ATOL.
+    endpoints = sum(consistent)
     checks = [
         _check(
             "interior-overlaps-contradict",
-            all(w.verdict == "CONTRADICTION" for w in interior),
-            f"{len(interior)} interior overlaps checked",
+            all(v == VERDICT_CONTRADICTION for v, c in zip(verdicts, consistent) if not c),
+            f"{len(rows) - endpoints} interior overlaps checked",
         ),
         _check(
             "endpoint-overlaps-consistent",
-            all(w.verdict == "CONSISTENT" for w in endpoints),
-            f"{len(endpoints)} endpoint overlaps checked",
+            all(v == VERDICT_CONSISTENT for v, c in zip(verdicts, consistent) if c),
+            f"{endpoints} endpoint overlaps checked",
         ),
     ]
     return results, checks, rows
 
 
+@lru_cache(maxsize=64)
 def _su2_admission(system: AtomicSystem) -> tuple[np.ndarray, np.ndarray]:
     """The SU(2) selection rules of ``system``, read from its levels' l, m and
     parity and never from its dipole table.
@@ -298,6 +311,8 @@ def _su2_admission(system: AtomicSystem) -> tuple[np.ndarray, np.ndarray]:
     Two read-only boolean tables laid out like ``system.allowed`` (excited
     levels x (sigma-, pi, sigma+)): ``contained``, whether the ground irrep
     lies in excited (x) photon, and ``admitted``, whether also m_g = m_e + q.
+    Memoized like ``_parse_config``: a system is immutable and hashed by
+    identity, and the tables are read-only, so one pair is shared safely.
     """
     ground, target = system.ground, system.ground.irrep
     contained = np.array(
@@ -515,52 +530,48 @@ _SCALAR_TEXT = {
 }
 
 
-def _float_texts(floats: list[float]) -> list[str]:
-    """``_float_text`` of each of ``floats``, from one ``orjson.dumps`` call.
+def _orjson_text(value: list, indent: str, option: int) -> tuple[str, int, int] | None:
+    """orjson's text of the non-empty list ``value`` written ``indent`` deep,
+    with the start and stop of ``value``'s own part of it, or None where
+    orjson refuses a leaf (a float subclass such as ``np.float64``, an int
+    beyond 64 bits, a key that is not a str).
 
-    orjson writes a finite float as ``float.__repr__`` does wherever ``repr``
-    uses no exponent; the rest, picked by value (non-zero |x| < 1e-4,
-    |x| >= 1e16, and NaN and the infinities, which orjson writes as
-    ``null``), are written again by ``_float_text``.
-    """
-    if not floats:
-        return []
-    texts = orjson.dumps(floats).decode()[1:-1].split(",")
-    for i in [i for i, x in enumerate(floats) if not 1e-4 <= abs(x) < 1e16 and x]:
-        texts[i] = _float_text(floats[i])
-    return texts
-
-
-def _block_text(block: list, indent: str) -> str | None:
-    """The non-empty list ``block`` written ``indent`` deep by one
-    ``orjson.dumps`` call, or None where orjson refuses a leaf (a float
-    subclass such as ``np.float64``, an int beyond 64 bits) or writes one as
-    json does not (a str, a dict, None, or NaN and the infinities, which
-    orjson writes as ``null``).
-
-    orjson's indent layout is json's, and it writes a float as
-    ``float.__repr__`` does except in the tokens that hold an exponent
-    (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``) or start ``0.0000``
-    (a non-zero |x| < 1e-4 without one); only those are written again, by
-    ``repr``.  The block is dumped inside one list per level of ``indent``, so
-    orjson writes it at its depth, and those lists are sliced off.  orjson
-    also writes an ``enum.Enum`` member, which json refuses, as its value;
-    reports hold none.
+    orjson's indent layout is json's.  ``value`` is dumped inside one list
+    per level of ``indent``, so orjson writes it at its depth, and those
+    lists write a fixed number of chars before and after it.
     """
     depth = len(indent) // 2
     for _ in range(depth):
-        block = [block]
+        value = [value]
     try:
-        text = orjson.dumps(block, option=orjson.OPT_INDENT_2).decode()
+        text = orjson.dumps(value, option=option).decode()
     except orjson.JSONEncodeError:
         return None
+    # The wrappers write "[\n  " ... "[\n" + indent before the value and
+    # "\n" + indent[2:] + "]" ... "\n]" after it.
+    return text, depth * (depth + 3), len(text) - depth * (depth + 1)
+
+
+def _block_text(block: list, indent: str) -> str | None:
+    """The non-empty list of lists ``block`` written ``indent`` deep by one
+    ``orjson.dumps`` call (``_orjson_text``), or None where orjson refuses a
+    leaf or writes one as json does not (a str, a dict, None, or NaN and the
+    infinities, which orjson writes as ``null``).
+
+    orjson writes a float as ``float.__repr__`` does except in the tokens
+    that hold an exponent (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``) or
+    start ``0.0000`` (a non-zero |x| < 1e-4 without one); only those are
+    written again, by ``repr``.  orjson also writes an ``enum.Enum`` member,
+    which json refuses, as its value; reports hold none.
+    """
+    dumped = _orjson_text(block, indent, orjson.OPT_INDENT_2)
+    if dumped is None:
+        return None
+    text, start, stop = dumped
     # Outside a str only null holds an n, and one char is found by a fast
     # scan where "null" takes a slow one.
     if '"' in text or "{" in text or "n" in text:
         return None
-    # The wrappers write "[\n  " ... "[\n" + indent before the block and
-    # "\n" + indent[2:] + "]" ... "\n]" after it.
-    start, stop = depth * (depth + 3), len(text) - depth * (depth + 1)
     # The e of true and false follows a letter, an exponent's a digit.  A
     # token that holds 0.0000 after its start, such as 10.00001, is written
     # again unchanged.
@@ -588,29 +599,33 @@ def _find_all(text: str, sub: str, start: int) -> list[int]:
     return found
 
 
-def _rows_text(items: list, inner: str) -> str | None:
-    """The non-empty list ``items`` written ``inner`` deep by one ``%``-format
-    call, or None unless its items are all dicts with one non-empty set of
-    ``str`` keys, holding plain scalars.
+def _rows_text(rows: list, indent: str) -> str | None:
+    """The non-empty list of dicts ``rows`` written ``indent`` deep by one
+    ``orjson.dumps`` call with sorted keys (``_orjson_text``), or None unless
+    its leaves are all plain scalars and orjson writes each as json does.
 
-    Every leaf is written first, the block's floats all by one batched call
-    (``_float_texts``), and enters the row template through ``%s``.
+    So a list goes back to the caller's recursion if it holds a float that
+    ``repr`` writes with an exponent (non-zero |x| < 1e-4, |x| >= 1e16),
+    NaN or an infinity (orjson writes these as ``null``), a leaf or key
+    orjson refuses, or text that orjson writes unescaped where json escapes
+    it (not ASCII, or the DEL char) or that holds an escape (a backslash in
+    orjson's text).
     """
-    first = items[0]
-    if not (type(first) is dict and first and all(type(key) is str for key in first)
-            and all(type(item) is dict and item.keys() == first.keys() for item in items)):
+    if set(map(type, rows)) != {dict}:
         return None
-    keys = sorted(first)
-    leaves = [item[key] for item in items for key in keys]
-    types = set(map(type, leaves))
-    if not types <= _SCALAR_TEXT.keys():
+    leaves = [leaf for row in rows for leaf in row.values()]
+    if not set(map(type, leaves)) <= _SCALAR_TEXT.keys():
         return None
-    floats = iter(_float_texts([leaf for leaf in leaves if type(leaf) is float]))
-    texts = [next(floats) if type(leaf) is float else _SCALAR_TEXT[type(leaf)](leaf) for leaf in leaves]
-    # A key is part of the template, so its % must not start a conversion.
-    fields = [f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys]
-    row = f"{inner}{{\n" + ",\n".join(fields) + f"\n{inner}}}"
-    return ",\n".join([row] * len(items)) % tuple(texts)
+    if any(not 1e-4 <= abs(leaf) < 1e16 and leaf for leaf in leaves if type(leaf) is float):
+        return None
+    dumped = _orjson_text(rows, indent, orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+    if dumped is None:
+        return None
+    text, start, stop = dumped
+    text = text[start:stop]
+    if not text.isascii() or "\\" in text or "\x7f" in text:
+        return None
+    return text
 
 
 def _json_text(value, indent: str) -> str:
@@ -619,12 +634,13 @@ def _json_text(value, indent: str) -> str:
     Plain scalars (exactly ``float``, ``int``, ``str``, ``bool`` or None)
     are written by json's own scalar writers; a list of lists, such as a
     block of ``[re, im]`` pairs, by one ``orjson.dumps`` call
-    (``_block_text``); a list of dicts with one set of ``str`` keys,
-    holding plain scalars, by one ``%``-format call (``_rows_text``); other
-    non-empty lists, and dicts whose keys are all ``str``, by recursion.
-    Every other value (tuples, other keys, subclasses, empty containers) is
-    written by ``json.dumps`` itself and shifted right (its strings never
-    hold a raw newline).
+    (``_block_text``); a list of dicts holding plain scalars, such as
+    report rows and checks, by one sorted-keys ``orjson.dumps`` call
+    (``_rows_text``); other non-empty lists, lists those two refuse, and
+    dicts whose keys are all ``str``, by recursion.  Every other value
+    (tuples, other keys, subclasses, empty containers) is written by
+    ``json.dumps`` itself and shifted right (its strings never hold a raw
+    newline).
     """
     write = _SCALAR_TEXT.get(type(value))
     if write is not None:
@@ -635,13 +651,10 @@ def _json_text(value, indent: str) -> str:
                  for key, item in sorted(value.items()))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if type(value) is list and value:
-        block = _block_text(value, indent) if type(value[0]) is list else None
-        if block is not None:
-            return block
-        rows = _rows_text(value, inner)
-        if rows is None:
-            rows = ",\n".join(inner + _json_text(item, inner) for item in value)
-        return "[\n" + rows + "\n" + indent + "]"
+        text = (_block_text if type(value[0]) is list else _rows_text)(value, indent)
+        if text is not None:
+            return text
+        return "[\n" + ",\n".join(inner + _json_text(item, inner) for item in value) + "\n" + indent + "]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 

@@ -11,8 +11,10 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError
+from enum import Enum, IntEnum
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,32 @@ class TestStateParsing:
         # complex() reads "1_0" as 10
         with pytest.raises(ValueError, match="underscore"):
             parse_amplitudes("1_0, 1")
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "token, message",
+        [("", "empty amplitude in state spec"), (" \u2003", "empty amplitude in state spec"),
+         ("1_0", "amplitude '1_0' holds an underscore"), (" 1i_ ", "amplitude '1i_' holds an underscore"),
+         ("two", "cannot parse amplitude 'two'"), ("\u2003 1+ 2i\n", "cannot parse amplitude '1+ 2i'")],
+    )
+    def test_bad_token_message_in_any_place(self, token, message, place):
+        tokens = ["0.6", " 0.8i", "0 "]
+        tokens[place] = token
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_amplitudes(",".join(tokens))
+
+    def test_first_bad_token_names_the_error(self):
+        with pytest.raises(ValueError, match="^cannot parse amplitude 'two'$"):
+            parse_amplitudes("1, two, , 1_0")
+        with pytest.raises(ValueError, match="^empty amplitude in state spec$"):
+            parse_amplitudes("1, , two, 1_0")
+
+    def test_amplitudes_are_parsed_after_str_strip(self):
+        # complex() strips Unicode spaces itself, but not U+001C to U+001F, which str.strip does.
+        text = "\u20030.6+0.8i\u00a0,\t-1e-3\n,\x1c2i\x1f, (1-1j) "
+        expected = [complex(token.strip().replace("i", "j")) for token in text.split(",")]
+        assert parse_amplitudes(text).tolist() == expected
+        assert parse_amplitudes(text).dtype == complex
 
 
 class TestConfigLoading:
@@ -329,6 +357,18 @@ class TestRunners:
         report, _ = run("fixed-ancilla", **spec_for("fixed-ancilla", config_dir))
         assert report["results"]["fidelity"] == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("overlap", [None, 0.5, -1e-12, 1.0000000000001e-12, -0.0])
+    def test_witness_rows_equal_the_scalar_witness(self, overlap):
+        # The scalar witness, called once per overlap of the sweep, is the reference.
+        report, rows = run("no-cloning-witness", overlap=overlap)
+        overlaps = [k / 100.0 for k in range(101)] if overlap is None else [overlap]
+        reference = [copying.no_cloning_overlap_witness(s) for s in overlaps]
+        assert rows == [{"overlap": w.overlap.real, "residual": w.residual, "verdict": w.verdict} for w in reference]
+        assert [(repr(row["overlap"]), repr(row["residual"])) for row in rows] == [
+            (repr(w.overlap.real), repr(w.residual)) for w in reference]
+        assert {type(row[key]) for row in rows for key in row} <= {float, str}
+        assert report["results"]["witnesses"] is rows
+
     def test_witness_sweep_counts(self, config_dir):
         report, _ = run("no-cloning-witness", **spec_for("no-cloning-witness", config_dir))
         witnesses = report["results"]["witnesses"]
@@ -442,6 +482,18 @@ class TestRunners:
         hilbert.OperatorMatrix.hermitian_from_nonzeros(1, [0], [0], [1.0])
         assert built == [hilbert.DensityMatrix, "hermitian_from_nonzeros"]  # the patches see constructions
 
+    def test_selection_rule_tables_are_built_once_per_system(self, monkeypatch):
+        tables = []
+        admission = experiments._su2_admission
+        monkeypatch.setattr(experiments, "_su2_admission", lambda system: tables.append(admission(system)) or tables[-1])
+        config = str(CONFIG_DIR / "hydrogen_n2.json")
+        for kind in ("selection-rules", "selection-rules", "domain", "spontaneous"):
+            run(kind, config_path=config)
+        (contained, admitted), *others = tables
+        assert len(others) == 3
+        assert all(again[0] is contained and again[1] is admitted for again in others)
+        assert not contained.flags.writeable and not admitted.flags.writeable
+
     def test_domain_builds_no_ket(self, monkeypatch):
         built = []
         post_init = hilbert.Ket.__post_init__
@@ -506,9 +558,21 @@ fixed_pair_lists = [
 ]
 
 
-# Lists on the edges of the one-format-call path: a % in a key, which a template
-# must escape; rows that differ in key set or length; leaves of every plain type,
-# and leaves that are not plain; empty rows.
+class Level(IntEnum):
+    ONE = 1
+
+
+class Mode(Enum):
+    A = 1.5
+
+
+# Lists on the edges of the orjson rows writer: % in keys; rows that differ in
+# key set or length; leaves of every plain type, and leaves that are not plain;
+# empty rows.  Then the leaves and texts it must hand back to the recursion:
+# NaN and the infinities, floats repr writes with an exponent, None beside
+# them, text that is not ASCII or holds DEL, a quote, a backslash or a control
+# char, in a leaf or a key; an int beyond 64 bits; np.float64; an IntEnum;
+# and rows whose keys are not in sorted order.
 fixed_row_lists = [
     [{"a%s": 1.0, "b": "x"}, {"a%s": 2.0, "b": "y"}], [{"%(k)s%%": None}, {"%(k)s%%": "%d"}],
     [{"a": 1.0}, {"b": 2.0}], [{"a": 1.0, "b": 2.0}, {"a": 3.0}], [[1.0], [2.0, 3.0]],
@@ -516,6 +580,12 @@ fixed_row_lists = [
     [{"s": "\u00e9\u2192\u03c8", "n": None}, {"s": "%s", "n": 10**20}], [{"v": np.float64(0.5)}, {"v": 1.0}],
     [[np.float64(0.5), 1.0], [2.0, 3.0]], [[[1.0, 2.0]], [[3.0, 4.0]]], [[], []], [{}, {}], [{1: 1.0}, {1: 2.0}],
     [{"x": x, "s": "%s", "n": 1, "y": 0.75} for x in REPR_EDGE_FLOATS],
+    [{"x": float("nan"), "y": 0.5}], [{"x": 0.5, "y": float("inf")}, {"x": float("-inf"), "y": 0.5}],
+    [{"x": 1e-07, "y": 0.5}], [{"x": 0.5, "y": 3e-05}], [{"x": None, "y": 0.5}, {"x": None, "y": 1e-07}],
+    [{"s": "caf\u00e9"}], [{"s": "del\x7f"}], [{"s": 'say "hi"'}], [{"s": "back\\slash"}], [{"s": "tab\t\x1f"}],
+    [{"caf\u00e9": 1.0}], [{"del\x7f": 1.0}], [{'"': 1.0, "\\": 2.0}],
+    [{"n": 2**64 + 1, "x": 0.5}], [{"n": -(2**64) - 1}], [{"v": np.float64(0.25), "x": 0.5}], [{"e": Level.ONE}],
+    [{"b": 1.0, "a": 2.0, "c": "z"}, {"c": "y", "a": 0.5, "b": 3.0}], [{"b": True, "B": False, "a_": None, "a": 1}],
 ]
 
 
@@ -561,13 +631,24 @@ class TestRendering:
         assert render_report(report, [], "json") == stdlib_json(report)
 
     def test_batched_float_texts_are_repr(self):
-        # orjson writes the batch; its notation must equal repr wherever repr
-        # uses no exponent, in any orjson release that CI installs.
+        # orjson writes each float of a rows block itself; its notation must
+        # equal repr wherever repr uses no exponent, in any orjson release
+        # that CI installs.  The rows writer hands back every other float.
         draws = float_draws()
         for values in draws:
             floats = values.tolist()
-            assert experiments._float_texts(floats) == [float.__repr__(x) for x in floats]
+            texts = orjson.dumps(floats).decode()[1:-1].split(",")
+            plain = [(text, x) for text, x in zip(texts, floats) if 1e-4 <= abs(x) < 1e16 or not x]
+            assert [text for text, _ in plain] == [float.__repr__(x) for _, x in plain]
         assert draws[0].size == draws[1].size == 100_000
+
+    def test_rows_of_a_plain_enum_are_refused_as_stdlib(self):
+        # orjson writes an Enum member as its value; json refuses it, and so must the rows writer.
+        report = {"rows": [{"mode": Mode.A, "x": 0.5}, {"mode": 1.5, "x": 0.5}]}
+        with pytest.raises(TypeError):
+            stdlib_json(report)
+        with pytest.raises(TypeError, match="Mode"):
+            render_report(report, [], "json")
 
     def test_orjson_blocks_render_as_stdlib(self):
         # orjson writes each list-of-lists block whole; its indent layout, and
@@ -1191,8 +1272,8 @@ def load_batch_script():
 def test_run_all_experiments_script_writes_every_report(capsys, tmp_path):
     script = load_batch_script()
     assert script.main(["--out-dir", str(tmp_path)]) == 0
-    assert len(list(tmp_path.iterdir())) == 12
-    assert capsys.readouterr().out.count(" ok\n") == 12
+    assert len(list(tmp_path.iterdir())) == 13
+    assert capsys.readouterr().out.count(" ok\n") == 13
 
 
 @pytest.mark.parametrize("fmt, extension", [("json", "json"), ("csv", "csv"), ("table", "txt")])

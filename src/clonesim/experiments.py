@@ -609,7 +609,7 @@ def _rows_text(rows: list, indent: str) -> str | None:
     NaN or an infinity (orjson writes these as ``null``), a leaf or key
     orjson refuses, or text that orjson writes unescaped where json escapes
     it (not ASCII, or the DEL char) or that holds an escape (a backslash in
-    orjson's text).
+    orjson's text), whose notation is each writer's own choice.
     """
     if set(map(type, rows)) != {dict}:
         return None

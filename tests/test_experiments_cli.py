@@ -572,7 +572,8 @@ class Mode(Enum):
 # NaN and the infinities, floats repr writes with an exponent, None beside
 # them, text that is not ASCII or holds DEL, a quote, a backslash or a control
 # char, in a leaf or a key; an int beyond 64 bits; np.float64; an IntEnum;
-# and rows whose keys are not in sorted order.
+# rows whose keys are not in sorted order; and each float on the edges of
+# repr's exponent notation alone in its list.
 fixed_row_lists = [
     [{"a%s": 1.0, "b": "x"}, {"a%s": 2.0, "b": "y"}], [{"%(k)s%%": None}, {"%(k)s%%": "%d"}],
     [{"a": 1.0}, {"b": 2.0}], [{"a": 1.0, "b": 2.0}, {"a": 3.0}], [[1.0], [2.0, 3.0]],
@@ -586,6 +587,7 @@ fixed_row_lists = [
     [{"caf\u00e9": 1.0}], [{"del\x7f": 1.0}], [{'"': 1.0, "\\": 2.0}],
     [{"n": 2**64 + 1, "x": 0.5}], [{"n": -(2**64) - 1}], [{"v": np.float64(0.25), "x": 0.5}], [{"e": Level.ONE}],
     [{"b": 1.0, "a": 2.0, "c": "z"}, {"c": "y", "a": 0.5, "b": 3.0}], [{"b": True, "B": False, "a_": None, "a": 1}],
+    *([{"x": x, "y": 0.5}] for x in REPR_EDGE_FLOATS),
 ]
 
 
@@ -641,6 +643,18 @@ class TestRendering:
             plain = [(text, x) for text, x in zip(texts, floats) if 1e-4 <= abs(x) < 1e16 or not x]
             assert [text for text, _ in plain] == [float.__repr__(x) for _, x in plain]
         assert draws[0].size == draws[1].size == 100_000
+
+    def test_rows_with_an_escape_are_written_by_json(self, monkeypatch):
+        # How orjson writes an escape is its own choice (\u001F is \u001f, \u0022 is \"), so
+        # a list of rows whose text holds one is written by json's writers, whatever orjson writes.
+        dumps = orjson.dumps
+        monkeypatch.setattr(
+            orjson, "dumps", lambda *args, **kwargs: dumps(*args, **kwargs).replace(b"\\u001f", b"\\u001F")
+            .replace(b'\\"', b"\\u0022"))
+        for row in ({"s": "unit\x1fseparator", "x": 0.5}, {"s": 'say "hi"', "x": 0.5}):
+            report = {"rows": [row, row]}
+            assert dumps(report["rows"]).decode() != orjson.dumps(report["rows"]).decode()
+            assert render_report(report, [], "json") == stdlib_json(report)
 
     def test_rows_of_a_plain_enum_are_refused_as_stdlib(self):
         # orjson writes an Enum member as its value; json refuses it, and so must the rows writer.

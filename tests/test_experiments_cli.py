@@ -367,7 +367,7 @@ class TestRunners:
         assert [(repr(row["overlap"]), repr(row["residual"])) for row in rows] == [
             (repr(w.overlap.real), repr(w.residual)) for w in reference]
         assert {type(row[key]) for row in rows for key in row} <= {float, str}
-        assert report["results"]["witnesses"] is rows
+        assert report["results"]["witnesses"] == rows
 
     def test_witness_sweep_counts(self, config_dir):
         report, _ = run("no-cloning-witness", **spec_for("no-cloning-witness", config_dir))

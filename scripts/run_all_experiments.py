@@ -35,8 +35,10 @@ EXPERIMENTS = [
     # A photon 1e-11 off the clonable domain: the stimulated pair differs from photon (x) photon
     # by a bosonic cross term of that order, which the fidelity check must not count as a failure.
     ["stimulated-clone", "--config", str(CONFIG_DIR / "pi_only.json"), "--state", "1,1e-11"],
-    # The single-overlap witness, which reads the scalar witness where the default sweeps a grid.
+    # Single overlaps, judged by the same rule as the default grid: an interior one, and a
+    # CONSISTENT one just below 0, which only the endpoint check reads.
     ["no-cloning-witness", "--overlap", "0.5"],
+    ["no-cloning-witness", "--overlap=-1e-12"],
 ]
 
 STATUS = {cli.EXIT_OK: "ok", cli.EXIT_CHECK_FAILED: "CHECK FAILED"}

@@ -18,8 +18,10 @@ V and U pass one check, for orthonormal columns.  Feeding the same U a
 fixed ancilla instead copies only the matching basis ray, which is the
 content of the no-cloning restriction this module also witnesses.  The
 witness rule (the residual |s - s^2| and whether s is within
-``WITNESS_ATOL`` of 0 or 1) is array-valued: one numpy pass judges a whole
-grid of overlaps, and the single-overlap witness reads the same rule.
+``WITNESS_ATOL`` of 0 or 1) is array-only; the single-overlap witness
+applies it to a one-element array.  The ``no-cloning-witness`` checks hold
+each verdict against its residual: positive for a CONTRADICTION, at most
+2 * ``WITNESS_ATOL`` for a CONSISTENT overlap.
 """
 
 from __future__ import annotations
@@ -174,11 +176,10 @@ class OverlapWitness:
     verdict: str
 
 
-def _witness_rule(s):
+def _witness_rule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The residual |s - s^2| and whether s is CONSISTENT, that is within
-    ``WITNESS_ATOL`` of 0 or of 1, for one complex overlap ``s`` or
-    elementwise over an array of overlaps."""
-    return abs(s - s * s), np.minimum(abs(s), abs(s - 1)) <= WITNESS_ATOL
+    ``WITNESS_ATOL`` of 0 or of 1, elementwise over an array of overlaps."""
+    return np.abs(s - s * s), np.minimum(np.abs(s), np.abs(s - 1)) <= WITNESS_ATOL
 
 
 def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
@@ -196,6 +197,6 @@ def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
     s = complex(s)
     if not abs(s) <= 1 + WITNESS_ATOL:  # false for NaN too
         raise ValueError(f"|s| = {abs(s):.6g} is not a valid state overlap: it must be finite and at most 1")
-    residual, consistent = _witness_rule(s)
-    return OverlapWitness(overlap=s, residual=residual,
-                          verdict=VERDICT_CONSISTENT if consistent else VERDICT_CONTRADICTION)
+    residual, consistent = _witness_rule(np.array([s]))
+    return OverlapWitness(overlap=s, residual=float(residual[0]),
+                          verdict=VERDICT_CONSISTENT if consistent[0] else VERDICT_CONTRADICTION)

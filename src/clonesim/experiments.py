@@ -27,6 +27,7 @@ from .angular import PHOTON_IRREP, contains
 from .copying import (
     VERDICT_CONSISTENT,
     VERDICT_CONTRADICTION,
+    WITNESS_ATOL,
     CopyBasis,
     _witness_rule,
     clone,
@@ -275,32 +276,24 @@ def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, an
 
 
 def _run_witness(overlap: float | None = None) -> _Outcome:
-    if overlap is not None:
-        witness = no_cloning_overlap_witness(overlap)
-        overlaps, residuals = [witness.overlap.real], [witness.residual]
-        consistent = [witness.verdict == VERDICT_CONSISTENT]
+    if overlap is None:
+        overlaps = np.arange(101) / 100.0
     else:
-        grid = np.arange(101) / 100.0
-        residuals, consistent = _witness_rule(grid)
-        overlaps, residuals, consistent = grid.tolist(), residuals.tolist(), consistent.tolist()
-    verdicts = [VERDICT_CONSISTENT if c else VERDICT_CONTRADICTION for c in consistent]
-    rows = [{"overlap": s, "residual": r, "verdict": v} for s, r, v in zip(overlaps, residuals, verdicts)]
-    results = {"witnesses": rows}
-    # Endpoints are the overlaps the witness rule calls 0 or 1, within WITNESS_ATOL.
-    endpoints = sum(consistent)
+        overlaps = np.array([no_cloning_overlap_witness(overlap).overlap])
+    residuals, consistent = _witness_rule(overlaps)
+    verdicts = np.where(consistent, VERDICT_CONSISTENT, VERDICT_CONTRADICTION)
+    rows = [{"overlap": s, "residual": r, "verdict": v}
+            for s, r, v in zip(overlaps.real.tolist(), residuals.tolist(), verdicts.tolist())]
+    # Each verdict is held against the rule's residual: an interior overlap has s != s^2, and
+    # an endpoint, within a = WITNESS_ATOL of 0 or 1, has |s - s^2| = |s| |1 - s| <= a (1 + a).
+    endpoints = int(consistent.sum())
     checks = [
-        _check(
-            "interior-overlaps-contradict",
-            all(v == VERDICT_CONTRADICTION for v, c in zip(verdicts, consistent) if not c),
-            f"{len(rows) - endpoints} interior overlaps checked",
-        ),
-        _check(
-            "endpoint-overlaps-consistent",
-            all(v == VERDICT_CONSISTENT for v, c in zip(verdicts, consistent) if c),
-            f"{endpoints} endpoint overlaps checked",
-        ),
+        _check("interior-overlaps-contradict", (residuals[~consistent] > 0).all(),
+               f"{len(rows) - endpoints} interior overlaps checked"),
+        _check("endpoint-overlaps-consistent", (residuals[consistent] <= 2 * WITNESS_ATOL).all(),
+               f"{endpoints} endpoint overlaps checked"),
     ]
-    return results, checks, rows
+    return {"witnesses": rows}, checks, rows
 
 
 @lru_cache(maxsize=64)
@@ -467,8 +460,8 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     csv and table formats render.  An unknown ``kind``, an input the kind does
     not read, or a missing ``config_path`` is a ``ConfigError``; an input whose
     default is an ``int`` (``seed``, ``dim``, ``ancilla_index``) given as
-    anything but an ``int``, a ``bool`` or numpy integer included, is a
-    ``ValueError``."""
+    anything but an ``int`` (a ``bool`` or numpy integer included), or a
+    negative ``seed``, is a ``ValueError``."""
     signature = EXPERIMENT_INPUTS.get(kind)
     if signature is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -483,6 +476,8 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     for name, value in inputs.items():
         if type(declared[name].default) is int and type(value) is not int:
             raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+    if inputs.get("seed", 0) < 0:
+        raise ValueError(f"seed must be non-negative, got {inputs['seed']}")
     parameters = {name: inputs.get(name, parameter.default) for name, parameter in declared.items()}
     results, checks, rows = _RUNNERS[kind](**parameters)
     report = {

@@ -5,18 +5,19 @@ coupling coefficients come from explicit ladder-operator construction,
 angular factors from numerical quadrature of spherical harmonics, the
 interaction Hamiltonian from dense per-term Kronecker products and its
 basis labels from their order, the stimulated photon pair from that
-Hamiltonian applied in Fock space, and copy unitaries from column-by-column
-assembly.
+Hamiltonian applied in Fock space, copy unitaries from column-by-column
+assembly, and the no-cloning witness from exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 from scipy.special import sph_harm_y
 
-from clonesim.copying import CopyBasis
+from clonesim.copying import WITNESS_ATOL, CopyBasis
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,19 @@ def copy_unitary_by_columns(basis: CopyBasis) -> np.ndarray:
             output_vec = np.kron(basis.system[:, i], basis.system[:, j])
             u += np.outer(output_vec, input_vec.conj())
     return u
+
+
+# ---------------------------------------------------------------------------
+# No-cloning witness in exact arithmetic
+
+
+def witness_by_fractions(s: float) -> tuple[Fraction, str]:
+    """The exact residual |s - s^2| of the real overlap ``s`` and its verdict:
+    CONSISTENT when min(|s|, |1 - s|) <= WITNESS_ATOL, both sides read as
+    exact rationals, else CONTRADICTION."""
+    exact = Fraction(s)
+    consistent = min(abs(exact), abs(1 - exact)) <= Fraction(WITNESS_ATOL)
+    return abs(exact - exact * exact), "CONSISTENT" if consistent else "CONTRADICTION"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError
 from enum import Enum, IntEnum
+from fractions import Fraction
 
 import numpy as np
 import orjson
@@ -34,11 +35,14 @@ from clonesim.experiments import (
     resolve_state,
     run,
 )
-from oracles import stimulated_pair_by_hamiltonian
+from oracles import stimulated_pair_by_hamiltonian, witness_by_fractions
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import REPO_ROOT
 
 CONFIG_DIR = REPO_ROOT / "configs"
+
+# Complex overlaps drawn uniformly by area from the unit disc.
+RANDOM_OVERLAPS = [complex(np.sqrt(r) * np.exp(2j * np.pi * t)) for r, t in np.random.default_rng(29).uniform(size=(8, 2))]
 
 REPORT_KEYS = {"schema_version", "kind", "generated_at", "parameters", "results", "checks", "passed"}
 
@@ -357,9 +361,13 @@ class TestRunners:
         report, _ = run("fixed-ancilla", **spec_for("fixed-ancilla", config_dir))
         assert report["results"]["fidelity"] == pytest.approx(0.5, abs=1e-10)
 
-    @pytest.mark.parametrize("overlap", [None, 0.5, -1e-12, 1.0000000000001e-12, -0.0])
+    @pytest.mark.parametrize(
+        "overlap",
+        [None, 0.5, -1e-12, 1.0000000000001e-12, -0.0, 0.6 + 0.8j, 1j, np.exp(1j * np.pi / 3), *RANDOM_OVERLAPS],
+    )
     def test_witness_rows_equal_the_scalar_witness(self, overlap):
-        # The scalar witness, called once per overlap of the sweep, is the reference.
+        # The scalar witness, called once per overlap of the sweep, is the
+        # reference, bit for bit on complex overlaps too.
         report, rows = run("no-cloning-witness", overlap=overlap)
         overlaps = [k / 100.0 for k in range(101)] if overlap is None else [overlap]
         reference = [copying.no_cloning_overlap_witness(s) for s in overlaps]
@@ -368,6 +376,13 @@ class TestRunners:
             (repr(w.overlap.real), repr(w.residual)) for w in reference]
         assert {type(row[key]) for row in rows for key in row} <= {float, str}
         assert report["results"]["witnesses"] == rows
+
+    def test_witness_sweep_matches_exact_arithmetic(self):
+        _, rows = run("no-cloning-witness")
+        for row in rows:
+            residual, verdict = witness_by_fractions(row["overlap"])
+            assert row["verdict"] == verdict, row
+            assert abs(Fraction(row["residual"]) - residual) <= 2.3e-16, row
 
     def test_witness_sweep_counts(self, config_dir):
         report, _ = run("no-cloning-witness", **spec_for("no-cloning-witness", config_dir))
@@ -664,6 +679,15 @@ class TestRendering:
         with pytest.raises(TypeError, match="Mode"):
             render_report(report, [], "json")
 
+    def test_blocks_of_a_numeric_enum_are_written_as_its_value(self):
+        # The one departure from json.dumps: orjson writes a list-of-lists
+        # block whole, and an Enum member whose value is a number as that
+        # value, where json refuses it.  Reports built by run hold none.
+        report = {"block": [[Mode.A, 0.5], [1.0, 2.0]]}
+        with pytest.raises(TypeError):
+            stdlib_json(report)
+        assert render_report(report, [], "json") == stdlib_json({"block": [[1.5, 0.5], [1.0, 2.0]]})
+
     def test_orjson_blocks_render_as_stdlib(self):
         # orjson writes each list-of-lists block whole; its indent layout, and
         # its floats once the exponent-form tokens are rewritten, must equal
@@ -741,6 +765,34 @@ class TestCli:
         main(["stimulated-clone", "--config", str(config_dir / "full_p_manifold.json"), "--seed", "5"])
         second = capsys.readouterr().out
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    @pytest.mark.parametrize(
+        "wrong_rule, checks",
+        [
+            (lambda residuals, consistent: (residuals, ~consistent),
+             [("interior-overlaps-contradict", False), ("endpoint-overlaps-consistent", False)]),
+            (lambda residuals, consistent: (0 * residuals, consistent),
+             [("interior-overlaps-contradict", False), ("endpoint-overlaps-consistent", True)]),
+        ],
+        ids=["flipped-verdicts", "zeroed-residuals"],
+    )
+    def test_wrong_witness_rule_fails_its_check(self, capsys, monkeypatch, wrong_rule, checks):
+        # Each check holds the rule's verdicts against its residuals, so a rule
+        # that breaks one against the other fails the check that reads it.
+        rule = experiments._witness_rule
+        monkeypatch.setattr(experiments, "_witness_rule", lambda s: wrong_rule(*rule(s)))
+        assert main(["no-cloning-witness"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(check["name"], check["passed"]) for check in report["checks"]] == checks
+
+    @pytest.mark.parametrize("state", [[], ["--state", "1,0"]], ids=["random-state", "given-state"])
+    @pytest.mark.parametrize("kind", ["clone-demo", "fixed-ancilla", "stimulated-clone"])
+    def test_negative_seed_exit_4(self, capsys, kind, state):
+        config = ["--config", str(CONFIG_DIR / "pi_only.json")] if kind == "stimulated-clone" else []
+        assert main([kind, *config, *state, "--seed", "-1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: seed must be non-negative, got -1" in captured.err
 
     def test_wrong_clonable_domain_fails_the_domain_check(self, capsys, monkeypatch, config_dir):
         monkeypatch.setattr(experiments, "clonable_domain", lambda system: (SIGMA_MINUS, PI))
@@ -1099,7 +1151,10 @@ class TestCli:
         # An overlap the witness calls CONSISTENT (within WITNESS_ATOL of 0 or 1) is an endpoint.
         assert main(["no-cloning-witness", f"--overlap={overlap}"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["results"]["witnesses"][0]["verdict"] == verdict
+        [row] = report["results"]["witnesses"]
+        residual, exact_verdict = witness_by_fractions(float(overlap))
+        assert row["verdict"] == exact_verdict == verdict
+        assert abs(Fraction(row["residual"]) - residual) <= 2.3e-16
         interior = int(verdict == "CONTRADICTION")
         details = {check["name"]: check["detail"] for check in report["checks"]}
         assert details["interior-overlaps-contradict"] == f"{interior} interior overlaps checked"
@@ -1286,8 +1341,8 @@ def load_batch_script():
 def test_run_all_experiments_script_writes_every_report(capsys, tmp_path):
     script = load_batch_script()
     assert script.main(["--out-dir", str(tmp_path)]) == 0
-    assert len(list(tmp_path.iterdir())) == 13
-    assert capsys.readouterr().out.count(" ok\n") == 13
+    assert len(list(tmp_path.iterdir())) == 14
+    assert capsys.readouterr().out.count(" ok\n") == 14
 
 
 @pytest.mark.parametrize("fmt, extension", [("json", "json"), ("csv", "csv"), ("table", "txt")])

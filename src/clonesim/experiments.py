@@ -281,9 +281,8 @@ def _run_witness(overlap: float | None = None) -> _Outcome:
     else:
         overlaps = np.array([no_cloning_overlap_witness(overlap).overlap])
     residuals, consistent = _witness_rule(overlaps)
-    verdicts = np.where(consistent, VERDICT_CONSISTENT, VERDICT_CONTRADICTION)
-    rows = [{"overlap": s, "residual": r, "verdict": v}
-            for s, r, v in zip(overlaps.real.tolist(), residuals.tolist(), verdicts.tolist())]
+    rows = [{"overlap": s, "residual": r, "verdict": VERDICT_CONSISTENT if c else VERDICT_CONTRADICTION}
+            for s, r, c in zip(overlaps.real.tolist(), residuals.tolist(), consistent.tolist())]
     # Each verdict is held against the rule's residual: an interior overlap has s != s^2, and
     # an endpoint, within a = WITNESS_ATOL of 0 or 1, has |s - s^2| = |s| |1 - s| <= a (1 + a).
     endpoints = int(consistent.sum())

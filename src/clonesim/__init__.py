@@ -4,11 +4,9 @@ from .angular import IrrepLabel, PHOTON_IRREP, clebsch_gordan, contains
 from .copying import (
     CloneReport,
     CopyBasis,
-    OverlapWitness,
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,
-    no_cloning_overlap_witness,
 )
 from .emission import (
     PI,

@@ -11,8 +11,8 @@ routes, and parses every other argv (none, ``-h``, an unknown kind, an
 option before the kind).  Exit codes: 0 success, 1 report written but a
 check failed, 2 unparseable command line (returned, not raised) or config,
 3 domain violation, 4 dimension or validation failure, an ``--out`` path
-that cannot be written, or a report that stdout cannot encode.  ``--out`` files
-are written as UTF-8, as configs are read.
+that cannot be written, or a report whose text stdout cannot encode (JSON
+writes non-ASCII text unescaped).  ``--out`` files are UTF-8, as configs are.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ V and U pass one check, for orthonormal columns.  Feeding the same U a
 fixed ancilla instead copies only the matching basis ray, which is the
 content of the no-cloning restriction this module also witnesses.  The
 witness rule (the residual |s - s^2| and whether s is within
-``WITNESS_ATOL`` of 0 or 1) is array-only; the single-overlap witness
-applies it to a one-element array.  The ``no-cloning-witness`` checks hold
-each verdict against its residual: positive for a CONTRADICTION, at most
-2 * ``WITNESS_ATOL`` for a CONSISTENT overlap.
+``WITNESS_ATOL`` of 0 or 1) is array-only; the ``no-cloning-witness``
+runner applies it once, to its sweep or its one overlap, and its checks
+hold each verdict against its residual: positive for a CONTRADICTION, at
+most 2 * ``WITNESS_ATOL`` for a CONSISTENT overlap.
 """
 
 from __future__ import annotations
@@ -167,36 +167,13 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
     return CloneReport(input=psi, ancilla=ancilla, output=output)
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
-    """Outcome of the overlap consistency check s = s^2."""
-
-    overlap: complex
-    residual: float
-    verdict: str
-
-
 def _witness_rule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The residual |s - s^2| and whether s is CONSISTENT, that is within
-    ``WITNESS_ATOL`` of 0 or of 1, elementwise over an array of overlaps."""
-    return np.abs(s - s * s), np.minimum(np.abs(s), np.abs(s - 1)) <= WITNESS_ATOL
+    ``WITNESS_ATOL`` of 0 or of 1, elementwise over an array of overlaps.
 
-
-def no_cloning_overlap_witness(s: complex) -> OverlapWitness:
-    """Check the consistency condition a single unitary would impose when
-    cloning two states of overlap ``s`` with one fixed ancilla.
-
-    Unitarity preserves inner products, so <p|q> = <p|q>^2 would have to
-    hold; only s in {0, 1} survives.  An overlap within ``WITNESS_ATOL`` of
-    0 or of 1 is CONSISTENT; every other overlap is a CONTRADICTION.  The
-    residual |s - s^2| is the linearity obstruction behind the no-cloning
-    theorem.  A ``bool`` or ``str`` is refused, not read as a number.
+    One unitary that cloned two states of overlap s with one fixed ancilla
+    would preserve their inner product, so s = s^2 would have to hold; only
+    s in {0, 1} survives.  The residual is the linearity obstruction behind
+    the no-cloning theorem.
     """
-    if type(s) is not float and isinstance(s, (bool, np.bool_, str)):
-        raise ValueError(f"overlap {s!r} is not a number")
-    s = complex(s)
-    if not abs(s) <= 1 + WITNESS_ATOL:  # false for NaN too
-        raise ValueError(f"|s| = {abs(s):.6g} is not a valid state overlap: it must be finite and at most 1")
-    residual, consistent = _witness_rule(np.array([s]))
-    return OverlapWitness(overlap=s, residual=float(residual[0]),
-                          verdict=VERDICT_CONSISTENT if consistent[0] else VERDICT_CONTRADICTION)
+    return np.abs(s - s * s), np.minimum(np.abs(s), np.abs(s - 1)) <= WITNESS_ATOL

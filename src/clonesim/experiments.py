@@ -14,11 +14,10 @@ import csv
 import inspect
 import io
 import json
-import math
+import marshal
 import os
 from datetime import datetime, timezone
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -32,7 +31,6 @@ from .copying import (
     _witness_rule,
     clone,
     clone_with_fixed_ancilla,
-    no_cloning_overlap_witness,
 )
 from .emission import (
     SPHERICAL_MODES,
@@ -278,11 +276,15 @@ def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, an
 def _run_witness(overlap: float | None = None) -> _Outcome:
     if overlap is None:
         overlaps = np.arange(101) / 100.0
+    elif type(overlap) not in (float, int):  # a report echoes the overlap, and the writer refuses a complex one
+        raise ValueError(f"overlap must be a float or an int, got {type(overlap).__name__} {overlap!r}")
+    elif not abs(overlap) <= 1 + WITNESS_ATOL:  # false for NaN too
+        raise ValueError(f"|s| = {abs(overlap):.6g} is not a valid state overlap: it must be finite and at most 1")
     else:
-        overlaps = np.array([no_cloning_overlap_witness(overlap).overlap])
+        overlaps = np.array([float(overlap)])
     residuals, consistent = _witness_rule(overlaps)
     rows = [{"overlap": s, "residual": r, "verdict": VERDICT_CONSISTENT if c else VERDICT_CONTRADICTION}
-            for s, r, c in zip(overlaps.real.tolist(), residuals.tolist(), consistent.tolist())]
+            for s, r, c in zip(overlaps.tolist(), residuals.tolist(), consistent.tolist())]
     # Each verdict is held against the rule's residual: an interior overlap has s != s^2, and
     # an endpoint, within a = WITNESS_ATOL of 0 or 1, has |s - s^2| = |s| |1 - s| <= a (1 + a).
     endpoints = int(consistent.sum())
@@ -460,7 +462,7 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     not read, or a missing ``config_path`` is a ``ConfigError``; an input whose
     default is an ``int`` (``seed``, ``dim``, ``ancilla_index``) given as
     anything but an ``int`` (a ``bool`` or numpy integer included), or a
-    negative ``seed``, is a ``ValueError``."""
+    ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
     signature = EXPERIMENT_INPUTS.get(kind)
     if signature is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -477,6 +479,8 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
             raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
     if inputs.get("seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {inputs['seed']}")
+    if inputs.get("seed", 0) >= 2**64:  # the largest int a report holds is 2**64 - 1
+        raise ValueError(f"seed must be below 2**64, got {inputs['seed']}")
     parameters = {name: inputs.get(name, parameter.default) for name, parameter in declared.items()}
     results, checks, rows = _RUNNERS[kind](**parameters)
     report = {
@@ -492,9 +496,14 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
 
 
 def render_report(report: dict, rows: list[dict], output_format: str) -> str:
-    """Serialize a report as json, or its ``rows`` as csv or an aligned text table."""
+    """Serialize a report as json (orjson's text, indented by 2, keys sorted), or its ``rows`` as csv or an aligned
+    text table.  A report value of no JSON type, such as ``np.float64``, complex or an int of 2**64, is a TypeError."""
     if output_format == "json":
-        return _json_text(report, "") + "\n"
+        try:  # marshal writes exact built-in types only, so it refuses an Enum member, which orjson writes as its value
+            marshal.dumps(report)
+        except ValueError as exc:
+            raise TypeError(f"a report holds a value of no JSON type ({exc})") from None
+        return orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode() + "\n"
     if output_format == "csv":
         buffer = io.StringIO()
         if rows:
@@ -505,151 +514,6 @@ def render_report(report: dict, rows: list[dict], output_format: str) -> str:
     if output_format == "table":
         return _render_table(rows, f"{report['kind']} (passed={report['passed']})")
     raise ConfigError(f"unknown output format {output_format!r}")
-
-
-def _float_text(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-#: json's writer for each plain scalar type; a subclass, such as
-#: ``np.float64`` or an ``IntEnum``, is not plain.
-_SCALAR_TEXT = {
-    float: _float_text,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: lambda x: "true" if x else "false",
-    type(None): lambda x: "null",
-}
-
-
-def _orjson_text(value: list, indent: str, option: int) -> tuple[str, int, int] | None:
-    """orjson's text of the non-empty list ``value`` written ``indent`` deep,
-    with the start and stop of ``value``'s own part of it, or None where
-    orjson refuses a leaf (a float subclass such as ``np.float64``, an int
-    beyond 64 bits, a key that is not a str).
-
-    orjson's indent layout is json's.  ``value`` is dumped inside one list
-    per level of ``indent``, so orjson writes it at its depth, and those
-    lists write a fixed number of chars before and after it.
-    """
-    depth = len(indent) // 2
-    for _ in range(depth):
-        value = [value]
-    try:
-        text = orjson.dumps(value, option=option).decode()
-    except orjson.JSONEncodeError:
-        return None
-    # The wrappers write "[\n  " ... "[\n" + indent before the value and
-    # "\n" + indent[2:] + "]" ... "\n]" after it.
-    return text, depth * (depth + 3), len(text) - depth * (depth + 1)
-
-
-def _block_text(block: list, indent: str) -> str | None:
-    """The non-empty list of lists ``block`` written ``indent`` deep by one
-    ``orjson.dumps`` call (``_orjson_text``), or None where orjson refuses a
-    leaf or writes one as json does not (a str, a dict, None, or NaN and the
-    infinities, which orjson writes as ``null``).
-
-    orjson writes a float as ``float.__repr__`` does except in the tokens
-    that hold an exponent (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``) or
-    start ``0.0000`` (a non-zero |x| < 1e-4 without one); only those are
-    written again, by ``repr``.  orjson also writes an ``enum.Enum`` member,
-    which json refuses, as its value; reports hold none.
-    """
-    dumped = _orjson_text(block, indent, orjson.OPT_INDENT_2)
-    if dumped is None:
-        return None
-    text, start, stop = dumped
-    # Outside a str only null holds an n, and one char is found by a fast
-    # scan where "null" takes a slow one.
-    if '"' in text or "{" in text or "n" in text:
-        return None
-    # The e of true and false follows a letter, an exponent's a digit.  A
-    # token that holds 0.0000 after its start, such as 10.00001, is written
-    # again unchanged.
-    edits = [at for at in _find_all(text, "e", start) if text[at - 1].isdigit()]
-    edits += _find_all(text, "0.0000", start)
-    pieces = []
-    for at in sorted(edits):
-        head = text.rfind(" ", 0, at) + 1
-        end = text.find("\n", at)
-        if text[end - 1] == ",":
-            end -= 1
-        pieces += text[start:head], repr(float(text[head:end]))
-        start = end
-    pieces.append(text[start:stop])
-    return "".join(pieces)
-
-
-def _find_all(text: str, sub: str, start: int) -> list[int]:
-    """The index of each occurrence of ``sub`` in ``text`` from ``start``."""
-    found = []
-    at = text.find(sub, start)
-    while at >= 0:
-        found.append(at)
-        at = text.find(sub, at + 1)
-    return found
-
-
-def _rows_text(rows: list, indent: str) -> str | None:
-    """The non-empty list of dicts ``rows`` written ``indent`` deep by one
-    ``orjson.dumps`` call with sorted keys (``_orjson_text``), or None unless
-    its leaves are all plain scalars and orjson writes each as json does.
-
-    So a list goes back to the caller's recursion if it holds a float that
-    ``repr`` writes with an exponent (non-zero |x| < 1e-4, |x| >= 1e16),
-    NaN or an infinity (orjson writes these as ``null``), a leaf or key
-    orjson refuses, or text that orjson writes unescaped where json escapes
-    it (not ASCII, or the DEL char) or that holds an escape (a backslash in
-    orjson's text), whose notation is each writer's own choice.
-    """
-    if set(map(type, rows)) != {dict}:
-        return None
-    leaves = [leaf for row in rows for leaf in row.values()]
-    if not set(map(type, leaves)) <= _SCALAR_TEXT.keys():
-        return None
-    if any(not 1e-4 <= abs(leaf) < 1e16 and leaf for leaf in leaves if type(leaf) is float):
-        return None
-    dumped = _orjson_text(rows, indent, orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
-    if dumped is None:
-        return None
-    text, start, stop = dumped
-    text = text[start:stop]
-    if not text.isascii() or "\\" in text or "\x7f" in text:
-        return None
-    return text
-
-
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, written ``indent`` deep.
-
-    Plain scalars (exactly ``float``, ``int``, ``str``, ``bool`` or None)
-    are written by json's own scalar writers; a list of lists, such as a
-    block of ``[re, im]`` pairs, by one ``orjson.dumps`` call
-    (``_block_text``); a list of dicts holding plain scalars, such as
-    report rows and checks, by one sorted-keys ``orjson.dumps`` call
-    (``_rows_text``); other non-empty lists, lists those two refuse, and
-    dicts whose keys are all ``str``, by recursion.  Every other value
-    (tuples, other keys, subclasses, empty containers) is written by
-    ``json.dumps`` itself and shifted right (its strings never hold a raw
-    newline).
-    """
-    write = _SCALAR_TEXT.get(type(value))
-    if write is not None:
-        return write(value)
-    inner = indent + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        items = (f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in sorted(value.items()))
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if type(value) is list and value:
-        text = (_block_text if type(value[0]) is list else _rows_text)(value, indent)
-        if text is not None:
-            return text
-        return "[\n" + ",\n".join(inner + _json_text(item, inner) for item in value) + "\n" + indent + "]"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _render_table(rows: list[dict], title: str) -> str:

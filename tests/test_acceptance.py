@@ -19,7 +19,6 @@ from clonesim.copying import (
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,
-    no_cloning_overlap_witness,
 )
 from clonesim.emission import (
     PI,
@@ -36,6 +35,7 @@ from clonesim.emission import (
     stimulated_clone,
     transition_amplitude,
 )
+from clonesim.experiments import run
 from clonesim.hilbert import DensityMatrix, Ket, max_abs, random_ket
 
 from oracles import (
@@ -101,12 +101,13 @@ def test_04_fixed_ancilla_failure_and_overlap_witness():
         report = clone_with_fixed_ancilla(superposition, 0, basis)
         assert abs(report.fidelity - 0.5) <= 1e-10
 
+        verdicts = {row["overlap"]: row["verdict"] for row in run("no-cloning-witness")[1]}
         interior = [k / 100.0 for k in range(1, 100)]
         assert len(interior) == 99
         for s in interior:
-            assert no_cloning_overlap_witness(s).verdict == "CONTRADICTION"
-        assert no_cloning_overlap_witness(0.0).verdict == "CONSISTENT"
-        assert no_cloning_overlap_witness(1.0).verdict == "CONSISTENT"
+            assert verdicts[s] == "CONTRADICTION"
+        assert verdicts[0.0] == "CONSISTENT"
+        assert verdicts[1.0] == "CONSISTENT"
 
 
 def test_05_selection_rule_biconditional_and_cg_oracle():

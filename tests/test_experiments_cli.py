@@ -15,7 +15,6 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -351,6 +350,13 @@ class TestRunners:
         rendered = render_report(*run(kind, **spec_for(kind, config_dir)), "json")
         assert_schema_valid(json.loads(rendered))
 
+    @pytest.mark.parametrize("kind", ["clone-demo", "fixed-ancilla", "stimulated-clone"])
+    def test_seed_below_2_to_the_64_is_read_and_written(self, kind, config_dir):
+        with pytest.raises(ValueError, match=r"^seed must be below 2\*\*64, got 18446744073709551616$"):
+            run(kind, **spec_for(kind, config_dir, state=None, seed=2**64))
+        report, rows = run(kind, **spec_for(kind, config_dir, state=None, seed=2**64 - 1))
+        assert json.loads(render_report(report, rows, "json"))["parameters"]["seed"] == 2**64 - 1
+
     def test_clone_demo_equal_superposition(self, config_dir):
         report, _ = run("clone-demo", **spec_for("clone-demo", config_dir))
         output = [re for re, _ in report["results"]["output"]]
@@ -361,21 +367,45 @@ class TestRunners:
         report, _ = run("fixed-ancilla", **spec_for("fixed-ancilla", config_dir))
         assert report["results"]["fidelity"] == pytest.approx(0.5, abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "overlap",
-        [None, 0.5, -1e-12, 1.0000000000001e-12, -0.0, 0.6 + 0.8j, 1j, np.exp(1j * np.pi / 3), *RANDOM_OVERLAPS],
-    )
-    def test_witness_rows_equal_the_scalar_witness(self, overlap):
-        # The scalar witness, called once per overlap of the sweep, is the
-        # reference, bit for bit on complex overlaps too.
+    @pytest.mark.parametrize("overlap", [None, 0.5, -1e-12, 1.0000000000001e-12, -0.0, 0, 1])
+    def test_witness_rows_equal_the_rule_on_each_overlap(self, overlap):
+        # The rule applied to one overlap at a time is the reference, bit for bit.
         report, rows = run("no-cloning-witness", overlap=overlap)
-        overlaps = [k / 100.0 for k in range(101)] if overlap is None else [overlap]
-        reference = [copying.no_cloning_overlap_witness(s) for s in overlaps]
-        assert rows == [{"overlap": w.overlap.real, "residual": w.residual, "verdict": w.verdict} for w in reference]
+        overlaps = [k / 100.0 for k in range(101)] if overlap is None else [float(overlap)]
+        reference = [copying._witness_rule(np.array([s])) for s in overlaps]
+        assert rows == [{"overlap": s, "residual": float(residual[0]),
+                         "verdict": "CONSISTENT" if consistent[0] else "CONTRADICTION"}
+                        for s, (residual, consistent) in zip(overlaps, reference)]
         assert [(repr(row["overlap"]), repr(row["residual"])) for row in rows] == [
-            (repr(w.overlap.real), repr(w.residual)) for w in reference]
+            (repr(s), repr(float(residual[0]))) for s, (residual, _) in zip(overlaps, reference)]
         assert {type(row[key]) for row in rows for key in row} <= {float, str}
         assert report["results"]["witnesses"] == rows
+
+    @pytest.mark.parametrize("overlap", [None, 0.5])
+    def test_one_rule_call_per_witness_report(self, monkeypatch, overlap):
+        calls = []
+        rule = copying._witness_rule
+        for module in (copying, experiments):
+            monkeypatch.setattr(module, "_witness_rule", lambda s: calls.append(s) or rule(s))
+        run("no-cloning-witness", overlap=overlap)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "overlap",
+        [0.6 + 0.8j, 1j, np.exp(1j * np.pi / 3), *RANDOM_OVERLAPS, 0.5 + 0j, np.complex128(0.5), np.float64(0.5),
+         Fraction(1, 2), True, np.bool_(False), "0.5", complex(0.5, np.nan)],
+    )
+    def test_witness_overlap_must_be_a_float_or_an_int(self, overlap):
+        # A report echoes its overlap, and the writer refuses a complex or numpy one.
+        message = f"overlap must be a float or an int, got {type(overlap).__name__} {overlap!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run("no-cloning-witness", overlap=overlap)
+
+    @pytest.mark.parametrize("overlap, message", [(1.5, "at most 1"), (-1.0000001, "at most 1"), (2, "at most 1"),
+                                                  (float("nan"), "finite"), (float("inf"), "finite")])
+    def test_witness_overlap_beyond_a_state_overlap_is_refused(self, overlap, message):
+        with pytest.raises(ValueError, match=message):
+            run("no-cloning-witness", overlap=overlap)
 
     def test_witness_sweep_matches_exact_arithmetic(self):
         _, rows = run("no-cloning-witness")
@@ -520,89 +550,45 @@ class TestRunners:
         assert len(built) == 1  # the patch sees a construction
 
 
-# Report-shaped values for the JSON writer: every leaf type json writes, and
-# [re, im] pair lists both of the bulk kind and of kinds that must not be bulk.
-json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e22, float("nan"), float("inf"), float("-inf")])
+# Report-shaped values of the JSON types a report may hold: finite floats,
+# ints within orjson's 64 bits, text, booleans, None, and lists, tuples and
+# str-keyed dicts of them, with blocks of [re, im] pairs and lists of rows.
+json_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e22])
 json_leaves = (
-    st.none() | st.booleans() | st.integers() | json_floats
-    | st.text() | st.sampled_from(["é", "\u2192\u03c8", '"quoted"', "back\\slash", "line\nbreak\t\x00"])
+    st.none() | st.booleans() | st.integers(-(2**63), 2**64 - 1) | json_floats
+    | st.text() | st.sampled_from(["é", "→ψ", '"quoted"', "back\\slash", "line\nbreak\t\x00", "del\x7f"])
 )
-pair_lists = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2), max_size=5)
-odd_pair_lists = st.one_of(
-    st.lists(st.lists(json_floats, min_size=2, max_size=2), min_size=1, max_size=4),
-    st.lists(st.tuples(st.integers(), st.floats()).map(list), min_size=1, max_size=3),
-    st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3), min_size=1, max_size=3),
-    st.lists(st.lists(st.floats(allow_nan=False).map(np.float64), min_size=2, max_size=2), min_size=1, max_size=3),
-    st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3),
-    st.just([]),
-)
+pair_lists = st.lists(st.lists(json_floats, min_size=2, max_size=2), max_size=5)
 # Lists of dicts with one key set, the shape of report rows and checks.
 dict_rows = st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True).flatmap(
     lambda keys: st.lists(st.fixed_dictionaries({key: json_leaves for key in keys}), min_size=1, max_size=3)
 )
 json_values = st.recursive(
-    json_leaves | pair_lists | odd_pair_lists | dict_rows,
+    json_leaves | pair_lists | dict_rows,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=20,
 )
 # The floats on the edges of repr's exponent notation (non-zero |x| < 1e-4 or
-# |x| >= 1e16), which the batched float writer must write again with repr.
+# |x| >= 1e16), which orjson writes without one or with a bare exponent.
 REPR_EDGE_FLOATS = [
     sign * x
     for x in (1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)))
     for sign in (1.0, -1.0)
 ] + [-0.0, 5e-324, 1.7976931348623157e308, 2.0164295512421898e-05]
-# Pair lists that pin the edges of the one-format-call path: the first six are
-# not uniform lists of plain scalars; the rest are, and mix floats that repr
-# writes with and without an exponent, or non-finite ones, in one block.
-fixed_pair_lists = [
-    [[1, 2.0]], [[True, 2.0]], [[1.0, 2.0, 3.0]], [[np.float64(0.5), 2.0]], [(1.0, 2.0)], [],
-    [[float("nan"), 1.0]], [[1e308, 1e308], [-1e308, 1.0]], [[-0.0, 5e-324], [1e16, 1e22]],
+# Fixed values on the edges of the text: those floats in blocks and rows,
+# numbers beside true and false, ints at orjson's 64-bit edges, text that
+# needs an escape or is not ASCII, in a leaf or a key, empty and nested lists.
+FIXED_VALUES = [
     [[x, 0.5] for x in REPR_EDGE_FLOATS], [[-0.25, x] for x in reversed(REPR_EDGE_FLOATS)],
-    [[x, y] for x, y in zip(REPR_EDGE_FLOATS, [0.1, float("inf"), 123456789012345.6, float("nan"), -1.0] * 3)],
-    # The edges of the orjson block writer's rewrite: the e of true and false
-    # is no exponent; 10.00001 holds 0.0000 but is no small float; the
-    # neighbours of 1e-4; ints at and beyond orjson's 64 bits; None, which
-    # orjson writes as NaN's null; nested empty lists; a depth-3 block.
-    [[True, 1e-07], [False, 1e16], [True, 0.5]], [[10.00001, -10.00001], [1e-05, -1e-05]],
-    [[1e-4, float(np.nextafter(1e-4, 0))], [float(np.nextafter(1e-4, 1)), 5e-324], [-0.0, 1e16]],
-    [[-(2**63), 2**64 - 1], [1.5e-05, 0]], [[2**64, 1e-07]], [[None, 1e-07]],
-    [[], [[]], [[], [[], []]]], [[[0.5, -1.5e-05]], [[1e-300, 2.0]]],
-]
-
-
-class Level(IntEnum):
-    ONE = 1
-
-
-class Mode(Enum):
-    A = 1.5
-
-
-# Lists on the edges of the orjson rows writer: % in keys; rows that differ in
-# key set or length; leaves of every plain type, and leaves that are not plain;
-# empty rows.  Then the leaves and texts it must hand back to the recursion:
-# NaN and the infinities, floats repr writes with an exponent, None beside
-# them, text that is not ASCII or holds DEL, a quote, a backslash or a control
-# char, in a leaf or a key; an int beyond 64 bits; np.float64; an IntEnum;
-# rows whose keys are not in sorted order; and each float on the edges of
-# repr's exponent notation alone in its list.
-fixed_row_lists = [
-    [{"a%s": 1.0, "b": "x"}, {"a%s": 2.0, "b": "y"}], [{"%(k)s%%": None}, {"%(k)s%%": "%d"}],
-    [{"a": 1.0}, {"b": 2.0}], [{"a": 1.0, "b": 2.0}, {"a": 3.0}], [[1.0], [2.0, 3.0]],
-    [{"x": float("nan"), "y": -0.0}, {"x": float("-inf"), "y": 1e300}], [[True, 1, None], [False, -2, None]],
-    [{"s": "\u00e9\u2192\u03c8", "n": None}, {"s": "%s", "n": 10**20}], [{"v": np.float64(0.5)}, {"v": 1.0}],
-    [[np.float64(0.5), 1.0], [2.0, 3.0]], [[[1.0, 2.0]], [[3.0, 4.0]]], [[], []], [{}, {}], [{1: 1.0}, {1: 2.0}],
     [{"x": x, "s": "%s", "n": 1, "y": 0.75} for x in REPR_EDGE_FLOATS],
-    [{"x": float("nan"), "y": 0.5}], [{"x": 0.5, "y": float("inf")}, {"x": float("-inf"), "y": 0.5}],
-    [{"x": 1e-07, "y": 0.5}], [{"x": 0.5, "y": 3e-05}], [{"x": None, "y": 0.5}, {"x": None, "y": 1e-07}],
-    [{"s": "caf\u00e9"}], [{"s": "del\x7f"}], [{"s": 'say "hi"'}], [{"s": "back\\slash"}], [{"s": "tab\t\x1f"}],
-    [{"caf\u00e9": 1.0}], [{"del\x7f": 1.0}], [{'"': 1.0, "\\": 2.0}],
-    [{"n": 2**64 + 1, "x": 0.5}], [{"n": -(2**64) - 1}], [{"v": np.float64(0.25), "x": 0.5}], [{"e": Level.ONE}],
+    [[True, 1e-07], [False, 1e16], [True, 0.5]], [[10.00001, -10.00001], [1e-05, -1e-05]],
+    [[-(2**63), 2**64 - 1], [1.5e-05, 0]], [[1e308, 1e308], [-1e308, 1.0]], [[None, 1e-07]],
+    [{"s": "café"}], [{"s": "del\x7f"}], [{"s": 'say "hi"'}], [{"s": "back\\slash"}], [{"s": "tab\t\x1f"}],
+    [{"s": "unit\x1fseparator", "x": 0.5}], [{"café": 1.0}], [{"del\x7f": 1.0}], [{'"': 1.0, "\\": 2.0}],
     [{"b": 1.0, "a": 2.0, "c": "z"}, {"c": "y", "a": 0.5, "b": 3.0}], [{"b": True, "B": False, "a_": None, "a": 1}],
-    *([{"x": x, "y": 0.5}] for x in REPR_EDGE_FLOATS),
+    [], [[]], [[], [[], []]], [{}, {}], [[[0.5, -1.5e-05]], [[1e-300, 2.0]]], ("tuple", 1.5e-05),
 ]
 
 
@@ -621,10 +607,80 @@ def float_draws() -> tuple[np.ndarray, ...]:
     return patterns, amplitudes, products, uniforms, rounded
 
 
-def with_fixed_lists(test):
-    for value in fixed_pair_lists + fixed_row_lists:
+def with_fixed_values(test):
+    for value in FIXED_VALUES:
         test = example(report={"results": {"pairs": value, "nested": [value, {"x": value}]}})(test)
     return test
+
+
+def assert_same_value(parsed, value, path: str = "$") -> None:
+    """``parsed``, read back by ``json.loads``, is ``value`` value for value:
+    the same JSON type (a tuple reads back as a list), and each float the
+    same double bit for bit, ``-0.0`` included.  Equal reprs are a fast
+    path for a list: repr tells the JSON types apart and writes each float
+    as exactly its double."""
+    if type(value) is list and repr(parsed) == repr(value):
+        return
+    if type(value) is float:
+        assert type(parsed) is float and parsed.hex() == value.hex(), f"{path}: {parsed!r} != {value!r}"
+    elif type(value) in (list, tuple):
+        assert type(parsed) is list and len(parsed) == len(value), f"{path}: lengths differ"
+        for index, (got, want) in enumerate(zip(parsed, value)):
+            assert_same_value(got, want, f"{path}[{index}]")
+    elif type(value) is dict:
+        assert type(parsed) is dict and parsed.keys() == value.keys(), f"{path}: keys differ"
+        for key in value:
+            assert_same_value(parsed[key], value[key], f"{path}.{key}")
+    else:
+        assert type(parsed) is type(value) and parsed == value, f"{path}: {parsed!r} != {value!r}"
+
+
+# A line of indented JSON that ends in a number: what stands before the
+# number, the number, and a comma if one follows.
+NUMBER_LINE = re.compile(r"(.*?)(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)(,?)")
+
+
+def assert_stdlib_layout(text: str, value) -> None:
+    """``text`` is ``json.dumps(value, indent=2, sort_keys=True)`` and a
+    newline, line for line, but for how a number is written: where two lines
+    differ, each ends in a number, the two read as the same double, and the
+    text around them is equal.  Text is compared unescaped, as orjson writes
+    UTF-8 (``ensure_ascii=False``)."""
+    expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).split("\n")
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(expected)
+    for number, (got, want) in enumerate(zip(lines, expected)):
+        if got != want:
+            got_parts, want_parts = NUMBER_LINE.fullmatch(got), NUMBER_LINE.fullmatch(want)
+            assert got_parts and want_parts, f"line {number}: {got!r} != {want!r}"
+            assert got_parts[1] == want_parts[1] and got_parts[3] == want_parts[3], f"line {number}: {got!r} != {want!r}"
+            assert float(got_parts[2]).hex() == float(want_parts[2]).hex(), f"line {number}: {got!r} != {want!r}"
+
+
+def assert_reads_back(report: dict, text: str) -> None:
+    """The JSON contract of docs/report_schema.md, checked with the standard library alone."""
+    assert_same_value(json.loads(text), report)
+    assert_stdlib_layout(text, report)
+
+
+def float_leaves(value):
+    """Every float in a report value."""
+    if type(value) is float:
+        yield value
+    elif type(value) in (list, tuple):
+        for item in value:
+            yield from float_leaves(item)
+    elif type(value) is dict:
+        for item in value.values():
+            yield from float_leaves(item)
+
+
+class Mode(Enum):
+    A = 1.5
+
+
+class Level(IntEnum):
+    ONE = 1
 
 
 class TestRendering:
@@ -642,84 +698,79 @@ class TestRendering:
         assert "np." not in text
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @with_fixed_lists
+    @with_fixed_values
     @given(report=st.dictionaries(st.text(max_size=6), json_values, max_size=6))
-    def test_json_writer_equals_stdlib_oracle(self, report):
-        assert render_report(report, [], "json") == stdlib_json(report)
+    def test_json_text_reads_back_as_the_report(self, report):
+        assert_reads_back(report, render_report(report, [], "json"))
 
-    def test_batched_float_texts_are_repr(self):
-        # orjson writes each float of a rows block itself; its notation must
-        # equal repr wherever repr uses no exponent, in any orjson release
-        # that CI installs.  The rows writer hands back every other float.
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_every_kind_reads_back(self, kind, config_dir):
+        report, rows = run(kind, **spec_for(kind, config_dir))
+        assert_reads_back(report, render_report(report, rows, "json"))
+
+    def test_random_doubles_read_back_bit_for_bit(self):
+        # Blocks of [re, im] pairs, and pairs of pairs, over doubles of every
+        # exponent and of the sizes copies hold.
         draws = float_draws()
-        for values in draws:
-            floats = values.tolist()
-            texts = orjson.dumps(floats).decode()[1:-1].split(",")
-            plain = [(text, x) for text, x in zip(texts, floats) if 1e-4 <= abs(x) < 1e16 or not x]
-            assert [text for text, _ in plain] == [float.__repr__(x) for _, x in plain]
         assert draws[0].size == draws[1].size == 100_000
-
-    def test_rows_with_an_escape_are_written_by_json(self, monkeypatch):
-        # How orjson writes an escape is its own choice (\u001F is \u001f, \u0022 is \"), so
-        # a list of rows whose text holds one is written by json's writers, whatever orjson writes.
-        dumps = orjson.dumps
-        monkeypatch.setattr(
-            orjson, "dumps", lambda *args, **kwargs: dumps(*args, **kwargs).replace(b"\\u001f", b"\\u001F")
-            .replace(b'\\"', b"\\u0022"))
-        for row in ({"s": "unit\x1fseparator", "x": 0.5}, {"s": 'say "hi"', "x": 0.5}):
-            report = {"rows": [row, row]}
-            assert dumps(report["rows"]).decode() != orjson.dumps(report["rows"]).decode()
-            assert render_report(report, [], "json") == stdlib_json(report)
-
-    def test_rows_of_a_plain_enum_are_refused_as_stdlib(self):
-        # orjson writes an Enum member as its value; json refuses it, and so must the rows writer.
-        report = {"rows": [{"mode": Mode.A, "x": 0.5}, {"mode": 1.5, "x": 0.5}]}
-        with pytest.raises(TypeError):
-            stdlib_json(report)
-        with pytest.raises(TypeError, match="Mode"):
-            render_report(report, [], "json")
-
-    def test_blocks_of_a_numeric_enum_are_written_as_its_value(self):
-        # The one departure from json.dumps: orjson writes a list-of-lists
-        # block whole, and an Enum member whose value is a number as that
-        # value, where json refuses it.  Reports built by run hold none.
-        report = {"block": [[Mode.A, 0.5], [1.0, 2.0]]}
-        with pytest.raises(TypeError):
-            stdlib_json(report)
-        assert render_report(report, [], "json") == stdlib_json({"block": [[1.5, 0.5], [1.0, 2.0]]})
-
-    def test_orjson_blocks_render_as_stdlib(self):
-        # orjson writes each list-of-lists block whole; its indent layout, and
-        # its floats once the exponent-form tokens are rewritten, must equal
-        # json's, in any orjson release that CI installs.
-        for values in float_draws():
+        for values in draws:
             for shape in ((-1, 2), (-1, 5, 2)):
                 report = {"block": values.reshape(shape).tolist()}
-                # Line lists, not strings: pytest would explain a mismatch of two long strings by a slow diff.
-                assert render_report(report, [], "json").splitlines() == stdlib_json(report).splitlines()
+                assert_reads_back(report, render_report(report, [], "json"))
 
-    def test_largest_clone_report_renders_as_stdlib(self):
+    def test_largest_clone_report_reads_back(self):
         report, rows = run("clone-demo", dim=MAX_COPY_DIM)
         leaves = np.array(report["results"]["output"]).ravel()
-        # About 5% of the leaves are written by repr after the batch (non-zero |x| < 1e-4).
+        # About 5% of the leaves are non-zero |x| < 1e-4, which orjson writes without an exponent.
         assert np.count_nonzero((leaves != 0) & (np.abs(leaves) < 1e-4)) > 0.02 * leaves.size
-        # Line lists, not strings: pytest would explain a mismatch of two 5 MB strings by a slow diff.
-        assert render_report(report, rows, "json").splitlines() == stdlib_json(report).splitlines()
+        assert_reads_back(report, render_report(report, rows, "json"))
+
+    @pytest.mark.parametrize(
+        "leaf", [np.float64(0.5), 2**64, -(2**63) - 1, Mode.A, Level.ONE, 0.5 + 0j, np.int64(1), {1: 0.5}],
+        ids=["float64", "2**64", "-2**63-1", "enum", "int-enum", "complex", "int64", "int-key"],
+    )
+    @pytest.mark.parametrize("where", ["scalar", "block", "row"])
+    def test_a_value_of_no_json_type_is_refused(self, leaf, where):
+        # Each is refused, never written as some other value; orjson alone would write an Enum member's value.
+        value = {"scalar": leaf, "block": [[0.5, leaf], [1.0, 2.0]], "row": [{"x": 0.5, "v": leaf}]}[where]
+        with pytest.raises(TypeError):
+            render_report({"results": {where: value}}, [], "json")
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_golden_reports_render_as_stdlib(self, case, monkeypatch):
+    def test_golden_reports_read_back(self, case, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         rendered = []
 
         def render_and_compare(report, rows, output_format):
             text = render_report(report, rows, output_format)
-            assert text == stdlib_json(report)
+            assert_reads_back(report, text)
             rendered.append(text)
             return text
 
         monkeypatch.setattr(cli, "render_report", render_and_compare)
         code, out, _ = run_cli(GOLDEN_CASES[case])
         assert rendered == ([out] if code in (0, 1) else [])
+
+    def test_reports_hold_only_finite_floats(self, config_dir, monkeypatch, tmp_path):
+        # orjson writes NaN and the infinities as null, so no report may hold one:
+        # every kind of the test matrix, every golden case and every batch report.
+        reports = [run(kind, **spec_for(kind, config_dir))[0] for kind in EXPERIMENT_KINDS]
+        rendered = []
+
+        def render_and_keep(report, rows, output_format):
+            rendered.append(report)
+            return render_report(report, rows, output_format)
+
+        monkeypatch.setattr(cli, "render_report", render_and_keep)
+        monkeypatch.chdir(REPO_ROOT)
+        for argv in GOLDEN_CASES.values():
+            run_cli(argv)
+        goldens = len(rendered)
+        script = load_batch_script()
+        assert script.main(["--out-dir", str(tmp_path)]) == 0
+        assert goldens >= 10 and len(rendered) - goldens == len(script.EXPERIMENTS)
+        floats = [x for report in reports + rendered for x in float_leaves(report)]
+        assert np.isfinite(floats).all()
 
     def test_json_excludes_private_keys(self, config_dir):
         # the csv/table rows are passed beside the report, never written into it
@@ -793,6 +844,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid input: seed must be non-negative, got -1" in captured.err
+
+    def test_seed_of_2_to_the_64_exit_4(self, capsys):
+        # A report holds ints below 2**64, so a seed it cannot echo is refused before any run.
+        assert main(["clone-demo", "--seed", str(2**70)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid input: seed must be below 2**64, got {2**70}" in captured.err
 
     def test_wrong_clonable_domain_fails_the_domain_check(self, capsys, monkeypatch, config_dir):
         monkeypatch.setattr(experiments, "clonable_domain", lambda system: (SIGMA_MINUS, PI))
@@ -1373,7 +1431,7 @@ ASCII_LOCALE_ENV = {
 }
 
 
-@pytest.mark.parametrize("output_format", ["csv", "table"])
+@pytest.mark.parametrize("output_format", ["json", "csv", "table"])
 class TestNonAsciiLabelUnderAsciiLocale:
     @pytest.fixture
     def config(self, tmp_path):

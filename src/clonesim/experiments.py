@@ -499,11 +499,12 @@ def render_report(report: dict, rows: list[dict], output_format: str) -> str:
     """Serialize a report as json (orjson's text, indented by 2, keys sorted), or its ``rows`` as csv or an aligned
     text table.  A report value of no JSON type, such as ``np.float64``, complex or an int of 2**64, is a TypeError."""
     if output_format == "json":
+        text = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode()
         try:  # marshal writes exact built-in types only, so it refuses an Enum member, which orjson writes as its value
             marshal.dumps(report)
-        except ValueError as exc:
-            raise TypeError(f"a report holds a value of no JSON type ({exc})") from None
-        return orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode() + "\n"
+        except ValueError:
+            raise TypeError("a report holds a value of no exact JSON type, such as an Enum member") from None
+        return text + "\n"
     if output_format == "csv":
         buffer = io.StringIO()
         if rows:

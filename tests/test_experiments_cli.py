@@ -93,11 +93,6 @@ def strip_timestamp(text: str) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def stdlib_json(report: dict) -> str:
-    """The JSON rendering that docs/report_schema.md specifies, from the standard library."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def run_cli(argv: list[str]) -> tuple[object, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -393,7 +388,7 @@ class TestRunners:
     @pytest.mark.parametrize(
         "overlap",
         [0.6 + 0.8j, 1j, np.exp(1j * np.pi / 3), *RANDOM_OVERLAPS, 0.5 + 0j, np.complex128(0.5), np.float64(0.5),
-         Fraction(1, 2), True, np.bool_(False), "0.5", complex(0.5, np.nan)],
+         Fraction(1, 2), True, False, np.bool_(False), "0.5", "1", complex(np.nan, 0.0), complex(0.5, np.nan)],
     )
     def test_witness_overlap_must_be_a_float_or_an_int(self, overlap):
         # A report echoes its overlap, and the writer refuses a complex or numpy one.

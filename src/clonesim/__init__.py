@@ -25,14 +25,6 @@ from .emission import (
     transition_amplitude,
 )
 from .errors import BasisError, ConfigError, DimensionMismatchError, DomainViolationError
-from .hilbert import (
-    DensityMatrix,
-    Ket,
-    OperatorMatrix,
-    fidelity,
-    inner_product,
-    random_ket,
-    tensor_product,
-)
+from .hilbert import DensityMatrix, Ket, OperatorMatrix, random_ket
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BasisError
-from .hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, fidelity, max_abs, tensor_product
+from .hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, _kron, max_abs
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_CONTRADICTION = "CONTRADICTION"
@@ -109,7 +109,7 @@ class CloneReport:
     """Result of one copying run.
 
     ``fidelity`` (|<input (x) input|output>|^2) is derived from the other
-    fields at construction.
+    fields' amplitudes at construction.
     """
 
     input: Ket
@@ -118,7 +118,9 @@ class CloneReport:
     fidelity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fidelity", fidelity(tensor_product(self.input, self.input), self.output))
+        psi = self.input.amplitudes
+        overlap = complex(np.vdot(_kron(psi, psi), self.output.amplitudes))
+        object.__setattr__(self, "fidelity", abs(overlap) ** 2)
 
 
 def build_copy_unitary(basis: CopyBasis) -> OperatorMatrix:
@@ -145,7 +147,7 @@ def clone(input: Ket, basis: CopyBasis) -> CloneReport:
     """
     psi = input.normalize()
     ancilla = Ket(basis.v @ psi.amplitudes)
-    output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
+    output = Ket(_kron(psi.amplitudes, basis.v.conj().T @ ancilla.amplitudes))
     return CloneReport(input=psi, ancilla=ancilla, output=output)
 
 
@@ -163,7 +165,7 @@ def clone_with_fixed_ancilla(input: Ket, fixed_ancilla_index: int, basis: CopyBa
         raise IndexError(f"ancilla index {fixed_ancilla_index} out of range for n={basis.n}")
     psi = input.normalize()
     ancilla = Ket(basis.ancilla[:, fixed_ancilla_index])
-    output = tensor_product(psi, Ket(basis.v.conj().T @ ancilla.amplitudes))
+    output = Ket(_kron(psi.amplitudes, basis.v.conj().T @ ancilla.amplitudes))
     return CloneReport(input=psi, ancilla=ancilla, output=output)
 
 

@@ -22,12 +22,15 @@ components with at least one allowed transition.  A :class:`ModeMap`
 pairs each photon component with an excited level of its system that
 emits it, or with ``None``; it is checked once, when it is built, and
 refuses a level that cannot emit its component, so a mapped component is
-always a coupled one.  The same pass builds the copy's ancilla map V,
-which the mode map holds: a read-only manifold x photon array with 1 / D
-for each mapped level and component and a zero column for each ``None``,
-so the atom prepared as V|photon> emits the photon itself.
-:func:`stimulated_clone` reports the photon pair that atom emits through
-D.  A photon with support on V's zero columns raises
+always a coupled one.  The same pass builds what a copy reads, and the
+mode map holds it read-only: the ancilla map V, a manifold x photon array
+with 1 / D for each mapped level and component and a zero column for each
+``None``, so the atom prepared as V|photon> emits the photon itself; V's
+zero columns, ``uncoupled``; and the couplings C = D[:, columns], the
+dipole table's columns of the photon's modes.  :func:`stimulated_clone`
+reports the photon pair that atom emits through C, and normalizes with
+the one arithmetic of :mod:`clonesim.hilbert`, so it builds only the
+kets its report holds.  A photon with support on V's zero columns raises
 :class:`~clonesim.errors.DomainViolationError`, from the one domain test
 in :func:`stimulated_clone`.  That restriction belongs to the mode map, not
 to the copying construction: the atomic symmetries bound it by the clonable
@@ -49,7 +52,7 @@ import numpy as np
 from .angular import IrrepLabel, dipole_angular_factors
 from .copying import CloneReport
 from .errors import DimensionMismatchError, DomainViolationError
-from .hilbert import Ket, OperatorMatrix, _power_of_two_scaled
+from .hilbert import Ket, OperatorMatrix, _power_of_two_scaled, _unit
 
 #: A photon is copied iff its norm on the components its mode map leaves
 #: uncoupled (``None``) is at most this.
@@ -290,13 +293,17 @@ class ModeMap:
     The same pass builds the read-only ancilla map ``v``: 1 / D[i, q_j + 1]
     at (level i of pair j, j), and a zero column exactly for each ``None``,
     since D is finite and never a subnormal allowed entry, so 1 / D is never
-    0.  ``columns`` holds the read-only dipole-table columns q_j + 1.
+    0.  ``columns`` holds the read-only dipole-table columns q_j + 1,
+    ``uncoupled`` the indices of V's zero columns, and ``couplings`` the
+    read-only C = D[:, columns], manifold x photon.
     """
 
     system: AtomicSystem
     pairs: tuple[tuple[PolarizationMode, str | None], ...]
     v: np.ndarray = field(init=False, repr=False)
     columns: np.ndarray = field(init=False, repr=False)
+    uncoupled: np.ndarray = field(init=False, repr=False)
+    couplings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pairs = tuple((mode, label) for mode, label in self.pairs)
@@ -324,10 +331,11 @@ class ModeMap:
                 forbidden.append(f"{mode.label}->{label}")
         if forbidden:
             raise ValueError(f"mode map pairs modes with levels that cannot emit them: {forbidden}")
-        v.setflags(write=False)
-        columns.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "columns", columns)
+        uncoupled = np.flatnonzero(~v.any(axis=0))
+        couplings = system.amplitudes[:, columns]
+        for name, value in (("v", v), ("columns", columns), ("uncoupled", uncoupled), ("couplings", couplings)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
@@ -336,7 +344,7 @@ def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     The ancilla is the normalized V|photon> of the mode map's V, after the
     one domain test: a photon's norm on V's zero columns must be at most
     ``DOMAIN_MEMBERSHIP_TOLERANCE``.  It emits phi = D[:, photon
-    columns]^T |ancilla>, read from the whole dipole table, beside the
+    columns]^T |ancilla>, read from the mode map's couplings, beside the
     photon, so the output is the pair
     a_phi^dagger a_photon^dagger|0> in photon (x) photon space, normalized:
     the ground projection of the interaction Hamiltonian applied to
@@ -350,18 +358,17 @@ def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     v = mode_map.v
     if v.shape[1] != psi.dim:
         raise DimensionMismatchError(f"mode map has {v.shape[1]} entries for a photon of dim {psi.dim}")
-    uncoupled = np.flatnonzero(~v.any(axis=0))
+    uncoupled = mode_map.uncoupled
     outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
     if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
         raise DomainViolationError(
             f"photon has norm {outside:.3e} on modes {[mode_map.pairs[j][0].label for j in uncoupled]}, "
             "which no mapped level emits"
         )
-    ancilla = Ket(v @ psi.amplitudes).normalize()
-    phi = _power_of_two_scaled(mode_map.system.amplitudes[:, mode_map.columns].T @ ancilla.amplitudes)
+    ancilla = _unit(v @ psi.amplitudes)
+    phi = _power_of_two_scaled(mode_map.couplings.T @ ancilla)
     pair = np.outer(phi, psi.amplitudes)
-    output = Ket((pair + pair.T).ravel()).normalize()
-    return CloneReport(input=psi, ancilla=ancilla, output=output)
+    return CloneReport(input=psi, ancilla=Ket(ancilla), output=Ket(_unit((pair + pair.T).ravel())))
 
 
 def spontaneous_emission_output(
@@ -393,7 +400,7 @@ def spontaneous_emission_output(
     elif excited_state.dim != system.manifold_dim:
         raise DimensionMismatchError(f"excited state dim {excited_state.dim} != manifold dim {system.manifold_dim}")
     else:
-        populations = np.abs(excited_state.normalize().amplitudes) ** 2
+        populations = np.abs(_unit(excited_state.amplitudes)) ** 2
 
     emitted = system.allowed[populations > 0][:, columns].any(axis=0)
     if not emitted.any():

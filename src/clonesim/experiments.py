@@ -43,7 +43,7 @@ from .emission import (
     stimulated_clone,
 )
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
-from .hilbert import Ket, random_ket
+from .hilbert import Ket, _unit, random_ket
 
 REPORT_SCHEMA_VERSION = 3
 
@@ -201,7 +201,7 @@ def resolve_state(spec: str | None, dim: int, seed: int) -> Ket:
     amplitudes = parse_amplitudes(spec)
     if amplitudes.shape[0] != dim:
         raise DimensionMismatchError(f"state has {amplitudes.shape[0]} amplitudes, expected {dim}")
-    return Ket(amplitudes).normalize()
+    return Ket(_unit(amplitudes))
 
 
 def _ket_json(k: Ket) -> list[list[float]]:
@@ -279,7 +279,11 @@ def _run_witness(overlap: float | None = None) -> _Outcome:
     elif type(overlap) not in (float, int):  # a report echoes the overlap, and the writer refuses a complex one
         raise ValueError(f"overlap must be a float or an int, got {type(overlap).__name__} {overlap!r}")
     elif not abs(overlap) <= 1 + WITNESS_ATOL:  # false for NaN too
-        raise ValueError(f"|s| = {abs(overlap):.6g} is not a valid state overlap: it must be finite and at most 1")
+        try:
+            size = f"= {abs(overlap):.6g}"
+        except OverflowError:  # an int beyond the float range, which only its bit length bounds here
+            size = f">= 2**{abs(overlap).bit_length() - 1}"
+        raise ValueError(f"|s| {size} is not a valid state overlap: it must be finite and at most 1")
     else:
         overlaps = np.array([float(overlap)])
     residuals, consistent = _witness_rule(overlaps)
@@ -414,7 +418,7 @@ def _run_spontaneous(
         if modes is not None
         else SPHERICAL_MODES
     )
-    excited = None if excited_state is None else Ket(parse_amplitudes(excited_state)).normalize()
+    excited = None if excited_state is None else Ket(_unit(parse_amplitudes(excited_state)))
     weights = spontaneous_emission_output(system, excited, modes).tolist()
     results = {
         "modes": [mode.label for mode in modes],
@@ -461,8 +465,9 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     csv and table formats render.  An unknown ``kind``, an input the kind does
     not read, or a missing ``config_path`` is a ``ConfigError``; an input whose
     default is an ``int`` (``seed``, ``dim``, ``ancilla_index``) given as
-    anything but an ``int`` (a ``bool`` or numpy integer included), or a
-    ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
+    anything but an ``int`` (a ``bool`` or numpy integer included), a
+    ``config_path`` given as anything but a ``str`` (a ``pathlib.Path``
+    included), or a ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
     signature = EXPERIMENT_INPUTS.get(kind)
     if signature is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -477,6 +482,9 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     for name, value in inputs.items():
         if type(declared[name].default) is int and type(value) is not int:
             raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+    path = inputs.get("config_path", "")
+    if type(path) is not str:  # a report echoes the path, and the JSON writer refuses a path object
+        raise ValueError(f"config_path must be a str, got {type(path).__name__} {path!r}")
     if inputs.get("seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {inputs['seed']}")
     if inputs.get("seed", 0) >= 2**64:  # the largest int a report holds is 2**64 - 1

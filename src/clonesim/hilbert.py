@@ -2,9 +2,14 @@
 
 States are dense complex vectors, operators dense complex matrices.
 Tensor products use Kronecker ordering with the first factor major
-(``tensor_product(a, b)`` indexes ``i_a * b.dim + i_b``), consistently
-everywhere in the package.  Global phase is never canonicalized; use
-:func:`fidelity` for phase-insensitive comparison.
+(the product of a and b indexes ``i_a * b.size + i_b``), consistently
+everywhere in the package.  Global phase is never canonicalized.
+
+Normalization has one arithmetic, shared by :meth:`Ket.normalize`,
+:func:`random_ket` and every kernel that normalizes a vector before it
+becomes a :class:`Ket`: an exact power-of-two scaling, then a divide by
+the norm that ``np.linalg.norm`` computes, in the same pass that refuses
+non-finite amplitudes and the all-zero vector.
 
 A density matrix is checked at construction, and a NaN deviation fails
 every check.  :class:`OperatorMatrix` is only the dense matrix a caller
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 
 #: Default absolute tolerance for all numeric checks (double precision on
 #: dims up to ~1e3).
@@ -35,7 +39,7 @@ def max_abs(values: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _power_of_two_scaled(values: np.ndarray) -> np.ndarray:
+def _power_of_two_scaled(values: np.ndarray, largest: float | None = None) -> np.ndarray:
     """``values`` times the power of two that puts their largest modulus in [0.5, 1).
 
     The scaling is exact, so a normalization after it rounds bit for bit as
@@ -43,9 +47,39 @@ def _power_of_two_scaled(values: np.ndarray) -> np.ndarray:
     underflow whatever their scale.  The factor is applied in two halves,
     which stay in the float range even for a subnormal largest modulus.
     Values already in range, and all-zero ones, are returned as they are.
+    ``largest`` is ``max_abs(values)``, when the caller has read it.
     """
-    exponent = -math.frexp(max_abs(values))[1]
+    exponent = -math.frexp(max_abs(values) if largest is None else largest)[1]
     return values * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2) if exponent else values
+
+
+def _unit(values: np.ndarray) -> np.ndarray:
+    """The complex vector ``values`` divided by its norm, the same at any scale.
+
+    The exact power-of-two scaling comes first, then a divide by
+    ``sqrt(re.re + im.im)``: the arithmetic of ``np.linalg.norm`` for a
+    complex vector, so the divisor equals that norm bit for bit.  Non-finite
+    input is refused through the largest modulus that the scaling reads,
+    and the all-zero vector through its norm.
+    """
+    largest = max_abs(values)
+    if not math.isfinite(largest):
+        raise ValueError("Ket amplitudes must be finite")
+    scaled = _power_of_two_scaled(values, largest)
+    re, im = scaled.real, scaled.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
+    if not norm:
+        raise ValueError("cannot normalize a zero vector")
+    return scaled / norm
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors, first factor major.
+
+    The broadcast multiply that ``np.kron`` performs for vectors, without
+    its dispatch, so the result equals ``np.kron`` bit for bit.
+    """
+    return (a[:, None] * b[None, :]).ravel()
 
 
 def _frozen_complex_array(values, ndim: int) -> np.ndarray:
@@ -79,11 +113,7 @@ class Ket:
 
     def normalize(self) -> "Ket":
         """A unit-norm copy, the same at any scale; error on the all-zero vector."""
-        scaled = _power_of_two_scaled(self.amplitudes)
-        n = float(np.linalg.norm(scaled))
-        if not n:
-            raise ValueError("cannot normalize a zero vector")
-        return Ket(scaled / n)
+        return Ket(_unit(self.amplitudes))
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "Ket":
@@ -158,27 +188,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
 
 
-def tensor_product(a: Ket, b: Ket) -> Ket:
-    """Kronecker product of two kets, first factor major; norm multiplies.
-
-    The broadcast multiply that ``np.kron`` performs for vectors, without
-    its dispatch, so the result equals ``np.kron`` bit for bit.
-    """
-    return Ket((a.amplitudes[:, None] * b.amplitudes[None, :]).ravel())
-
-
-def inner_product(a: Ket, b: Ket) -> complex:
-    """<a|b> with conjugation on the first argument."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"inner product between dims {a.dim} and {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: Ket, b: Ket) -> float:
-    """|<a|b>|^2, invariant under global phase of either argument."""
-    return abs(inner_product(a, b)) ** 2
-
-
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     """Seeded random state: draw a real Gaussian vector, then an imaginary
     Gaussian vector (two consecutive ``standard_normal(dim)`` calls), then
@@ -187,4 +196,4 @@ def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     """
     real = rng.standard_normal(dim)
     imag = rng.standard_normal(dim)
-    return Ket(real + 1j * imag).normalize()
+    return Ket(_unit(real + 1j * imag))

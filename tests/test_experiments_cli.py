@@ -397,7 +397,9 @@ class TestRunners:
             run("no-cloning-witness", overlap=overlap)
 
     @pytest.mark.parametrize("overlap, message", [(1.5, "at most 1"), (-1.0000001, "at most 1"), (2, "at most 1"),
-                                                  (float("nan"), "finite"), (float("inf"), "finite")])
+                                                  (float("nan"), "finite"), (float("inf"), "finite"),
+                                                  *(pytest.param(s, r"^\|s\| >= 2\*\*1328 is not .* at most 1$", id=id)
+                                                    for s, id in ((10**400, "10**400"), (-(10**400), "-10**400")))])
     def test_witness_overlap_beyond_a_state_overlap_is_refused(self, overlap, message):
         with pytest.raises(ValueError, match=message):
             run("no-cloning-witness", overlap=overlap)
@@ -497,6 +499,12 @@ class TestRunners:
                 if type(parameter.default) is int  # seed, dim and ancilla_index take an int and nothing else
                 for value in (True, 2.0, "2", np.int64(2))
             ),
+            *(
+                pytest.param(kind, "config_path", value, id=f"{kind}-config_path-{type(value).__name__}")
+                for kind, signature in EXPERIMENT_INPUTS.items()
+                if "config_path" in signature.parameters  # a report echoes the path, which only a str renders
+                for value in (CONFIG_DIR / "full_p_manifold.json", os.fsencode(CONFIG_DIR / "full_p_manifold.json"))
+            ),
         ],
     )
     def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value):
@@ -543,6 +551,25 @@ class TestRunners:
         assert built == []
         hilbert.Ket.basis_state(3, 0)
         assert len(built) == 1  # the patch sees a construction
+
+    @pytest.mark.parametrize(
+        "kind, state, kets",
+        [
+            # The parsed state, then the report's input, ancilla and output.
+            ("clone-demo", {"state": "0.6,0.8i"}, 4),
+            ("fixed-ancilla", {"state": "0.6,0.8i"}, 4),
+            ("stimulated-clone", {"state": "0.6,0.48i,0.64"}, 4),
+            # The parsed populations only.
+            ("spontaneous", {"excited_state": "0.6,0.48i,0.64"}, 1),
+        ],
+        ids=["clone-demo", "fixed-ancilla", "stimulated-clone", "spontaneous"],
+    )
+    def test_each_ket_is_built_once(self, config_dir, monkeypatch, kind, state, kets):
+        built = []
+        post_init = hilbert.Ket.__post_init__
+        monkeypatch.setattr(hilbert.Ket, "__post_init__", lambda self: built.append(self) or post_init(self))
+        report, _ = run(kind, **spec_for(kind, config_dir, **state))
+        assert report["passed"] and len(built) == kets
 
 
 # Report-shaped values of the JSON types a report may hold: finite floats,
@@ -1152,11 +1179,24 @@ class TestCli:
         assert main(["domain", "--config", str(config)]) == 0
         assert {"pi", "sigma+"} <= set(json.loads(capsys.readouterr().out)["results"]["allowed_modes"])
 
-    def test_non_finite_state_exit_4(self, capsys):
-        assert main(["clone-demo", "--state", "nan,1"]) == 4
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clone-demo", "--state", "nan,1"],
+            ["clone-demo", "--state=nan,0"],
+            ["clone-demo", "--state=1,1e999"],
+            ["fixed-ancilla", "--state=1,1e999"],
+            ["stimulated-clone", "--config", str(CONFIG_DIR / "pi_only.json"), "--state=nan,0"],
+            ["stimulated-clone", "--config", str(CONFIG_DIR / "pi_only.json"), "--state=1,1e999"],
+            ["spontaneous", "--config", str(CONFIG_DIR / "full_p_manifold.json"), "--excited-state=nan,0,1"],
+        ],
+        ids=lambda argv: "_".join(arg for arg in argv if not arg.endswith(".json")),
+    )
+    def test_non_finite_state_exit_4(self, capsys, argv):
+        assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be finite" in captured.err
+        assert "Ket amplitudes must be finite" in captured.err
 
     @pytest.mark.parametrize("scale", ["1e200", "1e-160", "5e-324", "1.7e308"])
     @pytest.mark.parametrize(

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clonesim.errors import DimensionMismatchError
 from clonesim.hilbert import (
     DEFAULT_ATOL,
     DensityMatrix,
     Ket,
     OperatorMatrix,
-    fidelity,
-    inner_product,
+    _kron,
+    _power_of_two_scaled,
+    _unit,
     max_abs,
     random_ket,
-    tensor_product,
 )
 
 from oracles import random_unitary
@@ -80,79 +79,42 @@ class TestKet:
             Ket.basis_state(3, 3)
 
 
-class TestTensorProduct:
-    def test_basis_kronecker(self):
-        assert max_abs(tensor_product(ket(1, 0), ket(0, 1)).amplitudes - ket(0, 1, 0, 0).amplitudes) <= DEFAULT_ATOL
+class TestUnit:
+    """``_unit`` is the one normalization: the exact power-of-two scaling, then
+    the divide by ``np.linalg.norm``'s value."""
 
-    def test_identity_case(self):
-        assert max_abs(tensor_product(ket(1, 0), ket(1, 0)).amplitudes - ket(1, 0, 0, 0).amplitudes) <= DEFAULT_ATOL
+    @staticmethod
+    def reference(values: np.ndarray) -> np.ndarray:
+        scaled = _power_of_two_scaled(values)
+        return scaled / np.linalg.norm(scaled)
 
-    def test_plus_times_plus(self):
-        plus = ket(INV_SQRT2, INV_SQRT2)
-        expected = ket(0.5, 0.5, 0.5, 0.5)
-        assert max_abs(tensor_product(plus, plus).amplitudes - expected.amplitudes) <= DEFAULT_ATOL
+    @pytest.mark.parametrize("scale", [1.0, 1.7e308, 1e-310, 5e-324])
+    def test_equals_the_scaled_vector_over_its_numpy_norm(self, rng, scale):
+        for dim in [*range(1, 10), 16, 33, 256, 1000]:
+            for _ in range(20):
+                draw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                values = draw / max_abs(draw) * scale  # the largest modulus is the scale, so finite
+                assert _unit(values).tobytes() == self.reference(values).tobytes()
 
-    def test_norm_multiplies(self, rng):
-        a = random_ket(3, rng)
-        b = random_ket(4, rng)
-        assert abs(np.linalg.norm(tensor_product(a, b).amplitudes) - 1.0) < 1e-12
+    @given(kets_up_to_32)
+    def test_equals_the_scaled_vector_over_its_numpy_norm_for_any_ket(self, k):
+        if k.amplitudes.any():
+            assert _unit(k.amplitudes).tobytes() == self.reference(k.amplitudes).tobytes()
 
-    def test_bilinearity(self, rng):
-        # (alpha a + beta a') (x) b == alpha (a (x) b) + beta (a' (x) b)
-        for _ in range(25):
-            a = random_ket(3, rng)
-            a2 = random_ket(3, rng)
-            b = random_ket(2, rng)
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
-            beta = complex(rng.standard_normal(), rng.standard_normal())
-            combined = Ket(alpha * a.amplitudes + beta * a2.amplitudes)
-            lhs = tensor_product(combined, b).amplitudes
-            rhs = alpha * tensor_product(a, b).amplitudes + beta * tensor_product(a2, b).amplitudes
-            assert max_abs(lhs - rhs) < 1e-12
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
+    def test_refuses_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="^Ket amplitudes must be finite$"):
+            _unit(np.array([1.0, bad], dtype=complex))
+
+    def test_refuses_the_zero_vector(self):
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            _unit(np.zeros(3, dtype=complex))
 
 
+class TestKron:
     @given(kets_up_to_32, kets_up_to_32)
     def test_bitwise_equal_to_np_kron(self, a, b):
-        assert tensor_product(a, b).amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
-
-
-class TestInnerProductAndFidelity:
-    def test_self_overlap(self):
-        assert inner_product(ket(1, 0), ket(1, 0)) == pytest.approx(1)
-
-    def test_orthonormal_basis(self):
-        assert inner_product(ket(1, 0), ket(0, 1)) == pytest.approx(0)
-
-    def test_direct_expansion(self):
-        assert inner_product(ket(INV_SQRT2, INV_SQRT2), ket(1, 0)) == pytest.approx(INV_SQRT2)
-
-    def test_conjugates_first_argument(self):
-        assert inner_product(ket(1j, 0), ket(1, 0)) == pytest.approx(-1j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            inner_product(ket(1, 0), ket(1, 0, 0))
-        with pytest.raises(DimensionMismatchError):
-            fidelity(ket(1, 0), ket(1, 0, 0))
-
-    def test_fidelity_examples(self):
-        assert fidelity(ket(1, 0), ket(1, 0)) == pytest.approx(1.0)
-        assert fidelity(ket(1, 0), ket(0, 1)) == pytest.approx(0.0)
-        assert fidelity(ket(1, 0), ket(INV_SQRT2, INV_SQRT2)) == pytest.approx(0.5)
-
-    def test_fidelity_symmetric(self, rng):
-        for _ in range(50):
-            a = random_ket(4, rng)
-            b = random_ket(4, rng)
-            assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
-
-    @given(st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
-    def test_fidelity_ignores_global_phase(self, phase_a, phase_b):
-        a = ket(INV_SQRT2, INV_SQRT2)
-        b = ket(1, 0)
-        rotated_a = Ket(np.exp(1j * phase_a) * a.amplitudes)
-        rotated_b = Ket(np.exp(1j * phase_b) * b.amplitudes)
-        assert fidelity(rotated_a, rotated_b) == pytest.approx(fidelity(a, b), abs=1e-12)
+        assert _kron(a.amplitudes, b.amplitudes).tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
 
 
 class TestApply:

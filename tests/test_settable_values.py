@@ -20,7 +20,7 @@ from test_golden import REPO_ROOT
 MODULES = (angular, cli, copying, emission, errors, experiments, hilbert)
 
 #: The census total; change it only with the change that adds or deletes a value.
-SETTABLE_VALUES = 83
+SETTABLE_VALUES = 77
 
 
 def _parameters(function) -> list[str]:

@@ -32,7 +32,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BasisError
+from .errors import BasisError, DimensionMismatchError
 from .hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, _kron, max_abs
 
 VERDICT_CONSISTENT = "CONSISTENT"
@@ -108,8 +108,8 @@ def _computational_basis(n: int) -> CopyBasis:
 class CloneReport:
     """Result of one copying run.
 
-    ``fidelity`` (|<input (x) input|output>|^2) is derived from the other
-    fields' amplitudes at construction.
+    ``fidelity`` (|<input (x) input|output>|^2) is derived at construction
+    from the other fields' amplitudes; the output's dim must be the input's squared.
     """
 
     input: Ket
@@ -119,6 +119,8 @@ class CloneReport:
 
     def __post_init__(self) -> None:
         psi = self.input.amplitudes
+        if self.output.dim != psi.shape[0] ** 2:
+            raise DimensionMismatchError(f"output dim {self.output.dim} != input dim {psi.shape[0]} squared")
         overlap = complex(np.vdot(_kron(psi, psi), self.output.amplitudes))
         object.__setattr__(self, "fidelity", abs(overlap) ** 2)
 

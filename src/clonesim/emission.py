@@ -25,12 +25,13 @@ refuses a level that cannot emit its component, so a mapped component is
 always a coupled one.  The same pass builds what a copy reads, and the
 mode map holds it read-only: the ancilla map V, a manifold x photon array
 with 1 / D for each mapped level and component and a zero column for each
-``None``, so the atom prepared as V|photon> emits the photon itself; V's
-zero columns, ``uncoupled``; and the couplings C = D[:, columns], the
-dipole table's columns of the photon's modes.  :func:`stimulated_clone`
-reports the photon pair that atom emits through C, and normalizes with
-the one arithmetic of :mod:`clonesim.hilbert`, so it builds only the
-kets its report holds.  A photon with support on V's zero columns raises
+``None``, so the atom prepared as V|photon> emits the photon itself; the
+mask of V's nonzero columns, ``coupled``, the photon components the map
+copies; and the couplings C, the dipole table's columns of the photon's
+modes.  :func:`stimulated_clone` reports the photon pair that atom emits
+through C, and normalizes with the one arithmetic of
+:mod:`clonesim.hilbert`, so it builds only the kets its report holds.  A
+photon with support off ``coupled`` raises
 :class:`~clonesim.errors.DomainViolationError`, from the one domain test
 in :func:`stimulated_clone`.  That restriction belongs to the mode map, not
 to the copying construction: the atomic symmetries bound it by the clonable
@@ -216,7 +217,9 @@ def transition_amplitude(system: AtomicSystem, e: AtomicLevel, pol: Polarization
 
 
 def _mode_columns(modes: Sequence[PolarizationMode]) -> np.ndarray:
-    """Dipole-table columns of ``modes``, in order; their labels must be unique."""
+    """Dipole-table columns of ``modes``, in order; there must be at least one, with unique labels."""
+    if not modes:
+        raise ValueError("at least one polarization mode is required")
     if len({mode.label for mode in modes}) != len(modes):
         raise ValueError("mode labels must be unique")
     return np.array([mode.q + 1 for mode in modes], dtype=int)
@@ -239,9 +242,6 @@ def build_interaction_hamiltonian(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    modes = list(modes)
-    if not modes:
-        raise ValueError("at least one field mode is required")
     columns = _mode_columns(modes)
 
     # One row per nonzero (excited level, mode) coupling, one column per Fock state.
@@ -293,16 +293,15 @@ class ModeMap:
     The same pass builds the read-only ancilla map ``v``: 1 / D[i, q_j + 1]
     at (level i of pair j, j), and a zero column exactly for each ``None``,
     since D is finite and never a subnormal allowed entry, so 1 / D is never
-    0.  ``columns`` holds the read-only dipole-table columns q_j + 1,
-    ``uncoupled`` the indices of V's zero columns, and ``couplings`` the
-    read-only C = D[:, columns], manifold x photon.
+    0.  ``coupled`` is the read-only boolean mask of V's nonzero columns,
+    the photon components the map copies, and ``couplings`` the read-only
+    C = D[:, q_j + 1], manifold x photon.
     """
 
     system: AtomicSystem
     pairs: tuple[tuple[PolarizationMode, str | None], ...]
     v: np.ndarray = field(init=False, repr=False)
-    columns: np.ndarray = field(init=False, repr=False)
-    uncoupled: np.ndarray = field(init=False, repr=False)
+    coupled: np.ndarray = field(init=False, repr=False)
     couplings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -331,9 +330,8 @@ class ModeMap:
                 forbidden.append(f"{mode.label}->{label}")
         if forbidden:
             raise ValueError(f"mode map pairs modes with levels that cannot emit them: {forbidden}")
-        uncoupled = np.flatnonzero(~v.any(axis=0))
         couplings = system.amplitudes[:, columns]
-        for name, value in (("v", v), ("columns", columns), ("uncoupled", uncoupled), ("couplings", couplings)):
+        for name, value in (("v", v), ("coupled", v.any(axis=0)), ("couplings", couplings)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -342,10 +340,10 @@ def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     """Copy a photon polarization state by stimulated emission from the adaptive ancilla.
 
     The ancilla is the normalized V|photon> of the mode map's V, after the
-    one domain test: a photon's norm on V's zero columns must be at most
-    ``DOMAIN_MEMBERSHIP_TOLERANCE``.  It emits phi = D[:, photon
-    columns]^T |ancilla>, read from the mode map's couplings, beside the
-    photon, so the output is the pair
+    one domain test: a photon's norm off the mode map's ``coupled`` mask
+    must be at most ``DOMAIN_MEMBERSHIP_TOLERANCE``.  It emits
+    phi = D[:, photon columns]^T |ancilla>, read from the mode map's
+    couplings, beside the photon, so the output is the pair
     a_phi^dagger a_photon^dagger|0> in photon (x) photon space, normalized:
     the ground projection of the interaction Hamiltonian applied to
     |ancilla> (x) |1_photon>, without its overall sign.  The fidelity is
@@ -358,13 +356,11 @@ def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     v = mode_map.v
     if v.shape[1] != psi.dim:
         raise DimensionMismatchError(f"mode map has {v.shape[1]} entries for a photon of dim {psi.dim}")
-    uncoupled = mode_map.uncoupled
+    uncoupled = ~mode_map.coupled
     outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
     if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
-        raise DomainViolationError(
-            f"photon has norm {outside:.3e} on modes {[mode_map.pairs[j][0].label for j in uncoupled]}, "
-            "which no mapped level emits"
-        )
+        modes = [mode_map.pairs[j][0].label for j in np.flatnonzero(uncoupled)]
+        raise DomainViolationError(f"photon has norm {outside:.3e} on modes {modes}, which no mapped level emits")
     ancilla = _unit(v @ psi.amplitudes)
     phi = _power_of_two_scaled(mode_map.couplings.T @ ancilla)
     pair = np.outer(phi, psi.amplitudes)
@@ -391,9 +387,6 @@ def spontaneous_emission_output(
     between manifold levels are deliberately discarded: the statement
     under test is about statistics, not a single pure outcome.
     """
-    modes = list(modes)
-    if not modes:
-        raise ValueError("at least one polarization mode is required")
     columns = _mode_columns(modes)
     if excited_state is None:
         populations = np.full(system.manifold_dim, 1.0 / system.manifold_dim)

@@ -204,10 +204,6 @@ def resolve_state(spec: str | None, dim: int, seed: int) -> Ket:
     return Ket(_unit(amplitudes))
 
 
-def _ket_json(k: Ket) -> list[list[float]]:
-    return _matrix_json(k.amplitudes)
-
-
 def _matrix_json(m: np.ndarray) -> list:
     """``m`` as nested lists of ``[re, im]`` pairs of Python floats, in ``m``'s shape."""
     return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(*m.shape, 2).tolist()
@@ -237,8 +233,8 @@ def _run_clone_demo(state: str | None = None, seed: int = 0, dim: int = 2) -> _O
     basis = CopyBasis.computational(psi.dim)
     report = clone(psi, basis)
     results = {
-        "input": _ket_json(report.input),
-        "output": _ket_json(report.output),
+        "input": _matrix_json(report.input.amplitudes),
+        "output": _matrix_json(report.output.amplitudes),
         "fidelity": report.fidelity,
     }
     checks = [
@@ -254,8 +250,8 @@ def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, an
     report = clone_with_fixed_ancilla(psi, ancilla_index, basis)
     expected = float(abs(report.input.amplitudes[ancilla_index]) ** 2)
     results = {
-        "input": _ket_json(report.input),
-        "output": _ket_json(report.output),
+        "input": _matrix_json(report.input.amplitudes),
+        "output": _matrix_json(report.output.amplitudes),
         "fidelity": report.fidelity,
         "expected_fidelity": expected,
     }
@@ -380,12 +376,11 @@ def _stimulated_photon(state: str | None, seed: int, mode_map: ModeMap) -> Ket:
         return resolve_state(state, dim, seed)
     # Random photons are drawn inside the clonable components so the canned
     # experiment exercises the success path; use --state to probe violations.
-    coupled = np.flatnonzero(mode_map.v.any(axis=0))
-    if not coupled.size:
+    if not mode_map.coupled.any():
         raise DomainViolationError("the mode map couples no photon component")
-    inner = random_ket(len(coupled), np.random.default_rng(seed))
+    inner = random_ket(np.count_nonzero(mode_map.coupled), np.random.default_rng(seed))
     amplitudes = np.zeros(dim, dtype=complex)
-    amplitudes[coupled] = inner.amplitudes
+    amplitudes[mode_map.coupled] = inner.amplitudes
     return Ket(amplitudes)
 
 
@@ -396,10 +391,10 @@ def _run_stimulated_clone(config_path: str, state: str | None = None, seed: int 
     photon = _stimulated_photon(state, seed, mode_map)
     report = stimulated_clone(photon, mode_map)
     results = {
-        "photon": _ket_json(report.input),
+        "photon": _matrix_json(report.input.amplitudes),
         "photon_basis": [mode.label for mode, _ in mode_map.pairs],
-        "adaptive_ancilla": _ket_json(report.ancilla),
-        "output": _ket_json(report.output),
+        "adaptive_ancilla": _matrix_json(report.ancilla.amplitudes),
+        "output": _matrix_json(report.output.amplitudes),
         "fidelity": report.fidelity,
     }
     checks = [
@@ -466,8 +461,9 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     not read, or a missing ``config_path`` is a ``ConfigError``; an input whose
     default is an ``int`` (``seed``, ``dim``, ``ancilla_index``) given as
     anything but an ``int`` (a ``bool`` or numpy integer included), a
-    ``config_path`` given as anything but a ``str`` (a ``pathlib.Path``
-    included), or a ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
+    ``config_path``, ``state`` or ``excited_state`` given as anything but a
+    ``str`` (a ``pathlib.Path`` or ``bytes`` included), ``modes`` as anything
+    but a tuple of ``str``, or a ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
     signature = EXPERIMENT_INPUTS.get(kind)
     if signature is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -480,11 +476,14 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     if missing:
         raise ConfigError(f"experiment {kind!r} requires {missing}")
     for name, value in inputs.items():
-        if type(declared[name].default) is int and type(value) is not int:
+        default = declared[name].default
+        if type(default) is int and type(value) is not int:
             raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-    path = inputs.get("config_path", "")
-    if type(path) is not str:  # a report echoes the path, and the JSON writer refuses a path object
-        raise ValueError(f"config_path must be a str, got {type(path).__name__} {path!r}")
+        # Each is parsed as text and echoed by the report, and the JSON writer refuses a path object or bytes.
+        if name in ("config_path", "state", "excited_state") and type(value) is not str and value is not default:
+            raise ValueError(f"{name} must be a str, got {type(value).__name__} {value!r}")
+        if name == "modes" and value is not default and not (type(value) is tuple and set(map(type, value)) <= {str}):
+            raise ValueError(f"modes must be a tuple of str, got {type(value).__name__} {value!r}")
     if inputs.get("seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {inputs['seed']}")
     if inputs.get("seed", 0) >= 2**64:  # the largest int a report holds is 2**64 - 1

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from clonesim import copying
 from clonesim.copying import (
+    CloneReport,
     CopyBasis,
     build_copy_unitary,
     clone,
     clone_with_fixed_ancilla,
 )
-from clonesim.errors import BasisError
+from clonesim.errors import BasisError, DimensionMismatchError
 from clonesim.hilbert import DEFAULT_ATOL, Ket, OperatorMatrix, max_abs, random_ket
 
 from oracles import copy_unitary_by_columns, random_copy_basis, random_unitary
@@ -239,6 +240,12 @@ class TestClone:
         report = clone(psi, random_copy_basis(3, rng))
         target = np.kron(psi.amplitudes, psi.amplitudes)
         assert abs(np.vdot(target, report.output.amplitudes)) ** 2 == pytest.approx(report.fidelity, abs=1e-14)
+
+    @pytest.mark.parametrize("output_dim", [3, 2, 8])
+    def test_report_refuses_an_output_not_of_the_input_dim_squared(self, output_dim):
+        psi = Ket(np.ones(2))
+        with pytest.raises(DimensionMismatchError, match=f"^output dim {output_dim} != input dim 2 squared$"):
+            CloneReport(psi, psi, Ket(np.ones(output_dim)))
 
     def test_ancilla_is_prepared_from_input(self, rng):
         basis = random_copy_basis(4, rng)

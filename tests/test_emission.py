@@ -450,8 +450,8 @@ class TestInteractionHamiltonian:
 
     def test_rejects_bad_arguments(self):
         system = two_level_pi_system()
-        with pytest.raises(ValueError):
-            build_interaction_hamiltonian(system, [], n_max=2)
+        with pytest.raises(ValueError, match="^at least one polarization mode is required$"):
+            build_interaction_hamiltonian(system, (), 2)
         with pytest.raises(ValueError):
             build_interaction_hamiltonian(system, [PI], n_max=0)
         with pytest.raises(ValueError, match="mode labels must be unique"):
@@ -558,11 +558,11 @@ class TestHeldAncillaMap:
     def test_zero_columns_are_the_null_components(self, name):
         mode_map = HELD_MODE_MAPS[name]
         assert (mode_map.v == 0).all(axis=0).tolist() == [label is None for _, label in mode_map.pairs]
-        assert mode_map.columns.tolist() == [mode.q + 1 for mode, _ in mode_map.pairs]
+        assert mode_map.coupled.tolist() == [label is not None for _, label in mode_map.pairs]
 
-    def test_v_and_columns_are_read_only(self):
+    def test_v_and_coupled_are_read_only(self):
         mode_map = HELD_MODE_MAPS["pi_only.json"]
-        for name in ("v", "columns"):
+        for name in ("v", "coupled"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(mode_map, name)[0] = 0
             with pytest.raises(FrozenInstanceError):
@@ -943,9 +943,13 @@ class TestSpontaneousEmission:
         assert (weights >= 0).all()
         assert abs(weights.sum() - 1.0) < 1e-10
 
-    def test_rejects_repeated_modes(self):
-        with pytest.raises(ValueError, match="mode labels must be unique"):
-            spontaneous_emission_output(p_manifold_system(), modes=(PI, PI))
+    @pytest.mark.parametrize(
+        "modes, message",
+        [((PI, PI), "mode labels must be unique"), ((), "^at least one polarization mode is required$")],
+    )
+    def test_rejects_repeated_or_no_modes(self, modes, message):
+        with pytest.raises(ValueError, match=message):
+            spontaneous_emission_output(p_manifold_system(), modes=modes)
 
     @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
     def test_weights_match_quadrature_sum(self, kind, rng):

@@ -505,6 +505,20 @@ class TestRunners:
                 if "config_path" in signature.parameters  # a report echoes the path, which only a str renders
                 for value in (CONFIG_DIR / "full_p_manifold.json", os.fsencode(CONFIG_DIR / "full_p_manifold.json"))
             ),
+            *(
+                pytest.param(kind, name, value, id=f"{kind}-{name}-{type(value).__name__}")
+                for kind, name, value in (
+                    ("clone-demo", "state", 5),
+                    ("clone-demo", "state", b"plus"),
+                    ("fixed-ancilla", "state", ["1", "0"]),
+                    ("stimulated-clone", "state", b"1,0,0"),
+                    ("spontaneous", "excited_state", [1, 0, 0]),
+                    ("spontaneous", "excited_state", b"1,0,0"),
+                    ("spontaneous", "modes", "pi"),
+                    ("spontaneous", "modes", ["pi"]),
+                    ("spontaneous", "modes", (PI,)),
+                )
+            ),
         ],
     )
     def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value):
@@ -677,6 +691,11 @@ def assert_stdlib_layout(text: str, value) -> None:
             assert got_parts and want_parts, f"line {number}: {got!r} != {want!r}"
             assert got_parts[1] == want_parts[1] and got_parts[3] == want_parts[3], f"line {number}: {got!r} != {want!r}"
             assert float(got_parts[2]).hex() == float(want_parts[2]).hex(), f"line {number}: {got!r} != {want!r}"
+
+
+def refuse_non_finite(token: str):
+    """A ``parse_constant`` for ``json.loads``: a report holds no NaN or infinity."""
+    raise ValueError(f"non-finite number {token}")
 
 
 def assert_reads_back(report: dict, text: str) -> None:
@@ -1374,6 +1393,15 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_seeded_photon_is_zero_off_the_coupled_mask(self, config_dir, seed):
+        config = config_dir / "pi_only.json"
+        coupled = load_atomic_system(config)[1].coupled
+        report, _ = run("stimulated-clone", config_path=str(config), seed=seed)
+        photon = np.array(report["results"]["photon"])
+        assert coupled.tolist() == [True, False]
+        assert (photon[~coupled] == 0).all() and (photon[coupled] != 0).any()
+
 
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     """Each kind's parser: the choices of ``cli.build_parser()``'s subparsers action."""
@@ -1448,6 +1476,8 @@ def test_batch_reports_equal_cli_reports(capsys, tmp_path, fmt, extension):
         assert main(argv + ["--format", fmt, "--out", str(tmp_path / name)]) == 0
         batch, direct = (tmp_path / "batch" / name).read_text(), (tmp_path / name).read_text()
         if fmt == "json":
+            # Each report reads back with no NaN or infinity, laid out as the standard library writes it.
+            assert_stdlib_layout(batch, json.loads(batch, parse_constant=refuse_non_finite))
             batch, direct = strip_timestamp(batch), strip_timestamp(direct)
             seeds[name] = json.loads(batch)["parameters"].get("seed")
         assert batch == direct, name

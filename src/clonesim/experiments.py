@@ -479,7 +479,7 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
         default = declared[name].default
         if type(default) is int and type(value) is not int:
             raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-        # Each is parsed as text and echoed by the report, and the JSON writer refuses a path object or bytes.
+        # Each is read as text and echoed by the report, and the JSON writer refuses a path object or bytes.
         if name in ("config_path", "state", "excited_state") and type(value) is not str and value is not default:
             raise ValueError(f"{name} must be a str, got {type(value).__name__} {value!r}")
         if name == "modes" and value is not default and not (type(value) is tuple and set(map(type, value)) <= {str}):

@@ -180,12 +180,6 @@ class AtomicSystem:
     def manifold_dim(self) -> int:
         return len(self.excited)
 
-    def excited_index(self, label: str) -> int:
-        for i, level in enumerate(self.excited):
-            if level.label == label:
-                return i
-        raise KeyError(f"no excited level labeled {label!r}")
-
 
 def p_manifold_system(radial: float = 1.0) -> AtomicSystem:
     """The workhorse test atom: s ground state below a full l=1 manifold."""
@@ -237,8 +231,11 @@ def build_interaction_hamiltonian(
     weight -(amplitude) * sqrt(n+1) for each allowed transition and mode;
     ``include_counter_rotating`` adds the |e, n> <-> |ground, n-1> pairs
     with weight -(amplitude) * sqrt(n).  Only the dipole table's nonzeros
-    are computed, and the build, including the hermiticity check, costs
-    O(nnz) apart from the zero-filled dense result.
+    are computed, and each is written with its conjugate at the transposed
+    position, so the matrix is hermitian by construction: no position is
+    written twice, and none on the diagonal.  The build costs O(nnz) apart
+    from the zero-filled dense result, which is frozen and handed to
+    :class:`~clonesim.hilbert.OperatorMatrix` without a copy.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -258,15 +255,14 @@ def build_interaction_hamiltonian(
     terms = [(occupation < n_max, fock + stride, np.sqrt(occupation + 1.0))]
     if include_counter_rotating:
         terms.append((occupation > 0, fock - stride, np.sqrt(occupation.astype(float))))
-    rows, cols, values = [], [], []
+    dim = (1 + system.manifold_dim) * fock_dim
+    entries = np.zeros((dim, dim), dtype=complex)
     for mask, ground, ladder in terms:
         value = (-amplitude * ladder)[mask]
-        rows += [ground[mask], excited[mask]]
-        cols += [excited[mask], ground[mask]]
-        values += [value, value.conj()]
-    return OperatorMatrix.hermitian_from_nonzeros(
-        (1 + system.manifold_dim) * fock_dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    )
+        entries[ground[mask], excited[mask]] = value
+        entries[excited[mask], ground[mask]] = value.conj()
+    entries.setflags(write=False)
+    return OperatorMatrix(entries)
 
 
 def clonable_domain(system: AtomicSystem) -> tuple[PolarizationMode, ...]:
@@ -314,8 +310,8 @@ class ModeMap:
         if len(set(mapped)) != len(mapped):
             raise ValueError("mode map must be injective on excited levels")
         system = self.system
-        known = {level.label for level in system.excited}
-        unknown = [label for label in mapped if label not in known]
+        rows = {level.label: i for i, level in enumerate(system.excited)}
+        unknown = [label for label in mapped if label not in rows]
         if unknown:
             raise ValueError(f"mode map points at unknown excited levels {unknown}")
         v = np.zeros((system.manifold_dim, len(pairs)), dtype=complex)
@@ -323,7 +319,7 @@ class ModeMap:
         for j, (mode, label) in enumerate(pairs):
             if label is None:
                 continue
-            i = system.excited_index(label)
+            i = rows[label]
             if system.allowed[i, columns[j]]:
                 v[i, j] = 1.0 / system.amplitudes[i, columns[j]]
             else:

@@ -43,7 +43,7 @@ from .emission import (
     stimulated_clone,
 )
 from .errors import ConfigError, DimensionMismatchError, DomainViolationError
-from .hilbert import Ket, _unit, random_ket
+from .hilbert import Ket, _random_unit, _unit, random_ket
 
 REPORT_SCHEMA_VERSION = 3
 
@@ -378,9 +378,8 @@ def _stimulated_photon(state: str | None, seed: int, mode_map: ModeMap) -> Ket:
     # experiment exercises the success path; use --state to probe violations.
     if not mode_map.coupled.any():
         raise DomainViolationError("the mode map couples no photon component")
-    inner = random_ket(np.count_nonzero(mode_map.coupled), np.random.default_rng(seed))
     amplitudes = np.zeros(dim, dtype=complex)
-    amplitudes[mode_map.coupled] = inner.amplitudes
+    amplitudes[mode_map.coupled] = _random_unit(np.count_nonzero(mode_map.coupled), np.random.default_rng(seed))
     return Ket(amplitudes)
 
 

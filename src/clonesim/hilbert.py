@@ -13,11 +13,12 @@ non-finite amplitudes and the all-zero vector.
 
 A density matrix is checked at construction, and a NaN deviation fails
 every check.  :class:`OperatorMatrix` is only the dense matrix a caller
-asked for: a hermitian one has one constructor,
-:meth:`OperatorMatrix.hermitian_from_nonzeros`, which builds it from its
-nonzeros and checks it in O(nnz); only allocating the zero-filled array
-scales with dim^2.  Unitarity is checked where the matrix is made, as
-orthonormal columns (see :mod:`clonesim.copying`).
+asked for, and has one constructor.  Each property of the matrix is
+checked, or holds by construction, where the matrix is made: unitarity
+as orthonormal columns (see :mod:`clonesim.copying`), and hermiticity by
+writing both triangles from the same values (see
+:func:`clonesim.emission.build_interaction_hamiltonian`).  A maker that
+hands over the complex array it owns, frozen, has it kept without a copy.
 """
 
 from __future__ import annotations
@@ -83,7 +84,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _frozen_complex_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    """``values`` as a read-only complex array of ``ndim`` dimensions.
+
+    An ndarray that is complex128, owns its data and is read-only is kept
+    as it is: no view of it can be made writable, so its maker, which froze
+    it, hands it over.  Anything else is copied.
+    """
+    frozen = type(values) is np.ndarray and values.flags.owndata and not values.flags.writeable
+    arr = values if frozen and values.dtype == complex else np.array(values, dtype=complex)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -129,44 +137,12 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix, frozen at construction.
-
-    Hermitian matrices come from :meth:`hermitian_from_nonzeros`.
-    """
+    """Dense complex matrix, frozen at construction."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
-
-    @classmethod
-    def hermitian_from_nonzeros(
-        cls, dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-    ) -> "OperatorMatrix":
-        """The dim x dim hermitian matrix with ``values`` at (``rows``, ``cols``)
-        and zeros elsewhere, both triangles listed.
-
-        A repeated position keeps its last value.  Every unwritten entry is
-        zero, so ``max |M[r, c] - conj(M[c, r])|`` over the written
-        positions, read back from the final array, equals the dense
-        ``max |M - M^dagger|``: the check costs O(nnz) and the array is
-        frozen without a copy.
-        """
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        values = np.asarray(values, dtype=complex)
-        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
-            raise ValueError("rows, cols and values must be 1-dimensional and of equal length")
-        if rows.size and not (0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < dim):
-            raise ValueError(f"nonzero positions must lie in [0, {dim})")
-        entries = np.zeros((dim, dim), dtype=complex)
-        entries[rows, cols] = values
-        deviation = max_abs(entries[rows, cols] - entries[cols, rows].conj())
-        if not deviation < DEFAULT_ATOL:
-            raise ValueError(f"matrix flagged hermitian but ||M - M^dag||_max = {deviation:.3e}")
-        entries.setflags(write=False)
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +164,17 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
 
 
+def _random_unit(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The amplitudes of :func:`random_ket`, as a plain array."""
+    real = rng.standard_normal(dim)
+    imag = rng.standard_normal(dim)
+    return _unit(real + 1j * imag)
+
+
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     """Seeded random state: draw a real Gaussian vector, then an imaginary
     Gaussian vector (two consecutive ``standard_normal(dim)`` calls), then
     normalize.  This exact draw order is the reproducibility contract for
     seeded experiment fixtures.
     """
-    real = rng.standard_normal(dim)
-    imag = rng.standard_normal(dim)
-    return Ket(_unit(real + 1j * imag))
+    return Ket(_random_unit(dim, rng))

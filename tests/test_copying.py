@@ -195,6 +195,15 @@ class TestBuildCopyUnitary:
         with pytest.raises(BasisError, match="copy unitary U entries must be finite"):
             build_copy_unitary(SimpleNamespace(system=system, ancilla=np.eye(2)))
 
+    def test_hands_its_checked_array_to_one_construction(self, monkeypatch):
+        basis = swapped_basis()
+        checked, handed = [], []
+        check, post_init = copying._frozen_basis, OperatorMatrix.__post_init__
+        monkeypatch.setattr(copying, "_frozen_basis", lambda *args: checked.append(check(*args)) or checked[-1])
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", lambda self: handed.append(self.entries) or post_init(self))
+        u = build_copy_unitary(basis)
+        assert len(checked) == len(handed) == 1 and u.entries is handed[0] is checked[0]
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_column_assembly_oracle_and_structural_identity(self, n, rng):
         basis = random_copy_basis(n, rng)

@@ -1,6 +1,7 @@
 """Tests for dipole amplitudes, the interaction Hamiltonian, clonable
 domains, and the adaptive-ancilla stimulated cloning pipeline."""
 
+import itertools
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -87,6 +88,11 @@ def quadrature_table(system: AtomicSystem) -> np.ndarray:
 
 
 RADIAL_SYSTEMS = ("p-manifold", "s-and-p", "d-ground")
+
+
+def level_row(system: AtomicSystem, label: str) -> int:
+    """The dipole-table row of the excited level labeled ``label``."""
+    return [level.label for level in system.excited].index(label)
 
 
 class TestPolarizationMode:
@@ -291,6 +297,15 @@ SYSTEM_BUILDERS = {path.name: (lambda path=path: load_atomic_system(path)[0])
 SYSTEM_BUILDERS["p_manifold_system"] = lambda: p_manifold_system(radial=0.37)
 
 
+# Every config file, the library's test atom at three radial scales, and the
+# seeded atoms with a random radial factor per level.
+HERMITIAN_SYSTEMS = {
+    **{name: build for name, build in SYSTEM_BUILDERS.items() if name != "p_manifold_system"},
+    **{f"p_manifold_system-{radial}": (lambda radial=radial: p_manifold_system(radial)) for radial in (0.01, 1.0, 100.0)},
+    **{kind: (lambda kind=kind: seeded_radial_system(kind)) for kind in RADIAL_SYSTEMS},
+}
+
+
 class TestAngularFactorCache:
     @pytest.mark.parametrize("build", SYSTEM_BUILDERS.values(), ids=SYSTEM_BUILDERS.keys())
     def test_table_bitwise_equals_uncached_formula(self, build):
@@ -388,17 +403,23 @@ class TestInteractionHamiltonian:
         h = build_interaction_hamiltonian(s_to_s_system(), list(SPHERICAL_MODES), n_max=2)
         assert max_abs(h.entries) == 0.0
 
-    def test_hermitian_for_random_systems(self, rng):
-        for _ in range(5):
-            radial = {label: float(rng.uniform(0.2, 3.0)) for label in ("e-", "e0", "e+")}
-            system = AtomicSystem(
-                ground=AtomicLevel("g", l=0, m=0),
-                excited=p_manifold_system().excited,
-                radial_factors=radial,
-            )
-            modes = [SPHERICAL_MODES[i] for i in sorted(rng.choice(3, size=2, replace=False))]
-            h = build_interaction_hamiltonian(system, modes, n_max=2)
-            assert max_abs(h.entries - h.entries.conj().T) < 1e-12
+    @pytest.mark.parametrize("counter", [False, True], ids=["rwa", "counter-rotating"])
+    @pytest.mark.parametrize("build", HERMITIAN_SYSTEMS.values(), ids=HERMITIAN_SYSTEMS.keys())
+    def test_exactly_hermitian(self, build, counter):
+        # Both triangles are written from the same values, so equality is exact.
+        system = build()
+        for size in (1, 2, 3):
+            for modes in itertools.combinations(SPHERICAL_MODES, size):
+                for n_max in (1, 2, 3):
+                    h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
+                    assert np.array_equal(h, h.conj().T), (modes, n_max)
+
+    def test_build_hands_its_array_to_one_construction(self, monkeypatch):
+        handed = []
+        post_init = OperatorMatrix.__post_init__
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", lambda self: handed.append(self.entries) or post_init(self))
+        h = build_interaction_hamiltonian(p_manifold_system(), SPHERICAL_MODES, n_max=2, include_counter_rotating=True)
+        assert len(handed) == 1 and h.entries is handed[0]
 
     def test_conserving_part_commutes_with_excitation_number(self):
         system = p_manifold_system()
@@ -436,8 +457,8 @@ class TestInteractionHamiltonian:
         assert h.entries[wrong_row, col] == 0.0
 
     def test_build_holds_one_dense_array(self, config_dir):
-        # The nonzeros are scattered into one zero-filled array and checked in
-        # O(nnz): no dense copy, conjugate transpose or difference.
+        # The nonzeros are scattered into one zero-filled array, which the
+        # operator keeps: no dense copy, conjugate transpose or difference.
         system, _ = load_atomic_system(config_dir / "hydrogen_n2.json")
         tracemalloc.start()
         try:
@@ -550,7 +571,7 @@ class TestHeldAncillaMap:
         expected = np.zeros((system.manifold_dim, len(mode_map.pairs)), dtype=complex)
         for j, (mode, label) in enumerate(mode_map.pairs):
             if label is not None:
-                i = system.excited_index(label)
+                i = level_row(system, label)
                 expected[i, j] = 1.0 / table[i, mode.q + 1]
         assert np.allclose(mode_map.v, expected, rtol=1e-12, atol=0.0)
 
@@ -636,7 +657,7 @@ def divided_ancilla(system: AtomicSystem, table: np.ndarray, mode_map, photon: n
     ancilla = np.zeros(system.manifold_dim, dtype=complex)
     for (mode, label), amplitude in zip(mode_map, photon):
         if label is not None:
-            i = system.excited_index(label)
+            i = level_row(system, label)
             ancilla[i] = amplitude / table[i, mode.q + 1]
     return ancilla / np.linalg.norm(ancilla)
 
@@ -646,7 +667,7 @@ class TestAdaptiveAncilla:
         system = p_manifold_system()
         photon = Ket.basis_state(3, 2)  # sigma+ component, emitted by e- with amplitude -1/sqrt(3)
         ancilla = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP)).ancilla
-        expected = -Ket.basis_state(3, system.excited_index("e-")).amplitudes
+        expected = -Ket.basis_state(3, level_row(system, "e-")).amplitudes
         assert max_abs(ancilla.amplitudes - expected) <= DEFAULT_ATOL
 
     def test_superposition_amplitudes_divided_by_dipole_amplitudes(self):
@@ -654,8 +675,8 @@ class TestAdaptiveAncilla:
         photon = Ket(np.array([INV_SQRT2, 0.0, INV_SQRT2]))  # sigma- + sigma+
         ancilla = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP)).ancilla
         expected = np.zeros(3, dtype=complex)
-        expected[system.excited_index("e+")] = -INV_SQRT2
-        expected[system.excited_index("e-")] = -INV_SQRT2
+        expected[level_row(system, "e+")] = -INV_SQRT2
+        expected[level_row(system, "e-")] = -INV_SQRT2
         assert max_abs(ancilla.amplitudes - expected) < 1e-12
         divided = divided_ancilla(system, quadrature_table(system), FULL_MODE_MAP, photon.amplitudes)
         assert max_abs(ancilla.amplitudes - divided) < 1e-12
@@ -720,7 +741,7 @@ class TestStimulatedClone:
     def test_level_permuting_mode_map_gives_product(self, mode_map, rng):
         # Photon component j is carried by a level whose manifold index is not j.
         system = p_manifold_system()
-        levels = [system.excited_index(label) for _, label in mode_map]
+        levels = [level_row(system, label) for _, label in mode_map]
         assert levels != sorted(levels)
         table = quadrature_table(system)
         for _ in range(25):
@@ -763,7 +784,7 @@ class TestStimulatedClone:
         photon = Ket(np.array([0.0, 1.0, 0.0]))  # pi component
         report = stimulated_clone(photon, ModeMap(system, FULL_MODE_MAP))
         assert report.ancilla.dim == system.manifold_dim
-        expected = Ket.basis_state(3, system.excited_index("e0"))
+        expected = Ket.basis_state(3, level_row(system, "e0"))
         assert max_abs(report.ancilla.amplitudes - expected.amplitudes) <= DEFAULT_ATOL
 
     def test_one_shot_mode_map(self, rng):
@@ -863,7 +884,7 @@ class TestTransplantedAncillaFails:
         for _ in range(25):
             psi = random_ket(3, rng).amplitudes
             report = stimulated_clone(Ket(psi), ModeMap(system, FULL_MODE_MAP))
-            phi = np.array([table[system.excited_index(label), mode.q + 1] for mode, label in FULL_MODE_MAP]) * psi
+            phi = np.array([table[level_row(system, label), mode.q + 1] for mode, label in FULL_MODE_MAP]) * psi
             c = abs(np.vdot(phi, psi)) ** 2 / np.vdot(phi, phi).real
             assert report.fidelity == pytest.approx(2 * c / (1 + c), abs=1e-12)
             assert_matches_hamiltonian(report, ModeMap(system, FULL_MODE_MAP))
@@ -890,7 +911,7 @@ class TestSpontaneousEmission:
 
     def test_single_level_is_a_pure_deterministic_channel(self):
         system = p_manifold_system()
-        excited = Ket.basis_state(3, system.excited_index("e0"))
+        excited = Ket.basis_state(3, level_row(system, "e0"))
         weights = spontaneous_emission_output(system, excited_state=excited)
         expected = np.zeros(3)
         expected[1] = 1.0  # pi slot
@@ -899,8 +920,8 @@ class TestSpontaneousEmission:
     def test_populations_weight_the_channels(self):
         system = p_manifold_system()
         amps = np.zeros(3, dtype=complex)
-        amps[system.excited_index("e0")] = np.sqrt(0.75)
-        amps[system.excited_index("e-")] = np.sqrt(0.25)
+        amps[level_row(system, "e0")] = np.sqrt(0.75)
+        amps[level_row(system, "e-")] = np.sqrt(0.25)
         weights = spontaneous_emission_output(system, excited_state=Ket(amps))
         # equal angular strengths, so weights follow the populations;
         # e- decays into the sigma+ slot

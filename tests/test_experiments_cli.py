@@ -531,18 +531,13 @@ class TestRunners:
         for cls in (hilbert.DensityMatrix, hilbert.OperatorMatrix):
             post_init = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(type(self)) or f(self))
-        from_nonzeros = hilbert.OperatorMatrix.hermitian_from_nonzeros
-        monkeypatch.setattr(
-            hilbert.OperatorMatrix, "hermitian_from_nonzeros",
-            classmethod(lambda cls, *args: built.append("hermitian_from_nonzeros") or from_nonzeros(*args)),
-        )
         for kind in EXPERIMENT_KINDS:
             run(kind, **spec_for(kind, config_dir))
         run("spontaneous", **spec_for("spontaneous", config_dir, excited_state="0.6,0.48i,0.64", modes=("sigma-", "pi")))
         assert built == []
         hilbert.DensityMatrix(np.eye(1))
-        hilbert.OperatorMatrix.hermitian_from_nonzeros(1, [0], [0], [1.0])
-        assert built == [hilbert.DensityMatrix, "hermitian_from_nonzeros"]  # the patches see constructions
+        emission.build_interaction_hamiltonian(emission.p_manifold_system(), [PI], 1)
+        assert built == [hilbert.DensityMatrix, hilbert.OperatorMatrix]  # the patches see constructions
 
     def test_selection_rule_tables_are_built_once_per_system(self, monkeypatch):
         tables = []
@@ -573,10 +568,12 @@ class TestRunners:
             ("clone-demo", {"state": "0.6,0.8i"}, 4),
             ("fixed-ancilla", {"state": "0.6,0.8i"}, 4),
             ("stimulated-clone", {"state": "0.6,0.48i,0.64"}, 4),
+            # The seeded photon, then the same three.
+            ("stimulated-clone", {"seed": 3}, 4),
             # The parsed populations only.
             ("spontaneous", {"excited_state": "0.6,0.48i,0.64"}, 1),
         ],
-        ids=["clone-demo", "fixed-ancilla", "stimulated-clone", "spontaneous"],
+        ids=["clone-demo", "fixed-ancilla", "stimulated-clone", "stimulated-clone-seeded", "spontaneous"],
     )
     def test_each_ket_is_built_once(self, config_dir, monkeypatch, kind, state, kets):
         built = []

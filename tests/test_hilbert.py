@@ -26,6 +26,11 @@ def ket(*amplitudes) -> Ket:
     return Ket(np.array(amplitudes, dtype=complex))
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 amplitude_lists = st.lists(
     st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
     min_size=1,
@@ -152,71 +157,27 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError, match="2-dimensional"):
             OperatorMatrix(np.ones(3))
 
-
-def sparse_hermitian(dim: int, density: float, rng: np.random.Generator) -> np.ndarray:
-    """Dense hermitian matrix with a random sparse pattern (diagonal real)."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a[rng.random((dim, dim)) > density] = 0.0
-    return np.triu(a, 1) + np.triu(a, 1).conj().T + np.diag(a.diagonal().real)
-
-
-class TestHermitianFromNonzeros:
-    @pytest.mark.parametrize("dim, density", [(1, 1.0), (5, 0.3), (12, 0.1), (30, 0.02)])
-    def test_equals_dense_construction(self, rng, dim, density):
-        for _ in range(5):
-            h = sparse_hermitian(dim, density, rng)
-            rows, cols = np.nonzero(h)
-            order = rng.permutation(rows.size)
-            rows, cols = rows[order], cols[order]
-            m = OperatorMatrix.hermitian_from_nonzeros(dim, rows, cols, h[rows, cols])
-            assert np.array_equal(m.entries, h)
-            assert np.array_equal(m.entries, m.entries.conj().T)
-
-    def test_empty_is_zero_matrix(self):
-        none = np.zeros(0, dtype=int)
-        m = OperatorMatrix.hermitian_from_nonzeros(3, none, none, none)
-        assert np.array_equal(m.entries, np.zeros((3, 3)))
+    def test_keeps_an_owned_read_only_complex_array(self):
+        source = np.eye(3, dtype=complex)
+        source.setflags(write=False)
+        assert OperatorMatrix(source).entries is source
 
     @pytest.mark.parametrize(
-        "rows, cols, values",
+        "make",
         [
-            ([0], [1], [1.0]),  # the transposed entry is never written
-            ([0, 1], [1, 0], [1.0, 1.0 + 1e-9j]),  # off by more than DEFAULT_ATOL
-            ([1], [1], [2j]),  # imaginary diagonal
+            lambda: np.eye(2, dtype=complex),
+            lambda: read_only(np.eye(3, dtype=complex))[:2, :2],
+            lambda: read_only(np.eye(2)),
+            lambda: [[1, 0], [0, 1]],
         ],
-        ids=["one-triangle", "not-conjugate", "imaginary-diagonal"],
+        ids=["writable", "read-only-view", "read-only-float", "list"],
     )
-    def test_rejects_non_hermitian_values(self, rows, cols, values):
-        with pytest.raises(ValueError, match="flagged hermitian"):
-            OperatorMatrix.hermitian_from_nonzeros(2, rows, cols, values)
-
-    @pytest.mark.parametrize("position", [(0, 0), (0, 1)])
-    def test_rejects_nan(self, position):
-        r, c = position
-        with pytest.raises(ValueError, match="flagged hermitian.*nan"):
-            OperatorMatrix.hermitian_from_nonzeros(2, [r, c], [c, r], [np.nan, np.nan])
-
-    def test_duplicate_positions_checked_on_final_entries(self):
-        # the last write to (0, 1) wins; only the final array is checked
-        m = OperatorMatrix.hermitian_from_nonzeros(2, [0, 1, 0], [1, 0, 1], [5.0, 1j, -1j])
-        assert np.array_equal(m.entries, np.array([[0, -1j], [1j, 0]]))
-        with pytest.raises(ValueError, match="flagged hermitian"):
-            OperatorMatrix.hermitian_from_nonzeros(2, [0, 1, 0], [1, 0, 1], [-1j, 1j, 5.0])
-
-    def test_entries_read_only(self):
-        m = OperatorMatrix.hermitian_from_nonzeros(2, [0, 1], [1, 0], [1j, -1j])
-        assert not m.entries.flags.writeable
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 1.0
-
-    @pytest.mark.parametrize(
-        "rows, cols, values",
-        [([0, 2], [2, 0], [1.0, 1.0]), ([-1], [-1], [1.0]), ([0, 1], [1], [1.0, 1.0]), ([[0]], [[0]], [[1.0]])],
-        ids=["out-of-range", "negative", "unequal-lengths", "two-dimensional"],
-    )
-    def test_rejects_bad_positions(self, rows, cols, values):
-        with pytest.raises(ValueError):
-            OperatorMatrix.hermitian_from_nonzeros(2, rows, cols, values)
+    def test_copies_any_other_input(self, make):
+        source = make()
+        entries = OperatorMatrix(source).entries
+        assert entries is not source and not np.shares_memory(entries, np.asarray(source))
+        assert entries.dtype == complex and not entries.flags.writeable
+        assert np.array_equal(entries, np.eye(2))
 
 
 class TestDensityMatrix:

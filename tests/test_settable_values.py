@@ -20,7 +20,7 @@ from test_golden import REPO_ROOT
 MODULES = (angular, cli, copying, emission, errors, experiments, hilbert)
 
 #: The census total; change it only with the change that adds or deletes a value.
-SETTABLE_VALUES = 77
+SETTABLE_VALUES = 72
 
 
 def _parameters(function) -> list[str]:
@@ -55,9 +55,8 @@ def test_census_is_pinned():
 def test_census_sees_wrapped_functions_and_methods():
     counts = census()
     assert counts["clonesim.angular.dipole_angular_factors"] == 4  # functools.cache
-    assert counts["clonesim.hilbert.OperatorMatrix.hermitian_from_nonzeros"] == 4  # classmethod, cls excluded
     assert counts["clonesim.emission.AtomicSystem"] == 3  # amplitudes and allowed are derived
-    assert counts["clonesim.copying.CopyBasis.computational"] == 1  # its cache is a private helper
+    assert counts["clonesim.copying.CopyBasis.computational"] == 1  # classmethod, cls excluded; its cache is private
 
 
 LIBRARY_FILES = sorted(path for path in (REPO_ROOT / "src" / "clonesim").glob("*.py") if path.name != "__init__.py")

@@ -39,3 +39,10 @@ def test_traced_function_resolves(module_name, attr):
 def test_traced_class_defines_post_init(module_name, attr):
     cls = getattr(importlib.import_module(f"clonesim.{module_name}"), attr)
     assert "__post_init__" in vars(cls)
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "src" / "clonesim").glob("*.py")), ids=lambda path: path.name)
+def test_no_construction_skips_post_init(path):
+    # The tracer sees a traced class's constructions through __post_init__,
+    # which an instance made by object.__new__ never runs.
+    assert "object.__new__" not in path.read_text(encoding="utf-8")

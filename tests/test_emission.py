@@ -297,11 +297,11 @@ SYSTEM_BUILDERS = {path.name: (lambda path=path: load_atomic_system(path)[0])
 SYSTEM_BUILDERS["p_manifold_system"] = lambda: p_manifold_system(radial=0.37)
 
 
-# Every config file, the library's test atom at three radial scales, and the
+# Those systems, the library's test atom at two more radial scales, and the
 # seeded atoms with a random radial factor per level.
 HERMITIAN_SYSTEMS = {
-    **{name: build for name, build in SYSTEM_BUILDERS.items() if name != "p_manifold_system"},
-    **{f"p_manifold_system-{radial}": (lambda radial=radial: p_manifold_system(radial)) for radial in (0.01, 1.0, 100.0)},
+    **SYSTEM_BUILDERS,
+    **{f"p_manifold_system-{radial}": (lambda radial=radial: p_manifold_system(radial)) for radial in (0.01, 100.0)},
     **{kind: (lambda kind=kind: seeded_radial_system(kind)) for kind in RADIAL_SYSTEMS},
 }
 

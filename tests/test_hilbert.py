@@ -158,8 +158,7 @@ class TestOperatorMatrix:
             OperatorMatrix(np.ones(3))
 
     def test_keeps_an_owned_read_only_complex_array(self):
-        source = np.eye(3, dtype=complex)
-        source.setflags(write=False)
+        source = read_only(np.eye(3, dtype=complex))
         assert OperatorMatrix(source).entries is source
 
     @pytest.mark.parametrize(

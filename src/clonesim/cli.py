@@ -4,17 +4,21 @@ One subcommand per experiment kind, taking an option per parameter of its
 runner (``experiments.EXPERIMENT_INPUTS``); reports go to stdout or
 ``--out``.  The parser is built once per process and reused by every
 :func:`main` call; parsing reads only its ``argv``, so no call carries
-options into the next.  An argv that starts with a kind is parsed by that
-kind's own parser alone, in one argparse pass, so an option it does not
-read is reported with the subcommand's usage; the top-level parser only
-routes, and parses every other argv (none, ``-h``, an unknown kind, an
-option before the kind).  Exit codes: 0 success, 1 report written but a
-check failed, 2 unparseable command line (returned, not raised) or config,
-3 domain violation, 4 dimension or validation failure, an ``--out`` path
-that cannot be written, or a report whose text stdout cannot encode (JSON
-writes non-ASCII text unescaped).  ``--out`` files are UTF-8, as configs are.
+options into the next.  An argv that starts with a kind is read directly
+from that kind's parser's actions when every token is an exact
+``--flag value`` or ``--flag=value`` of its options and every value passes
+the option's type and choices (:func:`_read_options`); otherwise (help, an
+abbreviation, an unknown option, a bad value, a missing required option) it
+is parsed by that kind's own parser alone, in one argparse pass, so an
+option it does not read is reported with the subcommand's usage.  Both
+paths give the same fields.  The top-level parser only routes, and parses
+every other argv (none, ``-h``, an unknown kind, an option before the
+kind).  Exit codes: 0 success, 1 report written but a check failed, 2
+unparseable command line (returned, not raised) or config, 3 domain
+violation, 4 dimension or validation failure, an ``--out`` path that cannot
+be written, or a report whose text stdout cannot encode (JSON writes
+non-ASCII text unescaped).  ``--out`` files are UTF-8, as configs are.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -56,7 +60,8 @@ _OPTIONS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each kind's own parser by kind, built once per process."""
     parser = argparse.ArgumentParser(
         prog="clonesim",
         description="State-dependent quantum copying experiments",
@@ -74,7 +79,44 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report format (default json)")
         sub.add_argument("--out", type=str, default=None, metavar="PATH",
                          help="write the report here instead of stdout")
-    return parser
+    return parser, subparsers.choices
+
+
+def _read_options(sub: argparse.ArgumentParser, args: list[str]) -> dict | None:
+    """``vars(sub.parse_args(args))`` read straight from ``sub``'s actions, or
+    None where argparse must run: any token but an exact ``--flag value`` or
+    ``--flag=value`` of a valued option of ``sub`` (an abbreviation, ``-h``,
+    ``--``, a positional, a non-``str``), a space-separated value that is
+    missing or starts with ``-`` (argparse may read it as an option), a value
+    its ``type`` refuses or outside its ``choices``, or a missing required
+    option.  A later repeat wins, as in argparse."""
+    fields = {action.dest: action.default for action in sub._actions if action.default is not argparse.SUPPRESS}
+    given = set()
+    tokens = iter(args)
+    for token in tokens:
+        if not isinstance(token, str) or not token.startswith("--"):
+            return None
+        flag, equals, value = token.partition("=")
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.nargs is not None:  # unknown, abbreviated, or a flag without a value
+            return None
+        if not equals:
+            value = next(tokens, None)
+            if not isinstance(value, str) or value.startswith("-"):
+                return None
+        elif value == "--":  # some argparse versions drop it from an option's values
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        fields[action.dest] = value
+        given.add(action)
+    if any(action.required and action not in given for action in sub._actions):
+        return None
+    return fields
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -83,11 +125,12 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    kinds = next(action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    parser, kinds = build_parser()
     try:
         if argv and argv[0] in kinds:
-            fields = {"kind": argv[0], **vars(kinds[argv[0]].parse_args(argv[1:]))}
+            sub = kinds[argv[0]]
+            options = _read_options(sub, argv[1:])
+            fields = {"kind": argv[0], **(vars(sub.parse_args(argv[1:])) if options is None else options)}
         else:
             fields = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse has printed its usage error or help

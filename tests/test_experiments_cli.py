@@ -1401,8 +1401,8 @@ class TestCli:
 
 
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
-    """Each kind's parser: the choices of ``cli.build_parser()``'s subparsers action."""
-    return next(action.choices for action in cli.build_parser()._actions
+    """Each kind's parser: the choices of the top-level parser's subparsers action."""
+    return next(action.choices for action in cli.build_parser()[0]._actions
                 if isinstance(action, argparse._SubParsersAction))
 
 
@@ -1578,21 +1578,41 @@ KIND_CHOICES = ("(choose from 'clone-demo', 'fixed-ancilla', 'no-cloning-witness
                 "'stimulated-clone', 'spontaneous')")
 
 
+def argparse_passes(monkeypatch) -> list[argparse.ArgumentParser]:
+    """The parsers that run ``parse_known_args`` from here on, in call order."""
+    parsed_by = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        parsed_by.append(parser)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return parsed_by
+
+
 class TestRouting:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-    def test_a_kind_is_parsed_by_its_own_parser_alone(self, kind, monkeypatch):
-        parsed_by = []
-        parse_known_args = argparse.ArgumentParser.parse_known_args
-
-        def spy(parser, *args, **kwargs):
-            parsed_by.append(parser)
-            return parse_known_args(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    def test_a_well_formed_argv_runs_no_argparse_pass(self, kind, monkeypatch, tmp_path):
+        parsed_by = argparse_passes(monkeypatch)
         config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] else []
-        code, out, err = run_cli([kind, *config])
-        assert code == 0, err
-        assert parsed_by == [subcommand_parsers()[kind]]  # once, and never the top-level parser
+        out = tmp_path / "report.csv"
+        code, stdout, err = run_cli([kind, *config, "--format", "csv", "--out", str(out)])
+        assert (code, stdout) == (0, ""), err
+        assert "," in out.read_text(encoding="utf-8").splitlines()[0]  # a csv header
+        assert parsed_by == []
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    @pytest.mark.parametrize("refused", [["--form", "csv"], ["-h"], ["--dim", "x"]],
+                             ids=["abbreviation", "help", "bad-dim"])
+    def test_a_refused_argv_is_parsed_by_its_own_parser_alone(self, kind, refused, monkeypatch):
+        sub = subcommand_parsers()[kind]
+        config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] else []
+        assert cli._read_options(sub, [*config, *refused]) is None
+        parsed_by = argparse_passes(monkeypatch)
+        code, out, err = run_cli([kind, *config, *refused])
+        assert parsed_by == [sub]  # once, and never the top-level parser
+        assert code == (2 if refused[0] == "--dim" else 0), err
 
     @pytest.mark.parametrize(
         "argv, code, err",
@@ -1695,6 +1715,75 @@ def fuzz_argv(draw) -> list[str]:
     if draw(st.sampled_from([False, False, False, True])):
         options.insert(draw(st.integers(0, len(options))), draw(fuzz_option(sorted(FUZZ_VALUES))))
     return [kind] + [token for option in options for token in option]
+
+
+#: Token runs that the direct read of a subcommand's options must refuse, or
+#: read exactly as argparse does: abbreviations, help, "--" (which Python
+#: 3.11's argparse drops from "--state=--", leaving an empty list), a bare
+#: "-", a leading minus sign, and values that int() reads in more than one
+#: spelling.
+NOISE = [["--conf"], ["--stat"], ["-h"], ["--help"], ["--"], ["-"], ["--state", "-1,0"], ["--state=-1,0"],
+         ["--state=--"], ["--dim=+3"], ["--dim= 3"], ["--dim=\u0663"], ["--seed=1_0"], ["--out="],
+         ["--overlap", "nan"]]
+
+
+@st.composite
+def noisy_argv(draw) -> list[str]:
+    """``fuzz_argv`` with noise runs inserted at random positions, and perhaps some of its tokens repeated."""
+    argv = draw(fuzz_argv())
+    for noise in draw(st.lists(st.sampled_from(NOISE), max_size=2)):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = noise
+    if len(argv) > 1 and draw(st.booleans()):
+        start = draw(st.integers(1, len(argv) - 1))
+        argv += argv[start:start + 2]  # a repeated option, if this is one: a later one wins
+    return argv
+
+
+def same_fields(read: dict, parsed: dict) -> bool:
+    """Equal fields, with each value of the same type; NaN equals NaN."""
+    return read.keys() == parsed.keys() and all(
+        type(read[name]) is type(parsed[name]) and (read[name] == parsed[name] or read[name] != read[name] and
+                                                    parsed[name] != parsed[name])
+        for name in read)
+
+
+def run_cli_in(fuzz_dir: str, argv: list[str]) -> tuple:
+    """``without_timestamp(run_cli(argv))`` plus the reports it wrote under ``fuzz_dir``, which it then removes."""
+    result = without_timestamp(run_cli([token.replace(FUZZ_DIR, fuzz_dir) for token in argv]))
+    written = {}
+    for name in sorted(os.listdir(fuzz_dir)):
+        path = os.path.join(fuzz_dir, name)
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8") as handle:
+                written[name] = without_timestamp((None, handle.read(), ""))[1]
+            os.remove(path)
+    return result, written
+
+
+class TestDirectRead:
+    """A subcommand argv read straight from its parser's actions reads as argparse reads it."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(argv=noisy_argv())
+    @example(argv=["no-cloning-witness", "--overlap", "nan"])
+    @example(argv=["clone-demo", "--dim=\u0663", "--seed=1_0", "--dim= 3", "--format", "csv", "--format=table"])
+    def test_read_fields_are_argparses(self, argv):
+        sub = subcommand_parsers().get(argv[0])
+        fields = None if sub is None else cli._read_options(sub, argv[1:])
+        if fields is not None:
+            parsed = vars(sub.parse_args(argv[1:]))
+            assert same_fields(fields, parsed), (argv, fields, parsed)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=noisy_argv())
+    def test_main_runs_as_with_argparse_alone(self, argv):
+        with tempfile.TemporaryDirectory() as fuzz_dir:
+            direct = run_cli_in(fuzz_dir, argv)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_read_options", lambda sub, args: None)
+                assert run_cli_in(fuzz_dir, argv) == direct, argv
 
 
 class TestCliFuzz:

@@ -19,6 +19,7 @@ violation, 4 dimension or validation failure, an ``--out`` path that cannot
 be written, or a report whose text stdout cannot encode (JSON writes
 non-ASCII text unescaped).  ``--out`` files are UTF-8, as configs are.
 """
+
 from __future__ import annotations
 
 import argparse
@@ -130,7 +131,9 @@ def main(argv: list[str] | None = None) -> int:
         if argv and argv[0] in kinds:
             sub = kinds[argv[0]]
             options = _read_options(sub, argv[1:])
-            fields = {"kind": argv[0], **(vars(sub.parse_args(argv[1:])) if options is None else options)}
+            if options is None:
+                options = vars(sub.parse_args(argv[1:]))
+            fields = {"kind": argv[0], **options}
         else:
             fields = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse has printed its usage error or help

@@ -1768,6 +1768,8 @@ class TestDirectRead:
     @given(argv=noisy_argv())
     @example(argv=["no-cloning-witness", "--overlap", "nan"])
     @example(argv=["clone-demo", "--dim=\u0663", "--seed=1_0", "--dim= 3", "--format", "csv", "--format=table"])
+    @example(argv=["clone-demo", "--help", "plus"])  # help takes no value
+    @example(argv=["domain", "--format", "csv"])  # --config is required
     def test_read_fields_are_argparses(self, argv):
         sub = subcommand_parsers().get(argv[0])
         fields = None if sub is None else cli._read_options(sub, argv[1:])
@@ -1778,6 +1780,8 @@ class TestDirectRead:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(argv=noisy_argv())
+    @example(argv=["clone-demo", "--help", "plus"])
+    @example(argv=["domain", "--format", "csv"])
     def test_main_runs_as_with_argparse_alone(self, argv):
         with tempfile.TemporaryDirectory() as fuzz_dir:
             direct = run_cli_in(fuzz_dir, argv)

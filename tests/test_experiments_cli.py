@@ -1718,10 +1718,10 @@ def fuzz_argv(draw) -> list[str]:
 
 
 #: Token runs that the direct read of a subcommand's options must refuse, or
-#: read exactly as argparse does: abbreviations, help, "--" (which Python
-#: 3.11's argparse drops from "--state=--", leaving an empty list), a bare
-#: "-", a leading minus sign, and values that int() reads in more than one
-#: spelling.
+#: read exactly as argparse does: abbreviations, help, "--" (Python 3.10 to
+#: 3.12's argparse reads "--state=--" as an empty list, 3.13's as "--"), a
+#: bare "-", a leading minus sign, and values that int() reads in more than
+#: one spelling.
 NOISE = [["--conf"], ["--stat"], ["-h"], ["--help"], ["--"], ["-"], ["--state", "-1,0"], ["--state=-1,0"],
          ["--state=--"], ["--dim=+3"], ["--dim= 3"], ["--dim=\u0663"], ["--seed=1_0"], ["--out="],
          ["--overlap", "nan"]]
@@ -1742,10 +1742,10 @@ def noisy_argv(draw) -> list[str]:
 
 def same_fields(read: dict, parsed: dict) -> bool:
     """Equal fields, with each value of the same type; NaN equals NaN."""
-    return read.keys() == parsed.keys() and all(
-        type(read[name]) is type(parsed[name]) and (read[name] == parsed[name] or read[name] != read[name] and
-                                                    parsed[name] != parsed[name])
-        for name in read)
+    def same(a, b) -> bool:
+        return type(a) is type(b) and (a == b or a != a and b != b)
+
+    return read.keys() == parsed.keys() and all(same(read[name], parsed[name]) for name in read)
 
 
 def run_cli_in(fuzz_dir: str, argv: list[str]) -> tuple:

@@ -1,23 +1,24 @@
 """Command-line experiment runner.
 
 One subcommand per experiment kind, taking an option per parameter of its
-runner (``experiments.EXPERIMENT_INPUTS``); reports go to stdout or
-``--out``.  The parser is built once per process and reused by every
-:func:`main` call; parsing reads only its ``argv``, so no call carries
-options into the next.  An argv that starts with a kind is read directly
-from that kind's parser's actions when every token is an exact
-``--flag value`` or ``--flag=value`` of its options and every value passes
-the option's type and choices (:func:`_read_options`); otherwise (help, an
-abbreviation, an unknown option, a bad value, a missing required option) it
-is parsed by that kind's own parser alone, in one argparse pass, so an
-option it does not read is reported with the subcommand's usage.  Both
-paths give the same fields.  The top-level parser only routes, and parses
-every other argv (none, ``-h``, an unknown kind, an option before the
-kind).  Exit codes: 0 success, 1 report written but a check failed, 2
-unparseable command line (returned, not raised) or config, 3 domain
-violation, 4 dimension or validation failure, an ``--out`` path that cannot
-be written, or a report whose text stdout cannot encode (JSON writes
-non-ASCII text unescaped).  ``--out`` files are UTF-8, as configs are.
+runner (``experiments.EXPERIMENT_INPUTS``), read as its annotation's type;
+reports go to stdout or ``--out``.  The parser is built once per process and
+reused by every :func:`main` call; parsing reads only its ``argv``, so no
+call carries options into the next.  An argv that starts with a kind is read
+directly from the options ``build_parser`` recorded for that kind when every
+token is an exact ``--flag value`` or ``--flag=value`` of them and every
+value passes the option's converter and choices (:func:`_read_options`);
+otherwise (help, an abbreviation, an unknown option, a bad value, a missing
+required option) it is parsed by that kind's own parser alone, in one
+argparse pass, so an option it does not read, or a list (``--flag=--`` under
+Python 3.10 to 3.12), is reported with the subcommand's usage.  Both paths
+give the same fields.  The top-level parser only routes, and parses every
+other argv (none, ``-h``, an unknown kind, an option before the kind).  Exit
+codes: 0 success, 1 report written but a check failed, 2 unparseable command
+line (returned, not raised) or config, 3 domain violation, 4 dimension or
+validation failure, an ``--out`` path that cannot be written, or a report
+whose text stdout cannot encode (JSON writes non-ASCII text unescaped).
+``--out`` files are UTF-8, as configs are.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .experiments import (
     EXPERIMENT_INPUTS,
     EXPERIMENT_KINDS,
     OUTPUT_FORMATS,
+    _input_type,
     render_report,
     run,
 )
@@ -48,16 +50,19 @@ _OPTIONS = {
     "config_path": ("--config", {"metavar": "PATH", "help": "atomic-system config file (JSON)"}),
     "state": ("--state", {"help": "input state: comma amplitudes like '0.7+0.7i,0', or a preset (plus, basisK); "
                                   "write a leading minus sign as --state=-1,0"}),
-    "seed": ("--seed", {"type": int, "help": "seed for random-state generation"}),
-    "dim": ("--dim", {"type": int, "help": "dimension for random input states"}),
-    "ancilla_index": ("--ancilla-index", {"type": int, "help": "which basis ancilla to hold fixed"}),
-    "overlap": ("--overlap", {"type": float, "help": "single overlap to test; default sweeps 0.00..1.00; "
-                                                     "write a leading minus sign as --overlap=-1e-12"}),
+    "seed": ("--seed", {"help": "seed for random-state generation"}),
+    "dim": ("--dim", {"help": "dimension for random input states"}),
+    "ancilla_index": ("--ancilla-index", {"help": "which basis ancilla to hold fixed"}),
+    "overlap": ("--overlap", {"help": "single overlap to test; default sweeps 0.00..1.00; "
+                                      "write a leading minus sign as --overlap=-1e-12"}),
     "excited_state": ("--excited-state", {"help": "amplitudes over the excited manifold; default isotropic ensemble; "
                                                   "write a leading minus sign as --excited-state=-0.6,0.8,0"}),
-    "modes": ("--modes", {"type": lambda text: tuple(label.strip() for label in text.split(",")),
-                          "help": "comma-separated polarization labels restricting the output space"}),
+    "modes": ("--modes", {"help": "comma-separated polarization labels restricting the output space"}),
 }
+
+
+#: Each subcommand parser's options by flag, as ``build_parser`` adds them: (dest, converter, choices, required).
+_FLAGS: dict[argparse.ArgumentParser, dict[str, tuple]] = {}
 
 
 @functools.cache
@@ -70,36 +75,38 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subparsers = parser.add_subparsers(dest="kind", required=True)
     for kind in EXPERIMENT_KINDS:
         sub = subparsers.add_parser(kind, help=f"run the {kind} experiment", argument_default=argparse.SUPPRESS)
+        flags = _FLAGS[sub] = {}
         for name, parameter in EXPERIMENT_INPUTS[kind].parameters.items():
             flag, arguments = _OPTIONS[name]
             required = parameter.default is parameter.empty
             if not required and parameter.default is not None:
                 arguments = {**arguments, "help": f"{arguments['help']} (default {parameter.default})"}
-            sub.add_argument(flag, dest=name, required=required, **arguments)
-        sub.add_argument("--format", type=str, default="json", choices=OUTPUT_FORMATS,
-                         help="report format (default json)")
-        sub.add_argument("--out", type=str, default=None, metavar="PATH",
-                         help="write the report here instead of stdout")
+            _, _, convert, _ = _input_type(parameter.annotation)
+            flags[flag] = (name, convert, None, required)
+            sub.add_argument(flag, dest=name, required=required, type=convert, **arguments)
+        flags |= {"--format": ("format", str, OUTPUT_FORMATS, False), "--out": ("out", str, None, False)}
+        sub.add_argument("--format", type=str, choices=OUTPUT_FORMATS, help="report format (default json)")
+        sub.add_argument("--out", type=str, metavar="PATH", help="write the report here instead of stdout")
     return parser, subparsers.choices
 
 
 def _read_options(sub: argparse.ArgumentParser, args: list[str]) -> dict | None:
-    """``vars(sub.parse_args(args))`` read straight from ``sub``'s actions, or
+    """``vars(sub.parse_args(args))`` read straight from ``_FLAGS[sub]``, or
     None where argparse must run: any token but an exact ``--flag value`` or
-    ``--flag=value`` of a valued option of ``sub`` (an abbreviation, ``-h``,
+    ``--flag=value`` of an option of ``sub`` (an abbreviation, ``-h``,
     ``--``, a positional, a non-``str``), a space-separated value that is
     missing or starts with ``-`` (argparse may read it as an option), a value
-    its ``type`` refuses or outside its ``choices``, or a missing required
+    its converter refuses or outside its choices, or a missing required
     option.  A later repeat wins, as in argparse."""
-    fields = {action.dest: action.default for action in sub._actions if action.default is not argparse.SUPPRESS}
-    given = set()
+    flags = _FLAGS[sub]
+    fields = {}
     tokens = iter(args)
     for token in tokens:
         if not isinstance(token, str) or not token.startswith("--"):
             return None
         flag, equals, value = token.partition("=")
-        action = sub._option_string_actions.get(flag)
-        if action is None or action.nargs is not None:  # unknown, abbreviated, or a flag without a value
+        option = flags.get(flag)
+        if option is None:  # unknown, abbreviated, or help
             return None
         if not equals:
             value = next(tokens, None)
@@ -107,15 +114,15 @@ def _read_options(sub: argparse.ArgumentParser, args: list[str]) -> dict | None:
                 return None
         elif value == "--":  # some argparse versions drop it from an option's values
             return None
+        dest, convert, choices, _ = option
         try:
-            value = value if action.type is None else action.type(value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            value = convert(value)
+        except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        fields[action.dest] = value
-        given.add(action)
-    if any(action.required and action not in given for action in sub._actions):
+        fields[dest] = value
+    if any(required and dest not in fields for dest, _, _, required in flags.values()):
         return None
     return fields
 
@@ -133,12 +140,15 @@ def main(argv: list[str] | None = None) -> int:
             options = _read_options(sub, argv[1:])
             if options is None:
                 options = vars(sub.parse_args(argv[1:]))
+                listed = [flag for flag, (dest, *_) in _FLAGS[sub].items() if type(options.get(dest)) is list]
+                if listed:  # no option takes nargs, but Python 3.10 to 3.12's argparse reads --flag=-- as []
+                    sub.error(f"argument {listed[0]}: expected one argument")
             fields = {"kind": argv[0], **options}
         else:
             fields = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse has printed its usage error or help
         return exc.code
-    output_format, out = fields.pop("format"), fields.pop("out")
+    output_format, out = fields.pop("format", "json"), fields.pop("out", None)
     try:
         report, rows = run(**fields)
         rendered = render_report(report, rows, output_format)

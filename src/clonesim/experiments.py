@@ -1,8 +1,8 @@
 """Canned experiment runners producing machine-readable reports.
 
 Each experiment kind is one runner; the runner's signature is the only
-statement of the inputs the kind reads and of their defaults, and
-:func:`run` turns its results into a JSON-serializable report dict.
+statement of the inputs the kind reads and of their types and defaults,
+and :func:`run` turns its results into a JSON-serializable report dict.
 Reports are deterministic for fixed inputs except for the ``generated_at``
 timestamp, which golden-file comparisons must exclude.  See
 ``docs/report_schema.md`` for the schema.
@@ -16,8 +16,10 @@ import io
 import json
 import marshal
 import os
+import types
 from datetime import datetime, timezone
 from functools import lru_cache
+from typing import get_args
 
 import numpy as np
 import orjson
@@ -272,8 +274,6 @@ def _run_fixed_ancilla(state: str | None = None, seed: int = 0, dim: int = 2, an
 def _run_witness(overlap: float | None = None) -> _Outcome:
     if overlap is None:
         overlaps = np.arange(101) / 100.0
-    elif type(overlap) not in (float, int):  # a report echoes the overlap, and the writer refuses a complex one
-        raise ValueError(f"overlap must be a float or an int, got {type(overlap).__name__} {overlap!r}")
     elif not abs(overlap) <= 1 + WITNESS_ATOL:  # false for NaN too
         try:
             size = f"= {abs(overlap):.6g}"
@@ -449,20 +449,35 @@ _RUNNERS = {
 
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 
-#: The inputs each kind reads, with their defaults: its runner's signature.
-EXPERIMENT_INPUTS = {kind: inspect.signature(runner) for kind, runner in _RUNNERS.items()}
+#: The inputs each kind reads, with their types and defaults: its runner's signature, annotations evaluated.
+EXPERIMENT_INPUTS = {kind: inspect.signature(runner, eval_str=True) for kind, runner in _RUNNERS.items()}
+
+#: Each type an input's annotation may name: whether a value's exact type is it (a float input also takes an int,
+#: PEP 484's rule), how a refusal names it, and how the CLI reads it from text.
+_INPUT_TYPES = {
+    int: (lambda value: type(value) is int, "an int", int),
+    float: (lambda value: type(value) in (float, int), "a float or an int", float),
+    str: (lambda value: type(value) is str, "a str", str),
+    tuple[str, ...]: (lambda value: type(value) is tuple and all(type(label) is str for label in value),
+                      "a tuple of str", lambda text: tuple(label.strip() for label in text.split(","))),
+}
+
+
+@lru_cache
+def _input_type(annotation) -> tuple:
+    """The ``_INPUT_TYPES`` entry of the one type besides None that ``annotation`` names, and whether it names None."""
+    members = get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    (key,) = set(members) - {type(None)}
+    return (*_INPUT_TYPES[key], type(None) in members)
 
 
 def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
     """Execute one experiment; return its report document, whose ``parameters``
     are the kind's inputs with their defaults applied, and the rows that the
     csv and table formats render.  An unknown ``kind``, an input the kind does
-    not read, or a missing ``config_path`` is a ``ConfigError``; an input whose
-    default is an ``int`` (``seed``, ``dim``, ``ancilla_index``) given as
-    anything but an ``int`` (a ``bool`` or numpy integer included), a
-    ``config_path``, ``state`` or ``excited_state`` given as anything but a
-    ``str`` (a ``pathlib.Path`` or ``bytes`` included), ``modes`` as anything
-    but a tuple of ``str``, or a ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
+    not read, or a missing ``config_path`` is a ``ConfigError``.  The runner's
+    annotation states each input's type: a value whose exact type it does not
+    name, or a ``seed`` outside 0..2**64 - 1, is a ``ValueError``."""
     signature = EXPERIMENT_INPUTS.get(kind)
     if signature is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -474,15 +489,10 @@ def run(kind: str, **inputs) -> tuple[dict, list[dict]]:
                if parameter.default is parameter.empty and name not in inputs]
     if missing:
         raise ConfigError(f"experiment {kind!r} requires {missing}")
-    for name, value in inputs.items():
-        default = declared[name].default
-        if type(default) is int and type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-        # Each is read as text and echoed by the report, and the JSON writer refuses a path object or bytes.
-        if name in ("config_path", "state", "excited_state") and type(value) is not str and value is not default:
-            raise ValueError(f"{name} must be a str, got {type(value).__name__} {value!r}")
-        if name == "modes" and value is not default and not (type(value) is tuple and set(map(type, value)) <= {str}):
-            raise ValueError(f"modes must be a tuple of str, got {type(value).__name__} {value!r}")
+    for name, value in inputs.items():  # a report echoes each value as it was given
+        admits, named, _, optional = _input_type(declared[name].annotation)
+        if not (admits(value) or optional and value is None):
+            raise ValueError(f"{name} must be {named}, got {type(value).__name__} {value!r}")
     if inputs.get("seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {inputs['seed']}")
     if inputs.get("seed", 0) >= 2**64:  # the largest int a report holds is 2**64 - 1

@@ -9,10 +9,12 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError
 from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -333,6 +335,31 @@ class TestConfigCache:
         assert cold_map is None or cold_map.system is cold
 
 
+#: Each type an input's annotation may name: how a refusal names it, and values of other exact types.
+WRONG_TYPE_VALUES = {
+    int: ("an int", [True, 2.0, "2", np.int64(2)]),
+    float: ("a float or an int", ["0.5", True, 0.5 + 0j, np.float64(0.5)]),
+    str: ("a str", [5, b"plus", ["1", "0"], CONFIG_DIR / "full_p_manifold.json", np.str_("plus")]),
+    tuple[str, ...]: ("a tuple of str", ["pi", ["pi"], (PI,)]),
+}
+
+
+def wrong_type_inputs() -> list:
+    """(kind, name, value, refusal) for every input of every kind and each value of a type its annotation does not
+    name: ``WRONG_TYPE_VALUES`` of the type besides None that it names, and None where it does not name None."""
+    cases = []
+    for kind, signature in EXPERIMENT_INPUTS.items():
+        for name, parameter in signature.parameters.items():
+            annotation = parameter.annotation
+            members = get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+            (named_type,) = set(members) - {type(None)}
+            named, values = WRONG_TYPE_VALUES[named_type]
+            for value in values + ([] if type(None) in members else [None]):
+                message = f"{name} must be {named}, got {type(value).__name__} {value!r}"
+                cases.append(pytest.param(kind, name, value, message, id=f"{kind}-{name}-{type(value).__name__}"))
+    return cases
+
+
 class TestRunners:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_kind_runs_and_passes(self, kind, config_dir):
@@ -487,42 +514,9 @@ class TestRunners:
         report, _ = run("spontaneous", **spec_for("spontaneous", config_dir, modes=("sigma-", "sigma+")))
         assert report["results"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "kind, name, value",
-        [
-            ("no-cloning-witness", "overlap", "0.5"),
-            ("no-cloning-witness", "overlap", True),
-            *(
-                (kind, name, value)
-                for kind, signature in EXPERIMENT_INPUTS.items()
-                for name, parameter in signature.parameters.items()
-                if type(parameter.default) is int  # seed, dim and ancilla_index take an int and nothing else
-                for value in (True, 2.0, "2", np.int64(2))
-            ),
-            *(
-                pytest.param(kind, "config_path", value, id=f"{kind}-config_path-{type(value).__name__}")
-                for kind, signature in EXPERIMENT_INPUTS.items()
-                if "config_path" in signature.parameters  # a report echoes the path, which only a str renders
-                for value in (CONFIG_DIR / "full_p_manifold.json", os.fsencode(CONFIG_DIR / "full_p_manifold.json"))
-            ),
-            *(
-                pytest.param(kind, name, value, id=f"{kind}-{name}-{type(value).__name__}")
-                for kind, name, value in (
-                    ("clone-demo", "state", 5),
-                    ("clone-demo", "state", b"plus"),
-                    ("fixed-ancilla", "state", ["1", "0"]),
-                    ("stimulated-clone", "state", b"1,0,0"),
-                    ("spontaneous", "excited_state", [1, 0, 0]),
-                    ("spontaneous", "excited_state", b"1,0,0"),
-                    ("spontaneous", "modes", "pi"),
-                    ("spontaneous", "modes", ["pi"]),
-                    ("spontaneous", "modes", (PI,)),
-                )
-            ),
-        ],
-    )
-    def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value):
-        with pytest.raises(ValueError, match=f"^{name} .*{re.escape(repr(value))}"):
+    @pytest.mark.parametrize("kind, name, value, message", wrong_type_inputs())
+    def test_library_inputs_are_not_coerced(self, config_dir, kind, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(kind, **spec_for(kind, config_dir, **{name: value}))
 
     def test_no_experiment_builds_a_dense_matrix(self, config_dir, monkeypatch):
@@ -1448,6 +1442,15 @@ class TestInputsAreDeclaredOnce:
             shown = parameter.default not in (None, parameter.empty)
             assert documented[kind][options[name].option_strings[0]] == (str(parameter.default) if shown else "")
 
+    def test_report_schema_states_each_annotation_once(self):
+        text = (REPO_ROOT / "docs" / "report_schema.md").read_text(encoding="utf-8")
+        section = text.split("\n## `parameters` per kind\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^- `(.+)`$", section, re.MULTILINE)
+        assert len({line.split(":")[0] for line in documented}) == len(documented)
+        declared = {str(parameter) for signature in EXPERIMENT_INPUTS.values()
+                    for parameter in signature.parameters.values()}
+        assert sorted(documented) == sorted(declared)
+
 
 def load_batch_script():
     spec = importlib.util.spec_from_file_location("run_all_experiments", REPO_ROOT / "scripts" / "run_all_experiments.py")
@@ -1695,6 +1698,49 @@ def test_subcommand_takes_exactly_the_flags_it_reads(kind, flag):
     else:
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {flag} " in err
+
+
+def argparse_reads_a_dash_value_as_a_list() -> bool:
+    """Whether this Python's argparse reads ``--flag=--`` as ``[]`` (3.10 to 3.12), not as the text ``--`` (3.13)."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--flag")
+    return parser.parse_args(["--flag=--"]).flag == []
+
+
+#: Each subcommand with each option it takes.
+KIND_OPTIONS = [(kind, flag) for kind in EXPERIMENT_KINDS for flag in [*KIND_FLAGS[kind], "--format", "--out"]]
+
+
+class TestDashValue:
+    """No option takes a list, so a list in argparse's fields is the subcommand's usage error."""
+
+    @pytest.mark.skipif(not argparse_reads_a_dash_value_as_a_list(), reason="argparse reads --flag=-- as text")
+    @pytest.mark.parametrize("kind, flag", KIND_OPTIONS)
+    def test_a_dash_value_is_a_usage_error(self, kind, flag, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] and flag != "--config" else []
+        code, out, err = run_cli([kind, *config, f"{flag}=--"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: clonesim {kind} ")
+        assert err.endswith(f"\nclonesim {kind}: error: argument {flag}: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, flag", KIND_OPTIONS)
+    def test_a_listed_field_is_a_usage_error(self, kind, flag, tmp_path, monkeypatch):
+        # The fields Python 3.10 to 3.12's argparse gives for --flag=--, fed to main on any version.
+        monkeypatch.chdir(tmp_path)
+        sub = subcommand_parsers()[kind]
+        dest = next(action.dest for action in sub._actions if flag in action.option_strings)
+        parse_args = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(cli, "_read_options", lambda sub, args: None)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda parser, args: argparse.Namespace(**{**vars(parse_args(parser, args)), dest: []}))
+        config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] and flag != "--config" else []
+        code, out, err = run_cli([kind, *config, flag, {**FLAG_VALUES, "--format": "csv", "--out": "report.out"}[flag]])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: clonesim {kind} ")
+        assert err.endswith(f"\nclonesim {kind}: error: argument {flag}: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def fuzz_option(flags: list[str]):

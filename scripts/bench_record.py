@@ -8,7 +8,8 @@ that ``BENCHMARK.json`` declares (``python3 perfbench/run.py``), at its
     python3 perfbench/run.py --workload W --seed S --seconds N
 
 one checkout after the other, so that several checkouts run in pairs on the
-same machine; which checkout goes first alternates from seed to seed.  Each
+same machine; the order rotates by one checkout from seed to seed, so with k
+checkouts each goes first once in every k seeds (two alternate).  Each
 checkout's runs go to ``BENCH_<label>.json``: every run's provenance line and
 end-to-end metrics, plus each metric's median and quartiles per workload.  Each
 run also records ``tree_dirty``: whether ``git status --porcelain`` lists any
@@ -201,7 +202,8 @@ def main(argv=None) -> int:
     for workload in workloads:
         for index, seed in enumerate(args.seeds):
             order = list(checkouts.items())
-            for label, root in order if index % 2 == 0 else reversed(order):
+            shift = index % len(order)
+            for label, root in order[shift:] + order[:shift]:
                 record = run_once(root, workload, seed)
                 runs[label].append(record)
                 shown = {name: round(value, 4) for name, value in record.get("metrics", {}).items()}

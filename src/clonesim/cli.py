@@ -10,8 +10,8 @@ token is an exact ``--flag value`` or ``--flag=value`` of them and every
 value passes the option's converter and choices (:func:`_read_options`);
 otherwise (help, an abbreviation, an unknown option, a bad value, a missing
 required option) it is parsed by that kind's own parser alone, in one
-argparse pass, so an option it does not read, or a list (``--flag=--`` under
-Python 3.10 to 3.12), is reported with the subcommand's usage.  Both paths
+argparse pass, so an option it does not read, or ``--flag=--`` (read as a list
+or as ``--``), is reported with the subcommand's usage.  Both paths
 give the same fields.  The top-level parser only routes, and parses every
 other argv (none, ``-h``, an unknown kind, an option before the kind).  Exit
 codes: 0 success, 1 report written but a check failed, 2 unparseable command
@@ -140,9 +140,9 @@ def main(argv: list[str] | None = None) -> int:
             options = _read_options(sub, argv[1:])
             if options is None:
                 options = vars(sub.parse_args(argv[1:]))
-                listed = [flag for flag, (dest, *_) in _FLAGS[sub].items() if type(options.get(dest)) is list]
-                if listed:  # no option takes nargs, but Python 3.10 to 3.12's argparse reads --flag=-- as []
-                    sub.error(f"argument {listed[0]}: expected one argument")
+                dashed = [flag for flag, (dest, *_) in _FLAGS[sub].items() if options.get(dest) in ([], "--", ("--",))]
+                if dashed:  # argparse reads --flag=-- as [] (Python 3.10 to 3.12), "--" or ("--",) (3.13)
+                    sub.error(f"argument {dashed[0]}: expected one argument")
             fields = {"kind": argv[0], **options}
         else:
             fields = vars(parser.parse_args(argv))

@@ -130,14 +130,16 @@ sys.exit({exit_code})
 WORKLOADS = [workload["name"] for workload in BENCH_RECORD.BENCHMARK["workloads"]]
 
 
-def record_fake_checkout(tmp_path, monkeypatch, correct=True, exit_code=0) -> int:
+def record_fake_checkout(tmp_path, monkeypatch, correct=True, exit_code=0, labels=("a",), seeds=("1",)) -> int:
+    """Record each label, all on one fake checkout, over ``seeds``."""
     checkout, out_dir = tmp_path / "checkout", tmp_path / "out"
     (checkout / "perfbench").mkdir(parents=True)
     out_dir.mkdir()
     (checkout / "perfbench" / "run.py").write_text(
         FAKE_RUN.format(correct=correct, names=list(BENCH_RECORD.METRICS), exit_code=exit_code))
     monkeypatch.setattr(BENCH_RECORD, "probe_ms", lambda: 100.0)
-    return BENCH_RECORD.main(["--checkout", f"a={checkout}", "--seeds", "1", "--out-dir", str(out_dir)])
+    checkouts = [argument for label in labels for argument in ("--checkout", f"{label}={checkout}")]
+    return BENCH_RECORD.main([*checkouts, "--seeds", *seeds, "--out-dir", str(out_dir)])
 
 
 def test_a_record_summarizes_exactly_the_end_to_end_metrics(tmp_path, monkeypatch, capsys):
@@ -160,6 +162,17 @@ def test_a_failed_run_fails_the_record(tmp_path, monkeypatch, capsys, correct, e
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" {")[0] for line in lines] == [f"a {workload} seed=1 exit={exit_code} {shown}"
                                                        for workload in WORKLOADS]
+
+
+@pytest.mark.parametrize("labels, orders", [
+    (("a", "b"), ["ab", "ba", "ab"]),  # two checkouts alternate
+    (("a", "b", "c"), ["abc", "bca", "cab"]),  # each of three goes first once in three seeds
+], ids=["two", "three"])
+def test_the_order_rotates_by_seed(tmp_path, monkeypatch, capsys, labels, orders):
+    assert record_fake_checkout(tmp_path, monkeypatch, labels=labels, seeds=("1", "2", "3")) == 0
+    ran = [line.split()[:3] for line in capsys.readouterr().out.splitlines() if " seed=" in line]
+    assert ran == [[label, workload, f"seed={seed}"] for workload in WORKLOADS
+                   for seed, order in enumerate(orders, start=1) for label in order]
 
 
 def test_the_probe_runs_on_one_thread():

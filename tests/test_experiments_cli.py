@@ -1700,41 +1700,36 @@ def test_subcommand_takes_exactly_the_flags_it_reads(kind, flag):
         assert f"unrecognized arguments: {flag} " in err
 
 
-def argparse_reads_a_dash_value_as_a_list() -> bool:
-    """Whether this Python's argparse reads ``--flag=--`` as ``[]`` (3.10 to 3.12), not as the text ``--`` (3.13)."""
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--flag")
-    return parser.parse_args(["--flag=--"]).flag == []
-
-
 #: Each subcommand with each option it takes.
 KIND_OPTIONS = [(kind, flag) for kind in EXPERIMENT_KINDS for flag in [*KIND_FLAGS[kind], "--format", "--out"]]
 
 
 class TestDashValue:
-    """No option takes a list, so a list in argparse's fields is the subcommand's usage error."""
+    """No option reads ``--flag=--``: whatever argparse makes of it is the subcommand's usage error."""
 
-    @pytest.mark.skipif(not argparse_reads_a_dash_value_as_a_list(), reason="argparse reads --flag=-- as text")
     @pytest.mark.parametrize("kind, flag", KIND_OPTIONS)
     def test_a_dash_value_is_a_usage_error(self, kind, flag, tmp_path, monkeypatch):
+        # The message after "argument --flag: " depends on the version: 3.13's argparse refuses some values itself.
         monkeypatch.chdir(tmp_path)
         config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] and flag != "--config" else []
         code, out, err = run_cli([kind, *config, f"{flag}=--"])
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: clonesim {kind} ")
-        assert err.endswith(f"\nclonesim {kind}: error: argument {flag}: expected one argument\n")
+        assert f"\nclonesim {kind}: error: argument {flag}: " in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [[], "--", ("--",)], ids=["list", "text", "tuple"])
     @pytest.mark.parametrize("kind, flag", KIND_OPTIONS)
-    def test_a_listed_field_is_a_usage_error(self, kind, flag, tmp_path, monkeypatch):
-        # The fields Python 3.10 to 3.12's argparse gives for --flag=--, fed to main on any version.
+    def test_a_listed_field_is_a_usage_error(self, kind, flag, value, tmp_path, monkeypatch):
+        # The fields argparse gives for --flag=-- (a list on Python 3.10 to 3.12; on 3.13 the text, or the
+        # tuple the --modes converter makes of it), fed to main on any version.
         monkeypatch.chdir(tmp_path)
         sub = subcommand_parsers()[kind]
         dest = next(action.dest for action in sub._actions if flag in action.option_strings)
         parse_args = argparse.ArgumentParser.parse_args
         monkeypatch.setattr(cli, "_read_options", lambda sub, args: None)
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
-                            lambda parser, args: argparse.Namespace(**{**vars(parse_args(parser, args)), dest: []}))
+                            lambda parser, args: argparse.Namespace(**{**vars(parse_args(parser, args)), dest: value}))
         config = ["--config", FULL_P] if "--config" in KIND_FLAGS[kind] and flag != "--config" else []
         code, out, err = run_cli([kind, *config, flag, {**FLAG_VALUES, "--format": "csv", "--out": "report.out"}[flag]])
         assert (code, out) == (2, "")

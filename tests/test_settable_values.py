@@ -4,15 +4,19 @@ every parameter of a public function or method in the package.
 Each settable value must do something, so the count only moves when a
 change adds or deletes one on purpose; the pinned total makes that move
 explicit.  Beside it, every public name of the package must have a caller
-outside the tests.
+outside the tests, and is stated once, in its module: the package itself
+re-exports none.
 """
 
 import ast
 import dataclasses
 import inspect
 import re
+import subprocess
+import sys
 from collections import Counter
 
+import clonesim
 from clonesim import angular, cli, copying, emission, errors, experiments, hilbert
 
 from test_golden import REPO_ROOT
@@ -80,9 +84,8 @@ def _public_definitions(tree: ast.Module):
 
 def uncalled_public_names() -> list[str]:
     """The public names that appear, as a whole word, neither in the library
-    outside their own definition (``__init__.py``'s re-exports do not count)
-    nor anywhere in ``perfbench`` or ``scripts``, whose string bindings of
-    traced names do count.
+    outside their own definition nor anywhere in ``perfbench`` or
+    ``scripts``, whose string bindings of traced names do count.
 
     A word match over-counts: a short name such as ``dim`` or ``j`` also
     matches unrelated words, so it always counts as used.
@@ -103,3 +106,19 @@ def uncalled_public_names() -> list[str]:
 
 def test_every_public_name_has_a_caller():
     assert uncalled_public_names() == []
+
+
+def test_the_package_binds_only_its_submodules():
+    bound = {name: value for name, value in vars(clonesim).items() if not name.startswith("_")}
+    assert [name for name, value in bound.items()
+            if not (inspect.ismodule(value) and value.__name__ == f"clonesim.{name}")] == []
+    assert isinstance(clonesim.__version__, str)
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    """Importing one module loads only what that module imports."""
+    code = (f"import sys; sys.path.insert(0, {str(REPO_ROOT / 'src')!r}); import clonesim; "
+            "print(clonesim.__file__); print(sorted(name for name in sys.modules "
+            "if name.startswith('clonesim.') or name.partition('.')[0] == 'numpy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [str(REPO_ROOT / "src" / "clonesim" / "__init__.py"), "[]"]

@@ -7,8 +7,8 @@ the Wigner-Eckart factorization of the spherical dipole components
 C^(1)_q, so an amplitude is exactly zero whenever the selection rules
 Delta l = +-1, Delta m = q fail.
 
-Each system builds these amplitudes once, as its dipole table D
-(``AtomicSystem.amplitudes``): each entry is the level's radial factor
+Each system builds these amplitudes once, as its real dipole table D
+(``AtomicSystem.amplitudes``, float64): each entry is the level's radial factor
 times the angular factor from :func:`~clonesim.angular.dipole_angular_factors`,
 which is memoized per integer (l_e, m_e, l_g, m_g), so a system built from
 levels seen before does no Clebsch-Gordan arithmetic.  A transition is
@@ -130,7 +130,7 @@ class AtomicSystem:
     factor (bools and strings are rejected, not coerced).  A factor that
     makes an allowed amplitude subnormal is refused: 1 / D would overflow.
 
-    ``amplitudes`` is the read-only dipole table D: the
+    ``amplitudes`` is the read-only float64 dipole table D: the
     :func:`transition_amplitude` of excited level i and component q sits
     at [i, q + 1].  ``allowed`` is the mask of its nonzero angular factors.
     """
@@ -170,7 +170,6 @@ class AtomicSystem:
         allowed = angular != 0
         if (np.abs(table[allowed]) < float_info.min).any():
             raise ValueError("a radial factor makes an allowed dipole amplitude subnormal, so 1 / D would overflow")
-        table = table.astype(complex)
         table.setflags(write=False)
         allowed.setflags(write=False)
         object.__setattr__(self, "amplitudes", table)
@@ -231,10 +230,10 @@ def build_interaction_hamiltonian(
     weight -(amplitude) * sqrt(n+1) for each allowed transition and mode;
     ``include_counter_rotating`` adds the |e, n> <-> |ground, n-1> pairs
     with weight -(amplitude) * sqrt(n).  Only the dipole table's nonzeros
-    are computed, and each is written with its conjugate at the transposed
-    position, so the matrix is hermitian by construction: no position is
-    written twice, and none on the diagonal.  The build costs O(nnz) apart
-    from the zero-filled dense result, which is frozen and handed to
+    are computed, and each is written at its position and the transposed
+    one, so the real matrix is symmetric, and so hermitian, by construction:
+    no position is written twice, and none on the diagonal.  The build costs
+    O(nnz) apart from the zero-filled dense float64 result, frozen and handed to
     :class:`~clonesim.hilbert.OperatorMatrix` without a copy.
     """
     if n_max < 1:
@@ -256,11 +255,11 @@ def build_interaction_hamiltonian(
     if include_counter_rotating:
         terms.append((occupation > 0, fock - stride, np.sqrt(occupation.astype(float))))
     dim = (1 + system.manifold_dim) * fock_dim
-    entries = np.zeros((dim, dim), dtype=complex)
+    entries = np.zeros((dim, dim))
     for mask, ground, ladder in terms:
         value = (-amplitude * ladder)[mask]
         entries[ground[mask], excited[mask]] = value
-        entries[excited[mask], ground[mask]] = value.conj()
+        entries[excited[mask], ground[mask]] = value
     entries.setflags(write=False)
     return OperatorMatrix(entries)
 
@@ -352,11 +351,12 @@ def stimulated_clone(photon: Ket, mode_map: ModeMap) -> CloneReport:
     v = mode_map.v
     if v.shape[1] != psi.dim:
         raise DimensionMismatchError(f"mode map has {v.shape[1]} entries for a photon of dim {psi.dim}")
-    uncoupled = ~mode_map.coupled
-    outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
-    if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
-        modes = [mode_map.pairs[j][0].label for j in np.flatnonzero(uncoupled)]
-        raise DomainViolationError(f"photon has norm {outside:.3e} on modes {modes}, which no mapped level emits")
+    if np.count_nonzero(mode_map.coupled) < psi.dim:  # some component is uncoupled
+        uncoupled = ~mode_map.coupled
+        outside = float(np.linalg.norm(psi.amplitudes[uncoupled]))
+        if outside > DOMAIN_MEMBERSHIP_TOLERANCE:
+            modes = [mode_map.pairs[j][0].label for j in np.flatnonzero(uncoupled)]
+            raise DomainViolationError(f"photon has norm {outside:.3e} on modes {modes}, which no mapped level emits")
     ancilla = _unit(v @ psi.amplitudes)
     phi = _power_of_two_scaled(mode_map.couplings.T @ ancilla)
     pair = np.outer(phi, psi.amplitudes)

@@ -329,7 +329,7 @@ def _run_transitions(config_path: str) -> _Outcome:
             "m": level.m,
             "mode": mode.label,
             "q": mode.q,
-            "amplitude": float(system.amplitudes[i, j].real),
+            "amplitude": float(system.amplitudes[i, j]),
             "allowed": bool(system.allowed[i, j]),
             "irrep_contained": bool(contained[i, j]),
         }

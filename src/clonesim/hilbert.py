@@ -1,6 +1,6 @@
 """Finite-dimensional complex Hilbert-space arithmetic.
 
-States are dense complex vectors, operators dense complex matrices.
+States are dense complex vectors, operators dense real or complex matrices.
 Tensor products use Kronecker ordering with the first factor major
 (the product of a and b indexes ``i_a * b.size + i_b``), consistently
 everywhere in the package.  Global phase is never canonicalized.
@@ -18,7 +18,7 @@ checked, or holds by construction, where the matrix is made: unitarity
 as orthonormal columns (see :mod:`clonesim.copying`), and hermiticity by
 writing both triangles from the same values (see
 :func:`clonesim.emission.build_interaction_hamiltonian`).  A maker that
-hands over the complex array it owns, frozen, has it kept without a copy.
+hands over the array it owns, frozen, has it kept without a copy.
 """
 
 from __future__ import annotations
@@ -83,15 +83,17 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b[None, :]).ravel()
 
 
-def _frozen_complex_array(values, ndim: int) -> np.ndarray:
-    """``values`` as a read-only complex array of ``ndim`` dimensions.
+def _frozen_array(values, ndim: int, dtypes: tuple = (complex,)) -> np.ndarray:
+    """``values`` as a read-only array of ``ndim`` dimensions: of its own
+    dtype if it is an ndarray of one of ``dtypes``, and complex otherwise.
 
-    An ndarray that is complex128, owns its data and is read-only is kept
-    as it is: no view of it can be made writable, so its maker, which froze
-    it, hands it over.  Anything else is copied.
+    Such an ndarray that owns its data and is read-only is kept as it is:
+    no view of it can be made writable, so its maker, which froze it, hands
+    it over.  Anything else is copied.
     """
-    frozen = type(values) is np.ndarray and values.flags.owndata and not values.flags.writeable
-    arr = values if frozen and values.dtype == complex else np.array(values, dtype=complex)
+    kept = type(values) is np.ndarray and values.dtype in dtypes
+    frozen = kept and values.flags.owndata and not values.flags.writeable
+    arr = values if frozen else np.array(values, dtype=values.dtype if kept else complex)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -109,7 +111,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _frozen_complex_array(self.amplitudes, 1))
+        object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, 1))
         if self.dim < 1:
             raise ValueError("a Ket needs at least one amplitude")
         if not np.isfinite(self.amplitudes).all():
@@ -137,12 +139,12 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix, frozen at construction."""
+    """Dense float64 or complex128 matrix, frozen at construction."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
+        object.__setattr__(self, "entries", _frozen_array(self.entries, 2, (float, complex)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +154,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _frozen_complex_array(self.entries, 2))
+        object.__setattr__(self, "entries", _frozen_array(self.entries, 2))
         if self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("density matrix must be square")
         if not max_abs(self.entries - self.entries.conj().T) < DEFAULT_ATOL:

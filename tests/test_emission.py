@@ -315,7 +315,7 @@ class TestAngularFactorCache:
             [system.radial_factors[e.label] * angular
              for angular in dipole_angular_factors.__wrapped__(e.l, e.m, g.l, g.m)]
             for e in system.excited
-        ], dtype=complex)
+        ], dtype=float)
         assert system.amplitudes.tobytes() == uncached.tobytes()
         assert max_abs(system.amplitudes - quadrature_table(system)) < 1e-12
 
@@ -347,6 +347,25 @@ class TestAngularFactorCache:
         assert type(factors) is tuple and len(factors) == 3
         assert all(type(value) is float for value in factors)
         assert dipole_angular_factors(1, 0, 0, 0) is factors
+
+
+class TestRealCouplings:
+    # Every angular factor is a real Condon-Shortley float and every radial
+    # factor a positive real, so D and the Hamiltonian are real.
+    @pytest.mark.parametrize("build", HERMITIAN_SYSTEMS.values(), ids=HERMITIAN_SYSTEMS.keys())
+    def test_table_is_float64(self, build):
+        assert build().amplitudes.dtype == np.float64
+
+    @pytest.mark.parametrize("counter", [False, True], ids=["rwa", "counter-rotating"])
+    @pytest.mark.parametrize("build", HERMITIAN_SYSTEMS.values(), ids=HERMITIAN_SYSTEMS.keys())
+    def test_hamiltonian_is_real_symmetric(self, build, counter):
+        system = build()
+        for size in (1, 2, 3):
+            for modes in itertools.combinations(SPHERICAL_MODES, size):
+                for n_max in (1, 2, 3):
+                    h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
+                    assert h.dtype == np.float64, (modes, n_max)
+                    assert np.array_equal(h, h.T), (modes, n_max)
 
 
 class TestHamiltonianAgainstKronOracle:
@@ -467,6 +486,7 @@ class TestInteractionHamiltonian:
         finally:
             tracemalloc.stop()
         assert h.entries.shape == (1715, 1715)
+        assert h.entries.nbytes == 1715**2 * 8  # float64, half the bytes of a complex array
         assert peak <= 1.5 * h.entries.nbytes
 
     def test_rejects_bad_arguments(self):

@@ -162,20 +162,30 @@ class TestOperatorMatrix:
         assert OperatorMatrix(source).entries is source
 
     @pytest.mark.parametrize(
-        "make",
+        "make, dtype",
         [
-            lambda: np.eye(2, dtype=complex),
-            lambda: read_only(np.eye(3, dtype=complex))[:2, :2],
-            lambda: read_only(np.eye(2)),
-            lambda: [[1, 0], [0, 1]],
+            (lambda: np.eye(2, dtype=complex), complex),
+            (lambda: read_only(np.eye(3, dtype=complex))[:2, :2], complex),
+            (lambda: read_only(np.eye(2)), None),  # None: kept, as an owned read-only float64 array
+            (lambda: [[1, 0], [0, 1]], complex),
+            (lambda: np.eye(2), float),
+            (lambda: read_only(np.eye(3))[:2, :2], float),
+            (lambda: read_only(np.eye(2, dtype=np.float32)), complex),
+            (lambda: read_only(np.eye(2, dtype=int)), complex),
         ],
-        ids=["writable", "read-only-view", "read-only-float", "list"],
+        ids=["writable", "read-only-view", "read-only-float", "list",
+             "writable-float", "read-only-float-view", "read-only-float32", "read-only-int"],
     )
-    def test_copies_any_other_input(self, make):
+    def test_copies_any_other_input(self, make, dtype):
+        # A float64 or complex128 array keeps its dtype; anything else becomes complex.
         source = make()
         entries = OperatorMatrix(source).entries
-        assert entries is not source and not np.shares_memory(entries, np.asarray(source))
-        assert entries.dtype == complex and not entries.flags.writeable
+        if dtype is None:
+            assert entries is source and entries.dtype == np.float64
+        else:
+            assert entries is not source and not np.shares_memory(entries, np.asarray(source))
+            assert entries.dtype == dtype
+        assert not entries.flags.writeable
         assert np.array_equal(entries, np.eye(2))
 
 

@@ -22,7 +22,9 @@ workloads, so the probe's matmul runs on one CPU as they do; ``probe_ms``
 values recorded before that pin were taken on all CPUs and do not compare
 with later ones.  With two or more checkouts it also prints both checkouts'
 ``tree_dirty`` and probe medians and, per workload and metric, how often
-each checkout beat the first one over the seeds, and the first one's
+each checkout beat the first one over the seeds, its median gap as a
+signed share of the first one's median (positive when better), so that a
+control checkout's gap reads beside the change's, and the first one's
 quartile spread followed by its share of the first one's median, so that
 spreads of metrics on different scales compare.  It warns first when one
 compared checkout records no git commit and the other does: a copy without
@@ -146,10 +148,20 @@ def iqr_text(stats: dict) -> str:
     return f"IQR {iqr:.3g}{share}"
 
 
+def gap_text(base: dict, other: dict, better: str) -> str:
+    """The other median's gap from the baseline median, as a signed share of
+    the baseline median: positive when the other checkout is better."""
+    if not base["median"]:
+        return "median gap n/a"
+    sign = 1 if better == "higher" else -1
+    return f"median gap {sign * (other['median'] - base['median']) / abs(base['median']):+.1%}"
+
+
 def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
     """Both checkouts' ``tree_dirty`` and probe medians, then per workload and
     end-to-end metric: baseline median → each other median, pairwise wins,
-    baseline spread and its share of the baseline median."""
+    the median gap as a signed share of the baseline median (positive when
+    better), baseline spread and its share of the baseline median."""
     base = labels[0]
     base_probe = quartiles([run["probe_ms"] for run in runs[base]])
     for other in labels[1:]:
@@ -178,7 +190,8 @@ def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict
                 sign = 1 if METRICS[name] == "higher" else -1
                 wins = sum(sign * (b - a) > 0 for a, b in pairs)
                 print(f"{workload:18s} {name:14s} {base} {stats['median']:.4g} -> {other} {theirs['median']:.4g}"
-                      f"  {other} better in {wins}/{len(pairs)} pairs; {base} {iqr_text(stats)}")
+                      f"  {other} better in {wins}/{len(pairs)} pairs, {gap_text(stats, theirs, METRICS[name])};"
+                      f" {base} {iqr_text(stats)}")
 
 
 def main(argv=None) -> int:

@@ -112,6 +112,30 @@ def test_each_spread_is_followed_by_its_share_of_the_median(capsys):
     assert ops_line.endswith("parent IQR 1 (1.0%)")  # ops 100, 101, 102: IQR 1 on a median of 101
 
 
+def test_each_checkout_prints_its_median_gap_oriented_by_better(capsys):
+    # A change 10% up on every metric and a control 1% down: ops_per_s (higher is
+    # better) reads +10.0% and -1.0%, op_p50_ms (lower is better) -10.0% and +1.0%.
+    runs = {"parent": fabricated_runs("0" * 40, [100.0, 102.0, 100.0]),
+            "change": fabricated_runs("0" * 40, [110.0, 112.2, 110.0]),
+            "control": fabricated_runs("0" * 40, [99.0, 100.98, 99.0])}
+    table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
+    BENCH_RECORD.print_comparison(list(runs), runs, table)
+    lines = capsys.readouterr().out.splitlines()
+    gaps = {(line.split()[1], line.split()[5]): line.split("median gap ")[1].split(";")[0]
+            for line in lines if "median gap" in line}
+    assert gaps == {
+        **{(name, "change"): "+10.0%" if better == "higher" else "-10.0%" for name, better in BENCH_RECORD.METRICS.items()},
+        **{(name, "control"): "-1.0%" if better == "higher" else "+1.0%" for name, better in BENCH_RECORD.METRICS.items()},
+    }
+    change_ops = next(line for line in lines if " ops_per_s " in line and " change " in line)
+    assert "change better in 3/3 pairs, median gap +10.0%; parent IQR 1 (1.0%)" in change_ops
+
+
+def test_a_median_gap_from_a_zero_median_has_no_share():
+    assert BENCH_RECORD.gap_text({"median": 0.0}, {"median": 1.0}, "higher") == "median gap n/a"
+    assert BENCH_RECORD.gap_text({"median": -4.0}, {"median": -2.0}, "lower") == "median gap -50.0%"
+
+
 def test_a_spread_about_a_zero_median_has_no_share():
     assert BENCH_RECORD.iqr_text({"median": 0.0, "q1": -1.0, "q3": 2.0}) == "IQR 3"
     assert BENCH_RECORD.iqr_text({"median": -4.0, "q1": -5.0, "q3": -3.0}) == "IQR 2 (50.0%)"

@@ -351,21 +351,10 @@ class TestAngularFactorCache:
 
 class TestRealCouplings:
     # Every angular factor is a real Condon-Shortley float and every radial
-    # factor a positive real, so D and the Hamiltonian are real.
+    # factor a positive real, so D is real, and so is the Hamiltonian.
     @pytest.mark.parametrize("build", HERMITIAN_SYSTEMS.values(), ids=HERMITIAN_SYSTEMS.keys())
     def test_table_is_float64(self, build):
         assert build().amplitudes.dtype == np.float64
-
-    @pytest.mark.parametrize("counter", [False, True], ids=["rwa", "counter-rotating"])
-    @pytest.mark.parametrize("build", HERMITIAN_SYSTEMS.values(), ids=HERMITIAN_SYSTEMS.keys())
-    def test_hamiltonian_is_real_symmetric(self, build, counter):
-        system = build()
-        for size in (1, 2, 3):
-            for modes in itertools.combinations(SPHERICAL_MODES, size):
-                for n_max in (1, 2, 3):
-                    h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
-                    assert h.dtype == np.float64, (modes, n_max)
-                    assert np.array_equal(h, h.T), (modes, n_max)
 
 
 class TestHamiltonianAgainstKronOracle:
@@ -425,13 +414,15 @@ class TestInteractionHamiltonian:
     @pytest.mark.parametrize("counter", [False, True], ids=["rwa", "counter-rotating"])
     @pytest.mark.parametrize("build", HERMITIAN_SYSTEMS.values(), ids=HERMITIAN_SYSTEMS.keys())
     def test_exactly_hermitian(self, build, counter):
-        # Both triangles are written from the same values, so equality is exact.
+        # Both triangles are written from the same values, so equality is exact,
+        # and the matrix is real symmetric.
         system = build()
         for size in (1, 2, 3):
             for modes in itertools.combinations(SPHERICAL_MODES, size):
                 for n_max in (1, 2, 3):
                     h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
                     assert np.array_equal(h, h.conj().T), (modes, n_max)
+                    assert h.dtype == np.float64 and np.array_equal(h, h.T), (modes, n_max)
 
     def test_build_hands_its_array_to_one_construction(self, monkeypatch):
         handed = []

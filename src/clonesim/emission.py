@@ -42,6 +42,7 @@ so a map can copy less than the domain holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 from numbers import Integral, Real
 from sys import float_info
@@ -229,24 +230,64 @@ def build_interaction_hamiltonian(
     The excitation-conserving part couples |e, n> to |ground, n+1> with
     weight -(amplitude) * sqrt(n+1) for each allowed transition and mode;
     ``include_counter_rotating`` adds the |e, n> <-> |ground, n-1> pairs
-    with weight -(amplitude) * sqrt(n).  Only the dipole table's nonzeros
-    are computed, and each is written at its position and the transposed
-    one, so the real matrix is symmetric, and so hermitian, by construction:
-    no position is written twice, and none on the diagonal.  The build costs
-    O(nnz) apart from the zero-filled dense float64 result, frozen and handed to
+    with weight -(amplitude) * sqrt(n).  ``n_max`` must be an integer and
+    ``include_counter_rotating`` a bool; neither is coerced.
+
+    Where the nonzeros sit, and their ladder factors, depend only on the
+    selection rules (``system.allowed``), the modes and ``n_max``, so that
+    coupling layout is computed once per such pattern and cached.  The
+    values are read from the dipole table D on every call, so a system with
+    other radial factors never reads a stale one.  Each value is written at
+    its position and the transposed one, so the real matrix is symmetric,
+    and so hermitian, by construction: no position is written twice, and
+    none on the diagonal.  A build then costs the zero-filled dense float64
+    result plus O(nnz); the result is frozen and handed to
     :class:`~clonesim.hilbert.OperatorMatrix` without a copy.
     """
+    if not isinstance(n_max, Integral) or isinstance(n_max, bool):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    if not isinstance(include_counter_rotating, bool):
+        raise ValueError(f"include_counter_rotating must be a bool, got {include_counter_rotating!r}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    columns = _mode_columns(modes)
+    columns = tuple(_mode_columns(modes).tolist())
+    dim, positions, sources, ladder = _coupling_layout(
+        system.allowed.tobytes(), system.manifold_dim, columns, int(n_max), include_counter_rotating
+    )
+    entries = np.zeros((dim, dim))
+    entries.put(positions, system.amplitudes.take(sources) * ladder)
+    entries.setflags(write=False)
+    return OperatorMatrix(entries)
+
+
+# The key holds the selection rules, not the system, so systems that differ
+# only in radial factors share a layout.  Thirty-two slots hold every pattern
+# a sweep over a few atoms, mode lists and n_max revisits; the largest layout
+# here, hydrogen n=2 with three modes at n_max = 6, is about 85 kB.
+@lru_cache(maxsize=32)
+def _coupling_layout(
+    allowed: bytes, manifold_dim: int, columns: tuple[int, ...], n_max: int, include_counter_rotating: bool
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The dimension and read-only nonzero layout of the interaction Hamiltonian.
+
+    ``allowed`` is the dipole table's mask as bytes, ``columns`` the table
+    columns of the modes.  Per nonzero, both triangles included: its flat
+    position in the dim x dim matrix, the flat index of its amplitude in the
+    manifold x 3 dipole table, and its negated ladder factor, -sqrt(n+1), or
+    -sqrt(n) for a counter-rotating term.  a * (-l) rounds as (-a) * l, so
+    the values are bit for bit those of the negated amplitude times l.
+    """
+    allowed = np.frombuffer(allowed, dtype=bool).reshape(manifold_dim, len(SPHERICAL_MODES))
+    columns = np.array(columns)
 
     # One row per nonzero (excited level, mode) coupling, one column per Fock state.
     levels = n_max + 1
-    fock_dim = levels ** len(modes)
+    fock_dim = levels ** len(columns)
     fock = np.arange(fock_dim)
-    level_index, mode_index = np.nonzero(system.allowed[:, columns])
-    amplitude = system.amplitudes[level_index, columns[mode_index]][:, None]
-    stride = levels ** (len(modes) - 1 - mode_index)[:, None]
+    level_index, mode_index = np.nonzero(allowed[:, columns])
+    source = np.broadcast_to((level_index * len(SPHERICAL_MODES) + columns[mode_index])[:, None],
+                             (len(level_index), fock_dim))
+    stride = levels ** (len(columns) - 1 - mode_index)[:, None]
     occupation = fock // stride % levels
     excited = (1 + level_index)[:, None] * fock_dim + fock  # index of |e, n>
 
@@ -254,14 +295,17 @@ def build_interaction_hamiltonian(
     terms = [(occupation < n_max, fock + stride, np.sqrt(occupation + 1.0))]
     if include_counter_rotating:
         terms.append((occupation > 0, fock - stride, np.sqrt(occupation.astype(float))))
-    dim = (1 + system.manifold_dim) * fock_dim
-    entries = np.zeros((dim, dim))
+    dim = (1 + manifold_dim) * fock_dim
+    positions, sources, ladders = [], [], []
     for mask, ground, ladder in terms:
-        value = (-amplitude * ladder)[mask]
-        entries[ground[mask], excited[mask]] = value
-        entries[excited[mask], ground[mask]] = value
-    entries.setflags(write=False)
-    return OperatorMatrix(entries)
+        g, e = ground[mask], excited[mask]
+        positions += [g * dim + e, e * dim + g]
+        sources += [source[mask]] * 2
+        ladders += [-ladder[mask]] * 2
+    layout = tuple(np.concatenate(parts) for parts in (positions, sources, ladders))
+    for array in layout:
+        array.setflags(write=False)
+    return (dim, *layout)
 
 
 def clonable_domain(system: AtomicSystem) -> tuple[PolarizationMode, ...]:

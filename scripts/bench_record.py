@@ -33,16 +33,17 @@ apart, so compare checkouts made the same way.  It also warns when the two
 checkouts' probe medians differ by more than the first one's probe quartile
 spread: the machine's speed moved between them.
 
-``--control LABEL`` names one of the other checkouts as a second clone of the
-first one's commit, a null change.  Before any run the script exits 2 unless
-that checkout's ``git status --porcelain`` is empty and its HEAD commit is the
-first one's.  The comparison then ends with one line per workload and metric
-for each remaining checkout: whether its wins and its median gap both exceed
-the control's, since a gain counts only if it beats what a null change gets.
+A control is a checkout, not the first, whose runs all found a clean tree
+at the commit the first one's runs all found clean: a second clone of the
+baseline, a null change.  For each control the comparison ends with one line
+per workload and metric for every checkout that is not a control: whether
+it beats the control, that is, it is better than the baseline in the median
+and both its wins and its median gap exceed the control's, since a gain
+counts only if it beats what a null change gets.
 
 Usage:
     python3 scripts/bench_record.py --checkout before=../parent --checkout after \\
-        [--checkout control=../parent-control --control control] [--seeds 1 2 ... 10] [--out-dir .]
+        [--checkout control=../parent-control] [--seeds 1 2 ... 10] [--out-dir .]
 
 A checkout given without ``=DIR`` is this repository.
 """
@@ -80,14 +81,6 @@ def tree_dirty(root: Path) -> bool | None:
         return None
     done = subprocess.run(["git", "status", "--porcelain"], cwd=root, capture_output=True, text=True)
     return bool(done.stdout.strip()) if done.returncode == 0 else None
-
-
-def head_commit(root: Path) -> str | None:
-    """The HEAD commit of ``root``'s git checkout; None without ``.git``."""
-    if not (root / ".git").exists():
-        return None
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def probe_ms() -> float:
@@ -156,6 +149,19 @@ def tree_state(label_runs: list[dict]) -> str:
     return "/".join(sorted({json.dumps(run.get("tree_dirty")) for run in label_runs}))
 
 
+def clean_commit(label_runs: list[dict]) -> str | None:
+    """The one git commit a checkout's runs record, if every run found its tree clean; else None."""
+    commits = {run["provenance"]["git_commit"] for run in label_runs if "provenance" in run}
+    clean = all(run.get("tree_dirty") is False for run in label_runs)
+    return commits.pop() if clean and len(commits) == 1 else None
+
+
+def controls(labels: list[str], runs: dict[str, list[dict]]) -> list[str]:
+    """The checkouts after the first that are clean clones of its clean commit."""
+    commit = clean_commit(runs[labels[0]])
+    return [label for label in labels[1:] if commit is not None and clean_commit(runs[label]) == commit]
+
+
 def iqr_text(stats: dict) -> str:
     """A summary's quartile spread, followed by its share of the median where the median is not 0."""
     iqr = stats["q3"] - stats["q1"]
@@ -195,15 +201,15 @@ def wins(base_runs: list[dict], other_runs: list[dict], workload: str, name: str
     return sum(sign * (b - a) > 0 for a, b in pairs), len(pairs)
 
 
-def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict],
-                     control: str | None = None) -> None:
+def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict[str, dict]) -> None:
     """Both checkouts' ``tree_dirty`` and probe medians, then per workload and
     end-to-end metric: baseline median → each other median, pairwise wins,
     the median gap as a signed share of the baseline median (positive when
-    better), baseline spread and its share of the baseline median.  With a
-    ``control`` label, then per workload and metric, for each checkout other
-    than the baseline and the control: whether its wins and its median gap
-    both exceed the control's."""
+    better), baseline spread and its share of the baseline median.  Then, for
+    each of the :func:`controls`, per workload and metric and each checkout
+    that is not a control: whether it beats the control, that is, it is better
+    than the baseline in the median and its wins and its median gap both
+    exceed the control's."""
     base = labels[0]
     base_probe = quartiles([run["probe_ms"] for run in runs[base]])
     for other in labels[1:]:
@@ -228,25 +234,26 @@ def print_comparison(labels: list[str], runs: dict[str, list[dict]], table: dict
                 print(f"{workload:18s} {name:14s} {base} {stats['median']:.4g} -> {other} {theirs['median']:.4g}"
                       f"  {other} better in {won}/{paired} pairs, {gap_text(stats, theirs, METRICS[name])};"
                       f" {base} {iqr_text(stats)}")
-    if control is None:
-        return
-    for workload, metrics in table[base].items():
-        for name, stats in metrics.items():
-            nulls = table[control].get(workload, {}).get(name)
-            if nulls is None:
-                continue
-            null_won, null_paired = wins(runs[base], runs[control], workload, name)
-            null_gap = median_gap(stats, nulls, METRICS[name])
-            for other in labels[1:]:
-                theirs = table[other].get(workload, {}).get(name)
-                if other == control or theirs is None:
+    nulls = controls(labels, runs)
+    for control in nulls:
+        for workload, metrics in table[base].items():
+            for name, stats in metrics.items():
+                null = table[control].get(workload, {}).get(name)
+                if null is None:
                     continue
-                won, paired = wins(runs[base], runs[other], workload, name)
-                gap = median_gap(stats, theirs, METRICS[name])
-                beats = won > null_won and gap is not None and null_gap is not None and gap > null_gap
-                print(f"{workload:18s} {name:14s} {other} {'beats' if beats else 'does not beat'} control {control}:"
-                      f" wins {won}/{paired} against {null_won}/{null_paired},"
-                      f" median gap {share_text(gap)} against {share_text(null_gap)}")
+                null_won, null_paired = wins(runs[base], runs[control], workload, name)
+                null_gap = median_gap(stats, null, METRICS[name])
+                for other in labels[1:]:
+                    theirs = table[other].get(workload, {}).get(name)
+                    if other in nulls or theirs is None:
+                        continue
+                    won, paired = wins(runs[base], runs[other], workload, name)
+                    gap = median_gap(stats, theirs, METRICS[name])
+                    beats = (gap is not None and null_gap is not None
+                             and gap > 0 and gap > null_gap and won > null_won)
+                    print(f"{workload:18s} {name:14s} {other} {'beats' if beats else 'does not beat'}"
+                          f" control {control}: wins {won}/{paired} against {null_won}/{null_paired},"
+                          f" median gap {share_text(gap)} against {share_text(null_gap)}")
 
 
 def main(argv=None) -> int:
@@ -256,9 +263,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)),
                         help="seeds to run, one pair of runs each (default 1 to 10)")
     parser.add_argument("--out-dir", type=Path, default=REPO_ROOT, help="where BENCH_<label>.json files go")
-    parser.add_argument("--control", metavar="LABEL",
-                        help="a checkout, not the first, that is a clean second clone of the first one's commit;"
-                             " each claim must then beat its wins and median gap")
     args = parser.parse_args(argv)
 
     checkouts = {}
@@ -267,17 +271,6 @@ def main(argv=None) -> int:
         checkouts[label] = Path(directory).resolve() if directory else REPO_ROOT
     if len(checkouts) != len(args.checkout):
         parser.error("checkout labels must be distinct")
-    if args.control is not None:
-        baseline = next(iter(checkouts))
-        if args.control not in checkouts or args.control == baseline:
-            parser.error(f"--control {args.control} must name a checkout other than the first, {baseline}")
-        dirty = tree_dirty(checkouts[args.control])
-        if dirty is not False:
-            parser.error(f"control {args.control} must be a clean git checkout; its tree_dirty is {json.dumps(dirty)}")
-        commits = {label: head_commit(checkouts[label]) for label in (baseline, args.control)}
-        if commits[args.control] != commits[baseline]:
-            parser.error(f"control {args.control} is at commit {commits[args.control]},"
-                         f" not {baseline}'s {commits[baseline]}")
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
 
     runs: dict[str, list[dict]] = {label: [] for label in checkouts}
@@ -303,7 +296,7 @@ def main(argv=None) -> int:
         }
         (args.out_dir / f"BENCH_{label}.json").write_text(json.dumps(document, indent=2) + "\n")
     if len(checkouts) > 1:
-        print_comparison(list(checkouts), runs, table, args.control)
+        print_comparison(list(checkouts), runs, table)
     healthy = all(run["exit_code"] == 0 and run.get("correct") for label_runs in runs.values() for run in label_runs)
     return 0 if healthy else 1
 

@@ -42,7 +42,6 @@ so a map can copy less than the domain holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import isfinite
 from numbers import Integral, Real
 from sys import float_info
@@ -233,16 +232,16 @@ def build_interaction_hamiltonian(
     with weight -(amplitude) * sqrt(n).  ``n_max`` must be an integer and
     ``include_counter_rotating`` a bool; neither is coerced.
 
-    Where the nonzeros sit, and their ladder factors, depend only on the
-    selection rules (``system.allowed``), the modes and ``n_max``, so that
-    coupling layout is computed once per such pattern and cached.  The
-    values are read from the dipole table D on every call, so a system with
-    other radial factors never reads a stale one.  Each value is written at
-    its position and the transposed one, so the real matrix is symmetric,
-    and so hermitian, by construction: no position is written twice, and
-    none on the diagonal.  A build then costs the zero-filled dense float64
-    result plus O(nnz); the result is frozen and handed to
-    :class:`~clonesim.hilbert.OperatorMatrix` without a copy.
+    Each allowed (excited level, mode) pair couples along a lattice of the
+    dense result: every step of a mode occupation moves the row and the
+    column of |e, n> <-> |ground, n+1> by the same amount.  So a pair is
+    written through two strided views, one per triangle, holding the same
+    values, and the real matrix is symmetric, and so hermitian, by
+    construction: no position is written twice, and none on the diagonal.
+    A build costs the zero-filled dense float64 result plus O(nnz) writes,
+    in a number of numpy calls set by the allowed pairs, not by n_max; the
+    result is frozen and handed to :class:`~clonesim.hilbert.OperatorMatrix`
+    without a copy.
     """
     if not isinstance(n_max, Integral) or isinstance(n_max, bool):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
@@ -250,62 +249,39 @@ def build_interaction_hamiltonian(
         raise ValueError(f"include_counter_rotating must be a bool, got {include_counter_rotating!r}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    columns = tuple(_mode_columns(modes).tolist())
-    dim, positions, sources, ladder = _coupling_layout(
-        system.allowed.tobytes(), system.manifold_dim, columns, int(n_max), include_counter_rotating
-    )
+    columns = _mode_columns(modes).tolist()
+
+    # Basis: atom major (ground, then the excited levels), then the occupation
+    # of each mode in order, so mode k's occupation steps the Fock index by stride[k].
+    levels = int(n_max) + 1
+    count = len(columns)
+    fock_dim = levels ** count
+    dim = (1 + system.manifold_dim) * fock_dim
+    stride = [levels ** (count - 1 - k) for k in range(count)]
     entries = np.zeros((dim, dim))
-    entries.put(positions, system.amplitudes.take(sources) * ladder)
+    item = entries.itemsize
+    # A Fock step moves both the row and the column of |e, n> and |ground, n'>.
+    occupation = [s * (dim + 1) * item for s in stride]
+    ladder = np.sqrt(np.arange(1.0, levels))  # sqrt(n+1) for n = 0 .. n_max-1
+    amplitudes, allowed = system.amplitudes.tolist(), system.allowed.tolist()
+    # View axes: the term, the other modes' occupations, then the coupled
+    # mode's n = 0 .. n_max-1, last so the ladder broadcasts along it.
+    shape = (2 if include_counter_rotating else 1, *[levels] * (count - 1), levels - 1)
+    for k, column in enumerate(columns):
+        steps = (*occupation[:k], *occupation[k + 1:], occupation[k])
+        step = stride[k]
+        for i, row in enumerate(allowed):
+            if not row[column]:
+                continue
+            value = -amplitudes[i][column] * ladder
+            excited = (1 + i) * fock_dim  # row of |e_i, 0>
+            # Upper triangle: |ground, n + step> x |e_i, n>, and the counter-rotating
+            # |ground, n> x |e_i, n + step>, step * (1 - dim) away.  The lower triangle
+            # holds their transposes.
+            for offset, term in ((step * dim + excited, step * (1 - dim)), (excited * dim + step, step * (dim - 1))):
+                np.ndarray(shape, entries.dtype, entries, offset * item, (term * item, *steps))[...] = value
     entries.setflags(write=False)
     return OperatorMatrix(entries)
-
-
-# The key holds the selection rules, not the system, so systems that differ
-# only in radial factors share a layout.  Thirty-two slots hold every pattern
-# a sweep over a few atoms, mode lists and n_max revisits; the largest layout
-# here, hydrogen n=2 with three modes at n_max = 6, is about 85 kB.
-@lru_cache(maxsize=32)
-def _coupling_layout(
-    allowed: bytes, manifold_dim: int, columns: tuple[int, ...], n_max: int, include_counter_rotating: bool
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The dimension and read-only nonzero layout of the interaction Hamiltonian.
-
-    ``allowed`` is the dipole table's mask as bytes, ``columns`` the table
-    columns of the modes.  Per nonzero, both triangles included: its flat
-    position in the dim x dim matrix, the flat index of its amplitude in the
-    manifold x 3 dipole table, and its negated ladder factor, -sqrt(n+1), or
-    -sqrt(n) for a counter-rotating term.  a * (-l) rounds as (-a) * l, so
-    the values are bit for bit those of the negated amplitude times l.
-    """
-    allowed = np.frombuffer(allowed, dtype=bool).reshape(manifold_dim, len(SPHERICAL_MODES))
-    columns = np.array(columns)
-
-    # One row per nonzero (excited level, mode) coupling, one column per Fock state.
-    levels = n_max + 1
-    fock_dim = levels ** len(columns)
-    fock = np.arange(fock_dim)
-    level_index, mode_index = np.nonzero(allowed[:, columns])
-    source = np.broadcast_to((level_index * len(SPHERICAL_MODES) + columns[mode_index])[:, None],
-                             (len(level_index), fock_dim))
-    stride = levels ** (len(columns) - 1 - mode_index)[:, None]
-    occupation = fock // stride % levels
-    excited = (1 + level_index)[:, None] * fock_dim + fock  # index of |e, n>
-
-    # |e, n> couples to |ground, n + 1_k>, and counter-rotating to |ground, n - 1_k>.
-    terms = [(occupation < n_max, fock + stride, np.sqrt(occupation + 1.0))]
-    if include_counter_rotating:
-        terms.append((occupation > 0, fock - stride, np.sqrt(occupation.astype(float))))
-    dim = (1 + manifold_dim) * fock_dim
-    positions, sources, ladders = [], [], []
-    for mask, ground, ladder in terms:
-        g, e = ground[mask], excited[mask]
-        positions += [g * dim + e, e * dim + g]
-        sources += [source[mask]] * 2
-        ladders += [-ladder[mask]] * 2
-    layout = tuple(np.concatenate(parts) for parts in (positions, sources, ladders))
-    for array in layout:
-        array.setflags(write=False)
-    return (dim, *layout)
 
 
 def clonable_domain(system: AtomicSystem) -> tuple[PolarizationMode, ...]:

@@ -4,7 +4,6 @@ its whole run, on a checkout whose benchmark command prints fixed records."""
 import importlib.util
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -219,12 +218,13 @@ def test_the_probe_runs_on_one_thread():
 
 
 def control_comparison(capsys, change: list[float], control: list[float]) -> list[str]:
-    """The comparison's control lines, for a parent at ops 100, 102, 100 and the given change and control."""
-    runs = {"parent": fabricated_runs("0" * 40, [100.0, 102.0, 100.0]),
-            "change": fabricated_runs("0" * 40, change),
-            "control": fabricated_runs("0" * 40, control)}
+    """The comparison's control lines, for a parent at ops 100, 102, 100 and the
+    given change and control: clean checkouts, the control at the parent's commit."""
+    runs = {"parent": fabricated_runs("0" * 40, [100.0, 102.0, 100.0], tree_dirty=False),
+            "change": fabricated_runs("1" * 40, change, tree_dirty=False),
+            "control": fabricated_runs("0" * 40, control, tree_dirty=False)}
     table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
-    BENCH_RECORD.print_comparison(list(runs), runs, table, control="control")
+    BENCH_RECORD.print_comparison(list(runs), runs, table)
     return [line for line in capsys.readouterr().out.splitlines() if " control control:" in line]
 
 
@@ -244,71 +244,58 @@ def test_a_control_gates_each_metric_on_wins_and_median_gap(capsys):
 @pytest.mark.parametrize("change, control, verdict", [
     ([100.5, 102.5, 99.0], [100.1, 102.1, 100.1], "does not beat"),  # larger gap, fewer wins
     ([100.1, 102.1, 100.1], [100.5, 102.5, 99.0], "does not beat"),  # more wins, smaller gap
+    ([99.0, 102.5, 99.5], [98.0, 101.0, 98.0], "does not beat"),  # worse than the parent, the control more so
     ([100.5, 102.5, 100.5], [100.1, 102.1, 99.0], "beats"),  # more wins and a larger gap
-], ids=["fewer-wins", "smaller-gap", "both-exceed"])
-def test_a_claim_beats_the_control_only_when_wins_and_gap_both_exceed_it(capsys, change, control, verdict):
+], ids=["fewer-wins", "smaller-gap", "regression", "both-exceed"])
+def test_a_claim_beats_the_control_only_when_it_gains_and_wins_and_gap_both_exceed_it(capsys, change, control,
+                                                                                       verdict):
     ops_line = next(line for line in control_comparison(capsys, change, control) if " ops_per_s " in line)
     assert f" change {verdict} control control:" in ops_line
 
 
-def git(*args, cwd) -> str:
-    done = subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
-                           "-c", "commit.gpgsign=false", *args], cwd=cwd, capture_output=True, text=True, check=True)
-    return done.stdout.strip()
+def test_the_regression_case_exceeds_the_control_on_wins_and_gap():
+    # The "regression" case above fails only for its negative gap.
+    runs = {"parent": fabricated_runs("0" * 40, [100.0, 102.0, 100.0]),
+            "change": fabricated_runs("0" * 40, [99.0, 102.5, 99.5]),
+            "control": fabricated_runs("0" * 40, [98.0, 101.0, 98.0])}
+    table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
+    change_gap = BENCH_RECORD.median_gap(table["parent"]["atom-pipeline"]["ops_per_s"],
+                                         table["change"]["atom-pipeline"]["ops_per_s"], "higher")
+    control_gap = BENCH_RECORD.median_gap(table["parent"]["atom-pipeline"]["ops_per_s"],
+                                          table["control"]["atom-pipeline"]["ops_per_s"], "higher")
+    assert control_gap < change_gap < 0
+    assert (BENCH_RECORD.wins(runs["parent"], runs["change"], "atom-pipeline", "ops_per_s")
+            > BENCH_RECORD.wins(runs["parent"], runs["control"], "atom-pipeline", "ops_per_s"))
 
 
-def committed_fake_checkout(tmp_path):
-    """A git repository whose benchmark command prints fixed records, and a clean clone of it."""
-    checkout, clone = tmp_path / "checkout", tmp_path / "clone"
-    (checkout / "perfbench").mkdir(parents=True)
-    (checkout / "perfbench" / "run.py").write_text(
-        FAKE_RUN.format(correct=True, names=list(BENCH_RECORD.METRICS), exit_code=0))
-    git("init", "-q", cwd=checkout)
-    git("add", "-A", cwd=checkout)
-    git("commit", "-q", "-m", "fake benchmark", cwd=checkout)
-    git("clone", "-q", str(checkout), str(clone), cwd=tmp_path)
-    return checkout, clone
+def control_runs(parent=("0" * 40, False), control=("0" * 40, False)) -> dict[str, list[dict]]:
+    """Parent, change and candidate control runs; each checkout's (commit, tree_dirty) as given."""
+    return {"parent": fabricated_runs(*parent[:1], [100.0, 102.0, 101.0], tree_dirty=parent[1]),
+            "change": fabricated_runs("1" * 40, [100.0, 102.0, 101.0], tree_dirty=False),
+            "control": fabricated_runs(*control[:1], [100.0, 102.0, 101.0], tree_dirty=control[1])}
 
 
-def test_a_clean_control_at_the_baseline_commit_runs_and_ends_with_its_verdicts(tmp_path, monkeypatch, capsys):
-    checkout, clone = committed_fake_checkout(tmp_path)
-    (tmp_path / "out").mkdir()
-    monkeypatch.setattr(BENCH_RECORD, "probe_ms", lambda: 100.0)
-    assert BENCH_RECORD.main(["--checkout", f"parent={checkout}", "--checkout", f"change={checkout}",
-                              "--checkout", f"control={clone}", "--control", "control",
-                              "--seeds", "1", "--out-dir", str(tmp_path / "out")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    verdicts = [line for line in lines if " control control:" in line]
-    assert len(verdicts) == len(WORKLOADS) * len(BENCH_RECORD.METRICS)
-    assert lines[-len(verdicts):] == verdicts
-    # every run reads 1.0 for every metric, so nobody wins: no claim beats the control
-    assert all(" change does not beat control control: wins 0/1 against 0/1," in line for line in verdicts)
+def test_a_clean_checkout_at_the_clean_baseline_commit_is_a_control():
+    runs = control_runs()
+    assert BENCH_RECORD.controls(list(runs), runs) == ["control"]
 
 
-@pytest.mark.parametrize("spoil, message", [
-    (lambda clone: (clone / "untracked.txt").write_text("x"), "control control must be a clean git checkout;"
-                                                              " its tree_dirty is true"),
-    (lambda clone: shutil.rmtree(clone / ".git"), "control control must be a clean git checkout; its tree_dirty is null"),
-    (lambda clone: git("commit", "-q", "--allow-empty", "-m", "another commit", cwd=clone), "control control is at commit"),
-], ids=["dirty-tree", "no-git", "other-commit"])
-def test_a_control_that_is_not_a_clean_clone_of_the_baseline_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
-                                                                                  spoil, message):
-    checkout, clone = committed_fake_checkout(tmp_path)
-    spoil(clone)
-    monkeypatch.setattr(BENCH_RECORD, "run_once", lambda *args: pytest.fail("a benchmark ran"))
-    with pytest.raises(SystemExit) as exited:
-        BENCH_RECORD.main(["--checkout", f"parent={checkout}", "--checkout", f"change={checkout}",
-                           "--checkout", f"control={clone}", "--control", "control", "--out-dir", str(tmp_path)])
-    assert exited.value.code == 2
-    assert message in capsys.readouterr().err
-    assert not list(tmp_path.glob("BENCH_*.json"))
+@pytest.mark.parametrize("parent, control", [
+    (("0" * 40, False), ("0" * 40, True)),
+    (("0" * 40, False), (None, None)),
+    (("0" * 40, False), ("1" * 40, False)),
+    (("0" * 40, True), ("0" * 40, False)),
+    ((None, None), (None, None)),
+], ids=["dirty-tree", "no-git", "other-commit", "dirty-baseline", "baseline-without-git"])
+def test_a_checkout_that_is_not_a_clean_clone_of_the_clean_baseline_is_no_control(capsys, parent, control):
+    runs = control_runs(parent, control)
+    assert BENCH_RECORD.controls(list(runs), runs) == []
+    table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
+    BENCH_RECORD.print_comparison(list(runs), runs, table)
+    assert " control control:" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("control", ["parent", "elsewhere"], ids=["the-baseline", "unknown"])
-def test_a_control_must_name_another_checkout(tmp_path, monkeypatch, capsys, control):
-    monkeypatch.setattr(BENCH_RECORD, "run_once", lambda *args: pytest.fail("a benchmark ran"))
-    with pytest.raises(SystemExit) as exited:
-        BENCH_RECORD.main(["--checkout", f"parent={tmp_path}", "--checkout", f"change={tmp_path}",
-                           "--control", control])
-    assert exited.value.code == 2
-    assert f"--control {control} must name a checkout other than the first, parent" in capsys.readouterr().err
+def test_a_run_with_mixed_tree_states_is_no_control():
+    runs = control_runs()
+    runs["control"][1]["tree_dirty"] = True
+    assert BENCH_RECORD.controls(list(runs), runs) == []

@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from clonesim import angular, emission, experiments
+from clonesim import angular, experiments
 from clonesim.angular import PHOTON_IRREP, contains, dipole_angular_factors
 from clonesim.cli import main
 from clonesim.copying import CopyBasis, clone
@@ -359,30 +359,61 @@ class TestRealCouplings:
         assert build().amplitudes.dtype == np.float64
 
 
+ORACLE_MODES = [(PI,), (SIGMA_MINUS, SIGMA_PLUS), (SIGMA_PLUS, SIGMA_MINUS), (SIGMA_MINUS, PI, SIGMA_PLUS),
+                (SIGMA_PLUS, PI, SIGMA_MINUS)]
+
+
+def kron_oracle(system: AtomicSystem, modes, n_max: int, counter: bool) -> np.ndarray:
+    """``hamiltonian_by_kron`` on the system's quadrature dipole table."""
+    table = quadrature_table(system)
+    table[np.abs(table) < 1e-9] = 0.0
+    return hamiltonian_by_kron(table[:, [mode.q + 1 for mode in modes]], n_max, include_counter_rotating=counter)
+
+
 class TestHamiltonianAgainstKronOracle:
     @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
-    @pytest.mark.parametrize(
-        "modes",
-        [
-            (PI,),
-            (SIGMA_MINUS, SIGMA_PLUS),
-            (SIGMA_PLUS, SIGMA_MINUS),
-            (SIGMA_MINUS, PI, SIGMA_PLUS),
-            (SIGMA_PLUS, PI, SIGMA_MINUS),
-        ],
-        ids=lambda modes: "+".join(mode.label for mode in modes),
-    )
+    @pytest.mark.parametrize("modes", ORACLE_MODES, ids=lambda modes: "+".join(mode_labels(modes)))
     def test_matches_per_term_kron_sum(self, kind, modes):
         system = seeded_radial_system(kind)
-        table = quadrature_table(system)
-        table[np.abs(table) < 1e-9] = 0.0
-        couplings = table[:, [mode.q + 1 for mode in modes]]
         for n_max in (1, 2, 3, 4):
             for counter in (False, True):
                 h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
-                oracle = hamiltonian_by_kron(couplings, n_max, include_counter_rotating=counter)
+                oracle = kron_oracle(system, modes, n_max, counter)
                 assert np.array_equal(h != 0, oracle != 0), (n_max, counter)
                 assert max_abs(h - oracle) < 1e-12, (n_max, counter)
+
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    def test_systems_differing_only_in_radial_factors_get_their_own_values(self, kind):
+        first, second = seeded_radial_system(kind, seed=1), seeded_radial_system(kind, seed=2)
+        assert first.radial_factors != second.radial_factors
+        assert np.array_equal(first.allowed, second.allowed)
+        builds = []
+        for system in (first, second):
+            h = build_interaction_hamiltonian(system, SPHERICAL_MODES, 2, include_counter_rotating=True).entries
+            assert max_abs(h - kron_oracle(system, SPHERICAL_MODES, 2, True)) < 1e-12
+            builds.append(h)
+        assert not np.array_equal(*builds)
+
+    def test_one_level_systems_couple_only_their_allowed_modes(self):
+        # One excited level each, so only the selection rules tell the builds apart.
+        systems = [two_level_pi_system(), s_to_s_system()] + [
+            AtomicSystem(AtomicLevel("g", l=0, m=0), (AtomicLevel("e", l=1, m=m),)) for m in (-1, 1)]
+        for system in systems:
+            for counter in (False, True):
+                h = build_interaction_hamiltonian(system, SPHERICAL_MODES, 2, include_counter_rotating=counter).entries
+                oracle = kron_oracle(system, SPHERICAL_MODES, 2, counter)
+                assert np.array_equal(h != 0, oracle != 0), (system.excited, counter)
+                assert max_abs(h - oracle) < 1e-12, (system.excited, counter)
+
+    @pytest.mark.parametrize("counter", [False, True], ids=["rwa", "counter-rotating"])
+    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
+    def test_each_entry_is_the_dipole_entry_times_its_ladder_bit_for_bit(self, kind, counter):
+        system = seeded_radial_system(kind)
+        for modes in ORACLE_MODES:
+            for n_max in (1, 3):
+                h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
+                assert np.array_equal(h, expected_hamiltonian_entries(system, modes, n_max, counter)), (
+                    mode_labels(modes), n_max)
 
 
 class TestInteractionHamiltonian:
@@ -469,22 +500,25 @@ class TestInteractionHamiltonian:
         assert h.entries[wrong_row, col] == 0.0
 
     def test_build_holds_one_dense_array(self, config_dir):
-        # The nonzeros are scattered into one zero-filled array, which the
-        # operator keeps: no dense copy, conjugate transpose or difference,
-        # whether the build computes its coupling layout or finds it cached.
+        # The nonzeros are written into one zero-filled array, which the
+        # operator keeps: no dense copy, conjugate transpose or difference.
         system, _ = load_atomic_system(config_dir / "hydrogen_n2.json")
-        emission._coupling_layout.cache_clear()
-        for cache in ("cold", "warm"):
-            tracemalloc.start()
-            try:
-                h = build_interaction_hamiltonian(system, list(SPHERICAL_MODES), n_max=6, include_counter_rotating=True)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert h.entries.shape == (1715, 1715), cache
-            assert h.entries.nbytes == 1715**2 * 8, cache  # float64, half the bytes of a complex array
-            assert peak <= 1.5 * h.entries.nbytes, cache
-        assert emission._coupling_layout.cache_info()[:2] == (1, 1)  # (hits, misses)
+        tracemalloc.start()
+        try:
+            h = build_interaction_hamiltonian(system, list(SPHERICAL_MODES), n_max=6, include_counter_rotating=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.entries.shape == (1715, 1715)
+        assert h.entries.nbytes == 1715**2 * 8  # float64, half the bytes of a complex array
+        assert peak <= 1.5 * h.entries.nbytes
+
+    def test_each_result_is_an_owned_read_only_array(self):
+        system = p_manifold_system()
+        first, second = (build_interaction_hamiltonian(system, SPHERICAL_MODES, 2).entries for _ in range(2))
+        assert first is not second and not np.shares_memory(first, second)
+        for h in (first, second):
+            assert h.dtype == np.float64 and h.flags.owndata and not h.flags.writeable
 
     def test_rejects_bad_arguments(self):
         system = two_level_pi_system()
@@ -500,8 +534,7 @@ class TestInteractionHamiltonian:
         ("include_counter_rotating", "no"), ("include_counter_rotating", 1), ("include_counter_rotating", np.bool_(True)),
     ], ids=["n_max-bool", "n_max-float", "n_max-str", "counter-str", "counter-int", "counter-numpy-bool"])
     def test_refuses_coerced_arguments(self, argument, value):
-        # True hashes and compares as 1, so a coerced value would also share a
-        # cached layout with the value it stands for.
+        # True would build the n_max = 1 matrix and 1 the counter-rotating terms.
         arguments = {"n_max": 2, "include_counter_rotating": False, argument: value}
         message = f"{argument} must be {'an integer' if argument == 'n_max' else 'a bool'}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -535,86 +568,6 @@ def expected_hamiltonian_entries(system: AtomicSystem, modes, n_max: int, counte
                     row, col = index[(system.ground.label, ground)], index[(level.label, occupations)]
                     h[row, col] = h[col, row] = -d * math.sqrt(photons)
     return h
-
-
-ORACLE_MODES = [(PI,), (SIGMA_MINUS, SIGMA_PLUS), (SIGMA_PLUS, SIGMA_MINUS), (SIGMA_MINUS, PI, SIGMA_PLUS),
-                (SIGMA_PLUS, PI, SIGMA_MINUS)]
-
-
-def kron_oracle(system: AtomicSystem, modes, n_max: int, counter: bool) -> np.ndarray:
-    """``hamiltonian_by_kron`` on the system's quadrature dipole table."""
-    table = quadrature_table(system)
-    table[np.abs(table) < 1e-9] = 0.0
-    return hamiltonian_by_kron(table[:, [mode.q + 1 for mode in modes]], n_max, include_counter_rotating=counter)
-
-
-class TestCouplingLayoutCache:
-    """The cached layout is keyed by the selection rules, the modes, n_max and
-    the counter-rotating flag; the values come from each system's own table."""
-
-    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
-    def test_systems_differing_only_in_radial_factors_share_a_layout(self, kind):
-        first, second = seeded_radial_system(kind, seed=1), seeded_radial_system(kind, seed=2)
-        assert first.radial_factors != second.radial_factors
-        assert np.array_equal(first.allowed, second.allowed)
-        builds = []
-        for system in (first, second):
-            hits = emission._coupling_layout.cache_info().hits
-            h = build_interaction_hamiltonian(system, SPHERICAL_MODES, 2, include_counter_rotating=True).entries
-            assert max_abs(h - kron_oracle(system, SPHERICAL_MODES, 2, True)) < 1e-12
-            builds.append((h, emission._coupling_layout.cache_info().hits - hits))
-        assert builds[1][1] == 1  # the second system's build found the first one's layout
-        assert not np.array_equal(builds[0][0], builds[1][0])
-
-    def test_alternating_keys_never_take_another_keys_layout(self):
-        system = seeded_radial_system("d-ground")
-        keys = [(modes, n_max, counter) for n_max in (1, 2, 3) for counter in (False, True) for modes in ORACLE_MODES]
-        assert len(keys) <= emission._coupling_layout.cache_parameters()["maxsize"]
-        emission._coupling_layout.cache_clear()
-        for cache in ("cold", "warm"):
-            for modes, n_max, counter in keys:
-                h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
-                oracle = kron_oracle(system, modes, n_max, counter)
-                assert np.array_equal(h != 0, oracle != 0), (cache, mode_labels(modes), n_max, counter)
-                assert max_abs(h - oracle) < 1e-12, (cache, mode_labels(modes), n_max, counter)
-        assert emission._coupling_layout.cache_info()[:2] == (len(keys), len(keys))  # (hits, misses)
-
-    def test_systems_with_other_selection_rules_never_share_a_layout(self):
-        # One excited level each, so only the selection rules tell the keys apart.
-        systems = [two_level_pi_system(), s_to_s_system()] + [
-            AtomicSystem(AtomicLevel("g", l=0, m=0), (AtomicLevel("e", l=1, m=m),)) for m in (-1, 1)]
-        emission._coupling_layout.cache_clear()
-        for cache in ("cold", "warm"):
-            for system in systems:
-                h = build_interaction_hamiltonian(system, SPHERICAL_MODES, 2).entries
-                oracle = kron_oracle(system, SPHERICAL_MODES, 2, False)
-                assert np.array_equal(h != 0, oracle != 0), (cache, system.excited)
-                assert max_abs(h - oracle) < 1e-12, (cache, system.excited)
-        assert emission._coupling_layout.cache_info()[:2] == (len(systems), len(systems))  # (hits, misses)
-
-    @pytest.mark.parametrize("counter", [False, True], ids=["rwa", "counter-rotating"])
-    @pytest.mark.parametrize("kind", RADIAL_SYSTEMS)
-    def test_each_entry_is_the_dipole_entry_times_its_ladder_bit_for_bit(self, kind, counter):
-        system = seeded_radial_system(kind)
-        for modes in ORACLE_MODES:
-            for n_max in (1, 3):
-                for _ in range(2):  # cold or warm, then warm
-                    h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
-                    assert np.array_equal(h, expected_hamiltonian_entries(system, modes, n_max, counter)), (
-                        mode_labels(modes), n_max)
-
-    def test_each_result_is_an_owned_read_only_array_and_the_layout_is_read_only(self):
-        system = p_manifold_system()
-        first, second = (build_interaction_hamiltonian(system, SPHERICAL_MODES, 2).entries for _ in range(2))
-        assert first is not second and not np.shares_memory(first, second)
-        for h in (first, second):
-            assert h.dtype == np.float64 and h.flags.owndata and not h.flags.writeable
-        dim, *layout = emission._coupling_layout(system.allowed.tobytes(), system.manifold_dim, (0, 1, 2), 2, False)
-        assert dim == first.shape[0]
-        for array in layout:
-            assert array.flags.owndata and not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
 
 
 def mode_labels(modes) -> tuple[str, ...]:

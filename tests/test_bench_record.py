@@ -242,37 +242,23 @@ def test_a_control_gates_each_metric_on_wins_and_median_gap(capsys):
 
 
 @pytest.mark.parametrize("change, control, verdict", [
-    ([100.5, 102.5, 99.0], [100.1, 102.1, 100.1], "does not beat"),  # larger gap, fewer wins
-    ([100.1, 102.1, 100.1], [100.5, 102.5, 99.0], "does not beat"),  # more wins, smaller gap
-    ([99.0, 102.5, 99.5], [98.0, 101.0, 98.0], "does not beat"),  # worse than the parent, the control more so
-    ([100.5, 102.5, 100.5], [100.1, 102.1, 99.0], "beats"),  # more wins and a larger gap
+    ([100.5, 102.5, 99.0], [100.1, 102.1, 100.1], "does not beat control control:"),  # larger gap, fewer wins
+    ([100.1, 102.1, 100.1], [100.5, 102.5, 99.0], "does not beat control control:"),  # more wins, smaller gap
+    ([99.0, 102.5, 99.5], [98.0, 101.0, 98.0],  # more wins and a larger gap, but worse than the parent
+     "does not beat control control: wins 1/3 against 0/3, median gap -0.5% against -2.0%"),
+    ([100.5, 102.5, 100.5], [100.1, 102.1, 99.0], "beats control control:"),  # more wins and a larger gap
 ], ids=["fewer-wins", "smaller-gap", "regression", "both-exceed"])
 def test_a_claim_beats_the_control_only_when_it_gains_and_wins_and_gap_both_exceed_it(capsys, change, control,
                                                                                        verdict):
     ops_line = next(line for line in control_comparison(capsys, change, control) if " ops_per_s " in line)
-    assert f" change {verdict} control control:" in ops_line
-
-
-def test_the_regression_case_exceeds_the_control_on_wins_and_gap():
-    # The "regression" case above fails only for its negative gap.
-    runs = {"parent": fabricated_runs("0" * 40, [100.0, 102.0, 100.0]),
-            "change": fabricated_runs("0" * 40, [99.0, 102.5, 99.5]),
-            "control": fabricated_runs("0" * 40, [98.0, 101.0, 98.0])}
-    table = {label: BENCH_RECORD.summary(label_runs) for label, label_runs in runs.items()}
-    change_gap = BENCH_RECORD.median_gap(table["parent"]["atom-pipeline"]["ops_per_s"],
-                                         table["change"]["atom-pipeline"]["ops_per_s"], "higher")
-    control_gap = BENCH_RECORD.median_gap(table["parent"]["atom-pipeline"]["ops_per_s"],
-                                          table["control"]["atom-pipeline"]["ops_per_s"], "higher")
-    assert control_gap < change_gap < 0
-    assert (BENCH_RECORD.wins(runs["parent"], runs["change"], "atom-pipeline", "ops_per_s")
-            > BENCH_RECORD.wins(runs["parent"], runs["control"], "atom-pipeline", "ops_per_s"))
+    assert f" change {verdict}" in ops_line
 
 
 def control_runs(parent=("0" * 40, False), control=("0" * 40, False)) -> dict[str, list[dict]]:
     """Parent, change and candidate control runs; each checkout's (commit, tree_dirty) as given."""
-    return {"parent": fabricated_runs(*parent[:1], [100.0, 102.0, 101.0], tree_dirty=parent[1]),
-            "change": fabricated_runs("1" * 40, [100.0, 102.0, 101.0], tree_dirty=False),
-            "control": fabricated_runs(*control[:1], [100.0, 102.0, 101.0], tree_dirty=control[1])}
+    states = {"parent": parent, "change": ("1" * 40, False), "control": control}
+    return {label: fabricated_runs(commit, [100.0, 102.0, 101.0], tree_dirty=dirty)
+            for label, (commit, dirty) in states.items()}
 
 
 def test_a_clean_checkout_at_the_clean_baseline_commit_is_a_control():

@@ -412,8 +412,8 @@ class TestHamiltonianAgainstKronOracle:
         for modes in ORACLE_MODES:
             for n_max in (1, 3):
                 h = build_interaction_hamiltonian(system, modes, n_max, include_counter_rotating=counter).entries
-                assert np.array_equal(h, expected_hamiltonian_entries(system, modes, n_max, counter)), (
-                    mode_labels(modes), n_max)
+                expected = expected_hamiltonian_entries(system, modes, n_max, counter)
+                assert h.tobytes() == expected.tobytes(), (mode_labels(modes), n_max)  # signed zeros too
 
 
 class TestInteractionHamiltonian:
